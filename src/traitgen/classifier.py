@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import params_from_payload, read_checkpoint, write_checkpoint
+from .checkpoint import load_model, write_checkpoint
 from .errors import (
     InsufficientDataError,
     MissingLabelError,
@@ -132,15 +132,8 @@ class CnnModel:
                          self.params())
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "CnnModel":
-        config = CnnConfig(**payload["config"])
-        model = cls(config, Vocabulary(payload["vocab"]))
-        params_from_payload(payload["params"], model.params())
-        return model
-
-    @classmethod
     def load(cls, path: str | Path) -> "CnnModel":
-        return cls.from_payload(read_checkpoint(path, expect_kind=cls.kind))
+        return load_model(path, expect_kind=cls.kind)
 
 
 def _window_matrix(model: CnnModel, valid_ids: list[int], pad_short: bool) -> np.ndarray:

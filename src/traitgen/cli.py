@@ -160,7 +160,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     spec_path = res.get("spec", str, None)
     n = res.get("n", int, 4000)
     seed = res.get("seed", int, 42)
-    res.get("threads", int, 1)
     out = _out_dir(res)
     spec = SynthSpec.load(spec_path) if spec_path else default_synth_spec()
     docs, lexicon = synth_corpus(spec, n, Rng(seed))
@@ -188,7 +187,6 @@ def cmd_train_classifier(args: argparse.Namespace) -> int:
         batch_size=res.get("batch-size", int, 32),
         learning_rate=res.get("learning-rate", float, 1e-3),
     )
-    res.get("threads", int, 1)
     out = _out_dir(res)
     docs = read_corpus(corpus_path, mode=mode)
     result = train_classifier(docs, config, Rng(seed))
@@ -212,7 +210,6 @@ def cmd_label(args: argparse.Namespace) -> int:
     model_path = _require_path(res, "model")
     in_path = _require_path(res, "in")
     mode = res.get("tokenize-mode", str, "whitespace")
-    res.get("threads", int, 1)
     out = _out_file(res)
     model = load_model(model_path)
     if not isinstance(model, CnnModel):
@@ -250,7 +247,6 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
         learning_rate=res.get("learning-rate", float, 1e-3),
         temperature=res.get("temperature", float, 1.0),
     )
-    res.get("threads", int, 1)
     out = _out_dir(res)
     docs = read_corpus(corpus_path, mode=mode)
     result = train_generator(docs, config, Rng(seed))
@@ -275,7 +271,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     condition_text = res.get("condition", str, None)
     temperature = res.get("temperature", float, None)
     max_len = res.get("max-len", int, None)
-    res.get("threads", int, 1)
     out = _out_file(res)
     model = load_model(model_path)
     if not isinstance(model, LstmModel):
@@ -318,7 +313,6 @@ def cmd_score(args: argparse.Namespace) -> int:
     thresholds_path = res.get("thresholds", str, None)
     want_levels = bool(res.get("levels", bool, False))
     mode = res.get("tokenize-mode", str, "whitespace")
-    res.get("threads", int, 1)
     out = _out_file(res)
     if want_levels and not thresholds_path:
         raise ConfigError("--levels requires --thresholds")
@@ -348,7 +342,6 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     p_low = res.get("p-low", float, 1.0 / 3.0)
     p_high = res.get("p-high", float, 2.0 / 3.0)
     mode = res.get("tokenize-mode", str, "whitespace")
-    res.get("threads", int, 1)
     out = _out_file(res)
     lexicon = load_lexicon(lexicon_path)
     docs = read_corpus(in_path, mode=mode)
@@ -373,7 +366,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = res.get("seed", int, 42)
     temperature = res.get("temperature", float, EVAL_TEMPERATURE)
     max_len = res.get("max-len", int, None)
-    res.get("threads", int, 1)
     out = _out_dir(res)
 
     model = load_model(model_path)
@@ -410,7 +402,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="INI config file; flags override its values")
-    sub.add_argument("--threads", type=int, help="worker cap (never affects outputs)")
 
 
 def build_parser() -> argparse.ArgumentParser:

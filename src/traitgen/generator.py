@@ -22,13 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import params_from_payload, read_checkpoint, write_checkpoint
+from .checkpoint import load_model, write_checkpoint
 from .errors import (
     ConditionError,
     InsufficientDataError,
     MissingLabelError,
     SeedPoolError,
-    ShapeError,
     ValidationError,
 )
 from .numeric import (
@@ -178,54 +177,33 @@ class LstmModel:
     def params(self) -> list[Parameter]:
         return [self.embedding, self.gates_w, self.gates_b, self.out_w, self.out_b]
 
-    def snapshot_values(self) -> dict[str, Matrix]:
-        return {p.name: p.value.copy() for p in self.params()}
-
     def save(self, path: str | Path) -> None:
         write_checkpoint(path, self.kind, self.config.as_dict(), self.vocab.to_list(),
                          self.params())
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "LstmModel":
-        config = LstmConfig(**payload["config"])
-        model = cls(config, Vocabulary(payload["vocab"]))
-        params_from_payload(payload["params"], model.params())
-        return model
-
-    @classmethod
     def load(cls, path: str | Path) -> "LstmModel":
-        return cls.from_payload(read_checkpoint(path, expect_kind=cls.kind))
+        return load_model(path, expect_kind=cls.kind)
 
 
 # ------------------------------------------------------------------ cell math
 
 
-def _cell_infer(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray):
-    """One gate update without caches: returns (h_new, c_new)."""
+def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray):
+    """One LSTM step on the cell input xh = [x, h_prev].
+
+    Returns (h, c, (i, f, g, o, tanh_c)); the gate activations are what
+    the backward pass needs.
+    """
     h = model.config.hidden_dim
     z = xh @ model.gates_w.value.a + model.gates_b.value.a
     i = 1.0 / (1.0 + np.exp(-z[:, :h]))
     f = 1.0 / (1.0 + np.exp(-z[:, h:2 * h]))
     g = np.tanh(z[:, 2 * h:3 * h])
     o = 1.0 / (1.0 + np.exp(-z[:, 3 * h:]))
-    c_new = f * c_prev + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
-def lstm_step(x: Matrix, h: Matrix, c: Matrix, model: LstmModel):
-    """Public single-step cell update on explicit state vectors."""
-    cfg = model.config
-    din = cfg.embed_dim + cfg.cond_dim
-    if x.cols != din:
-        raise ShapeError(f"input width {x.cols} != embed+cond width {din}")
-    if h.cols != cfg.hidden_dim or c.cols != cfg.hidden_dim:
-        raise ShapeError(f"state width must be {cfg.hidden_dim}")
-    if not (x.rows == h.rows == c.rows):
-        raise ShapeError("x, h, c must agree on the number of rows")
-    xh = np.concatenate([x.a, h.a], axis=1)
-    h_new, c_new = _cell_infer(model, xh, c.a)
-    return Matrix._wrap(h_new), Matrix._wrap(c_new)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, (i, f, g, o, tanh_c)
 
 
 def _check_condition_arity(model: LstmModel, condition: BfpCondition | None) -> None:
@@ -241,26 +219,43 @@ def _cond_rows(condition: BfpCondition | None, rows: int) -> np.ndarray | None:
     return np.tile(np.asarray(condition.bits, dtype=np.float64), (rows, 1))
 
 
-def _unroll(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
-    """Forward-only unroll over a (B, T) id batch.
+def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
+    """Teacher-forced unroll over a (B, T) id batch.
 
-    Returns flat logits of shape ((T-1)*B, V) in time-major order: row
-    t*B + b predicts ids[b, t+1].
+    Returns (logits, h_all, xh_all, caches). Rows are time-major: row
+    t*B + b of the flat ((T-1)*B, V) logits predicts ids[b, t+1]. Row
+    t*B + b of xh_all is the cell input [embedding, condition, h] of that
+    step and of h_all the hidden state it produced; caches[t] holds step
+    t's previous cell state and gate activations for the backward pass.
     """
     b, t_len = ids.shape
-    hdim = model.config.hidden_dim
-    emb = model.embedding.value.a
+    cfg = model.config
+    k, hdim = cfg.embed_dim, cfg.hidden_dim
+    x_width = k + cfg.cond_dim
+    steps = t_len - 1
+    xh_all = np.empty((steps * b, x_width + hdim))
+    xh_steps = xh_all.reshape(steps, b, x_width + hdim)
+    xh_steps[:, :, :k] = model.embedding.value.a[ids[:, :steps].T]
+    if cond is not None:
+        xh_steps[:, :, k:x_width] = cond
+    h_all = np.empty((steps * b, hdim))
     h = np.zeros((b, hdim))
     c = np.zeros_like(h)
-    h_all = np.empty(((t_len - 1) * b, hdim))
-    for t in range(t_len - 1):
-        x = emb[ids[:, t]]
-        if cond is not None:
-            x = np.concatenate([x, cond], axis=1)
-        xh = np.concatenate([x, h], axis=1)
-        h, c = _cell_infer(model, xh, c)
+    caches = []
+    for t in range(steps):
+        xh = xh_all[t * b:(t + 1) * b]
+        xh[:, x_width:] = h
+        c_prev = c
+        h, c, acts = _cell(model, xh, c_prev)
         h_all[t * b:(t + 1) * b] = h
-    return h_all @ model.out_w.value.a + model.out_b.value.a
+        caches.append((c_prev, acts))
+    logits = h_all @ model.out_w.value.a + model.out_b.value.a
+    return logits, h_all, xh_all, caches
+
+
+def _unroll(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
+    """Forward-only unroll: the flat time-major logits of :func:`_forward`."""
+    return _forward(model, ids, cond)[0]
 
 
 def generator_forward(encoded: EncodedText, condition: BfpCondition | None,
@@ -299,39 +294,8 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     k, hdim = cfg.embed_dim, cfg.hidden_dim
     x_width = k + cfg.cond_dim
     steps = t_len - 1
-    emb = model.embedding.value.a
-    w_g, b_g = model.gates_w.value.a, model.gates_b.value.a
-    w_o, b_o = model.out_w.value.a, model.out_b.value.a
-
-    h = np.zeros((b, hdim))
-    c = np.zeros_like(h)
-    xh_all = np.empty((steps * b, x_width + hdim))
-    h_all = np.empty((steps * b, hdim))
-    gates = []
-    c_prevs = []
-    tanh_cs = []
-    for t in range(steps):
-        x = emb[ids[:, t]]
-        if cond is not None:
-            x = np.concatenate([x, cond], axis=1)
-        xh = xh_all[t * b:(t + 1) * b]
-        xh[:, :x_width] = x
-        xh[:, x_width:] = h
-        z = xh @ w_g + b_g
-        i = 1.0 / (1.0 + np.exp(-z[:, :hdim]))
-        f = 1.0 / (1.0 + np.exp(-z[:, hdim:2 * hdim]))
-        g = np.tanh(z[:, 2 * hdim:3 * hdim])
-        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hdim:]))
-        c_new = f * c + i * g
-        tanh_c = np.tanh(c_new)
-        h = o * tanh_c
-        h_all[t * b:(t + 1) * b] = h
-        gates.append((i, f, g, o))
-        c_prevs.append(c)
-        tanh_cs.append(tanh_c)
-        c = c_new
-
-    logits = h_all @ w_o + b_o
+    w_g, w_o = model.gates_w.value.a, model.out_w.value.a
+    logits, h_all, xh_all, caches = _forward(model, ids, cond)
     targets = ids[:, 1:].T.reshape(-1)
     mask_flat = mask[:, 1:].T.reshape(-1)
     loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
@@ -347,14 +311,13 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     dh_next = np.zeros((b, hdim))
     dc_next = np.zeros_like(dh_next)
     for t in reversed(range(steps)):
-        i, f, g, o = gates[t]
-        tanh_c = tanh_cs[t]
+        c_prev, (i, f, g, o, tanh_c) = caches[t]
         dh = dh_all[t * b:(t + 1) * b] + dh_next
         do = dh * tanh_c
         dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
         dz = dz_all[t * b:(t + 1) * b]
         dz[:, :hdim] = (dc * g) * i * (1.0 - i)
-        dz[:, hdim:2 * hdim] = (dc * c_prevs[t]) * f * (1.0 - f)
+        dz[:, hdim:2 * hdim] = (dc * c_prev) * f * (1.0 - f)
         dz[:, 2 * hdim:3 * hdim] = (dc * i) * (1.0 - g * g)
         dz[:, 3 * hdim:] = do * o * (1.0 - o)
         dc_next = dc * f
@@ -437,39 +400,6 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
     return result
 
 
-def perplexity(model: LstmModel, docs: list[Document]) -> float:
-    """exp of the token-weighted mean masked cross-entropy over the corpus.
-
-    Conditional models read each document's labels as its condition.
-    """
-    if not docs:
-        raise InsufficientDataError("perplexity needs a non-empty corpus")
-    conditional = model.config.cond_dim == 5
-    total_nll = 0.0
-    total_tokens = 0.0
-    ids, mask, lengths = _encode_corpus(docs, model.vocab, model.config.max_len)
-    for start in range(0, len(docs), 64):
-        chunk = list(range(start, min(start + 64, len(docs))))
-        t_max = int(lengths[chunk].max())
-        ids_b = ids[chunk][:, :t_max]
-        mask_b = mask[chunk][:, :t_max]
-        cond_b = None
-        if conditional:
-            for i in chunk:
-                if docs[i].labels is None:
-                    raise MissingLabelError(f"document {i} has no trait labels")
-            cond_b = np.array([[docs[i].labels[t] for t in TRAITS] for i in chunk],
-                              dtype=np.float64)
-        logits = _unroll(model, ids_b, cond_b)
-        targets = ids_b[:, 1:].T.reshape(-1)
-        mask_flat = mask_b[:, 1:].T.reshape(-1)
-        loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
-        n = float(mask_flat.sum())
-        total_nll += loss * n
-        total_tokens += n
-    return float(np.exp(total_nll / total_tokens))
-
-
 # ------------------------------------------------------------------- decoding
 
 
@@ -535,7 +465,7 @@ def generate(model: LstmModel, condition: BfpCondition | None, seed_pool: list[s
         x = emb[token_id][None, :]
         if cond_row is not None:
             x = np.concatenate([x, cond_row], axis=1)
-        h, c = _cell_infer(model, np.concatenate([x, h], axis=1), c)
+        h, c, _ = _cell(model, np.concatenate([x, h], axis=1), c)
 
     feed(BOS_ID)
     feed(seed_id)

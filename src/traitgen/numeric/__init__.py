@@ -7,7 +7,6 @@ from .matrix import (
     elementwise_activation,
     masked_cross_entropy,
     max_over_time,
-    row_softmax,
     xavier_init,
 )
 from .optim import Parameter, adam_step, clip_global_norm, zero_grads
@@ -25,7 +24,6 @@ __all__ = [
     "gradient_check",
     "masked_cross_entropy",
     "max_over_time",
-    "row_softmax",
     "xavier_init",
     "zero_grads",
 ]

@@ -12,7 +12,7 @@ across threads.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,12 +52,6 @@ class Matrix:
         return cls._wrap(np.zeros((rows, cols)))
 
     @classmethod
-    def full(cls, rows: int, cols: int, value: float) -> "Matrix":
-        if rows < 1 or cols < 1:
-            raise ShapeError(f"matrix dimensions must be at least 1x1, got ({rows}, {cols})")
-        return cls._wrap(np.full((rows, cols), float(value)))
-
-    @classmethod
     def from_flat(cls, rows: int, cols: int, flat: Sequence[float]) -> "Matrix":
         data = np.asarray(flat, dtype=np.float64)
         if data.ndim != 1 or data.size != rows * cols:
@@ -89,17 +83,11 @@ class Matrix:
     def copy(self) -> "Matrix":
         return Matrix._wrap(self.a.copy())
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.a).all())
-
     def __getitem__(self, idx):
         return self.a[idx]
 
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
-
-
-Backward = Callable
 
 
 def xavier_init(rows: int, cols: int, rng: Rng) -> Matrix:
@@ -172,24 +160,6 @@ def elementwise_activation(kind: str, x: Matrix):
 
         def backward(d: Matrix):
             return Matrix._wrap(d.a * (1.0 - out * out))
-
-    return Matrix._wrap(out), backward
-
-
-def row_softmax(x: Matrix):
-    """Softmax along each row, stabilised by subtracting the row max.
-
-    Returns (out, backward). Rows of the output sum to 1.
-    """
-    xa = x.a
-    shifted = xa - xa.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def backward(d: Matrix):
-        da = d.a
-        inner = (da * out).sum(axis=1, keepdims=True)
-        return Matrix._wrap(out * (da - inner))
 
     return Matrix._wrap(out), backward
 

@@ -328,8 +328,8 @@ def run_cli(*argv: str) -> int:
 
 def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classifier,
                                                  trained_conditional):
-    # (a) every CLI stage rerun with the same seed, varying --threads:
-    # primary outputs must be byte-identical
+    # (a) every CLI stage rerun with the same seed: primary outputs must be
+    # byte-identical
     small = tmp_path / "spec.json"
     import dataclasses
 
@@ -338,11 +338,11 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     pool = tmp_path / "pool.txt"
 
     outputs: dict[str, list[bytes]] = {}
-    for run_id, threads in (("r1", "1"), ("r2", "2")):
+    for run_id in ("r1", "r2"):
         base = tmp_path / run_id
         data = base / "data"
         assert run_cli("synth", "--spec", str(small), "--n", "80", "--seed", "5",
-                       "--threads", threads, "--out", str(data)) == 0
+                       "--out", str(data)) == 0
         if run_id == "r1":
             # seed pool: frequent neutral tokens, guaranteed to survive the
             # generator vocabulary's min_count threshold
@@ -359,20 +359,18 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
         cls = base / "cls"
         assert run_cli("train-classifier", "--corpus", str(data / "corpus.jsonl"),
                        "--out", str(cls), "--epochs", "1", "--embed-dim", "8",
-                       "--num-filters", "8", "--max-len", "16",
-                       "--threads", threads) == 0
+                       "--num-filters", "8", "--max-len", "16") == 0
         labeled = base / "labeled.jsonl"
         assert run_cli("label", "--model", str(cls / "classifier.json"),
-                       "--in", str(data / "corpus.jsonl"), "--out", str(labeled),
-                       "--threads", threads) == 0
+                       "--in", str(data / "corpus.jsonl"), "--out", str(labeled)) == 0
         gen = base / "gen"
         assert run_cli("train-generator", "--corpus", str(labeled), "--out", str(gen),
                        "--epochs", "1", "--embed-dim", "8", "--hidden-dim", "8",
-                       "--max-len", "16", "--threads", threads) == 0
+                       "--max-len", "16") == 0
         bas = base / "base"
         assert run_cli("train-generator", "--corpus", str(labeled), "--out", str(bas),
                        "--epochs", "1", "--embed-dim", "8", "--hidden-dim", "8",
-                       "--max-len", "16", "--unconditional", "--threads", threads) == 0
+                       "--max-len", "16", "--unconditional") == 0
         th = base / "thresholds.json"
         assert run_cli("calibrate", "--lexicon", str(data / "lexicon.json"),
                        "--in", str(data / "corpus.jsonl"), "--out", str(th)) == 0
@@ -380,7 +378,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
         assert run_cli("generate", "--model", str(gen / "generator.json"),
                        "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "20",
                        "--seed-pool", str(pool), "--seed", "6",
-                       "--threads", threads, "--out", str(texts)) == 0
+                       "--out", str(texts)) == 0
         scored = base / "scored.jsonl"
         assert run_cli("score", "--lexicon", str(data / "lexicon.json"),
                        "--in", str(texts), "--thresholds", str(th),
@@ -391,7 +389,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
                        "--lexicon", str(data / "lexicon.json"),
                        "--thresholds", str(th), "--n-per-condition", "4",
                        "--seed-pool", str(pool), "--seed", "7",
-                       "--threads", threads, "--out", str(ev)) == 0
+                       "--out", str(ev)) == 0
         for name, path in [
             ("corpus", data / "corpus.jsonl"), ("lexicon", data / "lexicon.json"),
             ("classifier", cls / "classifier.json"), ("metrics", cls / "metrics.json"),
@@ -424,7 +422,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
 
     ok = not mismatched and cnn_same and bool(lstm_same)
     report(7, "determinism and persistence", ok,
-           f"byte-identical across reruns and --threads for {len(outputs)} outputs"
+           f"byte-identical across reruns for {len(outputs)} outputs"
            + (f" (mismatched: {mismatched})" if mismatched else "")
            + f"; checkpoint forward round-trip bit-exact: cnn={cnn_same}, lstm={bool(lstm_same)}")
 

@@ -83,12 +83,12 @@ def test_synth_zero_docs_makes_valid_empty_corpus(tmp_path, small_spec_path) -> 
     assert manifest["seed"] == 3
 
 
-def test_synth_reruns_are_byte_identical_across_threads(tmp_path, small_spec_path) -> None:
+def test_synth_reruns_are_byte_identical(tmp_path, small_spec_path) -> None:
     outs = []
-    for name, threads in (("a", "1"), ("b", "2")):
+    for name in ("a", "b"):
         out = tmp_path / name
         assert run("synth", "--spec", str(small_spec_path), "--n", "20", "--seed", "5",
-                   "--out", str(out), "--threads", threads) == 0
+                   "--out", str(out)) == 0
         outs.append(out)
     for fname in ("corpus.jsonl", "lexicon.json", "spec.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
@@ -229,6 +229,38 @@ def test_generate_condition_against_unconditional_model_exits_2(tmp_path, pipeli
                "--out", str(tmp_path / "x.jsonl")) == 2
 
 
+def _set(path: list, value):
+    def mutate(payload: dict) -> None:
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set(["config", "bogus_key"], 1),
+    _set(["config"], [8, 16]),
+    _set(["config", "hidden_dim"], "8"),
+    _set(["vocab"], {"<pad>": 0}),
+    _set(["params", "out_b", "shape"], [1]),
+    _set(["params", "out_b", "data", 0], "x"),
+    _set(["params", "gates_w", "data", 0], float("nan")),
+], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
+        "vocab-not-list", "shape-not-pair", "non-numeric-data", "non-finite-data"])
+def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, mutate) -> None:
+    payload = json.loads(pipeline["baseline"].read_text(encoding="utf-8"))
+    mutate(payload)
+    model = tmp_path / "bad.json"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    assert run("generate", "--model", str(model), "--n", "1",
+               "--seed-pool", str(pipeline["pool"]),
+               "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"traitgen: error: {model}: ")
+    assert err.count("\n") == 1
+
+
 # -------------------------------------------------------------- score/calibrate
 
 
@@ -300,16 +332,16 @@ def test_evaluate_writes_report_and_table(tmp_path, pipeline) -> None:
     assert len(gens) == 5 * 2 * 2 + 2
 
 
-def test_evaluate_is_byte_identical_across_reruns_and_threads(tmp_path, pipeline) -> None:
+def test_evaluate_is_byte_identical_across_reruns(tmp_path, pipeline) -> None:
     outs = []
-    for name, threads in (("e1", "1"), ("e2", "2")):
+    for name in ("e1", "e2"):
         out = tmp_path / name
         assert run("evaluate", "--model", str(pipeline["generator"]),
                    "--baseline", str(pipeline["baseline"]),
                    "--lexicon", str(pipeline["lexicon"]),
                    "--thresholds", str(pipeline["thresholds"]),
                    "--n-per-condition", "2", "--seed-pool", str(pipeline["pool"]),
-                   "--seed", "13", "--threads", threads, "--out", str(out)) == 0
+                   "--seed", "13", "--out", str(out)) == 0
         outs.append(out)
     for fname in ("report.json", "table.txt", "generations.jsonl"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()

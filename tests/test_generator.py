@@ -10,7 +10,6 @@ from traitgen.errors import (
     InsufficientDataError,
     MissingLabelError,
     SeedPoolError,
-    ShapeError,
 )
 from traitgen.generator import (
     BfpCondition,
@@ -20,16 +19,15 @@ from traitgen.generator import (
     generate,
     generator_forward,
     generator_loss,
-    lstm_step,
-    perplexity,
     train_generator,
+    _cell,
     _repeated_tail_ngram,
     _trailing_run_length,
     _train_batch,
     _unroll,
 )
 from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy
-from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, Document, Vocabulary, encode
+from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
 
@@ -83,7 +81,7 @@ def test_condition_from_labels() -> None:
     assert BfpCondition.from_labels(labels).bits == (1, 0, 0, 1, 0)
 
 
-# ------------------------------------------------------------------ lstm_step
+# ----------------------------------------------------------------------- cell
 
 
 def zeroed_model(**kw) -> LstmModel:
@@ -93,11 +91,33 @@ def zeroed_model(**kw) -> LstmModel:
     return model
 
 
+def sigmoid(v: float) -> float:
+    return 1.0 / (1.0 + math.exp(-v))
+
+
+def scalar_cell(model: LstmModel, xh: list[float],
+                c_prev: list[float]) -> tuple[list[float], list[float]]:
+    """The LSTM step written out one scalar at a time: (h, c) for one row."""
+    w = model.gates_w.value.a
+    b = model.gates_b.value.a[0]
+    hdim = model.config.hidden_dim
+    z = [b[j] + sum(xh[i] * w[i, j] for i in range(len(xh))) for j in range(4 * hdim)]
+    h, c = [], []
+    for j in range(hdim):
+        ig = sigmoid(z[j])
+        fg = sigmoid(z[hdim + j])
+        gg = math.tanh(z[2 * hdim + j])
+        og = sigmoid(z[3 * hdim + j])
+        c.append(fg * c_prev[j] + ig * gg)
+        h.append(og * math.tanh(c[j]))
+    return h, c
+
+
 def test_zero_weights_zero_state_stays_zero() -> None:
     model = zeroed_model(h=3)
     width = model.config.embed_dim + model.config.cond_dim
-    x = Matrix([[0.7] * width])
-    h, c = lstm_step(x, Matrix.zeros(1, 3), Matrix.zeros(1, 3), model)
+    xh = np.array([[0.7] * width + [0.0] * 3])
+    h, c, _ = _cell(model, xh, np.zeros((1, 3)))
     assert h.tolist() == [[0.0, 0.0, 0.0]]
     assert c.tolist() == [[0.0, 0.0, 0.0]]
 
@@ -105,9 +125,8 @@ def test_zero_weights_zero_state_stays_zero() -> None:
 def test_zero_weights_halve_cell_state() -> None:
     model = zeroed_model(h=3)
     width = model.config.embed_dim + model.config.cond_dim
-    x = Matrix([[1.0] * width])
-    c0 = Matrix([[0.4, -1.2, 2.0]])
-    h, c = lstm_step(x, Matrix.zeros(1, 3), c0, model)
+    xh = np.array([[1.0] * width + [0.0] * 3])
+    h, c, _ = _cell(model, xh, np.array([[0.4, -1.2, 2.0]]))
     assert c.tolist()[0] == pytest.approx([0.2, -0.6, 1.0])
     expected_h = [0.5 * math.tanh(v) for v in [0.2, -0.6, 1.0]]
     assert h.tolist()[0] == pytest.approx(expected_h)
@@ -115,47 +134,23 @@ def test_zero_weights_halve_cell_state() -> None:
 
 def test_lstm_step_matches_scalar_hand_oracle() -> None:
     model = make_model(k=2, h=3, cond=0, seed=31)
-    x = Matrix([[0.3, -0.8]])
-    h0 = Matrix([[0.1, -0.2, 0.05]])
-    c0 = Matrix([[0.4, 0.0, -0.6]])
-    h1, c1 = lstm_step(x, h0, c0, model)
-
-    def sigmoid(v: float) -> float:
-        return 1.0 / (1.0 + math.exp(-v))
-
-    xh = [0.3, -0.8, 0.1, -0.2, 0.05]
-    w = model.gates_w.value.a
-    b = model.gates_b.value.a[0]
-    hdim = 3
-    z = [b[j] + sum(xh[i] * w[i, j] for i in range(5)) for j in range(4 * hdim)]
-    for j in range(hdim):
-        ig = sigmoid(z[j])
-        fg = sigmoid(z[hdim + j])
-        gg = math.tanh(z[2 * hdim + j])
-        og = sigmoid(z[3 * hdim + j])
-        c_exp = fg * c0[0, j] + ig * gg
-        h_exp = og * math.tanh(c_exp)
-        assert c1[0, j] == pytest.approx(c_exp, abs=1e-12)
-        assert h1[0, j] == pytest.approx(h_exp, abs=1e-12)
-
-
-def test_lstm_step_shape_validation() -> None:
-    model = make_model(k=2, h=3, cond=0)
-    with pytest.raises(ShapeError):
-        lstm_step(Matrix.zeros(1, 5), Matrix.zeros(1, 3), Matrix.zeros(1, 3), model)
-    with pytest.raises(ShapeError):
-        lstm_step(Matrix.zeros(1, 2), Matrix.zeros(1, 4), Matrix.zeros(1, 3), model)
+    xh = [0.3, -0.8, 0.1, -0.2, 0.05]  # x = [0.3, -0.8], h_prev = [0.1, -0.2, 0.05]
+    c0 = [0.4, 0.0, -0.6]
+    h1, c1, _ = _cell(model, np.array([xh]), np.array([c0]))
+    h_exp, c_exp = scalar_cell(model, xh, c0)
+    assert c1[0].tolist() == pytest.approx(c_exp, abs=1e-12)
+    assert h1[0].tolist() == pytest.approx(h_exp, abs=1e-12)
 
 
 def test_hidden_state_magnitude_below_one() -> None:
     model = make_model(k=2, h=4, cond=0, seed=37)
     rng = Rng(38)
-    h = Matrix.zeros(1, 4)
-    c = Matrix.zeros(1, 4)
+    h = np.zeros((1, 4))
+    c = np.zeros((1, 4))
     for _ in range(50):
-        x = Matrix([[rng.uniform(-3, 3), rng.uniform(-3, 3)]])
-        h, c = lstm_step(x, h, c, model)
-        assert np.abs(h.a).max() < 1.0
+        x = np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)]])
+        h, c, _ = _cell(model, np.concatenate([x, h], axis=1), c)
+        assert np.abs(h).max() < 1.0
 
 
 # ----------------------------------------------------------- generator_forward
@@ -179,14 +174,14 @@ def test_forward_matches_hand_unrolled_steps() -> None:
     assert logits.shape == (3, model.config.vocab_size)
 
     bits = list(map(float, cond.bits))
-    h = Matrix.zeros(1, 3)
-    c = Matrix.zeros(1, 3)
+    w_o, b_o = model.out_w.value.a, model.out_b.value.a[0]
+    h, c = [0.0] * 3, [0.0] * 3
     for t in range(3):
         emb = model.embedding.value.a[enc.ids[t]].tolist()
-        x = Matrix([emb + bits])
-        h, c = lstm_step(x, h, c, model)
-        expected = h.a @ model.out_w.value.a + model.out_b.value.a
-        assert np.abs(logits.a[t] - expected[0]).max() < 1e-12
+        h, c = scalar_cell(model, emb + bits + h, c)
+        expected = [b_o[v] + sum(h[j] * w_o[j, v] for j in range(3))
+                    for v in range(model.config.vocab_size)]
+        assert np.abs(logits.a[t] - expected).max() < 1e-12
 
 
 def test_zeroed_condition_rows_make_all_conditions_identical() -> None:
@@ -413,37 +408,27 @@ def test_seed_pool_errors() -> None:
         generate(model, None, ["nope"], Rng(0))
 
 
+def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
+    """Each greedy token after the seed word is the argmax, over the
+    sampleable ids, of the teacher-forced logits on the prefix before it."""
+    checked = 0
+    for model_seed in (101, 102, 103, 104, 105):
+        model = make_model(n_tokens=12, k=4, h=8, cond=5, max_len=16, seed=model_seed)
+        sampleable = np.array([i for i in range(model.config.vocab_size)
+                               if i not in (PAD_ID, UNK_ID, BOS_ID)])
+        cond = BfpCondition(*((model_seed >> i) & 1 for i in range(5)))
+        for seed_word in ("w0", "w5", "w11"):
+            out = generate(model, cond, [seed_word], Rng(model_seed), temperature=0.0)
+            enc = encode(out, model.vocab, len(out) + 2)
+            logits = generator_forward(enc, cond, model).a
+            for j in range(1, len(out)):  # row j has read BOS and out[:j]
+                best = int(sampleable[np.argmax(logits[j, sampleable])])
+                assert model.vocab.token_of(best) == out[j]
+                checked += 1
+    assert checked >= 30
+
+
 def test_generate_condition_arity() -> None:
     cond_model = make_model(cond=5)
     with pytest.raises(ConditionError):
         generate(cond_model, None, ["w0"], Rng(0))
-
-
-# ----------------------------------------------------------------- perplexity
-
-
-def test_perplexity_equals_exp_of_mean_loss() -> None:
-    model = make_model(n_tokens=6, cond=0, max_len=8, seed=89)
-    docs = [Document("w0 w1", ["w0", "w1"]), Document("w2", ["w2"])]
-    total_nll, total_tok = 0.0, 0
-    for d in docs:
-        enc = encode(d.tokens, model.vocab, 8)
-        loss = generator_loss(generator_forward(enc, None, model), enc)
-        n = sum(enc.mask[1:])
-        total_nll += loss * n
-        total_tok += n
-    assert perplexity(model, docs) == pytest.approx(math.exp(total_nll / total_tok))
-
-
-def test_untrained_perplexity_near_vocab_size() -> None:
-    model = make_model(n_tokens=60, k=8, h=8, cond=0, max_len=12, seed=97)
-    rng = Rng(98)
-    docs = [Document("", [f"w{rng.randint(60)}" for _ in range(8)]) for _ in range(30)]
-    ppl = perplexity(model, docs)
-    v = model.config.vocab_size
-    assert abs(ppl - v) / v < 0.10
-
-
-def test_perplexity_empty_corpus_rejected() -> None:
-    with pytest.raises(InsufficientDataError):
-        perplexity(make_model(cond=0), [])

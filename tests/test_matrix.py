@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from traitgen.errors import (
     DegenerateMaskError,
@@ -20,7 +18,6 @@ from traitgen.numeric import (
     elementwise_activation,
     masked_cross_entropy,
     max_over_time,
-    row_softmax,
     xavier_init,
 )
 
@@ -192,54 +189,6 @@ def test_activation_gradient_matches_central_differences(kind: str) -> None:
             numeric = (plus - minus) / (2 * h)
             denom = max(abs(dx[r, c]), abs(numeric), 1e-8)
             assert abs(dx[r, c] - numeric) / denom < 1e-4
-
-
-# -------------------------------------------------------------------- softmax
-
-
-def test_softmax_uniform_row() -> None:
-    out, _ = row_softmax(Matrix([[0.0, 0.0, 0.0, 0.0]]))
-    assert out.tolist() == [[0.25, 0.25, 0.25, 0.25]]
-
-
-def test_softmax_matches_direct_formula() -> None:
-    out, _ = row_softmax(Matrix([[1.0, 2.0, 3.0]]))
-    z = math.exp(1) + math.exp(2) + math.exp(3)
-    for c, v in enumerate([math.exp(1) / z, math.exp(2) / z, math.exp(3) / z]):
-        assert out[0, c] == pytest.approx(v, abs=1e-12)
-
-
-# row entries stay within a spread where float64 cannot saturate a
-# probability to exactly 0 or 1 (gaps above ~37 round 1/(1+e^-gap) to 1.0)
-@given(
-    st.lists(st.floats(min_value=-15, max_value=15), min_size=2, max_size=8),
-    st.floats(min_value=-100, max_value=100),
-)
-@settings(max_examples=50, deadline=None)
-def test_softmax_shift_invariance_and_normalisation(row: list[float], shift: float) -> None:
-    base, _ = row_softmax(Matrix([row]))
-    shifted, _ = row_softmax(Matrix([[v + shift for v in row]]))
-    assert np.abs(base.a - shifted.a).max() < 1e-12
-    assert abs(float(base.a.sum()) - 1.0) < 1e-12
-    assert ((base.a > 0.0) & (base.a < 1.0)).all()
-
-
-def test_softmax_backward_matches_finite_differences() -> None:
-    rng = Rng(12)
-    x = rand_matrix(2, 4, rng, scale=2.0)
-    d = rand_matrix(2, 4, rng)
-    _, back = row_softmax(x)
-    dx = back(d)
-    h = 1e-6
-    for r in range(2):
-        for c in range(4):
-            orig = x.a[r, c]
-            x.a[r, c] = orig + h
-            plus = float((row_softmax(x)[0].a * d.a).sum())
-            x.a[r, c] = orig - h
-            minus = float((row_softmax(x)[0].a * d.a).sum())
-            x.a[r, c] = orig
-            assert dx[r, c] == pytest.approx((plus - minus) / (2 * h), rel=1e-4, abs=1e-8)
 
 
 # -------------------------------------------------------- masked cross-entropy
