@@ -2,43 +2,44 @@
 
 Architecture: jointly-trained token embeddings, one bank of width-m
 convolution filters with relu, max-over-time pooling of each feature map
-over fully valid windows only, and five independent sigmoid heads (one
-per trait). Training uses per-trait binary cross-entropy, minibatch Adam,
-and global-norm clipping, with a deterministic 9:1 train/validation
-split; the parameters of the best mean-accuracy epoch are kept.
+over fully valid windows only, and one five-column sigmoid head (one
+column per trait). One batched forward and backward runs on chunks of
+:data:`CHUNK` texts. Training uses per-trait binary cross-entropy,
+minibatch Adam, and global-norm clipping, with a deterministic 9:1
+train/validation split; the parameters of the best mean-accuracy epoch
+are kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
 from .checkpoint import load_model, write_checkpoint
-from .errors import (
-    InsufficientDataError,
-    MissingLabelError,
-    ShapeError,
-    ShortInputError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, MissingLabelError, ShapeError, ValidationError
 from .numeric import (
     Matrix,
     Parameter,
     Rng,
     adam_step,
     affine,
+    check_schedule,
     clip_global_norm,
     elementwise_activation,
     max_over_time,
     xavier_init,
     zero_grads,
 )
-from .textproc import PAD_ID, Document, EncodedText, Vocabulary, encode
+from .textproc import Document, EncodedText, Vocabulary, encode
 from .traits import TRAITS
 
 CLIP_NORM = 5.0
+# texts per forward/backward call; the window matrix, and with it the
+# peak memory of labeling, grows with the chunk
+CHUNK = 8
 
 # rng stream ids within a training run
 _STREAM_INIT = 0
@@ -68,6 +69,7 @@ class CnnConfig:
             )
         if self.vocab_size < 5:
             raise ValidationError(f"vocab_size must include the specials, got {self.vocab_size}")
+        check_schedule(self.epochs, self.batch_size, self.learning_rate)
 
     def as_dict(self) -> dict:
         return {
@@ -99,26 +101,25 @@ class CnnModel:
         self.embedding = Parameter("embedding", Matrix.zeros(config.vocab_size, k))
         self.conv_w = Parameter("conv_w", Matrix.zeros(f, m * k))
         self.conv_b = Parameter("conv_b", Matrix.zeros(1, f))
-        self.head_w = {t: Parameter(f"head_w_{t}", Matrix.zeros(f, 1)) for t in TRAITS}
-        self.head_b = {t: Parameter(f"head_b_{t}", Matrix.zeros(1, 1)) for t in TRAITS}
+        self.head_w = Parameter("head_w", Matrix.zeros(f, len(TRAITS)))
+        self.head_b = Parameter("head_b", Matrix.zeros(1, len(TRAITS)))
 
     @classmethod
     def init(cls, config: CnnConfig, vocab: Vocabulary, rng: Rng) -> "CnnModel":
-        """Xavier-uniform weights, zero biases; draw order is fixed."""
+        """Xavier-uniform weights, zero biases; draw order is fixed.
+
+        The head is drawn one f x 1 column per trait, in trait order.
+        """
         model = cls(config, vocab)
         k, m, f = config.embed_dim, config.window, config.num_filters
         model.embedding.value = xavier_init(config.vocab_size, k, rng)
         model.conv_w.value = xavier_init(f, m * k, rng)
-        for t in TRAITS:
-            model.head_w[t].value = xavier_init(f, 1, rng)
+        columns = [xavier_init(f, 1, rng).a for _ in TRAITS]
+        model.head_w.value = Matrix._wrap(np.concatenate(columns, axis=1))
         return model
 
     def params(self) -> list[Parameter]:
-        out = [self.embedding, self.conv_w, self.conv_b]
-        for t in TRAITS:
-            out.append(self.head_w[t])
-            out.append(self.head_b[t])
-        return out
+        return [self.embedding, self.conv_w, self.conv_b, self.head_w, self.head_b]
 
     def snapshot_values(self) -> dict[str, Matrix]:
         return {p.name: p.value.copy() for p in self.params()}
@@ -136,69 +137,86 @@ class CnnModel:
         return load_model(path, expect_kind=cls.kind)
 
 
-def _window_matrix(model: CnnModel, valid_ids: list[int], pad_short: bool) -> np.ndarray:
-    """Stack embeddings of every fully valid window into a (P, m*k) matrix.
-
-    With fewer valid positions than one window, either raise or (for the
-    lenient callers) build a single window right-padded with PAD embeddings.
-    """
-    m = model.config.window
-    emb = model.embedding.value.a
-    n = len(valid_ids)
-    if n < m:
-        if not pad_short:
-            raise ShortInputError(
-                f"{n} valid positions is fewer than one window of {m}"
-            )
-        valid_ids = valid_ids + [PAD_ID] * (m - n)
-        n = m
-    rows = emb[valid_ids]
-    p = n - m + 1
-    return np.concatenate([rows[i:p + i] for i in range(m)], axis=1)
+def _stack(texts: Sequence[EncodedText]) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T) ids and (B,) valid lengths of equally padded encodings."""
+    ids = np.array([t.ids for t in texts], dtype=np.int64)
+    lengths = np.array([t.length for t in texts], dtype=np.int64)
+    return ids, lengths
 
 
-def _sigmoid_scalar(x: float) -> float:
+def _sigmoid(x: np.ndarray) -> np.ndarray:
     # overflow-safe either side of zero
-    if x >= 0.0:
-        return 1.0 / (1.0 + float(np.exp(-x)))
-    e = float(np.exp(x))
-    return e / (1.0 + e)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def _forward(model: CnnModel, encoded: EncodedText, pad_short: bool):
-    """Probabilities for the five traits plus the caches backward needs."""
-    n = encoded.length
-    valid_ids = encoded.ids[:n]
-    windows = _window_matrix(model, valid_ids, pad_short)
-    win_m = Matrix._wrap(windows)
-    conv_t = Matrix._wrap(model.conv_w.value.a.T)  # stored F x (m*k), used transposed
-    pre, back_affine = affine(win_m, conv_t, model.conv_b.value)
-    act, back_relu = elementwise_activation("relu", pre)
-    pooled, _, back_pool = max_over_time(act)
-    probs = []
-    head_backs = []
-    for t in TRAITS:
-        logit, back_head = affine(pooled, model.head_w[t].value, model.head_b[t].value)
-        probs.append(_sigmoid_scalar(float(logit[0, 0])))
-        head_backs.append(back_head)
-    cache = (valid_ids, win_m, back_affine, back_relu, pooled, back_pool, head_backs)
-    return probs, cache
+def _forward(model: CnnModel, ids: np.ndarray, lengths: np.ndarray):
+    """(B, 5) trait probabilities of a (B, T) chunk plus the caches backward needs.
 
-
-def classifier_forward(encoded: EncodedText, model: CnnModel) -> list[float]:
-    """Trait probabilities in (0, 1), one per trait in E A C N O order.
-
-    Only windows whose positions are all valid contribute, so trailing
-    padding never changes the output. Raises ShortInputError when the text
-    has fewer valid positions than one window; lenient callers such as
-    label_corpus recover by treating the whole text as a single
-    PAD-completed window.
+    Windows are laid out position-major, row p * B + b holding the m
+    embeddings of text b starting at position p. Windows that run past a
+    text's valid positions are zeroed after relu: every value is then
+    >= 0 and the invalid windows trail the valid ones, so each maximum and
+    its lowest-index winner are those of the valid windows alone. A text
+    shorter than one window keeps window 0, which encode completes with
+    PAD.
     """
-    probs, _ = _forward(model, encoded, pad_short=False)
-    return probs
+    m, f = model.config.window, model.config.num_filters
+    ids = ids[:, :max(int(lengths.max()), m)]  # windows past the longest text are all invalid
+    b, t = ids.shape
+    p = t - m + 1
+    win_ids = ids[:, np.arange(p)[:, None] + np.arange(m)].transpose(1, 0, 2)  # (P, B, m)
+    windows = model.embedding.value.a[win_ids].reshape(p * b, -1)
+    conv_t = Matrix._wrap(model.conv_w.value.a.T)  # stored F x (m*k), used transposed
+    pre, back_conv = affine(Matrix._wrap(windows), conv_t, model.conv_b.value)
+    act, back_relu = elementwise_activation("relu", pre)
+    valid = np.arange(p)[:, None] <= np.maximum(lengths - m, 0)  # (P, B)
+    feats = act.a.reshape(p, b, f)
+    feats *= valid[:, :, None]
+    pooled, _, back_pool = max_over_time(Matrix._wrap(feats.reshape(p, b * f)))
+    pooled = Matrix._wrap(pooled.a.reshape(b, f))
+    logits, back_head = affine(pooled, model.head_w.value, model.head_b.value)
+    cache = (win_ids, back_conv, back_relu, pooled, back_pool, back_head)
+    return _sigmoid(logits.a), cache
 
 
-def classifier_loss(probs: list[float], labels: dict[str, int] | list[int]) -> float:
+def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
+              scale: float) -> None:
+    """Accumulate gradients of scale * (sum of each row's classifier_loss).
+
+    Uses the fused sigmoid + binary cross-entropy gradient (p - y) at each
+    head logit.
+    """
+    win_ids, back_conv, back_relu, pooled, back_pool, back_head = cache
+    d_logits = (probs - labels) * (scale / len(TRAITS))
+    d_pooled, d_head_w, d_head_b = back_head(Matrix._wrap(d_logits))
+    model.head_w.add_grad(d_head_w)
+    model.head_b.add_grad(d_head_b)
+    d_act = back_pool(Matrix._wrap(d_pooled.a.reshape(1, -1)))
+    d_pre = back_relu(Matrix._wrap(d_act.a.reshape(-1, model.config.num_filters)))
+    d_win, d_conv_t, d_conv_b = back_conv(d_pre)
+    model.conv_w.add_grad(Matrix._wrap(d_conv_t.a.T))
+    model.conv_b.add_grad(d_conv_b)
+    k = model.config.embed_dim
+    np.add.at(model.embedding.grad.a, win_ids.reshape(-1), d_win.a.reshape(-1, k))
+
+
+def classifier_forward(texts: Sequence[Sequence[str]], model: CnnModel) -> np.ndarray:
+    """(n, 5) trait probabilities in (0, 1) of n token lists, columns in E A C N O order.
+
+    Texts are encoded a chunk at a time. Only windows whose positions are
+    all valid contribute, so trailing padding never changes a row; a text
+    with fewer valid positions than one window is classified from a
+    single PAD-completed window.
+    """
+    out = np.empty((len(texts), len(TRAITS)))
+    for start in range(0, len(texts), CHUNK):
+        chunk = [encode(t, model.vocab, model.config.max_len) for t in texts[start:start + CHUNK]]
+        out[start:start + CHUNK] = _forward(model, *_stack(chunk))[0]
+    return out
+
+
+def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) -> float:
     """Mean binary cross-entropy over the five traits, probabilities clamped."""
     if isinstance(labels, dict):
         labels = [labels[t] for t in TRAITS]
@@ -214,50 +232,17 @@ def classifier_loss(probs: list[float], labels: dict[str, int] | list[int]) -> f
     return float(total / len(TRAITS))
 
 
-def _backward(model: CnnModel, probs: list[float], cache, labels: list[int],
-              scale: float) -> None:
-    """Accumulate gradients of scale * classifier_loss into the parameters.
-
-    Uses the fused sigmoid + binary cross-entropy gradient (p - y) at each
-    head logit.
-    """
-    valid_ids, win_m, back_affine, back_relu, pooled, back_pool, head_backs = cache
-    d_pooled = np.zeros((1, model.config.num_filters))
-    for i, t in enumerate(TRAITS):
-        d_logit = (probs[i] - labels[i]) * scale / len(TRAITS)
-        dp, dw, db = head_backs[i](Matrix([[d_logit]]))
-        model.head_w[t].add_grad(dw)
-        model.head_b[t].add_grad(db)
-        d_pooled += dp.a
-    d_act = back_pool(Matrix._wrap(d_pooled))
-    d_pre = back_relu(d_act)
-    d_win, d_conv_t, d_conv_b = back_affine(d_pre)
-    model.conv_w.add_grad(Matrix._wrap(d_conv_t.a.T))
-    model.conv_b.add_grad(d_conv_b)
-    # fold window gradients back onto the token embeddings
-    m, k = model.config.window, model.config.embed_dim
-    p = d_win.rows
-    d_emb_rows = np.zeros((len(valid_ids), k))
-    for i in range(m):
-        d_emb_rows[i:p + i] += d_win.a[:, i * k:(i + 1) * k]
-    np.add.at(model.embedding.grad.a, valid_ids, d_emb_rows)
+def predict_labels(probs: Sequence[float] | np.ndarray, threshold: float = 0.5) -> list:
+    """Binary polarity per probability (one row, or rows); exactly threshold maps to 0."""
+    return (np.asarray(probs) > threshold).astype(int).tolist()
 
 
-def predict_labels(probs: list[float], threshold: float = 0.5) -> list[int]:
-    """Binary polarity per trait; probabilities exactly at threshold map to 0."""
-    return [1 if p > threshold else 0 for p in probs]
-
-
-def _accuracy_per_trait(model: CnnModel, encoded: list[EncodedText],
-                        labels: list[list[int]]) -> dict[str, float]:
-    correct = [0] * len(TRAITS)
-    for enc, y in zip(encoded, labels):
-        probs, _ = _forward(model, enc, pad_short=True)
-        pred = predict_labels(probs)
-        for i in range(len(TRAITS)):
-            correct[i] += int(pred[i] == y[i])
-    n = max(1, len(encoded))
-    return {t: correct[i] / n for i, t in enumerate(TRAITS)}
+def _accuracy_per_trait(model: CnnModel, texts: list[list[str]],
+                        labels: np.ndarray) -> dict[str, float]:
+    pred = np.array(predict_labels(classifier_forward(texts, model)))
+    correct = (pred == labels).sum(axis=0)
+    n = max(1, len(texts))
+    return {t: int(correct[i]) / n for i, t in enumerate(TRAITS)}
 
 
 @dataclass
@@ -274,7 +259,8 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
 
     Deterministic given (docs, config, rng seed): the corpus is shuffled
     once for the 9:1 split, batches are reshuffled per epoch from a
-    dedicated stream, and every update is sequential.
+    dedicated stream, and every update is sequential. A batch accumulates
+    its gradient over chunks of :data:`CHUNK` texts.
     """
     if len(docs) < 10:
         raise InsufficientDataError(f"need at least 10 documents, got {len(docs)}")
@@ -287,18 +273,18 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
     model = CnnModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
     encoded = [encode(d.tokens, vocab, config.max_len) for d in docs]
-    labels = [[d.labels[t] for t in TRAITS] for d in docs]
+    labels = np.array([[d.labels[t] for t in TRAITS] for d in docs], dtype=np.float64)
 
     order = list(range(len(docs)))
     rng.spawn(_STREAM_SPLIT).shuffle(order)
     n_val = max(1, len(docs) // 10)
     train_idx, val_idx = order[:-n_val], order[-n_val:]
-    val_enc = [encoded[i] for i in val_idx]
-    val_labels = [labels[i] for i in val_idx]
+    val_texts = [docs[i].tokens for i in val_idx]
+    val_labels = labels[val_idx]
 
     result = ClassifierTrainResult(model=model, best_epoch=0, best_accuracy={})
     if config.epochs == 0:
-        result.best_accuracy = _accuracy_per_trait(model, val_enc, val_labels)
+        result.best_accuracy = _accuracy_per_trait(model, val_texts, val_labels)
         result.history.append(result.best_accuracy)
         return result
 
@@ -312,13 +298,14 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
             batch = train_idx[start:start + config.batch_size]
             zero_grads(params)
             scale = 1.0 / len(batch)
-            for i in batch:
-                probs, cache = _forward(model, encoded[i], pad_short=True)
-                _backward(model, probs, cache, labels[i], scale)
+            for c in range(0, len(batch), CHUNK):
+                rows = batch[c:c + CHUNK]
+                probs, cache = _forward(model, *_stack([encoded[i] for i in rows]))
+                _backward(model, probs, cache, labels[rows], scale)
             clip_global_norm(params, CLIP_NORM)
             for p in params:
                 adam_step(p, config.learning_rate)
-        acc = _accuracy_per_trait(model, val_enc, val_labels)
+        acc = _accuracy_per_trait(model, val_texts, val_labels)
         result.history.append(acc)
         mean_acc = sum(acc.values()) / len(acc)
         if mean_acc > best_mean:
@@ -331,22 +318,14 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
 
 
 def label_corpus(docs: list[Document], model: CnnModel) -> list[Document]:
-    """Attach predicted polarity labels to every document, order preserved.
-
-    Texts shorter than one window are classified from a single
-    PAD-completed window rather than rejected.
-    """
-    out = []
-    for doc in docs:
-        enc = encode(doc.tokens, model.vocab, model.config.max_len)
-        probs, _ = _forward(model, enc, pad_short=True)
-        pred = predict_labels(probs)
-        out.append(
-            Document(
-                raw_text=doc.raw_text,
-                tokens=list(doc.tokens),
-                labels={t: pred[i] for i, t in enumerate(TRAITS)},
-                levels=doc.levels,
-            )
+    """Attach predicted polarity labels to every document, order preserved."""
+    preds = predict_labels(classifier_forward([doc.tokens for doc in docs], model))
+    return [
+        Document(
+            raw_text=doc.raw_text,
+            tokens=list(doc.tokens),
+            labels=dict(zip(TRAITS, pred)),
+            levels=doc.levels,
         )
-    return out
+        for doc, pred in zip(docs, preds)
+    ]

@@ -258,7 +258,8 @@ def cmd_train_generator(args: argparse.Namespace) -> int:
     _write_manifest(out / "manifest.json", "train-generator", res.resolved, seed,
                     [corpus_path])
     losses = result.epoch_mean_losses
-    print(f"trained {config.epochs} epochs; loss {losses[0]:.4f} -> {losses[-1]:.4f}")
+    trend = f"; loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else ""
+    print(f"trained {config.epochs} epochs{trend}")
     return 0
 
 

@@ -33,10 +33,6 @@ class EmptyInputError(TraitgenError):
     """An operation received an empty input it cannot reduce."""
 
 
-class ShortInputError(TraitgenError):
-    """Text has fewer valid positions than one convolution window."""
-
-
 class InsufficientDataError(TraitgenError):
     """Not enough data for the requested computation."""
 

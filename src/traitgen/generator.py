@@ -35,6 +35,7 @@ from .numeric import (
     Parameter,
     Rng,
     adam_step,
+    check_schedule,
     clip_global_norm,
     masked_cross_entropy,
     xavier_init,
@@ -126,6 +127,9 @@ class LstmConfig:
             raise ValidationError(f"max_len must be at least 2, got {self.max_len}")
         if self.vocab_size < 5:
             raise ValidationError(f"vocab_size must include the specials, got {self.vocab_size}")
+        check_schedule(self.epochs, self.batch_size, self.learning_rate)
+        if not np.isfinite(self.temperature):
+            raise ValidationError(f"temperature must be finite, got {self.temperature}")
 
     def as_dict(self) -> dict:
         return {
@@ -440,6 +444,8 @@ def generate(model: LstmModel, condition: BfpCondition | None, seed_pool: list[s
     cfg = model.config
     if temperature is None:
         temperature = cfg.temperature
+    if not np.isfinite(temperature):  # any finite value is valid, negative means greedy
+        raise ValidationError(f"temperature must be finite, got {temperature}")
     if max_len is None:
         max_len = cfg.max_len
     if max_len < 1:

@@ -238,6 +238,8 @@ def calibrate_thresholds(
     p_high: float = 2.0 / 3.0,
 ) -> LevelThresholds:
     """Nearest-rank percentile cuts per trait; needs at least 3 scores each."""
+    if not 0.0 <= p_low <= p_high <= 1.0:  # false for NaN too
+        raise ValidationError(f"need 0 <= p_low <= p_high <= 1, got {p_low} and {p_high}")
     cuts = {}
     for t in TRAITS:
         scores = list(scores_per_trait.get(t, ()))

@@ -9,7 +9,7 @@ from .matrix import (
     max_over_time,
     xavier_init,
 )
-from .optim import Parameter, adam_step, clip_global_norm, zero_grads
+from .optim import Parameter, adam_step, check_schedule, clip_global_norm, zero_grads
 from .rng import Rng
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "Parameter",
     "Rng",
     "adam_step",
+    "check_schedule",
     "affine",
     "clip_global_norm",
     "elementwise_activation",

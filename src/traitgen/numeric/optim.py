@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import DivergenceError, ShapeError
+from ..errors import DivergenceError, ShapeError, ValidationError
 from .matrix import Matrix
 
 
@@ -39,6 +39,16 @@ class Parameter:
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, {self.value.rows}x{self.value.cols})"
+
+
+def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
+    """Reject a training schedule no trainer can run."""
+    if epochs < 0:
+        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValidationError(f"learning_rate must be a finite number > 0, got {learning_rate}")
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:

@@ -24,6 +24,7 @@ from traitgen.classifier import (
     train_classifier,
     _backward as cnn_backward,
     _forward as cnn_forward,
+    _stack,
 )
 from traitgen.classifier import classifier_loss
 from traitgen.cli import main as cli_main
@@ -150,16 +151,12 @@ def test_criterion_1_gradient_integrity():
     labels = [[rng.coin() for _ in range(5)] for _ in range(3)]
 
     def cnn_loss() -> float:
-        total = 0.0
-        for enc, y in zip(encs, labels):
-            probs, _ = cnn_forward(cnn, enc, pad_short=False)
-            total += classifier_loss(probs, y)
-        return total / len(encs)
+        probs = classifier_forward(docs, cnn)
+        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(encs)
 
     def cnn_grad() -> float:
-        for enc, y in zip(encs, labels):
-            probs, cache = cnn_forward(cnn, enc, pad_short=False)
-            cnn_backward(cnn, probs, cache, y, 1.0 / len(encs))
+        probs, cache = cnn_forward(cnn, *_stack(encs))
+        cnn_backward(cnn, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(encs))
         return cnn_loss()
 
     cnn_report = gradient_check(cnn_loss, cnn_grad, cnn.params(), h=1e-5, tol=1e-4)
@@ -408,8 +405,8 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     cnn.save(cnn_path)
     cnn_loaded = CnnModel.load(cnn_path)
     probe_tokens = [spec.neutral_tokens[i] for i in range(8)]
-    enc = encode(probe_tokens, cnn.vocab, cnn.config.max_len)
-    cnn_same = classifier_forward(enc, cnn) == classifier_forward(enc, cnn_loaded)
+    cnn_probs = classifier_forward([probe_tokens], cnn).tolist()
+    cnn_same = cnn_probs == classifier_forward([probe_tokens], cnn_loaded).tolist()
 
     lstm = trained_conditional.value.model
     lstm_path = tmp_path / "lstm.json"

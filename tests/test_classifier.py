@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from traitgen.classifier import (
@@ -14,15 +15,11 @@ from traitgen.classifier import (
     train_classifier,
     _backward,
     _forward,
+    _stack,
 )
-from traitgen.errors import (
-    InsufficientDataError,
-    MissingLabelError,
-    ShortInputError,
-    ValidationError,
-)
+from traitgen.errors import InsufficientDataError, MissingLabelError, ValidationError
 from traitgen.numeric import Rng, gradient_check
-from traitgen.textproc import Document, Vocabulary, encode
+from traitgen.textproc import PAD_ID, Document, EncodedText, Vocabulary, encode
 from traitgen.traits import TRAITS
 
 
@@ -55,18 +52,16 @@ def random_corpus(n_docs: int, vocab_tokens: list[str], rng: Rng,
 
 def test_zero_head_weights_give_half_probabilities() -> None:
     model = make_model()
-    for t in TRAITS:
-        model.head_w[t].value.a[:] = 0.0
-        model.head_b[t].value.a[:] = 0.0
-    enc = encode(["w0", "w1"], model.vocab, model.config.max_len)
-    assert classifier_forward(enc, model) == [0.5] * 5
+    model.head_w.value.a[:] = 0.0
+    model.head_b.value.a[:] = 0.0
+    assert classifier_forward([["w0", "w1"]], model).tolist() == [[0.5] * 5]
 
 
 def test_forward_matches_hand_unrolled_oracle() -> None:
     model = make_model(n_tokens=2, k=2, m=2, f=1, seed=11)
     tokens = ["w0", "w1", "w0"]
     enc = encode(tokens, model.vocab, model.config.max_len)
-    probs = classifier_forward(enc, model)
+    probs = classifier_forward([tokens], model)[0]
 
     emb = model.embedding.value.a
     w = model.conv_w.value.a[0]  # single filter, width m*k = 4
@@ -79,9 +74,7 @@ def test_forward_matches_hand_unrolled_oracle() -> None:
         feats.append(max(0.0, pre))
     pooled = max(feats)
     for i, t in enumerate(TRAITS):
-        logit = float(model.head_w[t].value.a[0, 0]) * pooled + float(
-            model.head_b[t].value.a[0, 0]
-        )
+        logit = float(model.head_w.value.a[0, i]) * pooled + float(model.head_b.value.a[0, i])
         assert probs[i] == pytest.approx(1.0 / (1.0 + math.exp(-logit)), abs=1e-12)
 
 
@@ -89,26 +82,61 @@ def test_extra_padding_never_changes_output() -> None:
     model_short = make_model(max_len=8, seed=3)
     model_long = make_model(max_len=20, seed=3)  # same init draws, longer padding
     tokens = ["w0", "w1", "w0", "w1"]
-    probs_short = classifier_forward(encode(tokens, model_short.vocab, 8), model_short)
-    probs_long = classifier_forward(encode(tokens, model_long.vocab, 20), model_long)
-    assert probs_short == probs_long
+    probs_short = classifier_forward([tokens], model_short)
+    probs_long = classifier_forward([tokens], model_long)
+    assert probs_short.tolist() == probs_long.tolist()
 
 
 def test_probabilities_strictly_inside_unit_interval() -> None:
     model = make_model(seed=9)
-    enc = encode(["w1", "w0"], model.vocab, model.config.max_len)
-    for p in classifier_forward(enc, model):
+    for p in classifier_forward([["w1", "w0"]], model)[0]:
         assert 0.0 < p < 1.0
 
 
-def test_short_input_raises_but_label_corpus_recovers() -> None:
+def test_label_corpus_classifies_texts_shorter_than_one_window() -> None:
     model = make_model(n_tokens=2, k=2, m=4, f=1, max_len=8)
-    enc = encode([], model.vocab, model.config.max_len)  # 2 valid positions < window 4
-    with pytest.raises(ShortInputError):
-        classifier_forward(enc, model)
+    # "" has 2 valid positions (BOS, EOS) < window 4
     labeled = label_corpus([Document("", [])], model)
     assert len(labeled) == 1
     assert set(labeled[0].labels) == set(TRAITS)
+
+
+def reference_probs(model: CnnModel, enc: EncodedText) -> list[float]:
+    """One text at a time: its fully valid windows, or its PAD-completed window 0."""
+    m = model.config.window
+    valid = enc.ids[: max(enc.length, m)]
+    emb = model.embedding.value.a
+    windows = np.array([np.concatenate([emb[i] for i in valid[p:p + m]])
+                        for p in range(len(valid) - m + 1)])
+    feats = np.maximum(windows @ model.conv_w.value.a.T + model.conv_b.value.a, 0.0)
+    logits = feats.max(axis=0) @ model.head_w.value.a + model.head_b.value.a[0]
+    return [1.0 / (1.0 + math.exp(-z)) for z in logits]
+
+
+def test_batched_rows_match_reference_across_chunkings_and_padding() -> None:
+    tol = 1e-12  # dgemm and gemv may round a row differently
+    for seed in range(12):
+        rng = Rng(100 + seed)
+        max_len = 6 + rng.randint(8)
+        model = make_model(n_tokens=6, k=3, m=2 + rng.randint(3), f=4, max_len=max_len,
+                           seed=seed)
+        texts = [[f"w{rng.randint(6)}" for _ in range(rng.randint(max_len + 1))]
+                 for _ in range(1 + rng.randint(20))]
+        texts.append([])  # 2 valid positions: shorter than every window > 2
+        encs = [encode(tokens, model.vocab, max_len) for tokens in texts]
+        ids, lengths = _stack(encs)
+        whole = classifier_forward(texts, model)
+        assert whole.shape == (len(texts), len(TRAITS))
+        for row, enc in zip(whole, encs):
+            assert np.abs(row - reference_probs(model, enc)).max() <= tol
+        for chunk in (1, 7, len(texts)):
+            rows = np.concatenate([_forward(model, ids[s:s + chunk], lengths[s:s + chunk])[0]
+                                   for s in range(0, len(texts), chunk)])
+            assert np.abs(rows - whole).max() <= tol
+        extra = 1 + rng.randint(5)
+        padded = [EncodedText(e.ids + [PAD_ID] * extra, e.mask + [0] * extra) for e in encs]
+        assert np.abs(_forward(model, *_stack(padded))[0] - whole).max() <= tol
+    assert classifier_forward([], model).shape == (0, len(TRAITS))
 
 
 # ----------------------------------------------------------------------- loss
@@ -156,13 +184,11 @@ def test_predict_labels_zero_threshold() -> None:
 def test_prediction_agrees_with_logit_sign() -> None:
     model = make_model(seed=13)
     enc = encode(["w0", "w1", "w1"], model.vocab, model.config.max_len)
-    probs, cache = _forward(model, enc, pad_short=False)
-    pooled = cache[4]
-    for i, t in enumerate(TRAITS):
-        logit = float(
-            (pooled.a @ model.head_w[t].value.a + model.head_b[t].value.a)[0, 0]
-        )
-        assert (probs[i] > 0.5) == (logit > 0.0)
+    probs, cache = _forward(model, *_stack([enc]))
+    pooled = cache[3]
+    logits = pooled.a @ model.head_w.value.a + model.head_b.value.a
+    for i in range(len(TRAITS)):
+        assert (probs[0, i] > 0.5) == (logits[0, i] > 0.0)
 
 
 # ------------------------------------------------------------- gradient check
@@ -179,16 +205,12 @@ def test_gradient_check_at_toy_dims() -> None:
     params = model.params()
 
     def loss_fn() -> float:
-        total = 0.0
-        for enc, y in zip(encs, labels):
-            probs, _ = _forward(model, enc, pad_short=False)
-            total += classifier_loss(probs, y)
-        return total / len(encs)
+        probs = classifier_forward(tokens_per_doc, model)
+        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(encs)
 
     def grad_fn() -> float:
-        for enc, y in zip(encs, labels):
-            probs, cache = _forward(model, enc, pad_short=False)
-            _backward(model, probs, cache, y, 1.0 / len(encs))
+        probs, cache = _forward(model, *_stack(encs))
+        _backward(model, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(encs))
         return loss_fn()
 
     report = gradient_check(loss_fn, grad_fn, params, h=1e-5, tol=1e-4)
@@ -267,8 +289,7 @@ def test_label_corpus_matches_forward_predictions_and_preserves_order() -> None:
     labeled = label_corpus(docs, model)
     assert [d.raw_text for d in labeled] == [d.raw_text for d in docs]
     for src, out in zip(docs, labeled):
-        enc = encode(src.tokens, model.vocab, model.config.max_len)
-        expected = predict_labels(classifier_forward(enc, model))
+        expected = predict_labels(classifier_forward([src.tokens], model)[0])
         assert [out.labels[t] for t in TRAITS] == expected
 
 
@@ -282,5 +303,6 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     loaded = CnnModel.load(path)
     for p, q in zip(model.params(), loaded.params()):
         assert p.value.flat.tolist() == q.value.flat.tolist()
-    enc = encode(["w0", "w3", "w5"], model.vocab, model.config.max_len)
-    assert classifier_forward(enc, model) == classifier_forward(enc, loaded)
+    tokens = ["w0", "w3", "w5"]
+    probs = classifier_forward([tokens], model).tolist()
+    assert probs == classifier_forward([tokens], loaded).tolist()

@@ -148,6 +148,30 @@ def test_generator_training_writes_loss_curve(pipeline) -> None:
     assert len(losses["epoch_mean_losses"]) == 1
 
 
+@pytest.mark.parametrize("command, flags, code", [
+    ("train-classifier", ["--batch-size", "0"], 2),
+    ("train-generator", ["--batch-size", "0"], 2),
+    ("train-classifier", ["--epochs", "-1"], 2),
+    ("train-generator", ["--epochs", "-1"], 2),
+    ("train-classifier", ["--learning-rate", "0"], 2),
+    ("train-generator", ["--learning-rate", "nan"], 2),
+    ("train-classifier", ["--learning-rate", "inf"], 2),
+    ("train-generator", ["--temperature", "nan"], 2),
+    ("train-classifier", ["--epochs", "0"], 0),
+    ("train-generator", ["--epochs", "0"], 0),
+], ids=["classifier-batch-size-0", "generator-batch-size-0", "classifier-epochs-negative",
+        "generator-epochs-negative", "classifier-learning-rate-0", "generator-learning-rate-nan",
+        "classifier-learning-rate-inf", "generator-temperature-nan", "classifier-epochs-0",
+        "generator-epochs-0"])
+def test_trainer_schedule_is_validated(tmp_path, pipeline, command, flags, code) -> None:
+    out = tmp_path / "out"
+    dims = {"train-classifier": ["--num-filters", "4"], "train-generator": ["--hidden-dim", "4"]}
+    assert run(command, "--corpus", str(pipeline["corpus"]), "--out", str(out),
+               "--embed-dim", "4", "--max-len", "16", *dims[command], *flags) == code
+    checkpoint = out / ("classifier.json" if command == "train-classifier" else "generator.json")
+    assert checkpoint.exists() == (code == 0)  # a rejected run writes nothing
+
+
 # ------------------------------------------------------------------ labelling
 
 
@@ -222,6 +246,15 @@ def test_generate_malformed_condition_exits_2(tmp_path, pipeline, capsys) -> Non
     assert "E=1,A=0,C=1,N=0,O=1" in err  # error shows the valid syntax
 
 
+@pytest.mark.parametrize("temperature, code", [("nan", 2), ("inf", 2), ("-1", 0)])
+def test_generate_temperature_must_be_finite(tmp_path, pipeline, temperature, code) -> None:
+    out = tmp_path / "t.jsonl"
+    assert run("generate", "--model", str(pipeline["baseline"]), "--n", "2",
+               "--seed-pool", str(pipeline["pool"]), "--temperature", temperature,
+               "--out", str(out)) == code
+    assert out.exists() == (code == 0)
+
+
 def test_generate_condition_against_unconditional_model_exits_2(tmp_path, pipeline) -> None:
     assert run("generate", "--model", str(pipeline["baseline"]),
                "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "1",
@@ -238,24 +271,37 @@ def _set(path: list, value):
     return mutate
 
 
-@pytest.mark.parametrize("mutate", [
-    _set(["config", "bogus_key"], 1),
-    _set(["config"], [8, 16]),
-    _set(["config", "hidden_dim"], "8"),
-    _set(["vocab"], {"<pad>": 0}),
-    _set(["params", "out_b", "shape"], [1]),
-    _set(["params", "out_b", "data", 0], "x"),
-    _set(["params", "gates_w", "data", 0], float("nan")),
+def _per_trait_head(payload: dict) -> None:
+    """Split the five-column classifier head into the earlier per-trait layout."""
+    params = payload["params"]
+    head_w, head_b = params.pop("head_w"), params.pop("head_b")
+    rows = head_w["shape"][0]
+    for i, t in enumerate(TRAITS):
+        params[f"head_w_{t}"] = {"shape": [rows, 1], "data": head_w["data"][i::len(TRAITS)]}
+        params[f"head_b_{t}"] = {"shape": [1, 1], "data": [head_b["data"][i]]}
+
+
+@pytest.mark.parametrize("checkpoint, mutate", [
+    ("baseline", _set(["config", "bogus_key"], 1)),
+    ("baseline", _set(["config"], [8, 16])),
+    ("baseline", _set(["config", "hidden_dim"], "8")),
+    ("baseline", _set(["vocab"], {"<pad>": 0})),
+    ("baseline", _set(["params", "out_b", "shape"], [1])),
+    ("baseline", _set(["params", "out_b", "data", 0], "x")),
+    ("baseline", _set(["params", "gates_w", "data", 0], float("nan"))),
+    ("classifier", _per_trait_head),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
-        "vocab-not-list", "shape-not-pair", "non-numeric-data", "non-finite-data"])
-def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, mutate) -> None:
-    payload = json.loads(pipeline["baseline"].read_text(encoding="utf-8"))
+        "vocab-not-list", "shape-not-pair", "non-numeric-data", "non-finite-data",
+        "per-trait-classifier-head"])
+def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
+                                               mutate) -> None:
+    payload = json.loads(pipeline[checkpoint].read_text(encoding="utf-8"))
     mutate(payload)
     model = tmp_path / "bad.json"
     model.write_text(json.dumps(payload), encoding="utf-8")
-    assert run("generate", "--model", str(model), "--n", "1",
-               "--seed-pool", str(pipeline["pool"]),
-               "--out", str(tmp_path / "x.jsonl")) == 2
+    command = {"baseline": ["generate", "--n", "1", "--seed-pool", str(pipeline["pool"])],
+               "classifier": ["label", "--in", str(pipeline["corpus"])]}[checkpoint]
+    assert run(*command, "--model", str(model), "--out", str(tmp_path / "x.jsonl")) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"traitgen: error: {model}: ")
     assert err.count("\n") == 1
@@ -299,6 +345,16 @@ def test_score_levels_require_thresholds(tmp_path, pipeline) -> None:
                "--out", str(tmp_path / "s.jsonl")) == 0
     row = json.loads((tmp_path / "s.jsonl").read_text())
     assert set(row["levels"]) == set(TRAITS)
+
+
+@pytest.mark.parametrize("p_low, p_high", [("nan", "0.5"), ("0.2", "inf"), ("-0.1", "0.5"),
+                                           ("0.2", "1.5"), ("0.7", "0.3")])
+def test_calibrate_rejects_bad_percentiles(tmp_path, pipeline, capsys, p_low, p_high) -> None:
+    out = tmp_path / "th.json"
+    assert run("calibrate", "--lexicon", str(pipeline["lexicon"]), "--in", str(pipeline["corpus"]),
+               "--p-low", p_low, "--p-high", p_high, "--out", str(out)) == 2
+    assert "p_low <= p_high" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_calibrate_matches_library(tmp_path, pipeline) -> None:
