@@ -268,6 +268,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     model_path = _require_path(res, "model")
     pool_path = str(_require_path(res, "seed-pool"))
     n = res.get("n", int, 10)
+    if n < 0:
+        raise ConfigError(f"--n must be >= 0, got {n}")
     seed = res.get("seed", int, 42)
     condition_text = res.get("condition", str, None)
     temperature = res.get("temperature", float, None)
@@ -288,16 +290,14 @@ def cmd_generate(args: argparse.Namespace) -> int:
             ) from exc
     pool = _read_seed_pool(pool_path)
     rng = Rng(seed)
-    records = []
-    for i in range(n):
-        stream = rng.spawn(i)  # per-text stream: output independent of scheduling
-        tokens = generate(model, condition, pool, stream,
-                          temperature=temperature, max_len=max_len)
-        records.append({
-            "text": " ".join(tokens),
-            "condition": condition.to_string() if condition else None,
-            "seed_word": tokens[0],
-        })
+    streams = [rng.spawn(i) for i in range(n)]  # per-text streams: output independent of batching
+    texts = generate(model, [condition] * n, pool, streams,
+                     temperature=temperature, max_len=max_len)
+    records = [{
+        "text": " ".join(tokens),
+        "condition": condition.to_string() if condition else None,
+        "seed_word": tokens[0],
+    } for tokens in texts]
     with open(out, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

@@ -7,12 +7,13 @@ the vocabulary; training minimises masked cross-entropy against the next
 token under teacher forcing. The unconditional baseline is the identical
 architecture with ``cond_dim`` 0.
 
-Decoding starts from a seed word drawn from a pool, samples from the
-temperature-scaled softmax restricted to non-special tokens plus the end
-marker, and stops on end-of-sequence, at ``max_len`` tokens, or when a
-repetition rule fires (a token emitted three times in a row, or the
-trailing 4-gram already present earlier in the output); the repeated tail
-is trimmed before returning.
+Decoding runs many texts at once, each with its own condition and RNG
+stream. A text starts from a seed word drawn from a pool, samples from
+the temperature-scaled softmax restricted to non-special tokens plus the
+end marker, and stops on end-of-sequence, at ``max_len`` tokens, or when
+a repetition rule fires (a token emitted three times in a row, or the
+trailing 4-gram already present earlier in the output); the repeated
+tail is trimmed before returning.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ GREEDY_TEMPERATURE = 1e-6  # below this, decoding is argmax
 
 RUN_LIMIT = 3        # stop when one token is emitted this many times in a row
 NGRAM_WINDOW = 4     # stop when the trailing n-gram repeats earlier output
+DECODE_CHUNK = 64    # rows decoded together; a row's tokens do not depend on it
 
 _STREAM_INIT = 0
 _STREAM_EPOCHS = 1
@@ -217,12 +219,6 @@ def _check_condition_arity(model: LstmModel, condition: BfpCondition | None) -> 
         raise ConditionError("this model is unconditional: no condition may be supplied")
 
 
-def _cond_rows(condition: BfpCondition | None, rows: int) -> np.ndarray | None:
-    if condition is None:
-        return None
-    return np.tile(np.asarray(condition.bits, dtype=np.float64), (rows, 1))
-
-
 def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
     """Teacher-forced unroll over a (B, T) id batch.
 
@@ -269,7 +265,8 @@ def generator_forward(encoded: EncodedText, condition: BfpCondition | None,
     ids = np.asarray(encoded.ids, dtype=np.int64)[None, :]
     if ids.max() >= model.config.vocab_size:
         raise ValidationError("encoded ids exceed the model vocabulary")
-    logits = _unroll(model, ids, _cond_rows(condition, 1))
+    cond = None if condition is None else np.array([condition.bits], dtype=np.float64)
+    logits = _unroll(model, ids, cond)
     return Matrix._wrap(logits)
 
 
@@ -407,35 +404,56 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
 # ------------------------------------------------------------------- decoding
 
 
-def _trailing_run_length(tokens: list[int]) -> int:
-    run = 1
-    for prev, cur in zip(reversed(tokens[:-1]), reversed(tokens)):
-        if prev != cur:
-            break
-        run += 1
-    return run
+class _Row:
+    """One text being decoded: its ids and its O(1) repetition-rule state."""
 
+    __slots__ = ("ids", "run", "seen")
 
-def _repeated_tail_ngram(tokens: list[int], n: int) -> bool:
-    if len(tokens) < n + 1:
-        return False
-    tail = tokens[-n:]
-    for start in range(len(tokens) - n):
-        if tokens[start:start + n] == tail:
+    def __init__(self, seed_id: int):
+        self.ids = [seed_id]
+        self.run = 1  # length of the trailing run of equal ids
+        self.seen: set[tuple[int, ...]] = set()  # the n-grams before the trailing one
+
+    def push(self, token_id: int) -> bool:
+        """Append a sampled id; True when a repetition rule stops the row.
+
+        A run of RUN_LIMIT equal ids is trimmed back to RUN_LIMIT - 1
+        copies; a trailing NGRAM_WINDOW-gram that already occurs earlier
+        in the row (overlaps included) is trimmed off.
+        """
+        ids = self.ids
+        self.run = self.run + 1 if token_id == ids[-1] else 1
+        ids.append(token_id)
+        if self.run >= RUN_LIMIT:
+            del ids[-1]
             return True
-    return False
+        n = len(ids)
+        if n > NGRAM_WINDOW:
+            self.seen.add(tuple(ids[n - NGRAM_WINDOW - 1:n - 1]))
+            if tuple(ids[n - NGRAM_WINDOW:]) in self.seen:
+                del ids[n - NGRAM_WINDOW:]
+                return True
+        return False
 
 
-def generate(model: LstmModel, condition: BfpCondition | None, seed_pool: list[str],
-             rng: Rng, temperature: float | None = None,
-             max_len: int | None = None) -> list[str]:
-    """Sample one short text as a token list.
+def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool: list[str],
+             streams: list[Rng], *, temperature: float | None = None,
+             max_len: int | None = None) -> list[list[str]]:
+    """Sample one short text per row; returns the token lists in row order.
 
-    The seed word is drawn uniformly from the pool; BOS and the seed are
-    fed before free-running sampling starts. Temperatures below 1e-6
-    switch to argmax decoding, which is deterministic per seed word.
+    Row r decodes under ``conditions[r]`` and draws only from
+    ``streams[r]``: first its seed word, uniformly from the pool, then one
+    ``random()`` per sampled token. BOS and the seed are fed before
+    free-running sampling starts. Rows run in chunks of DECODE_CHUNK in
+    which every live row steps together, and a row's tokens do not depend
+    on the other rows. Temperatures below 1e-6 switch to argmax decoding,
+    which draws nothing after the seed word and is deterministic per seed
+    word.
     """
-    _check_condition_arity(model, condition)
+    if len(conditions) != len(streams):
+        raise ValidationError(f"{len(conditions)} conditions for {len(streams)} streams")
+    for condition in conditions:
+        _check_condition_arity(model, condition)
     if not seed_pool:
         raise SeedPoolError("seed pool is empty")
     missing = [t for t in seed_pool if t not in model.vocab]
@@ -451,51 +469,69 @@ def generate(model: LstmModel, condition: BfpCondition | None, seed_pool: list[s
     if max_len < 1:
         raise ValidationError(f"max_len must be >= 1, got {max_len}")
 
-    seed_token = seed_pool[rng.randint(len(seed_pool))]
-    seed_id = model.vocab.id_of(seed_token)
-    emb = model.embedding.value.a
-    cond_row = _cond_rows(condition, 1)
-    out_w, out_b = model.out_w.value.a, model.out_b.value.a
+    seed_ids = [model.vocab.id_of(seed_pool[s.randint(len(seed_pool))]) for s in streams]
+    cond = np.array([c.bits for c in conditions], dtype=np.float64) if cfg.cond_dim else None
+    out: list[list[int]] = []
+    for start in range(0, len(streams), DECODE_CHUNK):
+        chunk = slice(start, start + DECODE_CHUNK)
+        out += _decode_chunk(model, None if cond is None else cond[chunk], seed_ids[chunk],
+                             streams[chunk], temperature, max_len)
+    return [[model.vocab.token_of(i) for i in ids] for ids in out]
 
+
+def _step(model: LstmModel, token_ids: np.ndarray, cond: np.ndarray | None,
+          h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feed one id per row through the cell input [embedding, condition, h]."""
+    k = model.config.embed_dim
+    x_width = k + model.config.cond_dim
+    xh = np.empty((len(token_ids), x_width + h.shape[1]))
+    xh[:, :k] = model.embedding.value.a[token_ids]
+    if cond is not None:
+        xh[:, k:x_width] = cond
+    xh[:, x_width:] = h
+    h, c, _ = _cell(model, xh, c)
+    return h, c
+
+
+def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int],
+                  streams: list[Rng], temperature: float, max_len: int) -> list[list[int]]:
+    """Decode one chunk; a finished row leaves the stepped batch at once."""
+    cfg = model.config
+    out_w, out_b = model.out_w.value.a, model.out_b.value.a
     # every real token plus EOS is sampleable; PAD/UNK/BOS never are
-    vocab_size = cfg.vocab_size
-    allowed = np.array([i for i in range(vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)],
+    allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)],
                        dtype=np.int64)
     greedy = temperature < GREEDY_TEMPERATURE
 
-    h = np.zeros((1, cfg.hidden_dim))
+    rows = [_Row(s) for s in seed_ids]
+    if max_len == 1:  # the seed word alone fills every row
+        return [row.ids for row in rows]
+    live = list(range(len(rows)))
+    h = np.zeros((len(rows), cfg.hidden_dim))
     c = np.zeros_like(h)
-
-    def feed(token_id: int) -> None:
-        nonlocal h, c
-        x = emb[token_id][None, :]
-        if cond_row is not None:
-            x = np.concatenate([x, cond_row], axis=1)
-        h, c, _ = _cell(model, np.concatenate([x, h], axis=1), c)
-
-    feed(BOS_ID)
-    feed(seed_id)
-    out_ids = [seed_id]
-    while len(out_ids) < max_len:
-        logits = (h @ out_w + out_b)[0, allowed]
+    h, c = _step(model, np.full(len(rows), BOS_ID), cond, h, c)
+    h, c = _step(model, np.array(seed_ids, dtype=np.int64), cond, h, c)
+    while live:
+        logits = (h @ out_w + out_b)[:, allowed]
         if greedy:
-            next_id = int(allowed[int(np.argmax(logits))])
+            picks = np.argmax(logits, axis=1)
         else:
             scaled = logits / temperature
-            scaled -= scaled.max()
+            scaled -= scaled.max(axis=1, keepdims=True)
             probs = np.exp(scaled)
-            probs /= probs.sum()
-            cum = np.cumsum(probs)
-            pick = int(np.searchsorted(cum, rng.random(), side="right"))
-            next_id = int(allowed[min(pick, len(allowed) - 1)])
-        if next_id == EOS_ID:
-            break
-        out_ids.append(next_id)
-        if _trailing_run_length(out_ids) >= RUN_LIMIT:
-            del out_ids[-1]  # trim the run back to RUN_LIMIT - 1 copies
-            break
-        if _repeated_tail_ngram(out_ids, NGRAM_WINDOW):
-            del out_ids[-NGRAM_WINDOW:]  # trim the repeated tail
-            break
-        feed(next_id)
-    return [model.vocab.token_of(i) for i in out_ids]
+            probs /= probs.sum(axis=1, keepdims=True)
+            cum = np.cumsum(probs, axis=1)
+            u = np.array([streams[r].random() for r in live])
+            picks = np.minimum((cum <= u[:, None]).sum(axis=1), len(allowed) - 1)
+        next_ids = allowed[picks]
+        keep = [j for j, (r, token_id) in enumerate(zip(live, next_ids.tolist()))
+                if token_id != EOS_ID and not rows[r].push(token_id)
+                and len(rows[r].ids) < max_len]
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            h, c, next_ids = h[keep], c[keep], next_ids[keep]
+            if cond is not None:
+                cond = cond[keep]
+        if live:
+            h, c = _step(model, next_ids, cond, h, c)
+    return [row.ids for row in rows]

@@ -425,31 +425,35 @@ def evaluate_generation(
     def score_levels(tokens: list[str]) -> dict[str, str]:
         return assign_levels(score_tokens(tokens, lexicon), thresholds)
 
+    rows, conditions, streams = [], [], []
     for di, trait in enumerate(TRAITS):
         for polarity in (0, 1):
-            tally = (report.dimensions[trait].high_condition if polarity
-                     else report.dimensions[trait].low_condition)
             for j in range(n_per_condition):
                 stream = rng.spawn((di * 2 + polarity) * n_per_condition + j)
                 bits = [stream.coin() for _ in TRAITS]
                 bits[di] = polarity
-                condition = BfpCondition(*bits)
-                tokens = generate(model, condition, seed_pool, stream,
-                                  temperature=temperature, max_len=max_len)
-                levels = score_levels(tokens)
-                tally.add(levels[trait])
-                if collect is not None:
-                    collect.append({
-                        "dimension": trait,
-                        "condition": condition.to_string(),
-                        "text": " ".join(tokens),
-                        "levels": levels,
-                    })
+                rows.append((trait, polarity))
+                conditions.append(BfpCondition(*bits))
+                streams.append(stream)
+    texts = generate(model, conditions, seed_pool, streams,
+                     temperature=temperature, max_len=max_len)
+    for (trait, polarity), condition, tokens in zip(rows, conditions, texts):
+        levels = score_levels(tokens)
+        dim = report.dimensions[trait]
+        (dim.high_condition if polarity else dim.low_condition).add(levels[trait])
+        if collect is not None:
+            collect.append({
+                "dimension": trait,
+                "condition": condition.to_string(),
+                "text": " ".join(tokens),
+                "levels": levels,
+            })
 
-    for j in range(n_per_condition):
-        stream = rng.spawn(_UNCONDITIONAL_STREAM_BASE * n_per_condition + j)
-        tokens = generate(baseline, None, seed_pool, stream,
-                          temperature=temperature, max_len=max_len)
+    streams = [rng.spawn(_UNCONDITIONAL_STREAM_BASE * n_per_condition + j)
+               for j in range(n_per_condition)]
+    texts = generate(baseline, [None] * n_per_condition, seed_pool, streams,
+                     temperature=temperature, max_len=max_len)
+    for tokens in texts:
         levels = score_levels(tokens)
         for trait in TRAITS:
             report.dimensions[trait].unconditional.add(levels[trait])

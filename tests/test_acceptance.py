@@ -295,9 +295,9 @@ def test_criterion_6_decoding_contract():
     condition = BfpCondition(1, 0, 1, 0, 1)
     violations = 0
     rng = Rng(606)
-    for i in range(10000):
-        out = generate(model, condition, pool, rng.spawn(i), temperature=1.0,
-                       max_len=max_len)
+    outs = generate(model, [condition] * 10000, pool, [rng.spawn(i) for i in range(10000)],
+                    temperature=1.0, max_len=max_len)
+    for out in outs:
         if specials & set(out):
             violations += 1
         elif len(out) > max_len:
@@ -305,9 +305,11 @@ def test_criterion_6_decoding_contract():
         elif any(out[j] == out[j + 1] == out[j + 2] for j in range(len(out) - 2)):
             violations += 1
 
+    seeds = (1, 22, 333)
     greedy_runs = {
-        tuple(generate(model, condition, ["w7"], Rng(s), temperature=0.0, max_len=max_len))
-        for s in (1, 22, 333)
+        tuple(out) for out in generate(model, [condition] * len(seeds), ["w7"],
+                                       [Rng(s) for s in seeds], temperature=0.0,
+                                       max_len=max_len)
     }
     ok = violations == 0 and len(greedy_runs) == 1
     report(6, "decoding contract", ok,

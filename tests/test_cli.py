@@ -255,6 +255,19 @@ def test_generate_temperature_must_be_finite(tmp_path, pipeline, temperature, co
     assert out.exists() == (code == 0)
 
 
+@pytest.mark.parametrize("n, code", [("-1", 2), ("-5", 2), ("0", 0)])
+def test_generate_count_must_not_be_negative(tmp_path, pipeline, capsys, n, code) -> None:
+    out = tmp_path / "n.jsonl"
+    assert run("generate", "--model", str(pipeline["baseline"]), "--n", n,
+               "--seed-pool", str(pipeline["pool"]), "--out", str(out)) == code
+    if code == 2:
+        assert not out.exists() and not list(tmp_path.iterdir())
+        assert capsys.readouterr().err.splitlines() == [
+            f"traitgen: error: --n must be >= 0, got {n}"]
+    else:
+        assert out.read_text() == ""
+
+
 def test_generate_condition_against_unconditional_model_exits_2(tmp_path, pipeline) -> None:
     assert run("generate", "--model", str(pipeline["baseline"]),
                "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "1",

@@ -4,14 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traitgen.errors import (
     ConditionError,
     InsufficientDataError,
     MissingLabelError,
     SeedPoolError,
+    ValidationError,
 )
 from traitgen.generator import (
+    GREEDY_TEMPERATURE,
+    NGRAM_WINDOW,
+    RUN_LIMIT,
     BfpCondition,
     GeneratorTrainResult,
     LstmConfig,
@@ -20,9 +26,8 @@ from traitgen.generator import (
     generator_forward,
     generator_loss,
     train_generator,
+    _Row,
     _cell,
-    _repeated_tail_ngram,
-    _trailing_run_length,
     _train_batch,
     _unroll,
 )
@@ -341,37 +346,175 @@ def forced_token_model(token: str = "w1", n_tokens: int = 4) -> LstmModel:
 
 def test_forced_repetition_stops_and_trims_to_two_copies() -> None:
     model = forced_token_model("w1")
-    out = generate(model, None, ["w0"], Rng(3))
+    out = generate(model, [None], ["w0"], [Rng(3)])[0]
     assert out == ["w0", "w1", "w1"]
 
 
 def test_seed_equal_to_forced_token_still_obeys_run_limit() -> None:
     model = forced_token_model("w1")
-    out = generate(model, None, ["w1"], Rng(3))
+    out = generate(model, [None], ["w1"], [Rng(3)])[0]
     assert out == ["w1", "w1"]
 
 
-def test_repeated_ngram_detector() -> None:
-    assert not _repeated_tail_ngram([1, 2, 3, 4], 4)
-    assert not _repeated_tail_ngram([1, 2, 3, 4, 5], 4)
-    assert _repeated_tail_ngram([1, 2, 3, 4, 1, 2, 3, 4], 4)
-    assert _repeated_tail_ngram([9, 1, 2, 1, 2, 1, 2], 4)  # overlapping repeat
-    assert not _repeated_tail_ngram([1, 2, 3, 4, 1, 2, 3, 5], 4)
+def rescan_run_length(tokens: list[int]) -> int:
+    """Length of the trailing run of equal tokens, by a full rescan."""
+    run = 1
+    while run < len(tokens) and tokens[-run - 1] == tokens[-1]:
+        run += 1
+    return run
 
 
-def test_trailing_run_length() -> None:
-    assert _trailing_run_length([1]) == 1
-    assert _trailing_run_length([1, 2, 2]) == 2
-    assert _trailing_run_length([2, 2, 2]) == 3
-    assert _trailing_run_length([2, 2, 3]) == 1
+def rescan_repeated_tail(tokens: list[int], n: int) -> bool:
+    """Whether the trailing n-gram occurs earlier (overlaps allowed), by a full rescan."""
+    tail = tokens[-n:]
+    return len(tokens) > n and any(tokens[s:s + n] == tail for s in range(len(tokens) - n))
+
+
+def check_row_against_rescan(tokens: list[int]) -> None:
+    """Push tokens[1:] into a row seeded with tokens[0]; after every push the
+    O(1) rules must stop and trim exactly where the rescans say."""
+    row = _Row(tokens[0])
+    for token in tokens[1:]:
+        full = row.ids + [token]
+        stopped = row.push(token)
+        assert row.run == rescan_run_length(full)
+        if rescan_run_length(full) >= RUN_LIMIT:
+            assert stopped and row.ids == full[:-1]
+            return
+        if rescan_repeated_tail(full, NGRAM_WINDOW):
+            assert stopped and row.ids == full[:-NGRAM_WINDOW]
+            return
+        assert not stopped and row.ids == full
+
+
+def test_rescan_references_keep_the_old_examples() -> None:
+    assert not rescan_repeated_tail([1, 2, 3, 4], 4)
+    assert not rescan_repeated_tail([1, 2, 3, 4, 5], 4)
+    assert rescan_repeated_tail([1, 2, 3, 4, 1, 2, 3, 4], 4)
+    assert rescan_repeated_tail([9, 1, 2, 1, 2, 1, 2], 4)  # overlapping repeat
+    assert not rescan_repeated_tail([1, 2, 3, 4, 1, 2, 3, 5], 4)
+    assert rescan_run_length([1]) == 1
+    assert rescan_run_length([1, 2, 2]) == 2
+    assert rescan_run_length([2, 2, 2]) == 3
+    assert rescan_run_length([2, 2, 3]) == 1
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example([1, 2, 3, 4])
+@example([1, 2, 3, 4, 5])
+@example([1, 2, 3, 4, 1, 2, 3, 4])
+@example([9, 1, 2, 1, 2, 1, 2])  # overlapping repeat
+@example([1, 2, 3, 4, 1, 2, 3, 5])
+def test_repeated_ngram_detector(tokens: list[int]) -> None:
+    check_row_against_rescan(tokens)
+
+
+@given(st.lists(st.integers(0, 1), min_size=1, max_size=12))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example([1])
+@example([1, 2, 2])
+@example([2, 2, 2])
+@example([2, 2, 3])
+def test_trailing_run_length(tokens: list[int]) -> None:
+    check_row_against_rescan(tokens)
+
+
+def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool: list[str],
+                     rng: Rng, temperature: float, max_len: int) -> tuple[list[int], str]:
+    """The one-row decoding loop: (token ids, stop reason).
+
+    Every step is a one-row cell call and a one-row softmax searched with
+    ``searchsorted``, and the repetition rules rescan the whole output.
+    """
+    cfg = model.config
+    emb = model.embedding.value.a
+    allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)])
+    seed_id = model.vocab.id_of(seed_pool[rng.randint(len(seed_pool))])
+    h = np.zeros((1, cfg.hidden_dim))
+    c = np.zeros_like(h)
+
+    def feed(token_id: int) -> None:
+        nonlocal h, c
+        x = [emb[token_id][None, :]]
+        if condition is not None:
+            x.append(np.array([condition.bits], dtype=np.float64))
+        h, c, _ = _cell(model, np.concatenate(x + [h], axis=1), c)
+
+    feed(BOS_ID)
+    feed(seed_id)
+    out = [seed_id]
+    while len(out) < max_len:
+        logits = (h @ model.out_w.value.a + model.out_b.value.a)[0, allowed]
+        if temperature < GREEDY_TEMPERATURE:
+            next_id = int(allowed[np.argmax(logits)])
+        else:
+            scaled = logits / temperature
+            scaled -= scaled.max()
+            probs = np.exp(scaled)
+            probs /= probs.sum()
+            pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+            next_id = int(allowed[min(pick, len(allowed) - 1)])
+        if next_id == EOS_ID:
+            return out, "eos"
+        out.append(next_id)
+        if rescan_run_length(out) >= RUN_LIMIT:
+            return out[:-1], "run"
+        if rescan_repeated_tail(out, NGRAM_WINDOW):
+            return out[:-NGRAM_WINDOW], "ngram"
+        feed(next_id)
+    return out, "max_len"
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3, 16])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+@pytest.mark.parametrize("cond_dim", [5, 0])
+def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
+        cond_dim: int, temperature: float, max_len: int) -> None:
+    """Row r gives the reference loop's tokens and leaves its stream where
+    the reference leaves it, whatever the batch it is decoded in."""
+    model = make_model(n_tokens=10, k=4, h=6, cond=cond_dim, max_len=16, seed=211 + cond_dim)
+    pool = ["w0", "w3", "w7", "w9"]
+    n = 500
+    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) if cond_dim else None
+                  for r in range(n)]
+
+    def streams() -> list[Rng]:
+        return [Rng(977).spawn(r) for r in range(n)]
+
+    ref_streams = streams()
+    ref = [reference_decode(model, cond, pool, stream, temperature, max_len)
+           for cond, stream in zip(conditions, ref_streams)]
+    expected = [[model.vocab.token_of(i) for i in ids] for ids, _ in ref]
+    ref_next = [stream.next_uint64() for stream in ref_streams]
+    if temperature > 0 and max_len == 16:  # every stop rule is exercised
+        assert {reason for _, reason in ref} == {"eos", "run", "ngram", "max_len"}
+    for batch in (1, 7, 64, 65, 500):
+        rows = streams()
+        got = []
+        for s in range(0, n, batch):
+            got += generate(model, conditions[s:s + batch], pool, rows[s:s + batch],
+                            temperature=temperature, max_len=max_len)
+        assert got == expected, f"batch size {batch}"
+        assert [stream.next_uint64() for stream in rows] == ref_next, f"batch size {batch}"
+
+
+def test_generate_rows_must_match_streams_and_model() -> None:
+    model = make_model(cond=5)
+    with pytest.raises(ValidationError):
+        generate(model, [all_high()], ["w0"], [Rng(0), Rng(1)])
+    with pytest.raises(ConditionError):
+        generate(model, [all_high(), None], ["w0"], [Rng(0), Rng(1)])
+    assert generate(model, [], ["w0"], []) == []
 
 
 def test_generation_respects_contract_over_many_samples() -> None:
     model = make_model(n_tokens=6, k=4, h=6, cond=5, max_len=12, seed=71)
     pool = ["w0", "w3"]
     specials = {"<pad>", "<s>", "<unk>"}
-    for i in range(300):
-        out = generate(model, all_high(), pool, Rng(1000 + i), temperature=1.0)
+    outs = generate(model, [all_high()] * 300, pool, [Rng(1000 + i) for i in range(300)],
+                    temperature=1.0)
+    for out in outs:
         assert 1 <= len(out) <= 12
         assert not specials & set(out)
         assert "</s>" not in out
@@ -382,30 +525,31 @@ def test_generation_respects_contract_over_many_samples() -> None:
 def test_generation_deterministic_given_seed() -> None:
     model = make_model(n_tokens=8, cond=5, seed=73)
     pool = ["w0", "w1", "w2"]
-    a = generate(model, all_high(), pool, Rng(42), temperature=0.9)
-    b = generate(model, all_high(), pool, Rng(42), temperature=0.9)
+    a = generate(model, [all_high()], pool, [Rng(42)], temperature=0.9)[0]
+    b = generate(model, [all_high()], pool, [Rng(42)], temperature=0.9)[0]
     assert a == b
 
 
 def test_greedy_mode_deterministic_per_seed_word() -> None:
     model = make_model(n_tokens=8, cond=0, seed=79)
-    outs = {tuple(generate(model, None, ["w5"], Rng(seed), temperature=0.0))
-            for seed in (1, 2, 3, 99)}
+    seeds = (1, 2, 3, 99)
+    outs = {tuple(out) for out in generate(model, [None] * len(seeds), ["w5"],
+                                           [Rng(seed) for seed in seeds], temperature=0.0)}
     assert len(outs) == 1
 
 
 def test_max_len_cap() -> None:
     model = make_model(n_tokens=8, cond=0, seed=83)
-    out = generate(model, None, ["w0"], Rng(5), temperature=1.0, max_len=3)
+    out = generate(model, [None], ["w0"], [Rng(5)], temperature=1.0, max_len=3)[0]
     assert len(out) <= 3
 
 
 def test_seed_pool_errors() -> None:
     model = make_model(cond=0)
     with pytest.raises(SeedPoolError):
-        generate(model, None, [], Rng(0))
+        generate(model, [None], [], [Rng(0)])
     with pytest.raises(SeedPoolError):
-        generate(model, None, ["nope"], Rng(0))
+        generate(model, [None], ["nope"], [Rng(0)])
 
 
 def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
@@ -418,7 +562,7 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
                                if i not in (PAD_ID, UNK_ID, BOS_ID)])
         cond = BfpCondition(*((model_seed >> i) & 1 for i in range(5)))
         for seed_word in ("w0", "w5", "w11"):
-            out = generate(model, cond, [seed_word], Rng(model_seed), temperature=0.0)
+            out = generate(model, [cond], [seed_word], [Rng(model_seed)], temperature=0.0)[0]
             enc = encode(out, model.vocab, len(out) + 2)
             logits = generator_forward(enc, cond, model).a
             for j in range(1, len(out)):  # row j has read BOS and out[:j]
@@ -431,4 +575,4 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
 def test_generate_condition_arity() -> None:
     cond_model = make_model(cond=5)
     with pytest.raises(ConditionError):
-        generate(cond_model, None, ["w0"], Rng(0))
+        generate(cond_model, [None], ["w0"], [Rng(0)])
