@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import Matrix, Parameter
+from .numeric import Parameter
 from .textproc import Vocabulary
 
 FORMAT_VERSION = 1
@@ -25,8 +25,8 @@ def params_to_payload(params: list[Parameter]) -> dict:
     payload = {}
     for p in params:
         payload[p.name] = {
-            "shape": [p.value.rows, p.value.cols],
-            "data": p.value.flat.tolist(),
+            "shape": list(p.value.shape),
+            "data": p.value.ravel().tolist(),
         }
     return payload
 
@@ -65,10 +65,10 @@ def params_from_payload(payload: dict, params: list[Parameter]) -> None:
                 f"parameter {p.name!r}: checkpoint shape {tuple(shape)} != model {p.value.shape}"
             )
         values = _numbers(entry.get("data"))
-        size = p.value.rows * p.value.cols
+        size = p.value.size
         if values is None or values.size != size or not np.isfinite(values).all():
             raise ValidationError(f"params.{p.name}.data must be a list of {size} finite numbers")
-        p.value = Matrix.from_flat(*p.value.shape, values)
+        p.value[...] = values.reshape(p.value.shape)
 
 
 def _config_from_payload(config_cls, config: object):

@@ -12,7 +12,7 @@ are kept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -71,18 +71,6 @@ class CnnConfig:
             raise ValidationError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
 
-    def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "window": self.window,
-            "num_filters": self.num_filters,
-            "max_len": self.max_len,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-        }
-
 
 class CnnModel:
     """Parameter collection for the classifier. Immutable once trained."""
@@ -98,11 +86,11 @@ class CnnModel:
         self.config = config
         self.vocab = vocab
         k, m, f = config.embed_dim, config.window, config.num_filters
-        self.embedding = Parameter("embedding", Matrix.zeros(config.vocab_size, k))
-        self.conv_w = Parameter("conv_w", Matrix.zeros(f, m * k))
-        self.conv_b = Parameter("conv_b", Matrix.zeros(1, f))
-        self.head_w = Parameter("head_w", Matrix.zeros(f, len(TRAITS)))
-        self.head_b = Parameter("head_b", Matrix.zeros(1, len(TRAITS)))
+        self.embedding = Parameter("embedding", np.zeros((config.vocab_size, k)))
+        self.conv_w = Parameter("conv_w", np.zeros((f, m * k)))
+        self.conv_b = Parameter("conv_b", np.zeros((1, f)))
+        self.head_w = Parameter("head_w", np.zeros((f, len(TRAITS))))
+        self.head_b = Parameter("head_b", np.zeros((1, len(TRAITS))))
 
     @classmethod
     def init(cls, config: CnnConfig, vocab: Vocabulary, rng: Rng) -> "CnnModel":
@@ -112,24 +100,16 @@ class CnnModel:
         """
         model = cls(config, vocab)
         k, m, f = config.embed_dim, config.window, config.num_filters
-        model.embedding.value = xavier_init(config.vocab_size, k, rng)
-        model.conv_w.value = xavier_init(f, m * k, rng)
-        columns = [xavier_init(f, 1, rng).a for _ in TRAITS]
-        model.head_w.value = Matrix._wrap(np.concatenate(columns, axis=1))
+        model.embedding.value[...] = xavier_init(config.vocab_size, k, rng)
+        model.conv_w.value[...] = xavier_init(f, m * k, rng)
+        model.head_w.value[...] = np.concatenate([xavier_init(f, 1, rng) for _ in TRAITS], axis=1)
         return model
 
     def params(self) -> list[Parameter]:
         return [self.embedding, self.conv_w, self.conv_b, self.head_w, self.head_b]
 
-    def snapshot_values(self) -> dict[str, Matrix]:
-        return {p.name: p.value.copy() for p in self.params()}
-
-    def restore_values(self, snap: dict[str, Matrix]) -> None:
-        for p in self.params():
-            p.value = snap[p.name].copy()
-
     def save(self, path: str | Path) -> None:
-        write_checkpoint(path, self.kind, self.config.as_dict(), self.vocab.to_list(),
+        write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
                          self.params())
 
     @classmethod
@@ -166,16 +146,17 @@ def _forward(model: CnnModel, ids: np.ndarray, lengths: np.ndarray):
     b, t = ids.shape
     p = t - m + 1
     win_ids = ids[:, np.arange(p)[:, None] + np.arange(m)].transpose(1, 0, 2)  # (P, B, m)
-    windows = model.embedding.value.a[win_ids].reshape(p * b, -1)
-    conv_t = Matrix._wrap(model.conv_w.value.a.T)  # stored F x (m*k), used transposed
-    pre, back_conv = affine(Matrix._wrap(windows), conv_t, model.conv_b.value)
+    windows = model.embedding.value[win_ids].reshape(p * b, -1)
+    conv_t = Matrix._wrap(model.conv_w.value.T)  # stored F x (m*k), used transposed
+    pre, back_conv = affine(Matrix._wrap(windows), conv_t, Matrix._wrap(model.conv_b.value))
     act, back_relu = elementwise_activation("relu", pre)
     valid = np.arange(p)[:, None] <= np.maximum(lengths - m, 0)  # (P, B)
     feats = act.a.reshape(p, b, f)
     feats *= valid[:, :, None]
     pooled, _, back_pool = max_over_time(Matrix._wrap(feats.reshape(p, b * f)))
     pooled = Matrix._wrap(pooled.a.reshape(b, f))
-    logits, back_head = affine(pooled, model.head_w.value, model.head_b.value)
+    logits, back_head = affine(pooled, Matrix._wrap(model.head_w.value),
+                               Matrix._wrap(model.head_b.value))
     cache = (win_ids, back_conv, back_relu, pooled, back_pool, back_head)
     return _sigmoid(logits.a), cache
 
@@ -190,15 +171,15 @@ def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
     win_ids, back_conv, back_relu, pooled, back_pool, back_head = cache
     d_logits = (probs - labels) * (scale / len(TRAITS))
     d_pooled, d_head_w, d_head_b = back_head(Matrix._wrap(d_logits))
-    model.head_w.add_grad(d_head_w)
-    model.head_b.add_grad(d_head_b)
+    model.head_w.grad += d_head_w.a
+    model.head_b.grad += d_head_b.a
     d_act = back_pool(Matrix._wrap(d_pooled.a.reshape(1, -1)))
     d_pre = back_relu(Matrix._wrap(d_act.a.reshape(-1, model.config.num_filters)))
     d_win, d_conv_t, d_conv_b = back_conv(d_pre)
-    model.conv_w.add_grad(Matrix._wrap(d_conv_t.a.T))
-    model.conv_b.add_grad(d_conv_b)
+    model.conv_w.grad += d_conv_t.a.T
+    model.conv_b.grad += d_conv_b.a
     k = model.config.embed_dim
-    np.add.at(model.embedding.grad.a, win_ids.reshape(-1), d_win.a.reshape(-1, k))
+    np.add.at(model.embedding.grad, win_ids.reshape(-1), d_win.a.reshape(-1, k))
 
 
 def classifier_forward(texts: Sequence[Sequence[str]], model: CnnModel) -> np.ndarray:
@@ -290,8 +271,8 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
 
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
     params = model.params()
-    best_mean = -1.0
-    best_snapshot = model.snapshot_values()
+    best_mean = -1.0  # any accuracy beats it, so epoch 1 always takes the snapshot
+    best_snapshot: dict[str, np.ndarray] = {}
     for epoch in range(1, config.epochs + 1):
         epoch_rng.shuffle(train_idx)
         for start in range(0, len(train_idx), config.batch_size):
@@ -310,10 +291,11 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
         mean_acc = sum(acc.values()) / len(acc)
         if mean_acc > best_mean:
             best_mean = mean_acc
-            best_snapshot = model.snapshot_values()
+            best_snapshot = {p.name: p.value.copy() for p in params}
             result.best_epoch = epoch
             result.best_accuracy = acc
-    model.restore_values(best_snapshot)
+    for p in params:
+        p.value[...] = best_snapshot[p.name]
     return result
 
 

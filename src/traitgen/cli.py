@@ -326,7 +326,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     with open(out, "w", encoding="utf-8") as fh:
         for doc in docs:
             scores = score_tokens(doc.tokens, lexicon)
-            record: dict[str, Any] = {"text": doc.raw_text, "scores": scores.as_dict()}
+            record: dict[str, Any] = {"text": doc.raw_text, "scores": scores}
             if thresholds is not None:
                 record["levels"] = assign_levels(scores, thresholds)
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")

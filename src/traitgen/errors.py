@@ -10,7 +10,7 @@ class TraitgenError(Exception):
 
 
 class ShapeError(TraitgenError):
-    """Matrix dimensions are invalid or do not agree."""
+    """Array dimensions are invalid or do not agree."""
 
 
 class EncodingError(TraitgenError):

@@ -18,7 +18,7 @@ tail is trimmed before returning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -133,19 +133,6 @@ class LstmConfig:
         if not np.isfinite(self.temperature):
             raise ValidationError(f"temperature must be finite, got {self.temperature}")
 
-    def as_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "cond_dim": self.cond_dim,
-            "max_len": self.max_len,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "temperature": self.temperature,
-        }
-
 
 class LstmModel:
     """Embedding, fused gate weights (order i f g o), and output projection."""
@@ -162,11 +149,11 @@ class LstmModel:
         self.vocab = vocab
         k, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
         din = k + config.cond_dim + h
-        self.embedding = Parameter("embedding", Matrix.zeros(v, k))
-        self.gates_w = Parameter("gates_w", Matrix.zeros(din, 4 * h))
-        self.gates_b = Parameter("gates_b", Matrix.zeros(1, 4 * h))
-        self.out_w = Parameter("out_w", Matrix.zeros(h, v))
-        self.out_b = Parameter("out_b", Matrix.zeros(1, v))
+        self.embedding = Parameter("embedding", np.zeros((v, k)))
+        self.gates_w = Parameter("gates_w", np.zeros((din, 4 * h)))
+        self.gates_b = Parameter("gates_b", np.zeros((1, 4 * h)))
+        self.out_w = Parameter("out_w", np.zeros((h, v)))
+        self.out_b = Parameter("out_b", np.zeros((1, v)))
 
     @classmethod
     def init(cls, config: LstmConfig, vocab: Vocabulary, rng: Rng) -> "LstmModel":
@@ -174,17 +161,17 @@ class LstmModel:
         model = cls(config, vocab)
         k, h = config.embed_dim, config.hidden_dim
         din = k + config.cond_dim + h
-        model.embedding.value = xavier_init(config.vocab_size, k, rng)
-        model.gates_w.value = xavier_init(din, 4 * h, rng)
-        model.gates_b.value.a[0, h:2 * h] = 1.0
-        model.out_w.value = xavier_init(h, config.vocab_size, rng)
+        model.embedding.value[...] = xavier_init(config.vocab_size, k, rng)
+        model.gates_w.value[...] = xavier_init(din, 4 * h, rng)
+        model.gates_b.value[0, h:2 * h] = 1.0
+        model.out_w.value[...] = xavier_init(h, config.vocab_size, rng)
         return model
 
     def params(self) -> list[Parameter]:
         return [self.embedding, self.gates_w, self.gates_b, self.out_w, self.out_b]
 
     def save(self, path: str | Path) -> None:
-        write_checkpoint(path, self.kind, self.config.as_dict(), self.vocab.to_list(),
+        write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
                          self.params())
 
     @classmethod
@@ -202,7 +189,7 @@ def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray):
     the backward pass needs.
     """
     h = model.config.hidden_dim
-    z = xh @ model.gates_w.value.a + model.gates_b.value.a
+    z = xh @ model.gates_w.value + model.gates_b.value
     i = 1.0 / (1.0 + np.exp(-z[:, :h]))
     f = 1.0 / (1.0 + np.exp(-z[:, h:2 * h]))
     g = np.tanh(z[:, 2 * h:3 * h])
@@ -235,7 +222,7 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
     steps = t_len - 1
     xh_all = np.empty((steps * b, x_width + hdim))
     xh_steps = xh_all.reshape(steps, b, x_width + hdim)
-    xh_steps[:, :, :k] = model.embedding.value.a[ids[:, :steps].T]
+    xh_steps[:, :, :k] = model.embedding.value[ids[:, :steps].T]
     if cond is not None:
         xh_steps[:, :, k:x_width] = cond
     h_all = np.empty((steps * b, hdim))
@@ -249,32 +236,26 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
         h, c, acts = _cell(model, xh, c_prev)
         h_all[t * b:(t + 1) * b] = h
         caches.append((c_prev, acts))
-    logits = h_all @ model.out_w.value.a + model.out_b.value.a
+    logits = h_all @ model.out_w.value + model.out_b.value
     return logits, h_all, xh_all, caches
 
 
-def _unroll(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
-    """Forward-only unroll: the flat time-major logits of :func:`_forward`."""
-    return _forward(model, ids, cond)[0]
-
-
 def generator_forward(encoded: EncodedText, condition: BfpCondition | None,
-                      model: LstmModel) -> Matrix:
+                      model: LstmModel) -> np.ndarray:
     """Next-token logits for positions 0..T-2 of one encoded text."""
     _check_condition_arity(model, condition)
     ids = np.asarray(encoded.ids, dtype=np.int64)[None, :]
     if ids.max() >= model.config.vocab_size:
         raise ValidationError("encoded ids exceed the model vocabulary")
     cond = None if condition is None else np.array([condition.bits], dtype=np.float64)
-    logits = _unroll(model, ids, cond)
-    return Matrix._wrap(logits)
+    return _forward(model, ids, cond)[0]
 
 
-def generator_loss(logits: Matrix, encoded: EncodedText) -> float:
+def generator_loss(logits: np.ndarray, encoded: EncodedText) -> float:
     """Masked cross-entropy of the logits against the shifted targets."""
     targets = encoded.ids[1:]
     mask = encoded.mask[1:]
-    loss, _ = masked_cross_entropy(logits, targets, mask)
+    loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
     return loss
 
 
@@ -295,15 +276,15 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     k, hdim = cfg.embed_dim, cfg.hidden_dim
     x_width = k + cfg.cond_dim
     steps = t_len - 1
-    w_g, w_o = model.gates_w.value.a, model.out_w.value.a
+    w_g, w_o = model.gates_w.value, model.out_w.value
     logits, h_all, xh_all, caches = _forward(model, ids, cond)
     targets = ids[:, 1:].T.reshape(-1)
     mask_flat = mask[:, 1:].T.reshape(-1)
     loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
     dlogits = back_ce().a
 
-    model.out_w.grad.a += h_all.T @ dlogits
-    model.out_b.grad.a += dlogits.sum(axis=0, keepdims=True)
+    model.out_w.grad += h_all.T @ dlogits
+    model.out_b.grad += dlogits.sum(axis=0, keepdims=True)
     dh_all = dlogits @ w_o.T
 
     dz_all = np.empty((steps * b, 4 * hdim))
@@ -326,9 +307,9 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
         demb_all[t * b:(t + 1) * b] = dxh[:, :k]
         dh_next = dxh[:, x_width:]
 
-    model.gates_w.grad.a += xh_all.T @ dz_all
-    model.gates_b.grad.a += dz_all.sum(axis=0, keepdims=True)
-    np.add.at(model.embedding.grad.a, ids[:, :steps].T.reshape(-1), demb_all)
+    model.gates_w.grad += xh_all.T @ dz_all
+    model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)
+    np.add.at(model.embedding.grad, ids[:, :steps].T.reshape(-1), demb_all)
     return loss, float(mask_flat.sum())
 
 
@@ -485,7 +466,7 @@ def _step(model: LstmModel, token_ids: np.ndarray, cond: np.ndarray | None,
     k = model.config.embed_dim
     x_width = k + model.config.cond_dim
     xh = np.empty((len(token_ids), x_width + h.shape[1]))
-    xh[:, :k] = model.embedding.value.a[token_ids]
+    xh[:, :k] = model.embedding.value[token_ids]
     if cond is not None:
         xh[:, k:x_width] = cond
     xh[:, x_width:] = h
@@ -497,7 +478,7 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
                   streams: list[Rng], temperature: float, max_len: int) -> list[list[int]]:
     """Decode one chunk; a finished row leaves the stepped batch at once."""
     cfg = model.config
-    out_w, out_b = model.out_w.value.a, model.out_b.value.a
+    out_w, out_b = model.out_w.value, model.out_b.value
     # every real token plus EOS is sampleable; PAD/UNK/BOS never are
     allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)],
                        dtype=np.int64)

@@ -138,23 +138,8 @@ def category_frequencies(tokens: Sequence[str], lexicon: Lexicon) -> list[float]
     return [c / max(1, total) for c in counts]
 
 
-@dataclass(frozen=True)
-class TraitScores:
-    e: float
-    a: float
-    c: float
-    n: float
-    o: float
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(TRAITS, (self.e, self.a, self.c, self.n, self.o)))
-
-    def __getitem__(self, trait: str) -> float:
-        return self.as_dict()[trait]
-
-
-def trait_scores(freqs: Sequence[float], lexicon: Lexicon) -> TraitScores:
-    """Linear map of category frequencies through the weight matrix."""
+def trait_scores(freqs: Sequence[float], lexicon: Lexicon) -> dict[str, float]:
+    """Linear map of category frequencies through the weight matrix, keyed in TRAITS order."""
     if len(freqs) != lexicon.num_categories:
         raise ValidationError(
             f"{len(freqs)} frequencies for {lexicon.num_categories} categories"
@@ -165,10 +150,10 @@ def trait_scores(freqs: Sequence[float], lexicon: Lexicon) -> TraitScores:
             sums[j] += f * row[j]
     if not all(math.isfinite(s) for s in sums):
         raise ValidationError("trait scores are not finite")
-    return TraitScores(*sums)
+    return dict(zip(TRAITS, sums))
 
 
-def score_tokens(tokens: Sequence[str], lexicon: Lexicon) -> TraitScores:
+def score_tokens(tokens: Sequence[str], lexicon: Lexicon) -> dict[str, float]:
     return trait_scores(category_frequencies(tokens, lexicon), lexicon)
 
 
@@ -178,7 +163,7 @@ def scores_by_trait(
     """Score many documents and group the results per trait (calibration input)."""
     out: dict[str, list[float]] = {t: [] for t in TRAITS}
     for tokens in token_lists:
-        scores = score_tokens(tokens, lexicon).as_dict()
+        scores = score_tokens(tokens, lexicon)
         for t in TRAITS:
             out[t].append(scores[t])
     return out
@@ -252,10 +237,10 @@ def calibrate_thresholds(
     return LevelThresholds(cuts)
 
 
-def assign_levels(scores: TraitScores, thresholds: LevelThresholds) -> dict[str, str]:
+def assign_levels(scores: dict[str, float], thresholds: LevelThresholds) -> dict[str, str]:
     """Bucket each trait score; boundary values are Medium."""
     levels = {}
-    for t, value in scores.as_dict().items():
+    for t, value in scores.items():
         lo, hi = thresholds.cuts[t]
         if value < lo:
             levels[t] = LOW

@@ -58,11 +58,11 @@ def gradient_check(
     params = list(params)
     zero_grads(params)
     grad_fn()
-    analytic = {p.name: p.grad.a.copy() for p in params}
+    analytic = {p.name: p.grad.copy() for p in params}
 
     report = GradCheckReport(tol=tol)
     for p in params:
-        flat_value = p.value.a.reshape(-1)
+        flat_value = p.value.reshape(-1)  # a view: Parameter arrays are C-contiguous
         n = flat_value.size
         if max_coords_per_param is None or max_coords_per_param >= n:
             coords = range(n)

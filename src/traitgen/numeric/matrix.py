@@ -21,11 +21,11 @@ from .rng import Rng
 
 
 class Matrix:
-    """A rows x cols matrix of float64 values, row-major.
+    """A rows x cols float64 argument or result of the differentiable ops.
 
-    Wraps a 2-D numpy array (``.a``). The wrapper exists to pin the dtype
-    and dimensionality at module boundaries; package-internal code works
-    on ``.a`` directly.
+    Wraps a 2-D numpy array (``.a``). The wrapper pins the dtype and
+    dimensionality at the op boundary; model state lives in plain arrays
+    (see :class:`~traitgen.numeric.optim.Parameter`).
     """
 
     __slots__ = ("a",)
@@ -45,21 +45,6 @@ class Matrix:
         m.a = a
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        if rows < 1 or cols < 1:
-            raise ShapeError(f"matrix dimensions must be at least 1x1, got ({rows}, {cols})")
-        return cls._wrap(np.zeros((rows, cols)))
-
-    @classmethod
-    def from_flat(cls, rows: int, cols: int, flat: Sequence[float]) -> "Matrix":
-        data = np.asarray(flat, dtype=np.float64)
-        if data.ndim != 1 or data.size != rows * cols:
-            raise ShapeError(
-                f"flat data of length {data.size} does not fill a {rows}x{cols} matrix"
-            )
-        return cls._wrap(data.reshape(rows, cols).copy())
-
     @property
     def rows(self) -> int:
         return self.a.shape[0]
@@ -72,25 +57,11 @@ class Matrix:
     def shape(self) -> tuple[int, int]:
         return self.a.shape
 
-    @property
-    def flat(self) -> np.ndarray:
-        """Entries as a flat row-major vector (copy if non-contiguous)."""
-        return np.ascontiguousarray(self.a).reshape(-1)
-
-    def tolist(self) -> list[list[float]]:
-        return self.a.tolist()
-
-    def copy(self) -> "Matrix":
-        return Matrix._wrap(self.a.copy())
-
-    def __getitem__(self, idx):
-        return self.a[idx]
-
     def __repr__(self) -> str:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def xavier_init(rows: int, cols: int, rng: Rng) -> Matrix:
+def xavier_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Uniform Xavier/Glorot init on [-a, a], a = sqrt(6 / (rows + cols)).
 
     Entries are drawn row-major from ``rng``, one uniform per entry, so the
@@ -102,7 +73,7 @@ def xavier_init(rows: int, cols: int, rng: Rng) -> Matrix:
     out = np.empty(rows * cols)
     for i in range(rows * cols):
         out[i] = rng.uniform(-bound, bound)
-    return Matrix._wrap(out.reshape(rows, cols))
+    return out.reshape(rows, cols)
 
 
 def affine(x: Matrix, w: Matrix, b: Matrix):

@@ -7,38 +7,36 @@ from typing import Iterable
 import numpy as np
 
 from ..errors import DivergenceError, ShapeError, ValidationError
-from .matrix import Matrix
 
 
 class Parameter:
     """A weight matrix with its gradient and Adam state.
 
-    ``value``, ``grad``, ``opt_m`` and ``opt_v`` always share one shape.
-    Updates require exclusive access; everything else is read-only safe.
+    ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 2-D, C-contiguous
+    float64 arrays of one shape, owned by the parameter and only ever
+    written in place, so a view of any of them stays live. Updates require
+    exclusive access; everything else is read-only safe.
     """
 
     __slots__ = ("name", "value", "grad", "opt_m", "opt_v", "step_count")
 
-    def __init__(self, name: str, value: Matrix):
+    def __init__(self, name: str, value: np.typing.ArrayLike) -> None:
+        a = np.array(value, dtype=np.float64, order="C")  # always a copy
+        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
+            raise ShapeError(f"parameter {name!r} must be a 2-D array of at least 1x1, "
+                             f"got shape {a.shape}")
         self.name = name
-        self.value = value
-        self.grad = Matrix.zeros(value.rows, value.cols)
-        self.opt_m = Matrix.zeros(value.rows, value.cols)
-        self.opt_v = Matrix.zeros(value.rows, value.cols)
+        self.value = a
+        self.grad = np.zeros_like(a)
+        self.opt_m = np.zeros_like(a)
+        self.opt_v = np.zeros_like(a)
         self.step_count = 0
 
     def zero_grad(self) -> None:
-        self.grad.a.fill(0.0)
-
-    def add_grad(self, g: Matrix) -> None:
-        if g.shape != self.value.shape:
-            raise ShapeError(
-                f"gradient shape {g.shape} != parameter {self.name!r} shape {self.value.shape}"
-            )
-        self.grad.a += g.a
+        self.grad.fill(0.0)
 
     def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, {self.value.rows}x{self.value.cols})"
+        return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
 
 
 def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
@@ -68,19 +66,19 @@ def adam_step(
     Increments ``step_count`` and updates ``value`` in place; the gradient
     buffer is left intact until ``zero_grad`` is called.
     """
-    g = param.grad.a
+    g = param.grad
     if not np.isfinite(g).all():
         raise DivergenceError(f"non-finite gradient in parameter {param.name!r}")
     param.step_count += 1
     t = param.step_count
-    m, v = param.opt_m.a, param.opt_v.a
+    m, v = param.opt_m, param.opt_v
     m *= beta1
     m += (1.0 - beta1) * g
     v *= beta2
     v += (1.0 - beta2) * (g * g)
     m_hat = m / (1.0 - beta1 ** t)
     v_hat = v / (1.0 - beta2 ** t)
-    param.value.a -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return param
 
 
@@ -92,12 +90,12 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float = 5.0) -> floa
     params = list(params)
     total = 0.0
     for p in params:
-        g = p.grad.a
+        g = p.grad
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
     if norm <= max_norm or norm == 0.0:
         return 1.0
     scale = max_norm / norm
     for p in params:
-        p.grad.a *= scale
+        p.grad *= scale
     return scale

@@ -79,14 +79,23 @@ def _unescape(stored: str) -> str:
 
 
 class Vocabulary:
-    """Bijection between tokens and ids with fixed special ids 0..3."""
+    """Bijection between tokens and ids with fixed special ids 0..3.
+
+    Stored tokens after the specials are escaped; lookups are keyed by the
+    raw token, so a corpus token is never mistaken for a special.
+    """
 
     def __init__(self, stored_tokens: Sequence[str]):
         if list(stored_tokens[:4]) != list(SPECIAL_TOKENS):
             raise ValidationError("vocabulary must start with the four special tokens")
         self._id_to_token = list(stored_tokens)
-        self._token_to_id = {t: i for i, t in enumerate(self._id_to_token)}
-        if len(self._token_to_id) != len(self._id_to_token):
+        self._token_to_id = {}
+        for i, stored in enumerate(self._id_to_token[4:], start=4):
+            raw = _unescape(stored)
+            if _escape(raw) != stored:  # else two stored tokens could share one raw token
+                raise ValidationError(f"vocabulary token {i} {stored!r} is not escaped canonically")
+            self._token_to_id[raw] = i
+        if len(self._token_to_id) != len(self._id_to_token) - 4:
             raise ValidationError("vocabulary contains duplicate tokens")
 
     @classmethod
@@ -117,10 +126,10 @@ class Vocabulary:
         return len(self._id_to_token)
 
     def __contains__(self, token: str) -> bool:
-        return _escape(token) in self._token_to_id
+        return token in self._token_to_id
 
     def id_of(self, token: str) -> int:
-        return self._token_to_id.get(_escape(token), UNK_ID)
+        return self._token_to_id.get(token, UNK_ID)
 
     def token_of(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._id_to_token):

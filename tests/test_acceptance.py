@@ -36,8 +36,8 @@ from traitgen.generator import (
     generator_forward,
     generator_loss,
     train_generator,
+    _forward,
     _train_batch,
-    _unroll,
 )
 from traitgen.harness import (
     EVAL_TEMPERATURE,
@@ -170,7 +170,7 @@ def test_criterion_1_gradient_integrity():
     cond = np.array([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]], dtype=np.float64)
 
     def lstm_loss() -> float:
-        logits = _unroll(lstm, ids, cond)
+        logits = _forward(lstm, ids, cond)[0]
         loss, _ = masked_cross_entropy(
             Matrix._wrap(logits), ids[:, 1:].T.reshape(-1), mask[:, 1:].T.reshape(-1)
         )
@@ -416,8 +416,8 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     lstm_loaded = LstmModel.load(lstm_path)
     enc2 = encode(probe_tokens, lstm.vocab, lstm.config.max_len)
     cond = BfpCondition(1, 1, 0, 0, 1)
-    lstm_same = (generator_forward(enc2, cond, lstm).a
-                 == generator_forward(enc2, cond, lstm_loaded).a).all()
+    lstm_same = (generator_forward(enc2, cond, lstm)
+                 == generator_forward(enc2, cond, lstm_loaded)).all()
 
     ok = not mismatched and cnn_same and bool(lstm_same)
     report(7, "determinism and persistence", ok,
@@ -439,7 +439,7 @@ def test_criterion_8_lexicon_correctness():
         "weights": [[1, 0, 0, 0, 0], [-1, 0, 0, 0, 0]],
     })
     hand = trait_scores([0.5, 0.25], lexicon)
-    ok_hand = hand.e == 0.25 and hand.a == hand.c == hand.n == hand.o == 0.0
+    ok_hand = hand == {"E": 0.25, "A": 0.0, "C": 0.0, "N": 0.0, "O": 0.0}
 
     rng = Rng(88)
     worst = 0.0
@@ -448,9 +448,9 @@ def test_criterion_8_lexicon_correctness():
         f2 = [rng.random(), rng.random()]
         alpha = rng.random()
         mixed = [alpha * a + (1 - alpha) * b for a, b in zip(f1, f2)]
-        sm = trait_scores(mixed, lexicon).as_dict()
-        s1 = trait_scores(f1, lexicon).as_dict()
-        s2 = trait_scores(f2, lexicon).as_dict()
+        sm = trait_scores(mixed, lexicon)
+        s1 = trait_scores(f1, lexicon)
+        s2 = trait_scores(f2, lexicon)
         for t in TRAITS:
             worst = max(worst, abs(sm[t] - (alpha * s1[t] + (1 - alpha) * s2[t])))
     ok_linear = worst < 1e-12

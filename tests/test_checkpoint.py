@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from traitgen.checkpoint import (
@@ -14,32 +15,30 @@ from traitgen.checkpoint import (
 from traitgen.classifier import CnnConfig, CnnModel
 from traitgen.errors import ValidationError
 from traitgen.generator import LstmConfig, LstmModel
-from traitgen.numeric import Matrix, Parameter, Rng
+from traitgen.numeric import Parameter, Rng
 from traitgen.textproc import Vocabulary
 
 
 def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
     values = [[0.1, 1.0 / 3.0, -0.0], [1e-300, 1e300, -7.234567890123456e-05]]
-    p = Parameter("w", Matrix(values))
+    p = Parameter("w", values)
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "cnn", {"any": 1}, Vocabulary.build([]).to_list(), [p])
     payload = read_checkpoint(path)
-    q = Parameter("w", Matrix.zeros(2, 3))
+    q = Parameter("w", np.zeros((2, 3)))
     params_from_payload(payload["params"], [q])
-    assert q.value.flat.tolist() == p.value.flat.tolist()
-    import numpy as np
-
-    assert (np.signbit(q.value.a) == np.signbit(p.value.a)).all()
+    assert q.value.ravel().tolist() == p.value.ravel().tolist()
+    assert (np.signbit(q.value) == np.signbit(p.value)).all()
 
 
 def test_random_values_roundtrip_bit_exact(tmp_path) -> None:
     rng = Rng(101)
-    p = Parameter("w", Matrix([[rng.uniform(-10, 10) for _ in range(17)] for _ in range(9)]))
+    p = Parameter("w", [[rng.uniform(-10, 10) for _ in range(17)] for _ in range(9)])
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "lstm", {}, Vocabulary.build([]).to_list(), [p])
-    q = Parameter("w", Matrix.zeros(9, 17))
+    q = Parameter("w", np.zeros((9, 17)))
     params_from_payload(read_checkpoint(path)["params"], [q])
-    assert q.value.flat.tolist() == p.value.flat.tolist()
+    assert q.value.ravel().tolist() == p.value.ravel().tolist()
 
 
 def test_kind_mismatch_rejected(tmp_path) -> None:
@@ -71,12 +70,12 @@ def test_wrong_format_version_rejected(tmp_path) -> None:
 
 
 def test_param_name_and_shape_mismatches_rejected() -> None:
-    p = Parameter("a", Matrix.zeros(2, 2))
+    p = Parameter("a", np.zeros((2, 2)))
     payload = params_to_payload([p])
     with pytest.raises(ValidationError, match="do not match"):
-        params_from_payload(payload, [Parameter("b", Matrix.zeros(2, 2))])
+        params_from_payload(payload, [Parameter("b", np.zeros((2, 2)))])
     with pytest.raises(ValidationError, match="shape"):
-        params_from_payload(payload, [Parameter("a", Matrix.zeros(2, 3))])
+        params_from_payload(payload, [Parameter("a", np.zeros((2, 3)))])
 
 
 def test_load_model_dispatches_by_kind(tmp_path) -> None:

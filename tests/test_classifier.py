@@ -52,8 +52,8 @@ def random_corpus(n_docs: int, vocab_tokens: list[str], rng: Rng,
 
 def test_zero_head_weights_give_half_probabilities() -> None:
     model = make_model()
-    model.head_w.value.a[:] = 0.0
-    model.head_b.value.a[:] = 0.0
+    model.head_w.value[:] = 0.0
+    model.head_b.value[:] = 0.0
     assert classifier_forward([["w0", "w1"]], model).tolist() == [[0.5] * 5]
 
 
@@ -63,9 +63,9 @@ def test_forward_matches_hand_unrolled_oracle() -> None:
     enc = encode(tokens, model.vocab, model.config.max_len)
     probs = classifier_forward([tokens], model)[0]
 
-    emb = model.embedding.value.a
-    w = model.conv_w.value.a[0]  # single filter, width m*k = 4
-    b = float(model.conv_b.value.a[0, 0])
+    emb = model.embedding.value
+    w = model.conv_w.value[0]  # single filter, width m*k = 4
+    b = float(model.conv_b.value[0, 0])
     valid = enc.ids[: enc.length]
     feats = []
     for p in range(len(valid) - 1):
@@ -74,7 +74,7 @@ def test_forward_matches_hand_unrolled_oracle() -> None:
         feats.append(max(0.0, pre))
     pooled = max(feats)
     for i, t in enumerate(TRAITS):
-        logit = float(model.head_w.value.a[0, i]) * pooled + float(model.head_b.value.a[0, i])
+        logit = float(model.head_w.value[0, i]) * pooled + float(model.head_b.value[0, i])
         assert probs[i] == pytest.approx(1.0 / (1.0 + math.exp(-logit)), abs=1e-12)
 
 
@@ -105,11 +105,11 @@ def reference_probs(model: CnnModel, enc: EncodedText) -> list[float]:
     """One text at a time: its fully valid windows, or its PAD-completed window 0."""
     m = model.config.window
     valid = enc.ids[: max(enc.length, m)]
-    emb = model.embedding.value.a
+    emb = model.embedding.value
     windows = np.array([np.concatenate([emb[i] for i in valid[p:p + m]])
                         for p in range(len(valid) - m + 1)])
-    feats = np.maximum(windows @ model.conv_w.value.a.T + model.conv_b.value.a, 0.0)
-    logits = feats.max(axis=0) @ model.head_w.value.a + model.head_b.value.a[0]
+    feats = np.maximum(windows @ model.conv_w.value.T + model.conv_b.value, 0.0)
+    logits = feats.max(axis=0) @ model.head_w.value + model.head_b.value[0]
     return [1.0 / (1.0 + math.exp(-z)) for z in logits]
 
 
@@ -186,7 +186,7 @@ def test_prediction_agrees_with_logit_sign() -> None:
     enc = encode(["w0", "w1", "w1"], model.vocab, model.config.max_len)
     probs, cache = _forward(model, *_stack([enc]))
     pooled = cache[3]
-    logits = pooled.a @ model.head_w.value.a + model.head_b.value.a
+    logits = pooled.a @ model.head_w.value + model.head_b.value
     for i in range(len(TRAITS)):
         assert (probs[0, i] > 0.5) == (logits[0, i] > 0.0)
 
@@ -252,7 +252,7 @@ def test_training_is_deterministic() -> None:
     def run():
         res = train_classifier(docs, config, Rng(7))
         return (
-            [p.value.flat.tolist() for p in res.model.params()],
+            [p.value.ravel().tolist() for p in res.model.params()],
             res.history,
             res.best_epoch,
         )
@@ -302,7 +302,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     model.save(path)
     loaded = CnnModel.load(path)
     for p, q in zip(model.params(), loaded.params()):
-        assert p.value.flat.tolist() == q.value.flat.tolist()
+        assert p.value.ravel().tolist() == q.value.ravel().tolist()
     tokens = ["w0", "w3", "w5"]
     probs = classifier_forward([tokens], model).tolist()
     assert probs == classifier_forward([tokens], loaded).tolist()

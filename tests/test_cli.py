@@ -284,6 +284,11 @@ def _set(path: list, value):
     return mutate
 
 
+def _shadow_vocab_token(payload: dict) -> None:
+    """Store a sentinel-prefixed copy of a plain token: two stored forms of one token."""
+    payload["vocab"][5] = "\x1f" + payload["vocab"][4]
+
+
 def _per_trait_head(payload: dict) -> None:
     """Split the five-column classifier head into the earlier per-trait layout."""
     params = payload["params"]
@@ -299,13 +304,14 @@ def _per_trait_head(payload: dict) -> None:
     ("baseline", _set(["config"], [8, 16])),
     ("baseline", _set(["config", "hidden_dim"], "8")),
     ("baseline", _set(["vocab"], {"<pad>": 0})),
+    ("baseline", _shadow_vocab_token),
     ("baseline", _set(["params", "out_b", "shape"], [1])),
     ("baseline", _set(["params", "out_b", "data", 0], "x")),
     ("baseline", _set(["params", "gates_w", "data", 0], float("nan"))),
     ("classifier", _per_trait_head),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
-        "vocab-not-list", "shape-not-pair", "non-numeric-data", "non-finite-data",
-        "per-trait-classifier-head"])
+        "vocab-not-list", "non-canonical-vocab-token", "shape-not-pair", "non-numeric-data",
+        "non-finite-data", "per-trait-classifier-head"])
 def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
                                                mutate) -> None:
     payload = json.loads(pipeline[checkpoint].read_text(encoding="utf-8"))

@@ -28,8 +28,8 @@ from traitgen.generator import (
     train_generator,
     _Row,
     _cell,
+    _forward,
     _train_batch,
-    _unroll,
 )
 from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy
 from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
@@ -91,8 +91,8 @@ def test_condition_from_labels() -> None:
 
 def zeroed_model(**kw) -> LstmModel:
     model = make_model(**kw)
-    model.gates_w.value.a[:] = 0.0
-    model.gates_b.value.a[:] = 0.0
+    model.gates_w.value[:] = 0.0
+    model.gates_b.value[:] = 0.0
     return model
 
 
@@ -103,8 +103,8 @@ def sigmoid(v: float) -> float:
 def scalar_cell(model: LstmModel, xh: list[float],
                 c_prev: list[float]) -> tuple[list[float], list[float]]:
     """The LSTM step written out one scalar at a time: (h, c) for one row."""
-    w = model.gates_w.value.a
-    b = model.gates_b.value.a[0]
+    w = model.gates_w.value
+    b = model.gates_b.value[0]
     hdim = model.config.hidden_dim
     z = [b[j] + sum(xh[i] * w[i, j] for i in range(len(xh))) for j in range(4 * hdim)]
     h, c = [], []
@@ -179,25 +179,25 @@ def test_forward_matches_hand_unrolled_steps() -> None:
     assert logits.shape == (3, model.config.vocab_size)
 
     bits = list(map(float, cond.bits))
-    w_o, b_o = model.out_w.value.a, model.out_b.value.a[0]
+    w_o, b_o = model.out_w.value, model.out_b.value[0]
     h, c = [0.0] * 3, [0.0] * 3
     for t in range(3):
-        emb = model.embedding.value.a[enc.ids[t]].tolist()
+        emb = model.embedding.value[enc.ids[t]].tolist()
         h, c = scalar_cell(model, emb + bits + h, c)
         expected = [b_o[v] + sum(h[j] * w_o[j, v] for j in range(3))
                     for v in range(model.config.vocab_size)]
-        assert np.abs(logits.a[t] - expected).max() < 1e-12
+        assert np.abs(logits[t] - expected).max() < 1e-12
 
 
 def test_zeroed_condition_rows_make_all_conditions_identical() -> None:
     model = make_model(n_tokens=5, k=3, h=4, cond=5, max_len=6, seed=43)
     k = model.config.embed_dim
-    model.gates_w.value.a[k:k + 5, :] = 0.0  # rows that read the condition bits
+    model.gates_w.value[k:k + 5, :] = 0.0  # rows that read the condition bits
     enc = encode(["w1", "w3"], model.vocab, 6)
     reference = None
     for bits in range(32):
         cond = BfpCondition(*( (bits >> i) & 1 for i in range(5) ))
-        logits = generator_forward(enc, cond, model).a
+        logits = generator_forward(enc, cond, model)
         if reference is None:
             reference = logits
         else:
@@ -231,13 +231,13 @@ def test_loss_zero_for_deterministic_correct_logits() -> None:
     for t in range(4):
         if enc.mask[t + 1]:
             logits[t, enc.ids[t + 1]] = 60.0
-    assert generator_loss(Matrix(logits), enc) == pytest.approx(0.0, abs=1e-11)
+    assert generator_loss(logits, enc) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_loss_uniform_logits_equals_log_vocab() -> None:
     model = make_model(n_tokens=3, max_len=5)
     enc = encode(["w0", "w1"], model.vocab, 5)
-    logits = Matrix.zeros(4, model.config.vocab_size)
+    logits = np.zeros((4, model.config.vocab_size))
     assert generator_loss(logits, enc) == pytest.approx(
         math.log(model.config.vocab_size), abs=1e-12
     )
@@ -249,7 +249,7 @@ def test_loss_matches_hand_sum_on_three_token_toy() -> None:
     logits = generator_forward(enc, all_high(), model)
     by_hand = 0.0
     for t in range(4):
-        row = logits.a[t]
+        row = logits[t]
         z = sum(math.exp(v) for v in row)
         by_hand += -math.log(math.exp(row[enc.ids[t + 1]]) / z)
     assert generator_loss(logits, enc) == pytest.approx(by_hand / 4.0, abs=1e-12)
@@ -267,7 +267,7 @@ def test_gradient_check_three_timesteps() -> None:
     params = model.params()
 
     def loss_fn() -> float:
-        logits = _unroll(model, ids, cond)
+        logits = _forward(model, ids, cond)[0]
         targets = ids[:, 1:].T.reshape(-1)
         mask_flat = mask[:, 1:].T.reshape(-1)
         loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
@@ -297,8 +297,8 @@ def test_training_smoke_and_loss_finite(tmp_path) -> None:
     loaded = LstmModel.load(path)
     enc = encode(["a", "b"], result.model.vocab, 8)
     cond = all_high()
-    assert (generator_forward(enc, cond, result.model).a
-            == generator_forward(enc, cond, loaded).a).all()
+    assert (generator_forward(enc, cond, result.model)
+            == generator_forward(enc, cond, loaded)).all()
 
 
 def test_training_is_deterministic(tmp_path) -> None:
@@ -338,9 +338,9 @@ def test_empty_corpus_rejected() -> None:
 def forced_token_model(token: str = "w1", n_tokens: int = 4) -> LstmModel:
     """A model whose output layer always points at one token."""
     model = make_model(n_tokens=n_tokens, cond=0, max_len=10, seed=67)
-    model.out_w.value.a[:] = 0.0
-    model.out_b.value.a[:] = 0.0
-    model.out_b.value.a[0, model.vocab.id_of(token)] = 50.0
+    model.out_w.value[:] = 0.0
+    model.out_b.value[:] = 0.0
+    model.out_b.value[0, model.vocab.id_of(token)] = 50.0
     return model
 
 
@@ -428,7 +428,7 @@ def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool
     ``searchsorted``, and the repetition rules rescan the whole output.
     """
     cfg = model.config
-    emb = model.embedding.value.a
+    emb = model.embedding.value
     allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)])
     seed_id = model.vocab.id_of(seed_pool[rng.randint(len(seed_pool))])
     h = np.zeros((1, cfg.hidden_dim))
@@ -445,7 +445,7 @@ def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool
     feed(seed_id)
     out = [seed_id]
     while len(out) < max_len:
-        logits = (h @ model.out_w.value.a + model.out_b.value.a)[0, allowed]
+        logits = (h @ model.out_w.value + model.out_b.value)[0, allowed]
         if temperature < GREEDY_TEMPERATURE:
             next_id = int(allowed[np.argmax(logits)])
         else:
@@ -564,7 +564,7 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
         for seed_word in ("w0", "w5", "w11"):
             out = generate(model, [cond], [seed_word], [Rng(model_seed)], temperature=0.0)[0]
             enc = encode(out, model.vocab, len(out) + 2)
-            logits = generator_forward(enc, cond, model).a
+            logits = generator_forward(enc, cond, model)
             for j in range(1, len(out)):  # row j has read BOS and out[:j]
                 best = int(sampleable[np.argmax(logits[j, sampleable])])
                 assert model.vocab.token_of(best) == out[j]

@@ -8,22 +8,22 @@ from traitgen.numeric import Matrix, Parameter, Rng, affine, gradient_check
 def test_affine_mse_toy_passes_tightly() -> None:
     # linear model + squared error: central differences are exact up to rounding
     rng = Rng(31)
-    w = Parameter("w", Matrix([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)]))
-    b = Parameter("b", Matrix([[rng.uniform(-1, 1) for _ in range(2)]]))
+    w = Parameter("w", [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)])
+    b = Parameter("b", [[rng.uniform(-1, 1) for _ in range(2)]])
     x = Matrix([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
     y = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(4)])
 
     def loss_fn() -> float:
-        out, _ = affine(x, w.value, b.value)
+        out, _ = affine(x, Matrix(w.value), Matrix(b.value))
         return float(((out.a - y) ** 2).mean())
 
     def grad_fn() -> float:
-        out, back = affine(x, w.value, b.value)
+        out, back = affine(x, Matrix(w.value), Matrix(b.value))
         diff = out.a - y
         d = Matrix(2.0 * diff / diff.size)
         _, dw, db = back(d)
-        w.add_grad(dw)
-        b.add_grad(db)
+        w.grad += dw.a
+        b.grad += db.a
         return float((diff ** 2).mean())
 
     report = gradient_check(loss_fn, grad_fn, [w, b], h=1e-5, tol=1e-7)
@@ -32,13 +32,13 @@ def test_affine_mse_toy_passes_tightly() -> None:
 
 
 def test_report_summary_mentions_every_parameter() -> None:
-    p = Parameter("solo", Matrix([[0.5]]))
+    p = Parameter("solo", [[0.5]])
 
     def loss_fn() -> float:
         return float(p.value[0, 0] ** 2)
 
     def grad_fn() -> float:
-        p.add_grad(Matrix([[2.0 * p.value[0, 0]]]))
+        p.grad[0, 0] += 2.0 * p.value[0, 0]
         return loss_fn()
 
     report = gradient_check(loss_fn, grad_fn, [p], tol=1e-6)
@@ -48,13 +48,13 @@ def test_report_summary_mentions_every_parameter() -> None:
 
 def test_sampling_subset_of_coordinates() -> None:
     rng = Rng(33)
-    p = Parameter("wide", Matrix([[rng.uniform(-1, 1) for _ in range(50)]]))
+    p = Parameter("wide", [[rng.uniform(-1, 1) for _ in range(50)]])
 
     def loss_fn() -> float:
-        return float((p.value.a ** 2).sum())
+        return float((p.value ** 2).sum())
 
     def grad_fn() -> float:
-        p.add_grad(Matrix(2.0 * p.value.a))
+        p.grad += 2.0 * p.value
         return loss_fn()
 
     report = gradient_check(
@@ -64,13 +64,13 @@ def test_sampling_subset_of_coordinates() -> None:
 
 
 def test_failure_is_reported_not_raised() -> None:
-    p = Parameter("bad", Matrix([[1.0]]))
+    p = Parameter("bad", [[1.0]])
 
     def loss_fn() -> float:
         return float(p.value[0, 0] ** 2)
 
     def grad_fn() -> float:
-        p.add_grad(Matrix([[100.0]]))  # wrong on purpose
+        p.grad[0, 0] += 100.0  # wrong on purpose
         return loss_fn()
 
     report = gradient_check(loss_fn, grad_fn, [p], tol=1e-4)

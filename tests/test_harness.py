@@ -137,7 +137,7 @@ def test_pi_one_all_high_documents_contain_only_high_markers() -> None:
     assert all_high_docs, "with 200 docs some should draw the all-high latent"
     for doc in all_high_docs:
         assert set(doc.tokens) <= high_tokens
-        scores = score_tokens(doc.tokens, lex).as_dict()
+        scores = score_tokens(doc.tokens, lex)
         assert all(v >= 0.0 for v in scores.values())
 
 
@@ -197,7 +197,7 @@ def test_high_marker_only_document_scores_positive_on_its_trait_only() -> None:
     spec = small_spec()
     lex = matched_lexicon(spec)
     tokens = spec.markers["E"]["high"] * 2
-    scores = score_tokens(tokens, lex).as_dict()
+    scores = score_tokens(tokens, lex)
     assert scores["E"] > 0.0
     assert all(scores[t] == 0.0 for t in TRAITS if t != "E")
 

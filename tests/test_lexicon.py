@@ -6,7 +6,6 @@ from traitgen.errors import InsufficientDataError, ValidationError
 from traitgen.lexicon import (
     Category,
     LevelThresholds,
-    TraitScores,
     assign_levels,
     calibrate_thresholds,
     category_frequencies,
@@ -161,14 +160,15 @@ def test_frequencies_bounded_and_permutation_invariant() -> None:
 def test_zero_frequencies_give_zero_scores() -> None:
     lex = lexicon_from_dict(two_category_payload())
     scores = trait_scores([0.0, 0.0], lex)
-    assert scores.as_dict() == {t: 0.0 for t in TRAITS}
+    assert scores == {t: 0.0 for t in TRAITS}
 
 
 def test_hand_computed_scores() -> None:
     lex = lexicon_from_dict(two_category_payload())
     scores = trait_scores([0.5, 0.25], lex)
-    assert scores.e == 0.25
-    assert scores.a == scores.c == scores.n == scores.o == 0.0
+    assert list(scores) == list(TRAITS)
+    assert scores["E"] == 0.25
+    assert scores["A"] == scores["C"] == scores["N"] == scores["O"] == 0.0
 
 
 def test_linearity_under_convex_combinations() -> None:
@@ -179,16 +179,16 @@ def test_linearity_under_convex_combinations() -> None:
         f2 = [rng.random(), rng.random()]
         alpha = rng.random()
         mixed = [alpha * a + (1 - alpha) * b for a, b in zip(f1, f2)]
-        s_mix = trait_scores(mixed, lex).as_dict()
-        s1 = trait_scores(f1, lex).as_dict()
-        s2 = trait_scores(f2, lex).as_dict()
+        s_mix = trait_scores(mixed, lex)
+        s1 = trait_scores(f1, lex)
+        s2 = trait_scores(f2, lex)
         for t in TRAITS:
             assert abs(s_mix[t] - (alpha * s1[t] + (1 - alpha) * s2[t])) < 1e-12
 
 
 def test_score_tokens_convenience() -> None:
     lex = lexicon_from_dict(two_category_payload())
-    assert score_tokens(["good", "good", "bad", "x"], lex).e == 0.25
+    assert score_tokens(["good", "good", "bad", "x"], lex)["E"] == 0.25
 
 
 def test_frequency_length_checked() -> None:
@@ -211,7 +211,7 @@ def test_degenerate_equal_scores() -> None:
     th = calibrate_thresholds({t: [5.0, 5.0, 5.0, 5.0] for t in TRAITS})
     for t in TRAITS:
         assert th.cuts[t] == (5.0, 5.0)
-    levels = assign_levels(TraitScores(5.0, 5.0, 5.0, 5.0, 5.0), th)
+    levels = assign_levels(dict.fromkeys(TRAITS, 5.0), th)
     assert all(v == MEDIUM for v in levels.values())
 
 
@@ -247,7 +247,7 @@ def test_thresholds_validate_ordering() -> None:
 
 def test_boundary_scores_are_medium() -> None:
     th = LevelThresholds({t: (3.0, 6.0) for t in TRAITS})
-    levels = assign_levels(TraitScores(3.0, 6.0, 2.9, 6.1, 4.0), th)
+    levels = assign_levels(dict(zip(TRAITS, (3.0, 6.0, 2.9, 6.1, 4.0))), th)
     assert levels == {"E": MEDIUM, "A": MEDIUM, "C": LOW, "N": HIGH, "O": MEDIUM}
 
 
@@ -256,6 +256,6 @@ def test_levels_monotone_in_score() -> None:
     rank = {LOW: 0, MEDIUM: 1, HIGH: 2}
     previous = -1
     for value in [-5.0, -0.001, 0.0, 0.5, 1.0, 1.001, 8.0]:
-        level = assign_levels(TraitScores(value, 0.5, 0.5, 0.5, 0.5), th)["E"]
+        level = assign_levels(dict(zip(TRAITS, (value, 0.5, 0.5, 0.5, 0.5))), th)["E"]
         assert rank[level] >= previous
         previous = rank[level]

@@ -33,19 +33,7 @@ def test_matrix_requires_2d() -> None:
     with pytest.raises(ShapeError):
         Matrix([1.0, 2.0])
     with pytest.raises(ShapeError):
-        Matrix.zeros(0, 3)
-
-
-def test_matrix_flat_is_row_major() -> None:
-    m = Matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert m.flat.tolist() == [1.0, 2.0, 3.0, 4.0]
-    assert m.rows == 2 and m.cols == 2
-    assert Matrix.from_flat(2, 2, [1, 2, 3, 4]).tolist() == m.tolist()
-
-
-def test_from_flat_checks_size() -> None:
-    with pytest.raises(ShapeError):
-        Matrix.from_flat(2, 2, [1.0, 2.0, 3.0])
+        Matrix(np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------- xavier_init
@@ -68,7 +56,7 @@ def test_xavier_sample_mean_near_zero() -> None:
     m = xavier_init(64, 64, Rng(42))
     a = math.sqrt(6.0 / 128.0)
     sigma = a / math.sqrt(3.0 * 64 * 64)
-    assert abs(float(m.a.mean())) < 3.0 * sigma
+    assert abs(float(m.mean())) < 3.0 * sigma
 
 
 def test_xavier_rejects_zero_dimension() -> None:
@@ -82,17 +70,17 @@ def test_xavier_rejects_zero_dimension() -> None:
 def test_affine_identity_weight_is_identity() -> None:
     x = rand_matrix(3, 4, Rng(1))
     w = Matrix(np.eye(4))
-    b = Matrix.zeros(1, 4)
+    b = Matrix(np.zeros((1, 4)))
     out, _ = affine(x, w, b)
-    assert out.tolist() == x.tolist()
+    assert out.a.tolist() == x.a.tolist()
 
 
 def test_affine_zero_input_broadcasts_bias() -> None:
-    x = Matrix.zeros(3, 4)
+    x = Matrix(np.zeros((3, 4)))
     w = rand_matrix(4, 2, Rng(2))
     b = Matrix([[0.5, -1.5]])
     out, _ = affine(x, w, b)
-    assert out.tolist() == [[0.5, -1.5]] * 3
+    assert out.a.tolist() == [[0.5, -1.5]] * 3
 
 
 def test_affine_matches_naive_triple_loop() -> None:
@@ -101,17 +89,17 @@ def test_affine_matches_naive_triple_loop() -> None:
     out, _ = affine(x, w, b)
     for r in range(3):
         for c in range(2):
-            acc = b[0, c]
+            acc = b.a[0, c]
             for i in range(4):
-                acc += x[r, i] * w[i, c]
-            assert out[r, c] == pytest.approx(acc, abs=1e-12)
+                acc += x.a[r, i] * w.a[i, c]
+            assert out.a[r, c] == pytest.approx(acc, abs=1e-12)
 
 
 def test_affine_shape_mismatch() -> None:
     with pytest.raises(ShapeError):
-        affine(Matrix.zeros(2, 3), Matrix.zeros(4, 2), Matrix.zeros(1, 2))
+        affine(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 2))), Matrix(np.zeros((1, 2))))
     with pytest.raises(ShapeError):
-        affine(Matrix.zeros(2, 3), Matrix.zeros(3, 2), Matrix.zeros(2, 2))
+        affine(Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))), Matrix(np.zeros((2, 2))))
 
 
 def test_affine_backward_matches_finite_differences() -> None:
@@ -144,19 +132,19 @@ def test_affine_backward_matches_finite_differences() -> None:
 
 def test_relu_values() -> None:
     out, _ = elementwise_activation("relu", Matrix([[-1.0, 0.0, 2.0]]))
-    assert out.tolist() == [[0.0, 0.0, 2.0]]
+    assert out.a.tolist() == [[0.0, 0.0, 2.0]]
 
 
 def test_sigmoid_and_tanh_at_zero() -> None:
     out, _ = elementwise_activation("sigmoid", Matrix([[0.0]]))
-    assert out[0, 0] == 0.5
+    assert out.a[0, 0] == 0.5
     out, _ = elementwise_activation("tanh", Matrix([[0.0]]))
-    assert out[0, 0] == 0.0
+    assert out.a[0, 0] == 0.0
 
 
 def test_unknown_activation_rejected() -> None:
     with pytest.raises(ShapeError):
-        elementwise_activation("gelu", Matrix.zeros(1, 1))
+        elementwise_activation("gelu", Matrix(np.zeros((1, 1))))
 
 
 def test_nonfinite_activation_input_rejected() -> None:
@@ -187,8 +175,8 @@ def test_activation_gradient_matches_central_differences(kind: str) -> None:
             minus = float((elementwise_activation(kind, x)[0].a * d.a).sum())
             x.a[r, c] = orig
             numeric = (plus - minus) / (2 * h)
-            denom = max(abs(dx[r, c]), abs(numeric), 1e-8)
-            assert abs(dx[r, c] - numeric) / denom < 1e-4
+            denom = max(abs(dx.a[r, c]), abs(numeric), 1e-8)
+            assert abs(dx.a[r, c] - numeric) / denom < 1e-4
 
 
 # -------------------------------------------------------- masked cross-entropy
@@ -202,7 +190,7 @@ def test_cross_entropy_of_certain_predictions_is_zero() -> None:
 
 
 def test_cross_entropy_uniform_logits_is_log_vocab() -> None:
-    logits = Matrix.zeros(4, 1000)
+    logits = Matrix(np.zeros((4, 1000)))
     loss, _ = masked_cross_entropy(logits, [1, 2, 3, 4], [1, 1, 1, 1])
     assert loss == pytest.approx(math.log(1000.0), abs=1e-12)
 
@@ -236,12 +224,12 @@ def test_cross_entropy_masked_positions_get_zero_gradient() -> None:
 
 def test_cross_entropy_degenerate_mask_raises() -> None:
     with pytest.raises(DegenerateMaskError):
-        masked_cross_entropy(Matrix.zeros(2, 3), [0, 1], [0, 0])
+        masked_cross_entropy(Matrix(np.zeros((2, 3))), [0, 1], [0, 0])
 
 
 def test_cross_entropy_rejects_out_of_range_targets() -> None:
     with pytest.raises(InvalidIdError):
-        masked_cross_entropy(Matrix.zeros(2, 3), [0, 3], [1, 1])
+        masked_cross_entropy(Matrix(np.zeros((2, 3))), [0, 3], [1, 1])
 
 
 def test_cross_entropy_backward_matches_finite_differences() -> None:
@@ -260,7 +248,7 @@ def test_cross_entropy_backward_matches_finite_differences() -> None:
             logits.a[r, c] = orig - h
             minus, _ = masked_cross_entropy(logits, targets, mask)
             logits.a[r, c] = orig
-            assert grad[r, c] == pytest.approx((plus - minus) / (2 * h), rel=1e-4, abs=1e-9)
+            assert grad.a[r, c] == pytest.approx((plus - minus) / (2 * h), rel=1e-4, abs=1e-9)
 
 
 # -------------------------------------------------------------- max_over_time
@@ -269,14 +257,14 @@ def test_cross_entropy_backward_matches_finite_differences() -> None:
 def test_max_over_time_single_position_is_identity() -> None:
     f = Matrix([[1.0, -2.0, 3.0]])
     out, arg, _ = max_over_time(f)
-    assert out.tolist() == [[1.0, -2.0, 3.0]]
+    assert out.a.tolist() == [[1.0, -2.0, 3.0]]
     assert arg == [0, 0, 0]
 
 
 def test_max_over_time_tie_breaks_to_lowest_index() -> None:
     f = Matrix([[5.0], [5.0], [5.0]])
     out, arg, _ = max_over_time(f)
-    assert out[0, 0] == 5.0
+    assert out.a[0, 0] == 5.0
     assert arg == [0]
 
 
@@ -285,11 +273,11 @@ def test_max_over_time_matches_linear_scan() -> None:
     f = rand_matrix(7, 3, rng)
     out, arg, _ = max_over_time(f)
     for c in range(3):
-        best_val, best_pos = f[0, c], 0
+        best_val, best_pos = f.a[0, c], 0
         for p in range(1, 7):
-            if f[p, c] > best_val:
-                best_val, best_pos = f[p, c], p
-        assert out[0, c] == best_val
+            if f.a[p, c] > best_val:
+                best_val, best_pos = f.a[p, c], p
+        assert out.a[0, c] == best_val
         assert arg[c] == best_pos
 
 

@@ -2,21 +2,29 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
+from traitgen.checkpoint import load_model
+from traitgen.classifier import CnnConfig, CnnModel, train_classifier
+from traitgen.classifier import _backward as cnn_backward
+from traitgen.classifier import _forward as cnn_forward
+from traitgen.classifier import _stack
 from traitgen.errors import DivergenceError, ShapeError
+from traitgen.generator import LstmConfig, LstmModel, _train_batch
 from traitgen.numeric import (
-    Matrix,
     Parameter,
     Rng,
     adam_step,
     clip_global_norm,
     zero_grads,
 )
+from traitgen.textproc import Document, Vocabulary, encode
+from traitgen.traits import TRAITS
 
 
 def make_param(values, name="p") -> Parameter:
-    return Parameter(name, Matrix(values))
+    return Parameter(name, values)
 
 
 def test_parameter_starts_with_zero_state() -> None:
@@ -29,15 +37,15 @@ def test_parameter_starts_with_zero_state() -> None:
 
 def test_zero_grad_clears_gradient() -> None:
     p = make_param([[1.0]])
-    p.grad.a[0, 0] = 3.0
+    p.grad[0, 0] = 3.0
     zero_grads([p])
     assert p.grad[0, 0] == 0.0
 
 
-def test_add_grad_checks_shape() -> None:
-    p = make_param([[1.0, 2.0]])
-    with pytest.raises(ShapeError):
-        p.add_grad(Matrix([[1.0], [2.0]]))
+def test_parameter_requires_nonempty_2d() -> None:
+    for bad in ([1.0, 2.0], [[[1.0]]], np.zeros((0, 3)), np.zeros((3, 0))):
+        with pytest.raises(ShapeError):
+            make_param(bad)
 
 
 def test_adam_zero_gradient_leaves_value_unchanged() -> None:
@@ -51,7 +59,7 @@ def test_adam_first_step_matches_hand_formula() -> None:
     # first step with grad 1: bias-corrected m_hat = 1, v_hat = 1,
     # delta = -lr / (1 + eps)
     p = make_param([[0.0]])
-    p.grad.a[0, 0] = 1.0
+    p.grad[0, 0] = 1.0
     adam_step(p, lr=1e-3)
     expected = -1e-3 / (1.0 + 1e-8)
     assert p.value[0, 0] == pytest.approx(expected, abs=1e-15)
@@ -65,7 +73,7 @@ def test_adam_is_deterministic_across_identical_states() -> None:
         p = make_param([[0.3, -0.7], [0.1, 0.9]])
         rng = Rng(21)
         for _ in range(25):
-            p.grad.a[:] = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
+            p.grad[:] = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
             adam_step(p, lr=3e-3)
         return p.value.tolist()
 
@@ -74,14 +82,14 @@ def test_adam_is_deterministic_across_identical_states() -> None:
 
 def test_adam_rejects_nonfinite_gradient() -> None:
     p = make_param([[0.0]])
-    p.grad.a[0, 0] = float("inf")
+    p.grad[0, 0] = float("inf")
     with pytest.raises(DivergenceError):
         adam_step(p, lr=1e-3)
 
 
 def test_clip_below_threshold_is_identity() -> None:
     p = make_param([[1.0, 1.0]])
-    p.grad.a[:] = [[0.3, 0.4]]  # norm 0.5
+    p.grad[:] = [[0.3, 0.4]]  # norm 0.5
     scale = clip_global_norm([p], max_norm=5.0)
     assert scale == 1.0
     assert p.grad.tolist() == [[0.3, 0.4]]
@@ -89,7 +97,7 @@ def test_clip_below_threshold_is_identity() -> None:
 
 def test_clip_scales_to_max_norm() -> None:
     p = make_param([[0.0, 0.0]])
-    p.grad.a[:] = [[3.0, 4.0]]  # norm 5
+    p.grad[:] = [[3.0, 4.0]]  # norm 5
     scale = clip_global_norm([p], max_norm=2.5)
     assert scale == pytest.approx(0.5)
     assert p.grad.tolist() == [[1.5, 2.0]]
@@ -101,10 +109,10 @@ def test_clip_post_norm_equals_min_of_norm_and_max() -> None:
         params = [make_param([[rng.uniform(-1, 1) for _ in range(3)]], name=f"p{i}")
                   for i in range(4)]
         for p in params:
-            p.grad.a[:] = [[rng.uniform(-2, 2) for _ in range(3)]]
-        before = math.sqrt(sum(float((p.grad.a ** 2).sum()) for p in params))
+            p.grad[:] = [[rng.uniform(-2, 2) for _ in range(3)]]
+        before = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
         clip_global_norm(params, max_norm=max_norm)
-        after = math.sqrt(sum(float((p.grad.a ** 2).sum()) for p in params))
+        after = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
         assert after == pytest.approx(min(before, max_norm), abs=1e-9)
         assert after <= before + 1e-12
 
@@ -113,3 +121,62 @@ def test_clip_handles_all_zero_gradients() -> None:
     p = make_param([[1.0]])
     assert clip_global_norm([p], max_norm=1.0) == 1.0
     assert p.grad[0, 0] == 0.0
+
+
+# ------------------------------------------------------- parameter contract
+
+_ARRAYS = ("value", "grad", "opt_m", "opt_v")
+
+
+def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) -> None:
+    built: dict[Parameter, list[np.ndarray]] = {}
+    construct = Parameter.__init__
+
+    def recording_init(self, name, value) -> None:
+        construct(self, name, value)
+        built[self] = [getattr(self, attr) for attr in _ARRAYS]
+
+    monkeypatch.setattr(Parameter, "__init__", recording_init)
+
+    def check(model) -> None:
+        for p in model.params():
+            for attr, original in zip(_ARRAYS, built[p]):
+                a = getattr(p, attr)
+                assert a is original, (p.name, attr)
+                assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2
+                assert a.flags.c_contiguous and a.flags.owndata, (p.name, attr)
+
+    rng = Rng(61)
+    words = ["a", "b", "c", "d"]
+    docs = []
+    for _ in range(12):
+        tokens = [words[rng.randint(len(words))] for _ in range(5)]
+        docs.append(Document(" ".join(tokens), tokens, labels={t: rng.coin() for t in TRAITS}))
+    vocab = Vocabulary.build([d.tokens for d in docs], min_count=1)
+    cnn = CnnModel.init(CnnConfig(vocab_size=len(vocab), embed_dim=3, window=2, num_filters=2,
+                                  max_len=8), vocab, Rng(1))
+    lstm = LstmModel.init(LstmConfig(vocab_size=len(vocab), embed_dim=3, hidden_dim=4,
+                                     max_len=8), vocab, Rng(2))
+    for model in (cnn, lstm):
+        check(model)
+        path = tmp_path / f"{model.kind}.json"
+        model.save(path)
+        check(load_model(path))
+
+    encoded = [encode(d.tokens, vocab, 8) for d in docs[:4]]
+    labels = np.array([[d.labels[t] for t in TRAITS] for d in docs[:4]], dtype=np.float64)
+    zero_grads(cnn.params())
+    probs, cache = cnn_forward(cnn, *_stack(encoded))
+    cnn_backward(cnn, probs, cache, labels, 0.25)
+    zero_grads(lstm.params())
+    _train_batch(lstm, np.array([e.ids for e in encoded]),
+                 np.array([e.mask for e in encoded], dtype=np.float64), labels)
+    for model in (cnn, lstm):
+        assert clip_global_norm(model.params(), max_norm=1e-3) < 1.0
+        for p in model.params():
+            adam_step(p, lr=1e-2)
+        check(model)
+
+    config = CnnConfig(vocab_size=0, embed_dim=3, window=2, num_filters=2, max_len=8,
+                       epochs=2, batch_size=4)
+    check(train_classifier(docs, config, Rng(3)).model)

@@ -11,6 +11,7 @@ from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
     PAD_ID,
+    SPECIAL_TOKENS,
     UNK_ID,
     Document,
     EncodedText,
@@ -20,6 +21,7 @@ from traitgen.textproc import (
     read_corpus,
     tokenize,
     write_corpus,
+    _escape,
 )
 
 # ------------------------------------------------------------------- tokenize
@@ -187,6 +189,29 @@ def test_decode_encode_roundtrip_for_in_vocab_tokens(tokens: list[str]) -> None:
     v = Vocabulary.build([tokens], min_count=1, max_size=20000)
     enc = encode(tokens, v, max_len=len(tokens) + 2)
     assert decode(enc.ids, v) == tokens
+
+
+_awkward_token = st.one_of(
+    _token_alphabet,
+    st.sampled_from(SPECIAL_TOKENS),
+    _token_alphabet.map(lambda t: "\x1f" + t),
+    st.sampled_from(SPECIAL_TOKENS).map(lambda t: "\x1f" + t),
+    st.just("\x1f"),
+    st.just("\x1f\x1f"),
+)
+
+
+@given(st.lists(_awkward_token, max_size=12), st.lists(_awkward_token, max_size=6))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_id_of_agrees_with_escape_reference(corpus: list[str], queries: list[str]) -> None:
+    v = Vocabulary.build([corpus], min_count=1)
+    stored = {t: i for i, t in enumerate(v.to_list())}
+    for token in corpus + queries:
+        expected = stored.get(_escape(token), UNK_ID)
+        assert v.id_of(token) == expected
+        assert (token in v) == (expected != UNK_ID)
+    for token in v.non_special_tokens():
+        assert v.token_of(v.id_of(token)) == token
 
 
 # --------------------------------------------------------------- corpus files
