@@ -26,6 +26,7 @@ from .numeric import (
     Rng,
     adam_step,
     affine,
+    check_finite,
     check_schedule,
     clip_global_norm,
     elementwise_activation,
@@ -241,7 +242,9 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
     Deterministic given (docs, config, rng seed): the corpus is shuffled
     once for the 9:1 split, batches are reshuffled per epoch from a
     dedicated stream, and every update is sequential. A batch accumulates
-    its gradient over chunks of :data:`CHUNK` texts.
+    its gradient over chunks of :data:`CHUNK` texts. Raises
+    :class:`DivergenceError` when a parameter holds a non-finite value at
+    the end of an epoch.
     """
     if len(docs) < 10:
         raise InsufficientDataError(f"need at least 10 documents, got {len(docs)}")
@@ -286,6 +289,7 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
             clip_global_norm(params, CLIP_NORM)
             for p in params:
                 adam_step(p, config.learning_rate)
+        check_finite(params)
         acc = _accuracy_per_trait(model, val_texts, val_labels)
         result.history.append(acc)
         mean_acc = sum(acc.values()) / len(acc)

@@ -26,6 +26,7 @@ import numpy as np
 from .checkpoint import load_model, write_checkpoint
 from .errors import (
     ConditionError,
+    DivergenceError,
     InsufficientDataError,
     MissingLabelError,
     SeedPoolError,
@@ -36,6 +37,7 @@ from .numeric import (
     Parameter,
     Rng,
     adam_step,
+    check_finite,
     check_schedule,
     clip_global_norm,
     masked_cross_entropy,
@@ -332,7 +334,9 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
     """Teacher-forced minibatch Adam training with global-norm clipping.
 
     Per-epoch mean training loss (token-weighted) is recorded in the
-    result. Deterministic given (docs, config, rng seed).
+    result. Deterministic given (docs, config, rng seed). Raises
+    :class:`DivergenceError` on a non-finite batch loss, or when a
+    parameter holds a non-finite value at the end of an epoch.
     """
     if not docs:
         raise InsufficientDataError("cannot train a generator on an empty corpus")
@@ -355,7 +359,7 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
     params = model.params()
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
     order = list(range(len(docs)))
-    for _epoch in range(config.epochs):
+    for epoch in range(1, config.epochs + 1):
         epoch_rng.shuffle(order)
         # length bucketing: stable sort of the shuffled order keeps batches
         # near-uniform in length (little padding); batch order is reshuffled
@@ -373,11 +377,14 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
             cond_b = cond_all[batch] if cond_all is not None else None
             zero_grads(params)
             loss, n_tokens = _train_batch(model, ids_b, mask_b, cond_b)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss {loss} in epoch {epoch}")
             clip_global_norm(params, CLIP_NORM)
             for p in params:
                 adam_step(p, config.learning_rate)
             loss_sum += loss * n_tokens
             token_sum += n_tokens
+        check_finite(params)
         result.epoch_mean_losses.append(loss_sum / token_sum)
     return result
 

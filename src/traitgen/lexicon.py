@@ -34,7 +34,13 @@ class Category:
 
 
 class Lexicon:
-    """Immutable category list plus a C x 5 trait weight matrix."""
+    """Immutable category tuple plus a C x 5 trait weight matrix.
+
+    Each distinct token's category hits are computed once, through
+    :meth:`Category.matches`, and kept in a per-lexicon table that grows
+    with the number of distinct tokens scored. The categories are a tuple
+    of frozen records, so the table cannot go stale.
+    """
 
     def __init__(self, categories: Sequence[Category], weights: Sequence[Sequence[float]]):
         names = [c.name for c in categories]
@@ -50,12 +56,22 @@ class Lexicon:
                 raise ValidationError(
                     f"weight row for category {name!r} has {len(row)} entries, expected {len(TRAITS)}"
                 )
-        self.categories = list(categories)
+        self.categories = tuple(categories)
         self.weights = [[float(v) for v in row] for row in weights]
+        self._hits: dict[str, tuple[int, ...]] = {}
 
     @property
     def num_categories(self) -> int:
         return len(self.categories)
+
+    def hits(self, token: str) -> tuple[int, ...]:
+        """Indices of the categories ``token`` matches, in category order."""
+        found = self._hits.get(token)
+        if found is None:
+            found = self._hits[token] = tuple(
+                ci for ci, cat in enumerate(self.categories) if cat.matches(token)
+            )
+        return found
 
     def all_entry_tokens(self) -> set[str]:
         """Literal entries plus wildcard stems, for vocabulary-overlap checks."""
@@ -131,10 +147,10 @@ def category_frequencies(tokens: Sequence[str], lexicon: Lexicon) -> list[float]
     """
     total = len(tokens)
     counts = [0] * lexicon.num_categories
+    hits = lexicon.hits
     for token in tokens:
-        for ci, cat in enumerate(lexicon.categories):
-            if cat.matches(token):
-                counts[ci] += 1
+        for ci in hits(token):
+            counts[ci] += 1
     return [c / max(1, total) for c in counts]
 
 

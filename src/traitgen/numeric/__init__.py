@@ -9,7 +9,14 @@ from .matrix import (
     max_over_time,
     xavier_init,
 )
-from .optim import Parameter, adam_step, check_schedule, clip_global_norm, zero_grads
+from .optim import (
+    Parameter,
+    adam_step,
+    check_finite,
+    check_schedule,
+    clip_global_norm,
+    zero_grads,
+)
 from .rng import Rng
 
 __all__ = [
@@ -18,6 +25,7 @@ __all__ = [
     "Parameter",
     "Rng",
     "adam_step",
+    "check_finite",
     "check_schedule",
     "affine",
     "clip_global_norm",

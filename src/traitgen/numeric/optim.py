@@ -54,6 +54,13 @@ def zero_grads(params: Iterable[Parameter]) -> None:
         p.zero_grad()
 
 
+def check_finite(params: Iterable[Parameter]) -> None:
+    """Raise :class:`DivergenceError` naming the first parameter with a non-finite value."""
+    for p in params:
+        if not np.isfinite(p.value).all():
+            raise DivergenceError(f"non-finite value in parameter {p.name!r}")
+
+
 def adam_step(
     param: Parameter,
     lr: float,

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+import traitgen.classifier
+import traitgen.generator
 from traitgen.cli import main
 from traitgen.harness import SynthSpec, default_synth_spec
 from traitgen.lexicon import load_thresholds
@@ -170,6 +172,51 @@ def test_trainer_schedule_is_validated(tmp_path, pipeline, command, flags, code)
                "--embed-dim", "4", "--max-len", "16", *dims[command], *flags) == code
     checkpoint = out / ("classifier.json" if command == "train-classifier" else "generator.json")
     assert checkpoint.exists() == (code == 0)  # a rejected run writes nothing
+
+
+def _nan_loss(monkeypatch) -> None:
+    real = traitgen.generator._train_batch
+
+    def poisoned(*args):
+        _, n_tokens = real(*args)
+        return float("nan"), n_tokens
+
+    monkeypatch.setattr(traitgen.generator, "_train_batch", poisoned)
+
+
+def _infinite_parameter(trainer):
+    def inject(monkeypatch) -> None:
+        real = trainer.adam_step
+
+        def poisoned(param, lr):
+            real(param, lr)
+            param.value[0, 0] = float("inf")
+
+        monkeypatch.setattr(trainer, "adam_step", poisoned)
+
+    return inject
+
+
+@pytest.mark.parametrize("command, flags, inject, message", [
+    ("train-generator", ["--hidden-dim", "4"], _nan_loss, "non-finite training loss nan"),
+    # one batch per epoch, so the poisoned values reach the end-of-epoch check
+    # before any forward pass reads them
+    ("train-classifier", ["--num-filters", "4", "--batch-size", "64"],
+     _infinite_parameter(traitgen.classifier), "non-finite value in parameter"),
+    ("train-generator", ["--hidden-dim", "4", "--batch-size", "64"],
+     _infinite_parameter(traitgen.generator), "non-finite value in parameter"),
+], ids=["generator-nan-loss", "classifier-infinite-parameter", "generator-infinite-parameter"])
+def test_divergence_exits_2_without_checkpoint(tmp_path, pipeline, capsys, monkeypatch, command,
+                                               flags, inject, message) -> None:
+    inject(monkeypatch)
+    out = tmp_path / "out"
+    assert run(command, "--corpus", str(pipeline["corpus"]), "--out", str(out),
+               "--epochs", "2", "--embed-dim", "4", "--max-len", "16", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not (out / "classifier.json").exists()
+    assert not (out / "generator.json").exists()
 
 
 # ------------------------------------------------------------------ labelling

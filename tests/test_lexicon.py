@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traitgen.errors import InsufficientDataError, ValidationError
 from traitgen.lexicon import (
@@ -152,6 +154,52 @@ def test_frequencies_bounded_and_permutation_invariant() -> None:
     f2 = category_frequencies(list(reversed(tokens)), lex)
     assert f1 == f2
     assert all(0.0 <= f <= 1.0 for f in f1)
+
+
+def rescan_frequencies(tokens: list[str], lexicon) -> list[float]:
+    """Reference: ask every category about every token, with no table."""
+    counts = [sum(1 for t in tokens if cat.matches(t)) for cat in lexicon.categories]
+    return [c / max(1, len(tokens)) for c in counts]
+
+
+def lexicon_of(categories: list[tuple[list[str], list[str]]]):
+    return lexicon_from_dict({
+        "trait_order": list(TRAITS),
+        "categories": [{"name": f"c{i}", "entries": literals + [p + "*" for p in prefixes]}
+                       for i, (literals, prefixes) in enumerate(categories)],
+        "weights": [[0, 0, 0, 0, 0]] * len(categories),
+    })
+
+
+# a small alphabet with non-ASCII letters makes overlapping prefixes, literals
+# inside a prefix, prefixes equal to whole tokens, and tokens with no hit common
+_WORDS = st.text("abé字", min_size=1, max_size=3)
+_CATEGORIES = st.lists(st.tuples(st.lists(_WORDS, max_size=4), st.lists(_WORDS, max_size=3)),
+                       min_size=1, max_size=5)
+
+
+@given(_CATEGORIES, _CATEGORIES, st.lists(st.lists(_WORDS, max_size=12), min_size=1, max_size=3))
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(
+    # overlapping prefixes "a"/"ab", literal "ab" inside a prefix and equal to
+    # one, non-ASCII tokens, a token that hits only the second lexicon ("b")
+    # and one that hits neither ("字")
+    [(["ab"], ["a", "ab"]), (["é字"], ["é"])], [([], ["b"])],
+    [["ab", "abé", "a", "b", "字", "é字", "é", "ab"]],
+)
+def test_category_frequencies_match_rescan(first, second, token_lists) -> None:
+    for tokens in token_lists:
+        # fresh lexicons, so each list is scored with a cold and then a warm
+        # table, and the two lexicons score the same tokens in turn
+        lexicons = [lexicon_of(first), lexicon_of(second)]
+        expected = [rescan_frequencies(tokens, lex) for lex in lexicons]
+        for _ in ("cold", "warm"):
+            assert [category_frequencies(tokens, lex) for lex in lexicons] == expected
+
+
+def test_lexicon_categories_are_a_tuple() -> None:
+    # the hit table is only valid while the categories cannot change
+    assert isinstance(lexicon_from_dict(two_category_payload()).categories, tuple)
 
 
 # --------------------------------------------------------------- trait scores

@@ -16,6 +16,7 @@ from traitgen.numeric import (
     Parameter,
     Rng,
     adam_step,
+    check_finite,
     clip_global_norm,
     zero_grads,
 )
@@ -85,6 +86,15 @@ def test_adam_rejects_nonfinite_gradient() -> None:
     p.grad[0, 0] = float("inf")
     with pytest.raises(DivergenceError):
         adam_step(p, lr=1e-3)
+
+
+def test_check_finite_names_the_first_bad_parameter() -> None:
+    good, bad = make_param([[1.0, 2.0]], "good"), make_param([[0.0, 0.0]], "bad")
+    check_finite([good, bad])
+    for value in (float("nan"), float("inf"), float("-inf")):
+        bad.value[0, 1] = value
+        with pytest.raises(DivergenceError, match="'bad'"):
+            check_finite([good, bad])
 
 
 def test_clip_below_threshold_is_identity() -> None:
