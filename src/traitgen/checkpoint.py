@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numeric import Parameter
-from .textproc import Vocabulary
+from .textproc import Vocabulary, read_json
 
 FORMAT_VERSION = 1
 
@@ -104,10 +104,7 @@ def write_checkpoint(path: str | Path, kind: str, config: dict, vocab: list[str]
 
 
 def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: not a valid checkpoint: {exc.msg}") from exc
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint format")
     kind = payload.get("kind")

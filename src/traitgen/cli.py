@@ -1,11 +1,12 @@
 """Command-line front end for the full pipeline.
 
 Subcommands: synth, train-classifier, label, train-generator, generate,
-score, calibrate, evaluate. Every option can also come from an INI config
-file (one section per command, ``--config path``); explicit flags win.
-Runs are deterministic given their resolved options and seed, and every
-command records its resolved configuration, master seed, and input hashes
-in a manifest next to its outputs.
+score, calibrate, evaluate. One table, :data:`COMMANDS`, declares each
+command's options once; it drives the argument parser, the INI config
+file (one section per command, ``--config path``; explicit flags win)
+and the manifest. Runs are deterministic given their resolved options and
+seed, and every command records its resolved configuration, master seed,
+and input hashes in a manifest next to its outputs.
 
 Exit codes: 0 success, 1 internal failure, 2 user error.
 """
@@ -14,41 +15,22 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from . import __version__
 from .checkpoint import load_model
-from .classifier import CnnConfig, CnnModel, train_classifier, label_corpus
-from .errors import ConfigError, TraitgenError
-from .generator import (
-    BfpCondition,
-    LstmConfig,
-    LstmModel,
-    generate,
-    train_generator,
-)
-from .harness import (
-    EVAL_TEMPERATURE,
-    SynthSpec,
-    default_synth_spec,
-    evaluate_generation,
-    render_table,
-    synth_corpus,
-)
-from .lexicon import (
-    assign_levels,
-    calibrate_thresholds,
-    load_lexicon,
-    load_thresholds,
-    save_lexicon,
-    save_thresholds,
-    score_tokens,
-    scores_by_trait,
-)
+from .classifier import CnnConfig, train_classifier, label_corpus
+from .errors import ConditionError, ConfigError, EncodingError, TraitgenError
+from .generator import BfpCondition, LstmConfig, generate, train_generator
+from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_generation,
+                      render_table, synth_corpus)
+from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
+                      save_lexicon, save_thresholds, score_tokens, scores_by_trait)
 from .numeric import Rng
 from .textproc import UNK_ID, read_corpus, write_corpus
 from .traits import TRAITS
@@ -56,39 +38,78 @@ from .traits import TRAITS
 PROG = "traitgen"
 
 
-class _Resolver:
-    """Merge builtin defaults, config-file section values, and flags."""
+@dataclasses.dataclass(frozen=True)
+class Opt:
+    """One option: its ``--flag``, its INI key and its manifest ``config`` key.
 
-    def __init__(self, args: argparse.Namespace, section: str):
-        self.args = vars(args)
-        self.section: dict[str, str] = {}
-        config_path = self.args.get("config")
-        if config_path:
-            parser = configparser.ConfigParser()
-            read = parser.read(config_path)
-            if not read:
-                raise ConfigError(f"config file not found: {config_path}")
-            if parser.has_section(section):
-                self.section = dict(parser.items(section))
-        self.resolved: dict[str, Any] = {}
+    ``type`` casts flag and INI strings alike; ``bool`` options are
+    ``store_true`` flags whose INI values must be a configparser boolean.
+    A ``reads`` option names an input file whose SHA-256 the manifest records.
+    """
 
-    def get(self, key: str, cast: Callable, default):
-        flag = self.args.get(key.replace("-", "_"))
-        if flag is not None:
-            value = flag
-        elif key in self.section:
-            raw = self.section[key]
-            if cast is bool:
-                value = raw.strip().lower() in ("1", "true", "yes", "on")
-            else:
-                try:
-                    value = cast(raw)
-                except ValueError as exc:
-                    raise ConfigError(f"config value {key}={raw!r}: {exc}") from exc
-        else:
-            value = default
-        self.resolved[key] = value
+    name: str
+    type: Callable[[str], Any] = str
+    default: Any = None
+    help: str = ""
+    choices: tuple[str, ...] | None = None
+    required: bool = False
+    reads: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A subcommand; ``func`` takes the resolved options and returns its manifest path."""
+
+    func: Callable[[dict[str, Any]], Path]
+    help: str
+    opts: tuple[Opt, ...]
+
+
+def _config_section(path: str, section: str) -> dict[str, str]:
+    """The raw values of ``section`` in a UTF-8 INI file; malformed files are user errors."""
+    parser = configparser.ConfigParser()
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"config file not found: {path}")
+        return dict(parser.items(section)) if parser.has_section(section) else {}
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+
+
+def _cast(opt: Opt, raw: str) -> Any:
+    """An INI value checked as strictly as the parser checks the flag."""
+    if opt.type is bool:
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if value is None:
+            raise ConfigError(f"config value {opt.name}={raw!r}: expected one of "
+                              + "/".join(configparser.ConfigParser.BOOLEAN_STATES))
         return value
+    try:
+        value = opt.type(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config value {opt.name}={raw!r}: {exc}") from exc
+    if opt.choices and value not in opt.choices:
+        raise ConfigError(f"config value {opt.name}={raw!r}: expected one of "
+                          + ", ".join(opt.choices))
+    return value
+
+
+def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
+    """Each option of ``command`` from its flag, else its INI value, else its default."""
+    flags = vars(args)
+    section = _config_section(flags["config"], command) if flags["config"] else {}
+    resolved: dict[str, Any] = {}
+    for opt in COMMANDS[command].opts:
+        if flags[opt.name] is not None:
+            value = flags[opt.name]
+        elif opt.name in section:
+            value = _cast(opt, section[opt.name])
+        else:
+            value = opt.default
+        if opt.required and not value:
+            raise ConfigError(f"missing required option --{opt.name}")
+        resolved[opt.name] = value
+    return resolved
 
 
 def _sha256(path: Path) -> str:
@@ -99,13 +120,14 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(target: Path, command: str, resolved: dict, seed: int | None,
-                    inputs: list[Path]) -> None:
+def _write_manifest(target: Path, command: str, resolved: dict[str, Any]) -> None:
     """Provenance record; deterministic bytes for identical invocations."""
+    inputs = [Path(resolved[opt.name]) for opt in COMMANDS[command].opts
+              if opt.reads and resolved[opt.name]]
     manifest = {
         "command": command,
         "version": __version__,
-        "seed": seed,
+        "seed": resolved.get("seed"),
         "config": {k: resolved[k] for k in sorted(resolved)},
         "inputs": {p.name: _sha256(p) for p in inputs},
     }
@@ -113,108 +135,82 @@ def _write_manifest(target: Path, command: str, resolved: dict, seed: int | None
                       encoding="utf-8")
 
 
-def _require_path(res: "_Resolver", key: str) -> Path:
-    value = res.get(key, str, None)
-    if not value:
-        raise ConfigError(f"missing required option --{key}")
-    return Path(value)
-
-
-def _out_dir(res: _Resolver) -> Path:
-    value = res.get("out", str, None)
-    if not value:
-        raise ConfigError("an output directory is required (--out)")
+def _out_dir(value: str) -> Path:
     out = Path(value)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _out_file(res: _Resolver) -> Path:
-    out = res.get("out", str, None)
-    if not out:
-        raise ConfigError("an output file is required (--out)")
-    path = Path(out)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
+def _out_file(value: str) -> Path:
+    path = Path(value)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
+def _beside(out: Path) -> Path:
+    """The manifest path for a single-file output."""
+    return out.with_name(out.name + ".manifest.json")
+
+
+def _model_config(cls, o: dict[str, Any], **fixed):
+    """A model config from the options named like its fields (``embed-dim`` -> ``embed_dim``)."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k.replace("-", "_"): v for k, v in o.items() if k.replace("-", "_") in names},
+               **fixed)
+
+
 def _read_seed_pool(path: str) -> list[str]:
-    tokens = [line.strip() for line in Path(path).read_text(encoding="utf-8").splitlines()]
-    return [t for t in tokens if t]
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{path}: not valid UTF-8: {exc}") from exc
+    return [t for t in (line.strip() for line in text.splitlines()) if t]
 
 
 def _unk_rate(docs, vocab) -> float:
     total = sum(len(d.tokens) for d in docs)
-    if total == 0:
-        return 0.0
     unk = sum(1 for d in docs for tok in d.tokens if vocab.id_of(tok) == UNK_ID)
-    return unk / total
+    return unk / total if total else 0.0
+
+
+def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------------- commands
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "synth")
-    spec_path = res.get("spec", str, None)
-    n = res.get("n", int, 4000)
-    seed = res.get("seed", int, 42)
-    out = _out_dir(res)
-    spec = SynthSpec.load(spec_path) if spec_path else default_synth_spec()
-    docs, lexicon = synth_corpus(spec, n, Rng(seed))
+def cmd_synth(o: dict[str, Any]) -> Path:
+    spec = SynthSpec.load(o["spec"]) if o["spec"] else default_synth_spec()
+    docs, lexicon = synth_corpus(spec, o["n"], Rng(o["seed"]))
+    out = _out_dir(o["out"])
     write_corpus(out / "corpus.jsonl", docs)
     save_lexicon(lexicon, out / "lexicon.json")
     spec.save(out / "spec.json")
-    inputs = [Path(spec_path)] if spec_path else []
-    _write_manifest(out / "manifest.json", "synth", res.resolved, seed, inputs)
-    print(f"wrote {n} documents to {out / 'corpus.jsonl'}")
-    return 0
+    print(f"wrote {o['n']} documents to {out / 'corpus.jsonl'}")
+    return out / "manifest.json"
 
 
-def cmd_train_classifier(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "train-classifier")
-    corpus_path = _require_path(res, "corpus")
-    seed = res.get("seed", int, 42)
-    mode = res.get("tokenize-mode", str, "whitespace")
-    config = CnnConfig(
-        vocab_size=0,
-        embed_dim=res.get("embed-dim", int, 32),
-        window=res.get("window", int, 3),
-        num_filters=res.get("num-filters", int, 64),
-        max_len=res.get("max-len", int, 64),
-        epochs=res.get("epochs", int, 10),
-        batch_size=res.get("batch-size", int, 32),
-        learning_rate=res.get("learning-rate", float, 1e-3),
-    )
-    out = _out_dir(res)
-    docs = read_corpus(corpus_path, mode=mode)
-    result = train_classifier(docs, config, Rng(seed))
+def cmd_train_classifier(o: dict[str, Any]) -> Path:
+    config = _model_config(CnnConfig, o, vocab_size=0)
+    docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
+    out = _out_dir(o["out"])
+    result = train_classifier(docs, config, Rng(o["seed"]))
     result.model.save(out / "classifier.json")
-    metrics = {
-        "best_epoch": result.best_epoch,
-        "best_accuracy": result.best_accuracy,
-        "per_epoch_accuracy": result.history,
-    }
+    metrics = {"best_epoch": result.best_epoch, "best_accuracy": result.best_accuracy,
+               "per_epoch_accuracy": result.history}
     (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
                                       encoding="utf-8")
-    _write_manifest(out / "manifest.json", "train-classifier", res.resolved, seed,
-                    [corpus_path])
     print(f"best epoch {result.best_epoch}: "
           + " ".join(f"{t}={result.best_accuracy[t]:.4f}" for t in TRAITS))
-    return 0
+    return out / "manifest.json"
 
 
-def cmd_label(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "label")
-    model_path = _require_path(res, "model")
-    in_path = _require_path(res, "in")
-    mode = res.get("tokenize-mode", str, "whitespace")
-    out = _out_file(res)
-    model = load_model(model_path)
-    if not isinstance(model, CnnModel):
-        raise ConfigError(f"{model_path} is not a classifier checkpoint")
-    docs = read_corpus(in_path, mode=mode)
+def cmd_label(o: dict[str, Any]) -> Path:
+    model = load_model(o["model"], expect_kind="cnn")
+    docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     rate = _unk_rate(docs, model.vocab)
     if rate > 0.5:
         raise ConfigError(
@@ -223,186 +219,208 @@ def cmd_label(args: argparse.Namespace) -> int:
     if rate > 0.1:
         print(f"{PROG}: warning: {rate:.0%} of corpus tokens are unknown to the model",
               file=sys.stderr)
+    out = _out_file(o["out"])
     write_corpus(out, label_corpus(docs, model))
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "label", res.resolved,
-                    None, [model_path, in_path])
     print(f"labeled {len(docs)} documents -> {out}")
-    return 0
+    return _beside(out)
 
 
-def cmd_train_generator(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "train-generator")
-    corpus_path = _require_path(res, "corpus")
-    seed = res.get("seed", int, 42)
-    mode = res.get("tokenize-mode", str, "whitespace")
-    unconditional = bool(res.get("unconditional", bool, False))
-    config = LstmConfig(
-        vocab_size=0,
-        embed_dim=res.get("embed-dim", int, 32),
-        hidden_dim=res.get("hidden-dim", int, 128),
-        cond_dim=0 if unconditional else 5,
-        max_len=res.get("max-len", int, 64),
-        epochs=res.get("epochs", int, 15),
-        batch_size=res.get("batch-size", int, 32),
-        learning_rate=res.get("learning-rate", float, 1e-3),
-        temperature=res.get("temperature", float, 1.0),
-    )
-    out = _out_dir(res)
-    docs = read_corpus(corpus_path, mode=mode)
-    result = train_generator(docs, config, Rng(seed))
+def cmd_train_generator(o: dict[str, Any]) -> Path:
+    config = _model_config(LstmConfig, o, vocab_size=0, cond_dim=0 if o["unconditional"] else 5)
+    docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
+    out = _out_dir(o["out"])
+    result = train_generator(docs, config, Rng(o["seed"]))
     result.model.save(out / "generator.json")
     (out / "losses.json").write_text(
         json.dumps({"epoch_mean_losses": result.epoch_mean_losses}, indent=2) + "\n",
         encoding="utf-8",
     )
-    _write_manifest(out / "manifest.json", "train-generator", res.resolved, seed,
-                    [corpus_path])
     losses = result.epoch_mean_losses
     trend = f"; loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else ""
     print(f"trained {config.epochs} epochs{trend}")
-    return 0
+    return out / "manifest.json"
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "generate")
-    model_path = _require_path(res, "model")
-    pool_path = str(_require_path(res, "seed-pool"))
-    n = res.get("n", int, 10)
+def cmd_generate(o: dict[str, Any]) -> Path:
+    n = o["n"]
     if n < 0:
         raise ConfigError(f"--n must be >= 0, got {n}")
-    seed = res.get("seed", int, 42)
-    condition_text = res.get("condition", str, None)
-    temperature = res.get("temperature", float, None)
-    max_len = res.get("max-len", int, None)
-    out = _out_file(res)
-    model = load_model(model_path)
-    if not isinstance(model, LstmModel):
-        raise ConfigError(f"{model_path} is not a generator checkpoint")
+    model = load_model(o["model"], expect_kind="lstm")
     condition = None
-    if condition_text:
+    if o["condition"]:
         try:
-            condition = BfpCondition.parse(condition_text)
-        except ConfigError:
-            raise
-        except Exception as exc:
+            condition = BfpCondition.parse(o["condition"])
+        except ConditionError as exc:
             raise ConfigError(
                 f"{exc} (valid syntax: \"E=1,A=0,C=1,N=0,O=1\", each trait exactly once)"
             ) from exc
-    pool = _read_seed_pool(pool_path)
-    rng = Rng(seed)
+    pool = _read_seed_pool(o["seed-pool"])
+    rng = Rng(o["seed"])
     streams = [rng.spawn(i) for i in range(n)]  # per-text streams: output independent of batching
     texts = generate(model, [condition] * n, pool, streams,
-                     temperature=temperature, max_len=max_len)
-    records = [{
+                     temperature=o["temperature"], max_len=o["max-len"])
+    out = _out_file(o["out"])
+    _write_jsonl(out, ({
         "text": " ".join(tokens),
         "condition": condition.to_string() if condition else None,
         "seed_word": tokens[0],
-    } for tokens in texts]
-    with open(out, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "generate", res.resolved,
-                    seed, [model_path, Path(pool_path)])
+    } for tokens in texts))
     print(f"generated {n} texts -> {out}")
-    return 0
+    return _beside(out)
 
 
-def cmd_score(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "score")
-    lexicon_path = _require_path(res, "lexicon")
-    in_path = _require_path(res, "in")
-    thresholds_path = res.get("thresholds", str, None)
-    want_levels = bool(res.get("levels", bool, False))
-    mode = res.get("tokenize-mode", str, "whitespace")
-    out = _out_file(res)
-    if want_levels and not thresholds_path:
+def cmd_score(o: dict[str, Any]) -> Path:
+    if o["levels"] and not o["thresholds"]:
         raise ConfigError("--levels requires --thresholds")
-    lexicon = load_lexicon(lexicon_path)
-    thresholds = load_thresholds(thresholds_path) if thresholds_path else None
-    docs = read_corpus(in_path, mode=mode)
-    inputs = [lexicon_path, in_path]
-    if thresholds_path:
-        inputs.append(Path(thresholds_path))
-    with open(out, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            scores = score_tokens(doc.tokens, lexicon)
-            record: dict[str, Any] = {"text": doc.raw_text, "scores": scores}
-            if thresholds is not None:
-                record["levels"] = assign_levels(scores, thresholds)
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "score", res.resolved,
-                    None, inputs)
+    lexicon = load_lexicon(o["lexicon"])
+    thresholds = load_thresholds(o["thresholds"]) if o["thresholds"] else None
+    docs = read_corpus(o["in"], mode=o["tokenize-mode"])
+
+    def record(doc) -> dict[str, Any]:
+        scores = score_tokens(doc.tokens, lexicon)
+        levels = {} if thresholds is None else {"levels": assign_levels(scores, thresholds)}
+        return {"text": doc.raw_text, "scores": scores, **levels}
+
+    out = _out_file(o["out"])
+    _write_jsonl(out, map(record, docs))
     print(f"scored {len(docs)} documents -> {out}")
-    return 0
+    return _beside(out)
 
 
-def cmd_calibrate(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "calibrate")
-    lexicon_path = _require_path(res, "lexicon")
-    in_path = _require_path(res, "in")
-    p_low = res.get("p-low", float, 1.0 / 3.0)
-    p_high = res.get("p-high", float, 2.0 / 3.0)
-    mode = res.get("tokenize-mode", str, "whitespace")
-    out = _out_file(res)
-    lexicon = load_lexicon(lexicon_path)
-    docs = read_corpus(in_path, mode=mode)
+def cmd_calibrate(o: dict[str, Any]) -> Path:
+    lexicon = load_lexicon(o["lexicon"])
+    docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     thresholds = calibrate_thresholds(
-        scores_by_trait((d.tokens for d in docs), lexicon), p_low=p_low, p_high=p_high
+        scores_by_trait((d.tokens for d in docs), lexicon), p_low=o["p-low"], p_high=o["p-high"]
     )
+    out = _out_file(o["out"])
     save_thresholds(thresholds, out)
-    _write_manifest(out.with_name(out.name + ".manifest.json"), "calibrate", res.resolved,
-                    None, [lexicon_path, in_path])
     print(f"calibrated thresholds -> {out}")
-    return 0
+    return _beside(out)
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    res = _Resolver(args, "evaluate")
-    model_path = _require_path(res, "model")
-    baseline_path = _require_path(res, "baseline")
-    lexicon_path = _require_path(res, "lexicon")
-    thresholds_path = _require_path(res, "thresholds")
-    pool_path = str(_require_path(res, "seed-pool"))
-    n_per_condition = res.get("n-per-condition", int, 500)
-    seed = res.get("seed", int, 42)
-    temperature = res.get("temperature", float, EVAL_TEMPERATURE)
-    max_len = res.get("max-len", int, None)
-    out = _out_dir(res)
-
-    model = load_model(model_path)
-    baseline = load_model(baseline_path)
-    if not isinstance(model, LstmModel) or not isinstance(baseline, LstmModel):
-        raise ConfigError("evaluate needs generator checkpoints")
-    lexicon = load_lexicon(lexicon_path)
-    thresholds = load_thresholds(thresholds_path)
-    model_tokens = set(model.vocab.non_special_tokens())
-    entry_tokens = lexicon.all_entry_tokens()
-    if not (model_tokens & entry_tokens):
+def cmd_evaluate(o: dict[str, Any]) -> Path:
+    model = load_model(o["model"], expect_kind="lstm")
+    baseline = load_model(o["baseline"], expect_kind="lstm")
+    lexicon = load_lexicon(o["lexicon"])
+    thresholds = load_thresholds(o["thresholds"])
+    if not lexicon.all_entry_tokens() & set(model.vocab.non_special_tokens()):
         raise ConfigError("model vocabulary shares no tokens with the lexicon")
-    pool = _read_seed_pool(pool_path)
-
+    pool = _read_seed_pool(o["seed-pool"])
+    out = _out_dir(o["out"])
     texts: list[dict] = []
     report = evaluate_generation(
-        model, baseline, lexicon, thresholds, n_per_condition, pool, Rng(seed),
-        temperature=temperature, max_len=max_len, collect=texts,
+        model, baseline, lexicon, thresholds, o["n-per-condition"], pool, Rng(o["seed"]),
+        temperature=o["temperature"], max_len=o["max-len"], collect=texts,
     )
     report.save(out / "report.json")
     (out / "table.txt").write_text(render_table(report) + "\n", encoding="utf-8")
-    with open(out / "generations.jsonl", "w", encoding="utf-8") as fh:
-        for record in texts:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-    _write_manifest(out / "manifest.json", "evaluate", res.resolved, seed,
-                    [model_path, baseline_path, lexicon_path, thresholds_path,
-                     Path(pool_path)])
+    _write_jsonl(out / "generations.jsonl", texts)
     print(render_table(report))
-    return 0
+    return out / "manifest.json"
 
 
-# --------------------------------------------------------------------- parser
+# ---------------------------------------------------------------------- table
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="INI config file; flags override its values")
+def _input(name: str, help: str) -> Opt:
+    return Opt(name, help=help, required=True, reads=True)
+
+
+_SEED = Opt("seed", int, 42, "master seed")
+_MODE = Opt("tokenize-mode", str, "whitespace", "tokenizer",
+            choices=("whitespace", "cjk_char"))
+_OUT_DIR = Opt("out", help="output directory", required=True)
+_OUT_FILE = Opt("out", help="output file", required=True)
+_SCHEDULE = (  # shared by both trainers
+    Opt("batch-size", int, 32, "minibatch size"),
+    Opt("learning-rate", float, 1e-3, "Adam step size"),
+    Opt("embed-dim", int, 32, "token embedding width"),
+)
+
+COMMANDS: dict[str, Command] = {
+    "synth": Command(cmd_synth, "generate a planted-signal corpus and lexicon", (
+        Opt("spec", help="corpus spec JSON (default: built-in)", reads=True),
+        Opt("n", int, 4000, "number of documents"),
+        _SEED,
+        _OUT_DIR,
+    )),
+    "train-classifier": Command(cmd_train_classifier, "train the CNN trait classifier", (
+        _input("corpus", "labeled corpus JSONL"),
+        _OUT_DIR,
+        _SEED,
+        Opt("epochs", int, 10, "training epochs"),
+        *_SCHEDULE,
+        Opt("window", int, 3, "convolution window width"),
+        Opt("num-filters", int, 64, "convolution filters"),
+        Opt("max-len", int, 64, "tokens kept per document"),
+        _MODE,
+    )),
+    "label": Command(cmd_label, "auto-label a corpus with a trained classifier", (
+        _input("model", "classifier checkpoint"),
+        _input("in", "corpus JSONL to label"),
+        _OUT_FILE,
+        _MODE,
+    )),
+    "train-generator": Command(cmd_train_generator, "train the conditional LSTM generator", (
+        _input("corpus", "labeled corpus JSONL"),
+        _OUT_DIR,
+        _SEED,
+        Opt("unconditional", bool, False, "train the cond_dim-0 baseline"),
+        Opt("epochs", int, 15, "training epochs"),
+        *_SCHEDULE,
+        Opt("hidden-dim", int, 128, "LSTM hidden width"),
+        Opt("max-len", int, 64, "tokens kept per document"),
+        Opt("temperature", float, 1.0, "sampling temperature stored in the checkpoint"),
+        _MODE,
+    )),
+    "generate": Command(cmd_generate, "sample texts from a trained generator", (
+        _input("model", "generator checkpoint"),
+        Opt("condition", help='e.g. "E=1,A=0,C=1,N=0,O=1" (omit for unconditional)'),
+        Opt("n", int, 10, "number of texts"),
+        _input("seed-pool", "file with one seed token per line"),
+        Opt("temperature", float, help="sampling temperature (default: the model's)"),
+        Opt("max-len", int, help="longest text (default: the model's)"),
+        _SEED,
+        _OUT_FILE,
+    )),
+    "score": Command(cmd_score, "score texts with a lexicon", (
+        _input("lexicon", "lexicon JSON"),
+        _input("in", "corpus JSONL"),
+        Opt("thresholds", help="thresholds JSON for level assignment", reads=True),
+        Opt("levels", bool, False, "require level assignment (needs --thresholds)"),
+        _OUT_FILE,
+        _MODE,
+    )),
+    "calibrate": Command(cmd_calibrate, "calibrate tertile thresholds on a corpus", (
+        _input("lexicon", "lexicon JSON"),
+        _input("in", "reference corpus JSONL"),
+        Opt("p-low", float, 1.0 / 3.0, "low/medium percentile"),
+        Opt("p-high", float, 2.0 / 3.0, "medium/high percentile"),
+        _OUT_FILE,
+        _MODE,
+    )),
+    "evaluate": Command(cmd_evaluate, "level-distribution report for a generator pair", (
+        _input("model", "conditional generator checkpoint"),
+        _input("baseline", "unconditional generator checkpoint"),
+        _input("lexicon", "lexicon JSON"),
+        _input("thresholds", "thresholds JSON"),
+        Opt("n-per-condition", int, 500, "texts per trait polarity"),
+        _input("seed-pool", "file with one seed token per line"),
+        Opt("temperature", float, EVAL_TEMPERATURE, "sampling temperature"),
+        Opt("max-len", int, help="longest text (default: the model's)"),
+        _SEED,
+        _OUT_DIR,
+    )),
+}
+
+
+def _help(opt: Opt) -> str:
+    if opt.required:
+        return f"{opt.help} (required)"
+    if opt.default is None or opt.type is bool:
+        return opt.help
+    return f"{opt.help} (default: {opt.default})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,118 +430,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("synth", help="generate a planted-signal corpus and lexicon")
-    p.add_argument("--spec", help="corpus spec JSON (default: built-in)")
-    p.add_argument("--n", type=int, help="number of documents (default 4000)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = commands.add_parser("train-classifier", help="train the CNN trait classifier")
-    p.add_argument("--corpus", help="labeled corpus JSONL")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--window", type=int)
-    p.add_argument("--num-filters", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--tokenize-mode", choices=["whitespace", "cjk_char"])
-    _add_common(p)
-    p.set_defaults(func=cmd_train_classifier)
-
-    p = commands.add_parser("label", help="auto-label a corpus with a trained classifier")
-    p.add_argument("--model", help="classifier checkpoint")
-    p.add_argument("--in", dest="in_", help="corpus JSONL to label")
-    p.add_argument("--out", help="output JSONL")
-    p.add_argument("--tokenize-mode", choices=["whitespace", "cjk_char"])
-    _add_common(p)
-    p.set_defaults(func=cmd_label)
-
-    p = commands.add_parser("train-generator", help="train the conditional LSTM generator")
-    p.add_argument("--corpus", help="labeled corpus JSONL")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--unconditional", action="store_true", default=None,
-                   help="train the cond_dim-0 baseline")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--embed-dim", type=int)
-    p.add_argument("--hidden-dim", type=int)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--tokenize-mode", choices=["whitespace", "cjk_char"])
-    _add_common(p)
-    p.set_defaults(func=cmd_train_generator)
-
-    p = commands.add_parser("generate", help="sample texts from a trained generator")
-    p.add_argument("--model", help="generator checkpoint")
-    p.add_argument("--condition", help='e.g. "E=1,A=0,C=1,N=0,O=1" (omit for unconditional)')
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed-pool", help="file with one seed token per line")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output JSONL")
-    _add_common(p)
-    p.set_defaults(func=cmd_generate)
-
-    p = commands.add_parser("score", help="score texts with a lexicon")
-    p.add_argument("--lexicon")
-    p.add_argument("--in", dest="in_", help="corpus JSONL")
-    p.add_argument("--thresholds", help="thresholds JSON for level assignment")
-    p.add_argument("--levels", action="store_true", default=None,
-                   help="require level assignment (needs --thresholds)")
-    p.add_argument("--out", help="output JSONL")
-    p.add_argument("--tokenize-mode", choices=["whitespace", "cjk_char"])
-    _add_common(p)
-    p.set_defaults(func=cmd_score)
-
-    p = commands.add_parser("calibrate", help="calibrate tertile thresholds on a corpus")
-    p.add_argument("--lexicon")
-    p.add_argument("--in", dest="in_", help="reference corpus JSONL")
-    p.add_argument("--p-low", type=float)
-    p.add_argument("--p-high", type=float)
-    p.add_argument("--out", help="thresholds JSON path")
-    p.add_argument("--tokenize-mode", choices=["whitespace", "cjk_char"])
-    _add_common(p)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = commands.add_parser("evaluate", help="level-distribution report for a generator pair")
-    p.add_argument("--model", help="conditional generator checkpoint")
-    p.add_argument("--baseline", help="unconditional generator checkpoint")
-    p.add_argument("--lexicon")
-    p.add_argument("--thresholds")
-    p.add_argument("--n-per-condition", type=int)
-    p.add_argument("--seed-pool")
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output directory")
-    _add_common(p)
-    p.set_defaults(func=cmd_evaluate)
-
+    for name, command in COMMANDS.items():
+        sub = commands.add_parser(name, help=command.help)
+        for opt in command.opts:
+            kind = ({"action": "store_true", "default": None} if opt.type is bool
+                    else {"type": opt.type, "choices": opt.choices})
+            sub.add_argument(f"--{opt.name}", dest=opt.name, help=_help(opt), **kind)
+        sub.add_argument("--config", help="INI config file; flags override its values")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    # argparse stores --in as in_; the resolver reads plain keys
-    if hasattr(args, "in_"):
-        setattr(args, "in", args.in_)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except TraitgenError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # every path a command touches comes from the user
+        resolved = _resolve(args, args.command)
+        _write_manifest(COMMANDS[args.command].func(resolved), args.command, resolved)
+        return 0
+    except (TraitgenError, OSError) as exc:  # every path a command touches comes from the user
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - genuine bugs

@@ -53,9 +53,5 @@ class MissingLabelError(TraitgenError):
     """A document lacks the trait labels required for conditional training."""
 
 
-class MissingOracleError(TraitgenError):
-    """A document carries no ground-truth provenance."""
-
-
 class ConfigError(TraitgenError):
     """Invalid command-line or config-file usage."""

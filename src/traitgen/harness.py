@@ -25,12 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .errors import (
-    ConfigError,
-    InsufficientDataError,
-    MissingOracleError,
-    ValidationError,
-)
+from .errors import ConfigError, InsufficientDataError, ValidationError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
     Category,
@@ -40,7 +35,7 @@ from .lexicon import (
     score_tokens,
 )
 from .numeric import Rng
-from .textproc import Document
+from .textproc import Document, read_json
 from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
 
 # Neutral-chain shape: each neutral token has up to this many successors,
@@ -99,13 +94,6 @@ class SynthSpec:
                     )
                 seen[tok] = name
 
-    def all_tokens(self) -> list[str]:
-        out = list(self.neutral_tokens)
-        for t in TRAITS:
-            out.extend(self.markers[t]["high"])
-            out.extend(self.markers[t]["low"])
-        return out
-
     def as_dict(self) -> dict:
         return {
             "pi": self.pi,
@@ -131,7 +119,7 @@ class SynthSpec:
                 len_max=int(payload.get("len_max", 50)),
                 neutral_bigram_smoothing=float(payload.get("neutral_bigram_smoothing", 0.55)),
             )
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed corpus spec: {exc}") from exc
         spec.validate()
         return spec
@@ -144,8 +132,7 @@ class SynthSpec:
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthSpec":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def default_synth_spec() -> SynthSpec:
@@ -243,13 +230,6 @@ def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document]
         raise ValidationError(f"n_docs must be non-negative, got {n_docs}")
     docs = [_synth_document(spec, rng.spawn(i)) for i in range(n_docs)]
     return docs, matched_lexicon(spec)
-
-
-def oracle_label(doc: Document, spec: SynthSpec) -> dict[str, int]:
-    """Ground-truth latent polarity vector stored at generation time."""
-    if doc.labels is None:
-        raise MissingOracleError("document carries no planted-label provenance")
-    return dict(doc.labels)
 
 
 def marker_count_label(tokens: Sequence[str], spec: SynthSpec) -> dict[str, int | None]:

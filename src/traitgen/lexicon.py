@@ -17,7 +17,12 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ValidationError
+from .textproc import read_json
 from .traits import HIGH, LOW, MEDIUM, TRAITS
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,6 +57,8 @@ class Lexicon:
                 f"weight matrix has {len(weights)} rows for {len(categories)} categories"
             )
         for name, row in zip(names, weights):
+            if not (isinstance(row, (list, tuple)) and all(map(_is_number, row))):
+                raise ValidationError(f"weight row for category {name!r} must be a list of numbers")
             if len(row) != len(TRAITS):
                 raise ValidationError(
                     f"weight row for category {name!r} has {len(row)} entries, expected {len(TRAITS)}"
@@ -113,15 +120,15 @@ def lexicon_from_dict(payload: dict) -> Lexicon:
         raise ValidationError("lexicon needs a 'weights' matrix")
     categories = []
     for item in raw_categories:
-        if not isinstance(item, dict) or "name" not in item or "entries" not in item:
-            raise ValidationError("each category needs 'name' and 'entries'")
+        if not (isinstance(item, dict) and isinstance(item.get("name"), str)
+                and isinstance(item.get("entries"), list)):
+            raise ValidationError("each category needs a 'name' string and an 'entries' list")
         categories.append(_parse_entries(item["name"], item["entries"]))
     return Lexicon(categories, weights)
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
-        return lexicon_from_dict(json.load(fh))
+    return lexicon_from_dict(read_json(path))
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
@@ -210,7 +217,7 @@ class LevelThresholds:
                 t: (float(payload[t]["low_cut"]), float(payload[t]["high_cut"]))
                 for t in TRAITS
             }
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed thresholds document: {exc}") from exc
         return cls(cuts)
 
@@ -222,8 +229,7 @@ def save_thresholds(thresholds: LevelThresholds, path: str | Path) -> None:
 
 
 def load_thresholds(path: str | Path) -> LevelThresholds:
-    with open(path, encoding="utf-8") as fh:
-        return LevelThresholds.from_dict(json.load(fh))
+    return LevelThresholds.from_dict(read_json(path))
 
 
 def _nearest_rank(sorted_scores: list[float], p: float) -> float:

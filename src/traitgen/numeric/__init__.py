@@ -1,6 +1,6 @@
 """Numeric core: matrices, differentiable ops, optimizer, gradient checks."""
 
-from .gradcheck import GradCheckReport, gradient_check
+from .gradcheck import gradient_check
 from .matrix import (
     Matrix,
     affine,
@@ -20,7 +20,6 @@ from .optim import (
 from .rng import Rng
 
 __all__ = [
-    "GradCheckReport",
     "Matrix",
     "Parameter",
     "Rng",

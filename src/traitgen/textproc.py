@@ -13,7 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import EncodingError, InvalidIdError, ShapeError, ValidationError
 from .traits import check_label_map, check_level_map
@@ -23,7 +23,7 @@ SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 
 # Corpus tokens that collide with a special surface form (or start with the
 # sentinel itself) are stored with this prefix so the token<->id map stays a
-# bijection. Decode strips one leading sentinel.
+# bijection. ``Vocabulary.token_of`` strips one leading sentinel.
 _SENTINEL = "\x1f"
 
 _CJK_RANGES = (
@@ -182,17 +182,6 @@ def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> EncodedTex
     return EncodedText(ids=ids, mask=mask)
 
 
-def decode(ids: Sequence[int], vocab: Vocabulary) -> list[str]:
-    """Map ids back to tokens, dropping PAD, BOS, and EOS."""
-    out = []
-    for i in ids:
-        token = vocab.token_of(int(i))  # validates the id range
-        if int(i) in (PAD_ID, BOS_ID, EOS_ID):
-            continue
-        out.append(token)
-    return out
-
-
 @dataclass
 class Document:
     """One short text with optional trait labels and levels."""
@@ -205,6 +194,14 @@ class Document:
     @classmethod
     def from_text(cls, raw_text: str, mode: str = "whitespace", **kw) -> "Document":
         return cls(raw_text=raw_text, tokens=tokenize(raw_text, mode), **kw)
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a UTF-8 JSON file; undecodable or malformed text raises ValidationError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:

@@ -7,7 +7,7 @@ import pytest
 
 import traitgen.classifier
 import traitgen.generator
-from traitgen.cli import main
+from traitgen.cli import COMMANDS, _resolve, build_parser, main
 from traitgen.harness import SynthSpec, default_synth_spec
 from traitgen.lexicon import load_thresholds
 from traitgen.textproc import read_corpus
@@ -517,3 +517,128 @@ def test_nonexistent_input_file_exits_2(tmp_path, capsys) -> None:
     assert run("synth", "--spec", str(tmp_path / "missing.json"), "--n", "2",
                "--out", str(tmp_path / "o")) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags, ini", [
+    ("synth", [], b"n = 5\n"),
+    ("synth", [], b"[synth]\nn = 5\nn = 6\n"),
+    ("synth", [], b"[synth]\n# caf\xe9\nn = 5\n"),
+    ("synth", [], b"[synth]\nspec = %(x)s\n"),
+    ("train-generator", ["--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4",
+                         "--max-len", "16"], b"[train-generator]\nunconditional = maybe\n"),
+    ("score", ["--lexicon", "lexicon"], b"[score]\nlevels = maybe\n"),
+    ("score", ["--lexicon", "lexicon"], b"[score]\ntokenize-mode = bogus\n"),
+], ids=["no-section-header", "duplicate-key", "not-utf8", "bad-interpolation",
+        "boolean-maybe", "levels-maybe", "choice-not-allowed"])
+def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, flags, ini) -> None:
+    config = tmp_path / "run.ini"
+    config.write_bytes(ini)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    io = {"synth": ["--n", "2"], "train-generator": ["--corpus", str(pipeline["corpus"])],
+          "score": ["--in", str(empty)]}[command]
+    flags = [str(pipeline["lexicon"]) if f == "lexicon" else f for f in flags]
+    out = tmp_path / "out"
+    assert run(command, *io, *flags, "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: config ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "run.ini"]
+
+
+def _lexicon_with(weights) -> str:
+    return json.dumps({"trait_order": list(TRAITS),
+                       "categories": [{"name": "x", "entries": ["w000"]}],
+                       "weights": [weights]})
+
+
+@pytest.mark.parametrize("option, content", [
+    ("--lexicon", b"{not json"),
+    ("--lexicon", _lexicon_with(0.5).encode()),
+    ("--lexicon", _lexicon_with([1, 0, "x", 0, 0]).encode()),
+    ("--lexicon", json.dumps({"trait_order": list(TRAITS), "categories": [{"name": "x", "entries": 5}],
+                              "weights": [[1, 0, 0, 0, 0]]}).encode()),
+    ("--thresholds", b"[1, 2"),
+    ("--thresholds", json.dumps({t: {"low_cut": "x", "high_cut": 1} for t in TRAITS}).encode()),
+    ("--spec", b"\n\n}"),
+    ("--spec", json.dumps({**default_synth_spec().as_dict(), "len_min": "x"}).encode()),
+    ("--seed-pool", b"w000\n\xff\n"),
+    ("--model", b"\xff{}"),
+], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
+        "lexicon-entries-not-list", "thresholds-not-json", "thresholds-string-cut",
+        "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8"])
+def test_malformed_json_input_exits_2(tmp_path, pipeline, capsys, option, content) -> None:
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    out = tmp_path / "out"
+    command = {
+        "--lexicon": ["score", "--in", str(pipeline["corpus"])],
+        "--thresholds": ["score", "--lexicon", str(pipeline["lexicon"]),
+                         "--in", str(pipeline["corpus"]), "--levels"],
+        "--spec": ["synth", "--n", "2"],
+        "--seed-pool": ["generate", "--model", str(pipeline["baseline"]), "--n", "1"],
+        "--model": ["generate", "--seed-pool", str(pipeline["pool"]), "--n", "1"],
+    }[option]
+    assert run(*command, option, str(bad), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad"]
+
+
+# ------------------------------------------------------------------ option table
+
+MANIFEST_CONFIG_KEYS = {
+    "synth": ["n", "out", "seed", "spec"],
+    "train-classifier": ["batch-size", "corpus", "embed-dim", "epochs", "learning-rate",
+                         "max-len", "num-filters", "out", "seed", "tokenize-mode", "window"],
+    "label": ["in", "model", "out", "tokenize-mode"],
+    "train-generator": ["batch-size", "corpus", "embed-dim", "epochs", "hidden-dim",
+                        "learning-rate", "max-len", "out", "seed", "temperature",
+                        "tokenize-mode", "unconditional"],
+    "generate": ["condition", "max-len", "model", "n", "out", "seed", "seed-pool",
+                 "temperature"],
+    "score": ["in", "levels", "lexicon", "out", "thresholds", "tokenize-mode"],
+    "calibrate": ["in", "lexicon", "out", "p-high", "p-low", "tokenize-mode"],
+    "evaluate": ["baseline", "lexicon", "max-len", "model", "n-per-condition", "out", "seed",
+                 "seed-pool", "temperature", "thresholds"],
+}
+
+
+def _sample(opt) -> str:
+    if opt.type is bool:
+        return "true"
+    if opt.choices:
+        return opt.choices[-1]
+    return {int: "7", float: "0.25", str: "some/file.txt"}[opt.type]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_flag_and_config_value_resolve_alike(tmp_path, command) -> None:
+    opts = COMMANDS[command].opts
+    assert sorted(opt.name for opt in opts) == MANIFEST_CONFIG_KEYS[command]
+    parser = build_parser()
+    for opt in opts:
+        others = [arg for o in opts if o.required and o is not opt
+                  for arg in (f"--{o.name}", f"{o.name}.txt")]
+        value = _sample(opt)
+        flag = [f"--{opt.name}"] if opt.type is bool else [f"--{opt.name}", value]
+        config = tmp_path / f"{opt.name}.ini"
+        config.write_text(f"[{command}]\n{opt.name} = {value}\n", encoding="utf-8")
+        by_flag = _resolve(parser.parse_args([command, *others, *flag]), command)
+        by_config = _resolve(parser.parse_args([command, *others, "--config", str(config)]),
+                             command)
+        assert by_flag == by_config, opt.name
+        assert list(by_flag) == [o.name for o in opts]
+        assert by_flag[opt.name] != opt.default
+        if not opt.required:
+            by_default = _resolve(parser.parse_args([command, *others]), command)
+            assert by_default[opt.name] == opt.default
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_lists_every_option(capsys, command) -> None:
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    usage = capsys.readouterr().out
+    for opt in COMMANDS[command].opts:
+        assert f"--{opt.name}" in usage

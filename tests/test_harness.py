@@ -8,7 +8,6 @@ import pytest
 from traitgen.errors import (
     ConfigError,
     InsufficientDataError,
-    MissingOracleError,
     ValidationError,
 )
 from traitgen.generator import LstmConfig, LstmModel
@@ -22,7 +21,6 @@ from traitgen.harness import (
     generation_accuracy,
     marker_count_label,
     matched_lexicon,
-    oracle_label,
     render_table,
     synth_corpus,
 )
@@ -33,7 +31,7 @@ from traitgen.lexicon import (
     scores_by_trait,
 )
 from traitgen.numeric import Rng
-from traitgen.textproc import Document, Vocabulary, write_corpus
+from traitgen.textproc import Vocabulary, write_corpus
 from traitgen.traits import HIGH, LOW, MEDIUM, TRAITS
 
 
@@ -61,7 +59,7 @@ def test_default_spec_is_valid_and_sized_as_documented() -> None:
     spec = default_synth_spec()
     spec.validate()
     assert len(spec.neutral_tokens) == 340
-    assert len(spec.all_tokens()) == 340 + 60
+    assert sum(len(spec.markers[t][k]) for t in TRAITS for k in ("high", "low")) == 60
 
 
 def test_spec_rejects_overlapping_sets() -> None:
@@ -144,18 +142,6 @@ def test_pi_one_all_high_documents_contain_only_high_markers() -> None:
 # -------------------------------------------------------------------- oracles
 
 
-def test_oracle_label_returns_stored_latent() -> None:
-    spec = small_spec()
-    docs, _ = synth_corpus(spec, 5, Rng(11))
-    for doc in docs:
-        assert oracle_label(doc, spec) == doc.labels
-
-
-def test_oracle_label_requires_provenance() -> None:
-    with pytest.raises(MissingOracleError):
-        oracle_label(Document("x", ["x"]), small_spec())
-
-
 def test_counting_oracle_abstains_without_markers() -> None:
     spec = small_spec()
     out = marker_count_label(["n00", "n01"], spec)
@@ -223,7 +209,8 @@ def test_tertile_calibration_separates_planted_clusters_purely() -> None:
 def eval_fixture():
     spec = small_spec()
     docs, lex = synth_corpus(spec, 60, Rng(19))
-    vocab = Vocabulary.build([spec.all_tokens()], min_count=1)
+    markers = [tok for t in TRAITS for k in ("high", "low") for tok in spec.markers[t][k]]
+    vocab = Vocabulary.build([spec.neutral_tokens + markers], min_count=1)
     cond = LstmModel.init(
         LstmConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, cond_dim=5, max_len=10),
         vocab, Rng(23),
