@@ -519,44 +519,44 @@ def test_nonexistent_input_file_exits_2(tmp_path, capsys) -> None:
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command, flags, ini", [
-    ("synth", [], b"n = 5\n"),
-    ("synth", [], b"[synth]\nn = 5\nn = 6\n"),
-    ("synth", [], b"[synth]\n# caf\xe9\nn = 5\n"),
-    ("synth", [], b"[synth]\nspec = %(x)s\n"),
-    ("train-generator", ["--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4",
-                         "--max-len", "16"], b"[train-generator]\nunconditional = maybe\n"),
-    ("score", ["--lexicon", "lexicon"], b"[score]\nlevels = maybe\n"),
-    ("score", ["--lexicon", "lexicon"], b"[score]\ntokenize-mode = bogus\n"),
+@pytest.mark.parametrize("command, ini", [
+    ("synth", b"n = 5\n"),
+    ("synth", b"[synth]\nn = 5\nn = 6\n"),
+    ("synth", b"[synth]\n# caf\xe9\nn = 5\n"),
+    ("synth", b"[synth]\nspec = %(x)s\n"),
+    ("train-generator", b"[train-generator]\nunconditional = maybe\n"),
+    ("score", b"[score]\nlevels = maybe\n"),
+    ("score", b"[score]\ntokenize-mode = bogus\n"),
 ], ids=["no-section-header", "duplicate-key", "not-utf8", "bad-interpolation",
         "boolean-maybe", "levels-maybe", "choice-not-allowed"])
-def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, flags, ini) -> None:
+def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> None:
     config = tmp_path / "run.ini"
     config.write_bytes(ini)
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
-    io = {"synth": ["--n", "2"], "train-generator": ["--corpus", str(pipeline["corpus"])],
-          "score": ["--in", str(empty)]}[command]
-    flags = [str(pipeline["lexicon"]) if f == "lexicon" else f for f in flags]
-    out = tmp_path / "out"
-    assert run(command, *io, *flags, "--config", str(config), "--out", str(out)) == 2
+    flags = {
+        "synth": ["--n", "2"],
+        "train-generator": ["--corpus", str(pipeline["corpus"]), "--epochs", "1",
+                            "--embed-dim", "4", "--hidden-dim", "4", "--max-len", "16"],
+        "score": ["--lexicon", str(pipeline["lexicon"]), "--in", str(empty)],
+    }[command]
+    assert run(command, *flags, "--config", str(config), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err.startswith("traitgen: error: config ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "run.ini"]
 
 
-def _lexicon_with(weights) -> str:
+def _lexicon_with(weights, entries=("w000",)) -> bytes:
     return json.dumps({"trait_order": list(TRAITS),
-                       "categories": [{"name": "x", "entries": ["w000"]}],
-                       "weights": [weights]})
+                       "categories": [{"name": "x", "entries": entries}],
+                       "weights": [weights]}).encode()
 
 
 @pytest.mark.parametrize("option, content", [
     ("--lexicon", b"{not json"),
-    ("--lexicon", _lexicon_with(0.5).encode()),
-    ("--lexicon", _lexicon_with([1, 0, "x", 0, 0]).encode()),
-    ("--lexicon", json.dumps({"trait_order": list(TRAITS), "categories": [{"name": "x", "entries": 5}],
-                              "weights": [[1, 0, 0, 0, 0]]}).encode()),
+    ("--lexicon", _lexicon_with(0.5)),
+    ("--lexicon", _lexicon_with([1, 0, "x", 0, 0])),
+    ("--lexicon", _lexicon_with([1, 0, 0, 0, 0], entries=5)),
     ("--thresholds", b"[1, 2"),
     ("--thresholds", json.dumps({t: {"low_cut": "x", "high_cut": 1} for t in TRAITS}).encode()),
     ("--spec", b"\n\n}"),
