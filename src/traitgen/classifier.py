@@ -25,6 +25,7 @@ from .numeric import (
     Parameter,
     Rng,
     adam_step,
+    add_rows_at,
     affine,
     check_finite,
     check_schedule,
@@ -180,7 +181,7 @@ def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
     model.conv_w.grad += d_conv_t.a.T
     model.conv_b.grad += d_conv_b.a
     k = model.config.embed_dim
-    np.add.at(model.embedding.grad, win_ids.reshape(-1), d_win.a.reshape(-1, k))
+    add_rows_at(model.embedding.grad, win_ids.reshape(-1), d_win.a.reshape(-1, k))
 
 
 def classifier_forward(texts: Sequence[Sequence[str]], model: CnnModel) -> np.ndarray:

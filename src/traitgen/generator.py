@@ -37,6 +37,7 @@ from .numeric import (
     Parameter,
     Rng,
     adam_step,
+    add_rows_at,
     check_finite,
     check_schedule,
     clip_global_norm,
@@ -238,7 +239,8 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
         h, c, acts = _cell(model, xh, c_prev)
         h_all[t * b:(t + 1) * b] = h
         caches.append((c_prev, acts))
-    logits = h_all @ model.out_w.value + model.out_b.value
+    logits = h_all @ model.out_w.value
+    logits += model.out_b.value
     return logits, h_all, xh_all, caches
 
 
@@ -311,7 +313,7 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
 
     model.gates_w.grad += xh_all.T @ dz_all
     model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)
-    np.add.at(model.embedding.grad, ids[:, :steps].T.reshape(-1), demb_all)
+    add_rows_at(model.embedding.grad, ids[:, :steps].T.reshape(-1), demb_all)
     return loss, float(mask_flat.sum())
 
 

@@ -12,6 +12,7 @@ from .matrix import (
 from .optim import (
     Parameter,
     adam_step,
+    add_rows_at,
     check_finite,
     check_schedule,
     clip_global_norm,
@@ -24,6 +25,7 @@ __all__ = [
     "Parameter",
     "Rng",
     "adam_step",
+    "add_rows_at",
     "check_finite",
     "check_schedule",
     "affine",

@@ -14,11 +14,12 @@ class Parameter:
 
     ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 2-D, C-contiguous
     float64 arrays of one shape, owned by the parameter and only ever
-    written in place, so a view of any of them stays live. Updates require
-    exclusive access; everything else is read-only safe.
+    written in place, so a view of any of them stays live. ``scratch``
+    holds two more arrays of that shape in which :func:`adam_step` works.
+    Updates require exclusive access; everything else is read-only safe.
     """
 
-    __slots__ = ("name", "value", "grad", "opt_m", "opt_v", "step_count")
+    __slots__ = ("name", "value", "grad", "opt_m", "opt_v", "scratch", "step_count")
 
     def __init__(self, name: str, value: np.typing.ArrayLike) -> None:
         a = np.array(value, dtype=np.float64, order="C")  # always a copy
@@ -30,6 +31,7 @@ class Parameter:
         self.grad = np.zeros_like(a)
         self.opt_m = np.zeros_like(a)
         self.opt_v = np.zeros_like(a)
+        self.scratch = np.empty((2,) + a.shape)
         self.step_count = 0
 
     def zero_grad(self) -> None:
@@ -71,7 +73,10 @@ def adam_step(
     """One Adam update with bias correction.
 
     Increments ``step_count`` and updates ``value`` in place; the gradient
-    buffer is left intact until ``zero_grad`` is called.
+    buffer is left intact until ``zero_grad`` is called. Evaluates
+    ``value -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by operation
+    in ``param.scratch``, so the bits are those of the textbook expression
+    and no array is allocated.
     """
     g = param.grad
     if not np.isfinite(g).all():
@@ -79,14 +84,37 @@ def adam_step(
     param.step_count += 1
     t = param.step_count
     m, v = param.opt_m, param.opt_v
+    a, b = param.scratch
     m *= beta1
-    m += (1.0 - beta1) * g
+    m += np.multiply(g, 1.0 - beta1, out=a)
     v *= beta2
-    v += (1.0 - beta2) * (g * g)
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    param.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.multiply(g, g, out=a)
+    v += np.multiply(a, 1.0 - beta2, out=a)
+    np.divide(m, 1.0 - beta1 ** t, out=a)  # m_hat
+    a *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=b)  # v_hat
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    param.value -= a
     return param
+
+
+def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``np.add.at(out, ids, rows)`` for a 2-D ``out``, bit for bit, in one ``np.bincount``.
+
+    Row ``rows[i]`` is added into ``out[ids[i]]``. ``np.bincount`` sums
+    its weights in input order, and each bin starts with the current value
+    of ``out``, so every entry sees the additions of ``np.add.at`` in the
+    same order; ids that never occur keep their row unchanged. The one
+    difference: a -0.0 in ``out`` comes back as +0.0, which a gradient
+    accumulated from zeros never holds.
+    """
+    n, k = out.shape
+    flat = (np.asarray(ids, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
+    bins = np.concatenate([np.arange(n * k), flat])
+    weights = np.concatenate([out.ravel(), np.asarray(rows, dtype=np.float64).ravel()])
+    out[...] = np.bincount(bins, weights, minlength=n * k).reshape(n, k)
 
 
 def clip_global_norm(params: Iterable[Parameter], max_norm: float = 5.0) -> float:

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from traitgen.checkpoint import load_model
 from traitgen.classifier import CnnConfig, CnnModel, train_classifier
@@ -16,6 +19,7 @@ from traitgen.numeric import (
     Parameter,
     Rng,
     adam_step,
+    add_rows_at,
     check_finite,
     clip_global_norm,
     zero_grads,
@@ -190,3 +194,56 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
     config = CnnConfig(vocab_size=0, embed_dim=3, window=2, num_filters=2, max_len=8,
                        epochs=2, batch_size=4)
     check(train_classifier(docs, config, Rng(3)).model)
+
+
+def test_adam_is_bit_equal_to_the_textbook_expression_over_several_steps() -> None:
+    rng = np.random.default_rng(11)
+    p = make_param(rng.normal(size=(6, 9)))
+    value, m, v = p.value.copy(), np.zeros((6, 9)), np.zeros((6, 9))
+    lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
+    for t in range(1, 7):
+        g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(6, 9))
+        p.grad[...] = g
+        adam_step(p, lr)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        m_hat = m / (1.0 - beta1 ** t)
+        v_hat = v / (1.0 - beta2 ** t)
+        value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        assert p.value.tobytes() == value.tobytes()
+        assert p.opt_m.tobytes() == m.tobytes() and p.opt_v.tobytes() == v.tobytes()
+        assert p.grad.tobytes() == g.tobytes()
+
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False, width=64)
+
+
+@st.composite
+def _scatters(draw):
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 4))
+    # few distinct ids among many rows: ids repeat, and some rows of out are never hit
+    ids = draw(st.lists(st.integers(0, max(0, n - 2)), min_size=0, max_size=25))
+    rows = draw(hnp.arrays(np.float64, (len(ids), k), elements=_FINITE))
+    start = draw(st.sampled_from(["zeros", "random"]))
+    # a -0.0 in out comes back +0.0 (documented); gradients never hold one
+    out = (np.zeros((n, k)) if start == "zeros"
+           else draw(hnp.arrays(np.float64, (n, k), elements=_FINITE.map(lambda x: x + 0.0))))
+    return out, np.array(ids, dtype=np.int64), rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_scatters())
+@example((np.zeros((3, 2)), np.array([1, 1, 1], dtype=np.int64),
+          np.array([[1e16, 1.0], [1.0, 1e-16], [-1e16, 1.0]])))
+def test_add_rows_at_is_bit_equal_to_np_add_at(case) -> None:
+    out, ids, rows = case
+    expected = out.copy()
+    np.add.at(expected, ids, rows)
+    got = out.copy()
+    add_rows_at(got, ids, rows)
+    assert got.tobytes() == expected.tobytes()
+    # a second scatter into the result accumulates in the same order
+    np.add.at(expected, ids, rows)
+    add_rows_at(got, ids, rows)
+    assert got.tobytes() == expected.tobytes()
