@@ -65,15 +65,26 @@ class Command:
     opts: tuple[Opt, ...]
 
 
-def _config_section(path: str, section: str) -> dict[str, str]:
-    """The raw values of ``section`` in a UTF-8 INI file; malformed files are user errors."""
+def _config_section(path: str, section: str, known: set[str]) -> dict[str, str]:
+    """The raw values of ``section`` in a UTF-8 INI file; malformed files are user errors.
+
+    A key of the section itself that is not in ``known`` is an error: a
+    misspelt option must not leave its default silently in force. Keys
+    inherited from ``[DEFAULT]`` are shared by every command and exempt.
+    """
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
-        return dict(parser.items(section)) if parser.has_section(section) else {}
+        if not parser.has_section(section):
+            return {}
+        values = dict(parser.items(section))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+    unknown = sorted(set(values) - known - set(parser.defaults()))
+    if unknown:
+        raise ConfigError(f"config file {path}: unknown key {', '.join(unknown)} in [{section}]")
+    return values
 
 
 def _cast(opt: Opt, raw: str) -> Any:
@@ -97,9 +108,11 @@ def _cast(opt: Opt, raw: str) -> Any:
 def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
     """Each option of ``command`` from its flag, else its INI value, else its default."""
     flags = vars(args)
-    section = _config_section(flags["config"], command) if flags["config"] else {}
+    opts = COMMANDS[command].opts
+    section = (_config_section(flags["config"], command, {opt.name for opt in opts})
+               if flags["config"] else {})
     resolved: dict[str, Any] = {}
-    for opt in COMMANDS[command].opts:
+    for opt in opts:
         if flags[opt.name] is not None:
             value = flags[opt.name]
         elif opt.name in section:
@@ -121,15 +134,22 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(target: Path, command: str, resolved: dict[str, Any]) -> None:
-    """Provenance record; deterministic bytes for identical invocations."""
-    inputs = [Path(resolved[opt.name]) for opt in COMMANDS[command].opts
-              if opt.reads and resolved[opt.name]]
+    """Provenance record; deterministic bytes for identical invocations.
+
+    ``inputs`` maps each input's file name to ``{option name: SHA-256}``,
+    so two options reading files of one name both keep their hash.
+    """
+    inputs: dict[str, dict[str, str]] = {}
+    for opt in COMMANDS[command].opts:
+        if opt.reads and resolved[opt.name]:
+            path = Path(resolved[opt.name])
+            inputs.setdefault(path.name, {})[opt.name] = _sha256(path)
     manifest = {
         "command": command,
         "version": __version__,
         "seed": resolved.get("seed"),
         "config": {k: resolved[k] for k in sorted(resolved)},
-        "inputs": {p.name: _sha256(p) for p in inputs},
+        "inputs": inputs,
     }
     target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                       encoding="utf-8")

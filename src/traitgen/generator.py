@@ -270,10 +270,12 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
                  cond: np.ndarray | None) -> tuple[float, float]:
     """Fused forward/backward over one batch; accumulates into grads.
 
-    The recurrence forces one gate matmul per timestep in each direction,
-    but everything else (output projection, gate-weight gradient, the
-    embedding scatter) is batched across all timesteps to keep the work
-    in a few large matrix products. Returns (token-mean loss, token count).
+    The recurrence forces one gate matmul per timestep in each direction;
+    the backward one multiplies by the hidden-state rows of the gate
+    weights only. Everything else (output projection, gate-weight
+    gradient, the embedding gradient and its scatter) is batched across
+    all timesteps to keep the work in a few large matrix products.
+    Returns (token-mean loss, token count).
     """
     b, t_len = ids.shape
     cfg = model.config
@@ -292,8 +294,7 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     dh_all = dlogits @ w_o.T
 
     dz_all = np.empty((steps * b, 4 * hdim))
-    demb_all = np.empty((steps * b, k))
-    w_g_t = w_g.T
+    w_h_t = np.ascontiguousarray(w_g[x_width:].T)  # only h_prev's rows feed the recurrence
     dh_next = np.zeros((b, hdim))
     dc_next = np.zeros_like(dh_next)
     for t in reversed(range(steps)):
@@ -307,13 +308,11 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
         dz[:, 2 * hdim:3 * hdim] = (dc * i) * (1.0 - g * g)
         dz[:, 3 * hdim:] = do * o * (1.0 - o)
         dc_next = dc * f
-        dxh = dz @ w_g_t
-        demb_all[t * b:(t + 1) * b] = dxh[:, :k]
-        dh_next = dxh[:, x_width:]
+        dh_next = dz @ w_h_t
 
     model.gates_w.grad += xh_all.T @ dz_all
     model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)
-    add_rows_at(model.embedding.grad, ids[:, :steps].T.reshape(-1), demb_all)
+    add_rows_at(model.embedding.grad, ids[:, :steps].T.reshape(-1), dz_all @ w_g[:k].T)
     return loss, float(mask_flat.sum())
 
 

@@ -86,7 +86,7 @@ class SynthSpec:
             if not tokens:
                 raise ValidationError(f"token set {name} is empty")
             for tok in tokens:
-                if not tok or tok != tok.strip() or " " in tok:
+                if not isinstance(tok, str) or not tok or tok != tok.strip() or " " in tok:
                     raise ValidationError(f"token set {name} contains invalid token {tok!r}")
                 if tok in seen:
                     raise ValidationError(

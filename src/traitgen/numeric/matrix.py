@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DegenerateMaskError, EmptyInputError, InvalidIdError, ShapeError
-from .rng import Rng
+from .rng import Rng, _splitmix_range
 
 
 class Matrix:
@@ -64,16 +64,16 @@ class Matrix:
 def xavier_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     """Uniform Xavier/Glorot init on [-a, a], a = sqrt(6 / (rows + cols)).
 
-    Entries are drawn row-major from ``rng``, one uniform per entry, so the
-    result is a pure function of (rows, cols, rng state).
+    Counter-based: takes one 64-bit key from ``rng``; entry j (row-major)
+    is ``-a + 2a * u`` with ``u`` the top 53 bits of splitmix64 output
+    j + 1 of that key, scaled to [0, 1). The result is a pure function of
+    (rows, cols, rng state), and successive calls on one stream differ.
     """
     if rows < 1 or cols < 1:
         raise ShapeError(f"xavier_init needs positive dimensions, got ({rows}, {cols})")
     bound = np.sqrt(6.0 / (rows + cols))
-    out = np.empty(rows * cols)
-    for i in range(rows * cols):
-        out[i] = rng.uniform(-bound, bound)
-    return out.reshape(rows, cols)
+    u = (_splitmix_range(rng.next_uint64(), rows * cols) >> np.uint64(11)) * 2.0 ** -53
+    return (-bound + 2.0 * bound * u).reshape(rows, cols)
 
 
 def affine(x: Matrix, w: Matrix, b: Matrix):
@@ -141,7 +141,9 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
     ``logits`` is T x V; ``targets`` and ``mask`` have length T. Position t
     contributes ``-log softmax(logits[t])[targets[t]]`` when ``mask[t]`` is 1
     and nothing otherwise. Returns (loss, backward); backward(upstream=1.0)
-    -> dlogits.
+    -> dlogits. ``logits`` is left unchanged, and the loss is the
+    log-softmax expression ``shifted - log(sum(exp(shifted)))`` at the
+    target, ``shifted`` being each row minus its maximum.
     """
     la = logits.a
     t_arr = np.asarray(targets, dtype=np.int64)
@@ -157,16 +159,21 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
     if denom <= 0.0:
         raise DegenerateMaskError("mask selects no positions")
 
-    shifted = la - la.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    log_probs = shifted - log_z
     rows = np.arange(la.shape[0])
-    picked = log_probs[rows, t_arr]
+    shifted = la - la.max(axis=1, keepdims=True)
+    picked = shifted[rows, t_arr]
+    exp = np.exp(shifted, out=shifted)  # the one exp; backward turns it into the gradient
+    sums = exp.sum(axis=1, keepdims=True)
+    picked -= np.log(sums)[:, 0]
     loss = float(-(m_arr * picked).sum() / denom)
 
     def backward(upstream: float = 1.0):
-        probs = np.exp(log_probs)
-        grad = probs.copy()
+        """dlogits = (softmax - onehot) * mask * upstream / denom, written into the exp buffer.
+
+        Call it at most once: it consumes that buffer.
+        """
+        grad = exp
+        grad /= sums
         grad[rows, t_arr] -= 1.0
         grad *= (upstream / denom) * m_arr[:, None]
         return Matrix._wrap(grad)

@@ -15,8 +15,10 @@ class Parameter:
     ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 2-D, C-contiguous
     float64 arrays of one shape, owned by the parameter and only ever
     written in place, so a view of any of them stays live. ``scratch``
-    holds two more arrays of that shape in which :func:`adam_step` works.
-    Updates require exclusive access; everything else is read-only safe.
+    holds two more arrays of that shape in which :func:`adam_step` works;
+    the first update allocates it, so a model that is only loaded never
+    pays for it. Updates require exclusive access; everything else is
+    read-only safe.
     """
 
     __slots__ = ("name", "value", "grad", "opt_m", "opt_v", "scratch", "step_count")
@@ -31,7 +33,7 @@ class Parameter:
         self.grad = np.zeros_like(a)
         self.opt_m = np.zeros_like(a)
         self.opt_v = np.zeros_like(a)
-        self.scratch = np.empty((2,) + a.shape)
+        self.scratch = None
         self.step_count = 0
 
     def zero_grad(self) -> None:
@@ -76,7 +78,7 @@ def adam_step(
     buffer is left intact until ``zero_grad`` is called. Evaluates
     ``value -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by operation
     in ``param.scratch``, so the bits are those of the textbook expression
-    and no array is allocated.
+    without its temporaries.
     """
     g = param.grad
     if not np.isfinite(g).all():
@@ -84,6 +86,8 @@ def adam_step(
     param.step_count += 1
     t = param.step_count
     m, v = param.opt_m, param.opt_v
+    if param.scratch is None:
+        param.scratch = np.empty((2,) + g.shape)
     a, b = param.scratch
     m *= beta1
     m += np.multiply(g, 1.0 - beta1, out=a)
@@ -101,20 +105,23 @@ def adam_step(
 
 
 def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(out, ids, rows)`` for a 2-D ``out``, bit for bit, in one ``np.bincount``.
+    """``np.add.at(out, ids, rows)`` for a 2-D ``out``, bit for bit, by ``np.bincount``.
 
-    Row ``rows[i]`` is added into ``out[ids[i]]``. ``np.bincount`` sums
-    its weights in input order, and each bin starts with the current value
-    of ``out``, so every entry sees the additions of ``np.add.at`` in the
-    same order; ids that never occur keep their row unchanged. The one
-    difference: a -0.0 in ``out`` comes back as +0.0, which a gradient
-    accumulated from zeros never holds.
+    Row ``rows[i]`` is added into ``out[ids[i]]``. Only the rows that
+    ``ids`` touch take part, so the cost does not grow with ``len(out)``.
+    Per column, each touched row's bin starts at its current value and
+    ``np.bincount`` adds the weights in input order, so every entry sees
+    the additions of ``np.add.at`` in the same order. The one difference:
+    a touched -0.0 comes back as +0.0, which a gradient accumulated from
+    zeros never holds.
     """
-    n, k = out.shape
-    flat = (np.asarray(ids, dtype=np.int64)[:, None] * k + np.arange(k)).ravel()
-    bins = np.concatenate([np.arange(n * k), flat])
-    weights = np.concatenate([out.ravel(), np.asarray(rows, dtype=np.float64).ravel()])
-    out[...] = np.bincount(bins, weights, minlength=n * k).reshape(n, k)
+    touched, slot = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
+    bins = np.concatenate([np.arange(len(touched)), slot])
+    acc = out[touched]
+    for j in range(out.shape[1]):
+        acc[:, j] = np.bincount(bins, np.concatenate([acc[:, j], rows[:, j]]),
+                                minlength=len(touched))
+    out[touched] = acc
 
 
 def clip_global_norm(params: Iterable[Parameter], max_norm: float = 5.0) -> float:

@@ -1,9 +1,15 @@
 """Deterministic random number generation.
 
 A splitmix64 sequence seeds (and derives streams from) a xoshiro256**
-generator. Both algorithms are implemented here in pure integer
+generator. Both algorithms are implemented here in exact 64-bit integer
 arithmetic so that a given seed produces the same stream on every
-platform, independent of numpy or libc.
+platform, independent of libc.
+
+splitmix64 is counter-based: its ``(i + 1)``-th output is a pure
+function of (seed, i). :func:`_splitmix_range` evaluates a block of
+outputs at once over numpy ``uint64`` arrays, whose multiplications wrap
+mod 2**64 exactly as the masked scalar ones do; weight initialisation
+draws one key from a stream and expands it this way.
 
 Stream derivation: ``Rng(seed).spawn(i)`` reseeds from the ``(i + 1)``-th
 splitmix64 output of ``seed``. Parallel work items should each take
@@ -12,22 +18,39 @@ splitmix64 output of ``seed``. Parallel work items should each take
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import ShapeError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def _mix(z: int) -> int:
     # splitmix64 output function
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
 def _splitmix_at(seed: int, index: int) -> int:
     """The ``(index + 1)``-th output of splitmix64 seeded with ``seed``."""
     return _mix((seed + (index + 1) * _GOLDEN) & _MASK)
+
+
+def _splitmix_range(seed: int, n: int) -> np.ndarray:
+    """Outputs 1..n of splitmix64 seeded with ``seed``: entry j is ``_splitmix_at(seed, j)``."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _rotl(x: int, k: int) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -527,8 +528,9 @@ def test_nonexistent_input_file_exits_2(tmp_path, capsys) -> None:
     ("train-generator", b"[train-generator]\nunconditional = maybe\n"),
     ("score", b"[score]\nlevels = maybe\n"),
     ("score", b"[score]\ntokenize-mode = bogus\n"),
+    ("synth", b"[synth]\nbogus-key = 3\n"),
 ], ids=["no-section-header", "duplicate-key", "not-utf8", "bad-interpolation",
-        "boolean-maybe", "levels-maybe", "choice-not-allowed"])
+        "boolean-maybe", "levels-maybe", "choice-not-allowed", "unknown-key"])
 def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> None:
     config = tmp_path / "run.ini"
     config.write_bytes(ini)
@@ -544,6 +546,57 @@ def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> N
     err = capsys.readouterr().err
     assert err.startswith("traitgen: error: config ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "run.ini"]
+
+
+def test_config_keys_of_other_sections_and_defaults_are_not_checked(tmp_path) -> None:
+    config = tmp_path / "run.ini"
+    config.write_text("[DEFAULT]\nshared = 1\n[synth]\nn = 2\n[score]\nbogus-key = 3\n",
+                      encoding="utf-8")
+    assert run("synth", "--config", str(config), "--out", str(tmp_path / "out")) == 0
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["n"] == 2
+
+
+def test_manifest_keeps_the_hash_of_each_input_sharing_a_file_name(tmp_path, pipeline) -> None:
+    out = tmp_path / "eval"
+    assert run("evaluate", "--model", str(pipeline["generator"]),
+               "--baseline", str(pipeline["baseline"]),
+               "--lexicon", str(pipeline["lexicon"]),
+               "--thresholds", str(pipeline["thresholds"]),
+               "--n-per-condition", "1", "--seed-pool", str(pipeline["pool"]),
+               "--out", str(out)) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    digest = {name: hashlib.sha256(pipeline[name].read_bytes()).hexdigest()
+              for name in ("generator", "baseline")}
+    assert digest["generator"] != digest["baseline"]
+    assert inputs["generator.json"] == {"model": digest["generator"],
+                                        "baseline": digest["baseline"]}
+    assert sorted(inputs) == ["generator.json", "lexicon.json", "pool.txt", "thresholds.json"]
+
+
+def _spec_with(path: tuple, value) -> bytes:
+    spec = default_synth_spec().as_dict()
+    *parents, last = path
+    node = spec
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return json.dumps(spec).encode()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("neutral_tokens",), [1, 2, 3]),
+    (("neutral_tokens",), ["w000", None]),
+    (("markers", "E", "high"), ["ok", 4.5]),
+    (("markers", "O", "low"), [["nested"]]),
+], ids=["neutral-ints", "neutral-null", "marker-float", "marker-list"])
+def test_spec_with_non_string_tokens_exits_2(tmp_path, capsys, path, value) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(_spec_with(path, value))
+    assert run("synth", "--spec", str(spec), "--n", "2", "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and "invalid token" in err
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def _lexicon_with(weights, entries=("w000",)) -> bytes:

@@ -20,6 +20,7 @@ from traitgen.numeric import (
     max_over_time,
     xavier_init,
 )
+from traitgen.numeric.rng import _splitmix_at
 
 
 def rand_matrix(rows: int, cols: int, rng: Rng, scale: float = 1.0) -> Matrix:
@@ -57,6 +58,30 @@ def test_xavier_sample_mean_near_zero() -> None:
     a = math.sqrt(6.0 / 128.0)
     sigma = a / math.sqrt(3.0 * 64 * 64)
     assert abs(float(m.mean())) < 3.0 * sigma
+
+
+def test_xavier_stays_within_its_bound_and_is_a_pure_function_of_the_stream() -> None:
+    for rows, cols in ((1, 1), (3, 5), (165, 512)):
+        bound = math.sqrt(6.0 / (rows + cols))
+        a, b = Rng(7), Rng(7)
+        first = xavier_init(rows, cols, a)
+        assert first.shape == (rows, cols)
+        assert np.abs(first).max() <= bound
+        assert first.tobytes() == xavier_init(rows, cols, b).tobytes()
+        # each call takes one key, so successive calls differ and the streams stay in step
+        second = xavier_init(rows, cols, a)
+        assert not np.array_equal(first, second)
+        assert second.tobytes() == xavier_init(rows, cols, b).tobytes()
+        assert a.next_uint64() == b.next_uint64()
+
+
+def test_xavier_entry_j_is_splitmix_output_j_plus_1_of_one_key() -> None:
+    key = Rng(5).next_uint64()
+    m = xavier_init(4, 6, Rng(5))
+    bound = math.sqrt(6.0 / 10)
+    expected = [-bound + 2.0 * bound * ((_splitmix_at(key, j) >> 11) * 2.0 ** -53)
+                for j in range(24)]
+    assert m.reshape(-1).tolist() == expected
 
 
 def test_xavier_rejects_zero_dimension() -> None:
@@ -220,6 +245,25 @@ def test_cross_entropy_masked_positions_get_zero_gradient() -> None:
     assert np.abs(grad.a[1]).max() == 0.0
     assert np.abs(grad.a[3]).max() == 0.0
     assert np.abs(grad.a[0]).max() > 0.0
+
+
+def test_cross_entropy_loss_is_the_log_softmax_expression_and_leaves_logits_alone() -> None:
+    rng = np.random.default_rng(3)
+    logits = rng.normal(scale=4.0, size=(37, 23))
+    before = logits.copy()
+    targets = rng.integers(0, 23, size=37)
+    mask = (rng.random(37) < 0.7).astype(np.float64)
+    loss, back = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
+    shifted = before - before.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = log_probs[np.arange(37), targets]
+    assert loss == float(-(mask * picked).sum() / mask.sum())
+    grad = back().a
+    assert logits.tobytes() == before.tobytes()
+    onehot = np.zeros_like(before)
+    onehot[np.arange(37), targets] = 1.0
+    reference = (np.exp(log_probs) - onehot) * (mask / mask.sum())[:, None]
+    np.testing.assert_allclose(grad, reference, rtol=1e-12, atol=1e-15)
 
 
 def test_cross_entropy_degenerate_mask_raises() -> None:

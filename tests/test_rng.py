@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traitgen.errors import ShapeError
-from traitgen.numeric.rng import Rng, _splitmix_at
+from traitgen.numeric.rng import Rng, _splitmix_at, _splitmix_range
 
 
 def test_splitmix64_matches_published_seed0_sequence() -> None:
@@ -89,3 +92,13 @@ def test_frozen_regression_values() -> None:
         6990951692964543102,
         12544586762248559009,
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(0, 40))
+@example(seed=0, n=3)
+@example(seed=2 ** 64 - 1, n=40)
+def test_vector_splitmix_equals_the_scalar_outputs(seed, n) -> None:
+    block = _splitmix_range(seed, n)
+    assert block.dtype == np.uint64 and block.shape == (n,)
+    assert [int(z) for z in block] == [_splitmix_at(seed, j) for j in range(n)]
