@@ -9,14 +9,13 @@ shortest-round-trip repr, so a reload reproduces every bit.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
 from .numeric import Parameter
-from .textproc import Vocabulary, read_json
+from .textproc import Vocabulary, read_json, write_json
 
 FORMAT_VERSION = 1
 
@@ -91,16 +90,13 @@ def _config_from_payload(config_cls, config: object):
 
 def write_checkpoint(path: str | Path, kind: str, config: dict, vocab: list[str],
                      params: list[Parameter]) -> None:
-    payload = {
+    write_json(path, {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "config": config,
         "vocab": vocab,
         "params": params_to_payload(params),
-    }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    }, indent=None)
 
 
 def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> dict:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import load_model, write_checkpoint
+from .checkpoint import write_checkpoint
 from .errors import InsufficientDataError, MissingLabelError, ShapeError, ValidationError
 from .numeric import (
     Matrix,
@@ -113,10 +113,6 @@ class CnnModel:
     def save(self, path: str | Path) -> None:
         write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
                          self.params())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CnnModel":
-        return load_model(path, expect_kind=cls.kind)
 
 
 def _stack(texts: Sequence[EncodedText]) -> tuple[np.ndarray, np.ndarray]:

@@ -17,10 +17,9 @@ import argparse
 import configparser
 import dataclasses
 import hashlib
-import json
 import sys
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from . import __version__
 from .checkpoint import load_model
@@ -32,7 +31,7 @@ from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
                       save_lexicon, save_thresholds, score_tokens, scores_by_trait)
 from .numeric import Rng
-from .textproc import UNK_ID, read_corpus, write_corpus
+from .textproc import UNK_ID, read_corpus, write_corpus, write_json, write_jsonl, write_lines
 from .traits import TRAITS
 
 PROG = "traitgen"
@@ -65,25 +64,30 @@ class Command:
     opts: tuple[Opt, ...]
 
 
-def _config_section(path: str, section: str, known: set[str]) -> dict[str, str]:
-    """The raw values of ``section`` in a UTF-8 INI file; malformed files are user errors.
+def _config_section(path: str, command: str) -> dict[str, str]:
+    """``command``'s section of a UTF-8 INI file with ``[DEFAULT]`` applied.
 
-    A key of the section itself that is not in ``known`` is an error: a
-    misspelt option must not leave its default silently in force. Keys
-    inherited from ``[DEFAULT]`` are shared by every command and exempt.
+    A key no option reads is an error, so a misspelt option cannot leave
+    its default silently in force: a key of the section must be an option
+    of ``command``, and a ``[DEFAULT]`` key, which every section shares,
+    an option of some command. Malformed files are user errors too.
     """
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
-        if not parser.has_section(section):
-            return {}
-        values = dict(parser.items(section))
+        shared = set(parser.defaults())
+        values = dict(parser.items(command if parser.has_section(command)
+                                   else parser.default_section))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
-    unknown = sorted(set(values) - known - set(parser.defaults()))
-    if unknown:
-        raise ConfigError(f"config file {path}: unknown key {', '.join(unknown)} in [{section}]")
+    known = {o.name for o in COMMANDS[command].opts}
+    known_anywhere = {o.name for c in COMMANDS.values() for o in c.opts}
+    for section, unknown in ((parser.default_section, shared - known_anywhere),
+                             (command, set(values) - shared - known)):
+        if unknown:
+            raise ConfigError(f"config file {path}: unknown key "
+                              f"{', '.join(sorted(unknown))} in [{section}]")
     return values
 
 
@@ -109,8 +113,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
     """Each option of ``command`` from its flag, else its INI value, else its default."""
     flags = vars(args)
     opts = COMMANDS[command].opts
-    section = (_config_section(flags["config"], command, {opt.name for opt in opts})
-               if flags["config"] else {})
+    section = _config_section(flags["config"], command) if flags["config"] else {}
     resolved: dict[str, Any] = {}
     for opt in opts:
         if flags[opt.name] is not None:
@@ -148,11 +151,10 @@ def _write_manifest(target: Path, command: str, resolved: dict[str, Any]) -> Non
         "command": command,
         "version": __version__,
         "seed": resolved.get("seed"),
-        "config": {k: resolved[k] for k in sorted(resolved)},
+        "config": resolved,
         "inputs": inputs,
     }
-    target.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                      encoding="utf-8")
+    write_json(target, manifest)
 
 
 def _out_dir(value: str) -> Path:
@@ -193,12 +195,6 @@ def _unk_rate(docs, vocab) -> float:
     return unk / total if total else 0.0
 
 
-def _write_jsonl(path: Path, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -221,8 +217,7 @@ def cmd_train_classifier(o: dict[str, Any]) -> Path:
     result.model.save(out / "classifier.json")
     metrics = {"best_epoch": result.best_epoch, "best_accuracy": result.best_accuracy,
                "per_epoch_accuracy": result.history}
-    (out / "metrics.json").write_text(json.dumps(metrics, indent=2, sort_keys=True) + "\n",
-                                      encoding="utf-8")
+    write_json(out / "metrics.json", metrics)
     print(f"best epoch {result.best_epoch}: "
           + " ".join(f"{t}={result.best_accuracy[t]:.4f}" for t in TRAITS))
     return out / "manifest.json"
@@ -251,10 +246,7 @@ def cmd_train_generator(o: dict[str, Any]) -> Path:
     out = _out_dir(o["out"])
     result = train_generator(docs, config, Rng(o["seed"]))
     result.model.save(out / "generator.json")
-    (out / "losses.json").write_text(
-        json.dumps({"epoch_mean_losses": result.epoch_mean_losses}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out / "losses.json", {"epoch_mean_losses": result.epoch_mean_losses})
     losses = result.epoch_mean_losses
     trend = f"; loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else ""
     print(f"trained {config.epochs} epochs{trend}")
@@ -280,7 +272,7 @@ def cmd_generate(o: dict[str, Any]) -> Path:
     texts = generate(model, [condition] * n, pool, streams,
                      temperature=o["temperature"], max_len=o["max-len"])
     out = _out_file(o["out"])
-    _write_jsonl(out, ({
+    write_jsonl(out, ({
         "text": " ".join(tokens),
         "condition": condition.to_string() if condition else None,
         "seed_word": tokens[0],
@@ -302,7 +294,7 @@ def cmd_score(o: dict[str, Any]) -> Path:
         return {"text": doc.raw_text, "scores": scores, **levels}
 
     out = _out_file(o["out"])
-    _write_jsonl(out, map(record, docs))
+    write_jsonl(out, map(record, docs))
     print(f"scored {len(docs)} documents -> {out}")
     return _beside(out)
 
@@ -334,8 +326,8 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
         temperature=o["temperature"], max_len=o["max-len"], collect=texts,
     )
     report.save(out / "report.json")
-    (out / "table.txt").write_text(render_table(report) + "\n", encoding="utf-8")
-    _write_jsonl(out / "generations.jsonl", texts)
+    write_lines(out / "table.txt", [render_table(report)])
+    write_jsonl(out / "generations.jsonl", texts)
     print(render_table(report))
     return out / "manifest.json"
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_model, write_checkpoint
+from .checkpoint import write_checkpoint
 from .errors import (
     ConditionError,
     DivergenceError,
@@ -77,13 +77,6 @@ class BfpCondition:
     @property
     def bits(self) -> tuple[int, int, int, int, int]:
         return (self.e, self.a, self.c, self.n, self.o)
-
-    @classmethod
-    def from_labels(cls, labels: dict[str, int]) -> "BfpCondition":
-        try:
-            return cls(*(labels[t] for t in TRAITS))
-        except KeyError as exc:
-            raise ConditionError(f"labels missing trait {exc}") from exc
 
     @classmethod
     def parse(cls, text: str) -> "BfpCondition":
@@ -176,10 +169,6 @@ class LstmModel:
     def save(self, path: str | Path) -> None:
         write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
                          self.params())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "LstmModel":
-        return load_model(path, expect_kind=cls.kind)
 
 
 # ------------------------------------------------------------------ cell math
@@ -307,8 +296,9 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
         dz[:, hdim:2 * hdim] = (dc * c_prev) * f * (1.0 - f)
         dz[:, 2 * hdim:3 * hdim] = (dc * i) * (1.0 - g * g)
         dz[:, 3 * hdim:] = do * o * (1.0 - o)
-        dc_next = dc * f
-        dh_next = dz @ w_h_t
+        if t:  # the initial state is a constant; nothing reads its gradient
+            dc_next = dc * f
+            dh_next = dz @ w_h_t
 
     model.gates_w.grad += xh_all.T @ dz_all
     model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)

@@ -20,7 +20,6 @@ level distribution next to a shared unconditional pool.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +34,7 @@ from .lexicon import (
     score_tokens,
 )
 from .numeric import Rng
-from .textproc import Document, read_json
+from .textproc import Document, read_json, write_json
 from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
 
 # Neutral-chain shape: each neutral token has up to this many successors,
@@ -125,10 +124,7 @@ class SynthSpec:
         return spec
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.as_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.as_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthSpec":
@@ -283,11 +279,6 @@ class EvalReport:
     dimensions: dict[str, DimensionReport]
     n_per_condition: int
 
-    @property
-    def average_accuracy(self) -> float:
-        per_dim, average = generation_accuracy(self)
-        return average
-
     def to_json_dict(self) -> dict:
         per_dim, average = generation_accuracy(self)
         return {
@@ -305,10 +296,7 @@ class EvalReport:
         }
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        write_json(path, self.to_json_dict())
 
 
 def generation_accuracy(report: EvalReport) -> tuple[dict[str, float], float]:
@@ -367,7 +355,7 @@ def render_table(report: EvalReport) -> str:
 
 def evaluate_generation(
     model: LstmModel,
-    baseline: LstmModel | None,
+    baseline: LstmModel,
     lexicon: Lexicon,
     thresholds: LevelThresholds,
     n_per_condition: int,
@@ -387,8 +375,6 @@ def evaluate_generation(
     """
     if model.config.cond_dim != 5:
         raise ConfigError("evaluation needs a conditional model (cond_dim 5)")
-    if baseline is None:
-        raise ConfigError("unconditional rows requested but no baseline model given")
     if baseline.config.cond_dim != 0:
         raise ConfigError("baseline model must be unconditional (cond_dim 0)")
     if n_per_condition < 1:

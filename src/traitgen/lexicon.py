@@ -10,14 +10,13 @@ thresholds calibrated as nearest-rank percentiles over a reference corpus.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ValidationError
-from .textproc import read_json
+from .textproc import read_json, write_json
 from .traits import HIGH, LOW, MEDIUM, TRAITS
 
 
@@ -132,18 +131,14 @@ def load_lexicon(path: str | Path) -> Lexicon:
 
 
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
-    payload = {
+    write_json(path, {
         "trait_order": list(TRAITS),
         "categories": [
             {"name": c.name, "entries": sorted(c.literals) + [p + "*" for p in c.prefixes]}
             for c in lexicon.categories
         ],
         "weights": lexicon.weights,
-    }
-    Path(path).write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    })
 
 
 def category_frequencies(tokens: Sequence[str], lexicon: Lexicon) -> list[float]:
@@ -223,9 +218,7 @@ class LevelThresholds:
 
 
 def save_thresholds(thresholds: LevelThresholds, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(thresholds.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, thresholds.as_dict())
 
 
 def load_thresholds(path: str | Path) -> LevelThresholds:

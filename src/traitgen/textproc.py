@@ -1,15 +1,20 @@
-"""Tokenization, vocabulary construction, and id-sequence encoding.
+"""Tokenization, vocabulary construction, id-sequence encoding, and file I/O.
 
 Two tokenization modes cover the pre-segmented and raw-CJK cases:
 ``whitespace`` splits on Unicode whitespace, ``cjk_char`` emits each CJK
 codepoint as its own token and keeps contiguous non-CJK runs together.
 Word segmentation proper is out of scope; corpora are expected to arrive
 pre-segmented or be processed character-level.
+
+Every artifact the pipeline writes goes through :func:`write_lines`
+(via :func:`write_json` or :func:`write_jsonl`), which replaces the
+file whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -204,6 +209,35 @@ def read_json(path: str | Path) -> Any:
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
 
 
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each line and a newline as UTF-8, replacing ``path`` whole.
+
+    The text goes to ``.<name>.tmp`` in the same directory, which is then
+    renamed over ``path``; on any exception the temp file is removed, so
+    a failure part-way leaves the old file (or none). Nothing is fsynced:
+    this survives a failing process, not a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path: str | Path, payload: Any, indent: int | None = 2) -> None:
+    """One JSON document with sorted keys, non-ASCII kept as UTF-8."""
+    write_lines(path, [json.dumps(payload, ensure_ascii=False, indent=indent, sort_keys=True)])
+
+
+def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
+    """One compact JSON document per line, keys sorted as in :func:`write_json`."""
+    write_lines(path, (json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records))
+
+
 def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:
     """Read a JSONL corpus: one {"text": ..., "labels"?, "levels"?} per line.
 
@@ -236,12 +270,6 @@ def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:
 
 
 def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
-    """Write documents as JSONL; field order is fixed for reproducible bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc in docs:
-            record: dict = {"text": doc.raw_text}
-            if doc.labels is not None:
-                record["labels"] = {t: doc.labels[t] for t in sorted(doc.labels)}
-            if doc.levels is not None:
-                record["levels"] = {t: doc.levels[t] for t in sorted(doc.levels)}
-            fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
+    """Write documents as JSONL records: ``text``, plus ``labels`` and ``levels`` where set."""
+    fields = ({"text": d.raw_text, "labels": d.labels, "levels": d.levels} for d in docs)
+    write_jsonl(path, ({k: v for k, v in f.items() if v is not None} for f in fields))

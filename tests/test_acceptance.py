@@ -26,6 +26,7 @@ from traitgen.classifier import (
     _forward as cnn_forward,
     _stack,
 )
+from traitgen.checkpoint import load_model
 from traitgen.classifier import classifier_loss
 from traitgen.cli import main as cli_main
 from traitgen.generator import (
@@ -265,7 +266,7 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
     total_nll = total_tok = 0.0
     for doc in sample:
         enc = encode(doc.tokens, vocab, untrained.config.max_len)
-        logits = generator_forward(enc, BfpCondition.from_labels(doc.labels), untrained)
+        logits = generator_forward(enc, BfpCondition(*(doc.labels[t] for t in TRAITS)), untrained)
         loss = generator_loss(logits, enc)
         n = sum(enc.mask[1:])
         total_nll += loss * n
@@ -405,7 +406,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     cnn = trained_classifier.value.model
     cnn_path = tmp_path / "cnn.json"
     cnn.save(cnn_path)
-    cnn_loaded = CnnModel.load(cnn_path)
+    cnn_loaded = load_model(cnn_path, expect_kind="cnn")
     probe_tokens = [spec.neutral_tokens[i] for i in range(8)]
     cnn_probs = classifier_forward([probe_tokens], cnn).tolist()
     cnn_same = cnn_probs == classifier_forward([probe_tokens], cnn_loaded).tolist()
@@ -413,7 +414,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     lstm = trained_conditional.value.model
     lstm_path = tmp_path / "lstm.json"
     lstm.save(lstm_path)
-    lstm_loaded = LstmModel.load(lstm_path)
+    lstm_loaded = load_model(lstm_path, expect_kind="lstm")
     enc2 = encode(probe_tokens, lstm.vocab, lstm.config.max_len)
     cond = BfpCondition(1, 1, 0, 0, 1)
     lstm_same = (generator_forward(enc2, cond, lstm)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from traitgen.checkpoint import load_model
 from traitgen.classifier import (
     CnnConfig,
     CnnModel,
@@ -300,7 +301,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     model = make_model(n_tokens=6, k=3, m=2, f=4, seed=29)
     path = tmp_path / "cnn.json"
     model.save(path)
-    loaded = CnnModel.load(path)
+    loaded = load_model(path, expect_kind="cnn")
     for p, q in zip(model.params(), loaded.params()):
         assert p.value.ravel().tolist() == q.value.ravel().tolist()
     tokens = ["w0", "w3", "w5"]

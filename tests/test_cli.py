@@ -434,6 +434,30 @@ def test_calibrate_matches_library(tmp_path, pipeline) -> None:
     assert actual.cuts == expected.cuts
 
 
+# --------------------------------------------------------------- output files
+
+
+@pytest.mark.parametrize("command", ["score", "calibrate"])
+def test_single_file_out_that_is_a_directory_exits_2(tmp_path, pipeline, capsys,
+                                                     command) -> None:
+    out = tmp_path / "taken"
+    out.mkdir()
+    assert run(command, "--lexicon", str(pipeline["lexicon"]), "--in", str(pipeline["corpus"]),
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and err.count("\n") == 1
+    assert out.is_dir() and not any(out.iterdir())
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
+
+
+def test_synth_into_a_non_ascii_directory_records_its_path(tmp_path, small_spec_path) -> None:
+    out = tmp_path / "输出"
+    assert run("synth", "--spec", str(small_spec_path), "--n", "2", "--out", str(out)) == 0
+    text = (out / "manifest.json").read_text(encoding="utf-8")
+    assert json.loads(text)["config"]["out"] == str(out)
+    assert "输出" in text  # kept as UTF-8, not escaped
+
+
 # ------------------------------------------------------------------- evaluate
 
 
@@ -529,8 +553,10 @@ def test_nonexistent_input_file_exits_2(tmp_path, capsys) -> None:
     ("score", b"[score]\nlevels = maybe\n"),
     ("score", b"[score]\ntokenize-mode = bogus\n"),
     ("synth", b"[synth]\nbogus-key = 3\n"),
+    ("synth", b"[DEFAULT]\nepoch = 5\n"),
 ], ids=["no-section-header", "duplicate-key", "not-utf8", "bad-interpolation",
-        "boolean-maybe", "levels-maybe", "choice-not-allowed", "unknown-key"])
+        "boolean-maybe", "levels-maybe", "choice-not-allowed", "unknown-key",
+        "unknown-default-key"])
 def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> None:
     config = tmp_path / "run.ini"
     config.write_bytes(ini)
@@ -550,10 +576,18 @@ def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> N
 
 def test_config_keys_of_other_sections_and_defaults_are_not_checked(tmp_path) -> None:
     config = tmp_path / "run.ini"
-    config.write_text("[DEFAULT]\nshared = 1\n[synth]\nn = 2\n[score]\nbogus-key = 3\n",
+    config.write_text("[DEFAULT]\nepochs = 3\n[synth]\nn = 2\n[score]\nbogus-key = 3\n",
                       encoding="utf-8")
     assert run("synth", "--config", str(config), "--out", str(tmp_path / "out")) == 0
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config"]["n"] == 2
+
+
+def test_config_defaults_apply_without_a_section(tmp_path) -> None:
+    config = tmp_path / "run.ini"
+    config.write_text("[DEFAULT]\nn = 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("synth", "--config", str(config), "--out", str(out)) == 0
+    assert len(read_corpus(out / "corpus.jsonl")) == 2
 
 
 def test_manifest_keeps_the_hash_of_each_input_sharing_a_file_name(tmp_path, pipeline) -> None:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from traitgen.checkpoint import load_model
 from traitgen.errors import (
     ConditionError,
     InsufficientDataError,
@@ -79,11 +80,6 @@ def test_condition_parse_rejects_malformed() -> None:
 def test_condition_rejects_non_binary() -> None:
     with pytest.raises(ConditionError):
         BfpCondition(2, 0, 0, 0, 0)
-
-
-def test_condition_from_labels() -> None:
-    labels = {"E": 1, "A": 0, "C": 0, "N": 1, "O": 0}
-    assert BfpCondition.from_labels(labels).bits == (1, 0, 0, 1, 0)
 
 
 # ----------------------------------------------------------------------- cell
@@ -294,7 +290,7 @@ def test_training_smoke_and_loss_finite(tmp_path) -> None:
     assert math.isfinite(result.epoch_mean_losses[0])
     path = tmp_path / "lstm.json"
     result.model.save(path)
-    loaded = LstmModel.load(path)
+    loaded = load_model(path, expect_kind="lstm")
     enc = encode(["a", "b"], result.model.vocab, 8)
     cond = all_high()
     assert (generator_forward(enc, cond, result.model)

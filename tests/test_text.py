@@ -20,6 +20,8 @@ from traitgen.textproc import (
     read_corpus,
     tokenize,
     write_corpus,
+    write_json,
+    write_jsonl,
     _escape,
 )
 
@@ -225,6 +227,31 @@ def test_corpus_write_is_byte_deterministic(tmp_path) -> None:
     write_corpus(p1, docs)
     write_corpus(p2, docs)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_json_sorts_keys_and_keeps_utf8(tmp_path) -> None:
+    path = tmp_path / "x.json"
+    write_json(path, {"b": "é", "a": [1]})
+    assert path.read_bytes() == '{\n  "a": [\n    1\n  ],\n  "b": "é"\n}\n'.encode()
+    write_json(path, {"b": 1, "a": 2}, indent=None)
+    assert path.read_bytes() == b'{"a": 2, "b": 1}\n'
+
+
+def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path) -> None:
+    path = tmp_path / "out.jsonl"
+    write_jsonl(path, [{"a": 1}])
+    old = path.read_bytes()
+
+    def records():
+        for i in range(5000):  # well past one write buffer
+            yield {"i": i, "pad": "x" * 50}
+        assert (tmp_path / ".out.jsonl.tmp").stat().st_size > 0
+        raise RuntimeError("boom")
+
+    with pytest.raises(RuntimeError, match="boom"):
+        write_jsonl(path, records())
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
 
 def test_malformed_line_reports_line_number(tmp_path) -> None:
