@@ -35,7 +35,7 @@ from .numeric import (
     xavier_init,
     zero_grads,
 )
-from .textproc import Document, EncodedText, Vocabulary, encode
+from .textproc import Document, Vocabulary, encode
 from .traits import TRAITS
 
 CLIP_NORM = 5.0
@@ -115,13 +115,6 @@ class CnnModel:
                          self.params())
 
 
-def _stack(texts: Sequence[EncodedText]) -> tuple[np.ndarray, np.ndarray]:
-    """(B, T) ids and (B,) valid lengths of equally padded encodings."""
-    ids = np.array([t.ids for t in texts], dtype=np.int64)
-    lengths = np.array([t.length for t in texts], dtype=np.int64)
-    return ids, lengths
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # overflow-safe either side of zero
     e = np.exp(-np.abs(x))
@@ -180,19 +173,25 @@ def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
     add_rows_at(model.embedding.grad, win_ids.reshape(-1), d_win.a.reshape(-1, k))
 
 
+def _probs(model: CnnModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """(n, 5) trait probabilities of n encoded rows, :data:`CHUNK` rows per forward."""
+    out = np.empty((len(ids), len(TRAITS)))
+    for start in range(0, len(ids), CHUNK):
+        rows = slice(start, start + CHUNK)
+        out[rows] = _forward(model, ids[rows], lengths[rows])[0]
+    return out
+
+
 def classifier_forward(texts: Sequence[Sequence[str]], model: CnnModel) -> np.ndarray:
     """(n, 5) trait probabilities in (0, 1) of n token lists, columns in E A C N O order.
 
-    Texts are encoded a chunk at a time. Only windows whose positions are
-    all valid contribute, so trailing padding never changes a row; a text
-    with fewer valid positions than one window is classified from a
-    single PAD-completed window.
+    The texts are encoded together, then classified :data:`CHUNK` rows at
+    a time. Only windows whose positions are all valid contribute, so
+    trailing padding never changes a row; a text with fewer valid
+    positions than one window is classified from a single PAD-completed
+    window.
     """
-    out = np.empty((len(texts), len(TRAITS)))
-    for start in range(0, len(texts), CHUNK):
-        chunk = [encode(t, model.vocab, model.config.max_len) for t in texts[start:start + CHUNK]]
-        out[start:start + CHUNK] = _forward(model, *_stack(chunk))[0]
-    return out
+    return _probs(model, *encode(texts, model.vocab, model.config.max_len))
 
 
 def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) -> float:
@@ -216,11 +215,11 @@ def predict_labels(probs: Sequence[float] | np.ndarray, threshold: float = 0.5) 
     return (np.asarray(probs) > threshold).astype(int).tolist()
 
 
-def _accuracy_per_trait(model: CnnModel, texts: list[list[str]],
+def _accuracy_per_trait(model: CnnModel, ids: np.ndarray, lengths: np.ndarray,
                         labels: np.ndarray) -> dict[str, float]:
-    pred = np.array(predict_labels(classifier_forward(texts, model)))
+    pred = np.array(predict_labels(_probs(model, ids, lengths)))
     correct = (pred == labels).sum(axis=0)
-    n = max(1, len(texts))
+    n = max(1, len(ids))
     return {t: int(correct[i]) / n for i, t in enumerate(TRAITS)}
 
 
@@ -253,19 +252,18 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
     config = replace(config, vocab_size=len(vocab))
     model = CnnModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
-    encoded = [encode(d.tokens, vocab, config.max_len) for d in docs]
+    ids, lengths = encode([d.tokens for d in docs], vocab, config.max_len)
     labels = np.array([[d.labels[t] for t in TRAITS] for d in docs], dtype=np.float64)
 
     order = list(range(len(docs)))
     rng.spawn(_STREAM_SPLIT).shuffle(order)
     n_val = max(1, len(docs) // 10)
     train_idx, val_idx = order[:-n_val], order[-n_val:]
-    val_texts = [docs[i].tokens for i in val_idx]
-    val_labels = labels[val_idx]
+    val = (ids[val_idx], lengths[val_idx], labels[val_idx])
 
     result = ClassifierTrainResult(model=model, best_epoch=0, best_accuracy={})
     if config.epochs == 0:
-        result.best_accuracy = _accuracy_per_trait(model, val_texts, val_labels)
+        result.best_accuracy = _accuracy_per_trait(model, *val)
         result.history.append(result.best_accuracy)
         return result
 
@@ -281,13 +279,13 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
             scale = 1.0 / len(batch)
             for c in range(0, len(batch), CHUNK):
                 rows = batch[c:c + CHUNK]
-                probs, cache = _forward(model, *_stack([encoded[i] for i in rows]))
+                probs, cache = _forward(model, ids[rows], lengths[rows])
                 _backward(model, probs, cache, labels[rows], scale)
             clip_global_norm(params, CLIP_NORM)
             for p in params:
                 adam_step(p, config.learning_rate)
         check_finite(params)
-        acc = _accuracy_per_trait(model, val_texts, val_labels)
+        acc = _accuracy_per_trait(model, *val)
         result.history.append(acc)
         mean_acc = sum(acc.values()) / len(acc)
         if mean_acc > best_mean:

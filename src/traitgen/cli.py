@@ -73,10 +73,15 @@ def _config_section(path: str, command: str) -> dict[str, str]:
     an option of some command. Malformed files are user errors too.
     """
     parser = configparser.ConfigParser()
+    # no section header can spell "\n", so this parser reads [DEFAULT] as a
+    # plain section and lists only the keys a section sets itself
+    own = configparser.ConfigParser(default_section="\n", interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
             raise ConfigError(f"config file not found: {path}")
+        own.read(path, encoding="utf-8")
         shared = set(parser.defaults())
+        section_keys = set(own.options(command)) if own.has_section(command) else set()
         values = dict(parser.items(command if parser.has_section(command)
                                    else parser.default_section))
     except (configparser.Error, UnicodeDecodeError) as exc:
@@ -84,7 +89,7 @@ def _config_section(path: str, command: str) -> dict[str, str]:
     known = {o.name for o in COMMANDS[command].opts}
     known_anywhere = {o.name for c in COMMANDS.values() for o in c.opts}
     for section, unknown in ((parser.default_section, shared - known_anywhere),
-                             (command, set(values) - shared - known)):
+                             (command, section_keys - known)):
         if unknown:
             raise ConfigError(f"config file {path}: unknown key "
                               f"{', '.join(sorted(unknown))} in [{section}]")

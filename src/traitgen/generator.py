@@ -45,7 +45,7 @@ from .numeric import (
     xavier_init,
     zero_grads,
 )
-from .textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, EncodedText, Vocabulary, encode
+from .textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
 from .traits import TRAITS
 
 CLIP_NORM = 5.0
@@ -191,7 +191,8 @@ def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray):
     return o * tanh_c, c, (i, f, g, o, tanh_c)
 
 
-def _check_condition_arity(model: LstmModel, condition: BfpCondition | None) -> None:
+def _check_condition_arity(model: LstmModel,
+                           condition: BfpCondition | np.ndarray | None) -> None:
     if model.config.cond_dim == 5 and condition is None:
         raise ConditionError("this model is conditional: a five-bit condition is required")
     if model.config.cond_dim == 0 and condition is not None:
@@ -207,6 +208,7 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
     step and of h_all the hidden state it produced; caches[t] holds step
     t's previous cell state and gate activations for the backward pass.
     """
+    _check_condition_arity(model, cond)
     b, t_len = ids.shape
     cfg = model.config
     k, hdim = cfg.embed_dim, cfg.hidden_dim
@@ -233,32 +235,14 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
     return logits, h_all, xh_all, caches
 
 
-def generator_forward(encoded: EncodedText, condition: BfpCondition | None,
-                      model: LstmModel) -> np.ndarray:
-    """Next-token logits for positions 0..T-2 of one encoded text."""
-    _check_condition_arity(model, condition)
-    ids = np.asarray(encoded.ids, dtype=np.int64)[None, :]
-    if ids.max() >= model.config.vocab_size:
-        raise ValidationError("encoded ids exceed the model vocabulary")
-    cond = None if condition is None else np.array([condition.bits], dtype=np.float64)
-    return _forward(model, ids, cond)[0]
-
-
-def generator_loss(logits: np.ndarray, encoded: EncodedText) -> float:
-    """Masked cross-entropy of the logits against the shifted targets."""
-    targets = encoded.ids[1:]
-    mask = encoded.mask[1:]
-    loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
-    return loss
-
-
 # ------------------------------------------------------------------- training
 
 
-def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
+def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
                  cond: np.ndarray | None) -> tuple[float, float]:
-    """Fused forward/backward over one batch; accumulates into grads.
+    """Fused forward/backward over a (B, T) id batch; accumulates into grads.
 
+    Row b's targets are its positions 1 .. lengths[b] - 1; the rest is PAD.
     The recurrence forces one gate matmul per timestep in each direction;
     the backward one multiplies by the hidden-state rows of the gate
     weights only. Everything else (output projection, gate-weight
@@ -274,8 +258,8 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     w_g, w_o = model.gates_w.value, model.out_w.value
     logits, h_all, xh_all, caches = _forward(model, ids, cond)
     targets = ids[:, 1:].T.reshape(-1)
-    mask_flat = mask[:, 1:].T.reshape(-1)
-    loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
+    mask = (np.arange(1, t_len)[:, None] < lengths).reshape(-1)  # time-major, as the logits
+    loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
     dlogits = back_ce().a
 
     model.out_w.grad += h_all.T @ dlogits
@@ -303,21 +287,13 @@ def _train_batch(model: LstmModel, ids: np.ndarray, mask: np.ndarray,
     model.gates_w.grad += xh_all.T @ dz_all
     model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)
     add_rows_at(model.embedding.grad, ids[:, :steps].T.reshape(-1), dz_all @ w_g[:k].T)
-    return loss, float(mask_flat.sum())
+    return loss, float(mask.sum())
 
 
 @dataclass
 class GeneratorTrainResult:
     model: LstmModel
     epoch_mean_losses: list[float] = field(default_factory=list)
-
-
-def _encode_corpus(docs: list[Document], vocab: Vocabulary, max_len: int):
-    encoded = [encode(d.tokens, vocab, max_len) for d in docs]
-    ids = np.array([e.ids for e in encoded], dtype=np.int64)
-    mask = np.array([e.mask for e in encoded], dtype=np.float64)
-    lengths = np.array([e.length for e in encoded], dtype=np.int64)
-    return ids, mask, lengths
 
 
 def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
@@ -341,7 +317,7 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
     config = replace(config, vocab_size=len(vocab))
     model = LstmModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
-    ids, mask, lengths = _encode_corpus(docs, vocab, config.max_len)
+    ids, lengths = encode([d.tokens for d in docs], vocab, config.max_len)
     cond_all = None
     if conditional:
         cond_all = np.array([[d.labels[t] for t in TRAITS] for d in docs], dtype=np.float64)
@@ -364,10 +340,9 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
         for batch in batches:
             t_max = int(lengths[batch].max())
             ids_b = ids[batch][:, :t_max]
-            mask_b = mask[batch][:, :t_max]
             cond_b = cond_all[batch] if cond_all is not None else None
             zero_grads(params)
-            loss, n_tokens = _train_batch(model, ids_b, mask_b, cond_b)
+            loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss} in epoch {epoch}")
             clip_global_norm(params, CLIP_NORM)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 from .errors import ConfigError, InsufficientDataError, ValidationError
 from .generator import BfpCondition, LstmModel, generate
@@ -226,20 +225,6 @@ def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document]
         raise ValidationError(f"n_docs must be non-negative, got {n_docs}")
     docs = [_synth_document(spec, rng.spawn(i)) for i in range(n_docs)]
     return docs, matched_lexicon(spec)
-
-
-def marker_count_label(tokens: Sequence[str], spec: SynthSpec) -> dict[str, int | None]:
-    """Independent counting check: sign of (high hits - low hits) per trait.
-
-    Returns None for a trait when the counts tie (including zero markers),
-    meaning the check abstains.
-    """
-    out: dict[str, int | None] = {}
-    for t in TRAITS:
-        high = sum(tok in set(spec.markers[t]["high"]) for tok in tokens)
-        low = sum(tok in set(spec.markers[t]["low"]) for tok in tokens)
-        out[t] = None if high == low else int(high > low)
-    return out
 
 
 # ----------------------------------------------------------------- evaluation

@@ -101,11 +101,6 @@ class Rng:
             if r < limit:
                 return r % n
 
-    def choice(self, seq):
-        if not seq:
-            raise ShapeError("choice on empty sequence")
-        return seq[self.randint(len(seq))]
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

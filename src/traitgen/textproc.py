@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+import numpy as np
+
 from .errors import EncodingError, InvalidIdError, ShapeError, ValidationError
 from .traits import check_label_map, check_level_map
 
@@ -149,42 +151,20 @@ class Vocabulary:
         return [_unescape(t) for t in self._id_to_token[4:]]
 
 
-@dataclass
-class EncodedText:
-    """Fixed-length id sequence with a validity mask.
+def encode(token_lists: Sequence[Sequence[str]], vocab: Vocabulary,
+           max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n, max_len) int64 id rows and (n,) int64 lengths of n token lists.
 
-    ``ids[t]`` is PAD exactly where ``mask[t]`` is 0; the sequence starts
-    with BOS and holds at most one EOS, after which everything is PAD.
-    """
-
-    ids: list[int]
-    mask: list[int]
-
-    def __post_init__(self) -> None:
-        if len(self.ids) != len(self.mask):
-            raise ShapeError("ids and mask lengths differ")
-
-    @property
-    def length(self) -> int:
-        """Number of valid (non-pad) positions."""
-        return sum(self.mask)
-
-
-def encode(tokens: Sequence[str], vocab: Vocabulary, max_len: int) -> EncodedText:
-    """BOS + token ids + EOS, truncated to ``max_len`` and padded.
-
-    Truncation keeps the prefix and always leaves EOS as the final non-pad
-    token. Out-of-vocabulary tokens map to UNK.
+    Row r is BOS + the ids of the first ``max_len - 2`` tokens + EOS, then
+    PAD; ``lengths[r]`` counts its positions before the PAD. Truncation
+    keeps the prefix, and out-of-vocabulary tokens map to UNK.
     """
     if max_len < 2:
         raise ShapeError(f"max_len must be at least 2, got {max_len}")
-    body = [vocab.id_of(t) for t in tokens[: max_len - 2]]
-    ids = [BOS_ID] + body + [EOS_ID]
-    mask = [1] * len(ids)
-    pad = max_len - len(ids)
-    ids.extend([PAD_ID] * pad)
-    mask.extend([0] * pad)
-    return EncodedText(ids=ids, mask=mask)
+    rows = [[BOS_ID, *map(vocab.id_of, tokens[: max_len - 2]), EOS_ID] for tokens in token_lists]
+    lengths = np.array([len(row) for row in rows], dtype=np.int64)
+    ids = np.array([row + [PAD_ID] * (max_len - len(row)) for row in rows], dtype=np.int64)
+    return ids.reshape(len(rows), max_len), lengths
 
 
 @dataclass

@@ -16,6 +16,8 @@ LEVELS: tuple[str, ...] = (LOW, MEDIUM, HIGH)
 
 def check_label_map(labels: dict) -> dict[str, int]:
     """Validate a trait->polarity map: exactly the five traits, values 0/1."""
+    if not isinstance(labels, dict):
+        raise ValidationError(f"labels must be an object keyed by trait, got {labels!r}")
     if set(labels) != set(TRAITS):
         raise ValidationError(
             f"labels must cover exactly the traits {TRAITS}, got {sorted(labels)}"
@@ -31,6 +33,8 @@ def check_label_map(labels: dict) -> dict[str, int]:
 
 def check_level_map(levels: dict) -> dict[str, str]:
     """Validate a trait->level map: exactly the five traits, known levels."""
+    if not isinstance(levels, dict):
+        raise ValidationError(f"levels must be an object keyed by trait, got {levels!r}")
     if set(levels) != set(TRAITS):
         raise ValidationError(
             f"levels must cover exactly the traits {TRAITS}, got {sorted(levels)}"

@@ -24,7 +24,6 @@ from traitgen.classifier import (
     train_classifier,
     _backward as cnn_backward,
     _forward as cnn_forward,
-    _stack,
 )
 from traitgen.checkpoint import load_model
 from traitgen.classifier import classifier_loss
@@ -34,8 +33,6 @@ from traitgen.generator import (
     LstmConfig,
     LstmModel,
     generate,
-    generator_forward,
-    generator_loss,
     train_generator,
     _forward,
     _train_batch,
@@ -148,16 +145,16 @@ def test_criterion_1_gradient_integrity():
     )
     rng = Rng(8)
     docs = [[f"w{rng.randint(16)}" for _ in range(rng.randint(6) + 4)] for _ in range(3)]
-    encs = [encode(toks, vocab, 12) for toks in docs]
+    cnn_ids, cnn_lengths = encode(docs, vocab, 12)
     labels = [[rng.coin() for _ in range(5)] for _ in range(3)]
 
     def cnn_loss() -> float:
         probs = classifier_forward(docs, cnn)
-        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(encs)
+        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(docs)
 
     def cnn_grad() -> float:
-        probs, cache = cnn_forward(cnn, *_stack(encs))
-        cnn_backward(cnn, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(encs))
+        probs, cache = cnn_forward(cnn, cnn_ids, cnn_lengths)
+        cnn_backward(cnn, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(docs))
         return cnn_loss()
 
     cnn_report = gradient_check(cnn_loss, cnn_grad, cnn.params(), h=1e-5, tol=1e-4)
@@ -168,6 +165,7 @@ def test_criterion_1_gradient_integrity():
     )
     ids = np.array([[2, 5, 9, 3], [2, 11, 3, 0]], dtype=np.int64)  # 3 timesteps
     mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
+    lengths = np.array([4, 3])
     cond = np.array([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]], dtype=np.float64)
 
     def lstm_loss() -> float:
@@ -178,7 +176,7 @@ def test_criterion_1_gradient_integrity():
         return loss
 
     def lstm_grad() -> float:
-        loss, _ = _train_batch(lstm, ids, mask, cond)
+        loss, _ = _train_batch(lstm, ids, lengths, cond)
         return loss
 
     lstm_report = gradient_check(lstm_loss, lstm_grad, lstm.params(), h=1e-5, tol=1e-4)
@@ -263,15 +261,12 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
     untrained = LstmModel.init(
         LstmConfig(vocab_size=len(vocab), cond_dim=5), vocab, Rng(777)
     )
-    total_nll = total_tok = 0.0
-    for doc in sample:
-        enc = encode(doc.tokens, vocab, untrained.config.max_len)
-        logits = generator_forward(enc, BfpCondition(*(doc.labels[t] for t in TRAITS)), untrained)
-        loss = generator_loss(logits, enc)
-        n = sum(enc.mask[1:])
-        total_nll += loss * n
-        total_tok += n
-    mean_ce = total_nll / total_tok
+    ids, lengths = encode([doc.tokens for doc in sample], vocab, untrained.config.max_len)
+    ids = ids[:, :lengths.max()]
+    cond = np.array([[doc.labels[t] for t in TRAITS] for doc in sample], dtype=np.float64)
+    mask = np.arange(1, ids.shape[1])[:, None] < lengths  # time-major, as the logits
+    mean_ce, _ = masked_cross_entropy(Matrix._wrap(_forward(untrained, ids, cond)[0]),
+                                      ids[:, 1:].T.reshape(-1), mask.reshape(-1))
     ln_v = math.log(len(vocab))
     ok_untrained = abs(mean_ce - ln_v) / ln_v < 0.02
     report(5, "training dynamics", ok_ratio and ok_untrained,
@@ -415,10 +410,10 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     lstm_path = tmp_path / "lstm.json"
     lstm.save(lstm_path)
     lstm_loaded = load_model(lstm_path, expect_kind="lstm")
-    enc2 = encode(probe_tokens, lstm.vocab, lstm.config.max_len)
-    cond = BfpCondition(1, 1, 0, 0, 1)
-    lstm_same = (generator_forward(enc2, cond, lstm)
-                 == generator_forward(enc2, cond, lstm_loaded)).all()
+    probe_ids, _ = encode([probe_tokens], lstm.vocab, lstm.config.max_len)
+    cond = np.array([BfpCondition(1, 1, 0, 0, 1).bits], dtype=np.float64)
+    lstm_same = (_forward(lstm, probe_ids, cond)[0]
+                 == _forward(lstm_loaded, probe_ids, cond)[0]).all()
 
     ok = not mismatched and cnn_same and bool(lstm_same)
     report(7, "determinism and persistence", ok,

@@ -16,11 +16,10 @@ from traitgen.classifier import (
     train_classifier,
     _backward,
     _forward,
-    _stack,
 )
 from traitgen.errors import InsufficientDataError, MissingLabelError, ValidationError
 from traitgen.numeric import Rng, gradient_check
-from traitgen.textproc import PAD_ID, Document, EncodedText, Vocabulary, encode
+from traitgen.textproc import PAD_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
 
@@ -61,13 +60,13 @@ def test_zero_head_weights_give_half_probabilities() -> None:
 def test_forward_matches_hand_unrolled_oracle() -> None:
     model = make_model(n_tokens=2, k=2, m=2, f=1, seed=11)
     tokens = ["w0", "w1", "w0"]
-    enc = encode(tokens, model.vocab, model.config.max_len)
+    ids, lengths = encode([tokens], model.vocab, model.config.max_len)
     probs = classifier_forward([tokens], model)[0]
 
     emb = model.embedding.value
     w = model.conv_w.value[0]  # single filter, width m*k = 4
     b = float(model.conv_b.value[0, 0])
-    valid = enc.ids[: enc.length]
+    valid = ids[0, :lengths[0]].tolist()
     feats = []
     for p in range(len(valid) - 1):
         window = list(emb[valid[p]]) + list(emb[valid[p + 1]])
@@ -102,10 +101,10 @@ def test_label_corpus_classifies_texts_shorter_than_one_window() -> None:
     assert set(labeled[0].labels) == set(TRAITS)
 
 
-def reference_probs(model: CnnModel, enc: EncodedText) -> list[float]:
-    """One text at a time: its fully valid windows, or its PAD-completed window 0."""
+def reference_probs(model: CnnModel, ids: np.ndarray, length: int) -> list[float]:
+    """One encoded row at a time: its fully valid windows, or its PAD-completed window 0."""
     m = model.config.window
-    valid = enc.ids[: max(enc.length, m)]
+    valid = ids[: max(length, m)].tolist()
     emb = model.embedding.value
     windows = np.array([np.concatenate([emb[i] for i in valid[p:p + m]])
                         for p in range(len(valid) - m + 1)])
@@ -124,19 +123,18 @@ def test_batched_rows_match_reference_across_chunkings_and_padding() -> None:
         texts = [[f"w{rng.randint(6)}" for _ in range(rng.randint(max_len + 1))]
                  for _ in range(1 + rng.randint(20))]
         texts.append([])  # 2 valid positions: shorter than every window > 2
-        encs = [encode(tokens, model.vocab, max_len) for tokens in texts]
-        ids, lengths = _stack(encs)
+        ids, lengths = encode(texts, model.vocab, max_len)
         whole = classifier_forward(texts, model)
         assert whole.shape == (len(texts), len(TRAITS))
-        for row, enc in zip(whole, encs):
-            assert np.abs(row - reference_probs(model, enc)).max() <= tol
+        for row, row_ids, length in zip(whole, ids, lengths):
+            assert np.abs(row - reference_probs(model, row_ids, length)).max() <= tol
         for chunk in (1, 7, len(texts)):
             rows = np.concatenate([_forward(model, ids[s:s + chunk], lengths[s:s + chunk])[0]
                                    for s in range(0, len(texts), chunk)])
             assert np.abs(rows - whole).max() <= tol
         extra = 1 + rng.randint(5)
-        padded = [EncodedText(e.ids + [PAD_ID] * extra, e.mask + [0] * extra) for e in encs]
-        assert np.abs(_forward(model, *_stack(padded))[0] - whole).max() <= tol
+        padded = np.pad(ids, ((0, 0), (0, extra)), constant_values=PAD_ID)
+        assert np.abs(_forward(model, padded, lengths)[0] - whole).max() <= tol
     assert classifier_forward([], model).shape == (0, len(TRAITS))
 
 
@@ -184,8 +182,8 @@ def test_predict_labels_zero_threshold() -> None:
 
 def test_prediction_agrees_with_logit_sign() -> None:
     model = make_model(seed=13)
-    enc = encode(["w0", "w1", "w1"], model.vocab, model.config.max_len)
-    probs, cache = _forward(model, *_stack([enc]))
+    probs, cache = _forward(model, *encode([["w0", "w1", "w1"]], model.vocab,
+                                           model.config.max_len))
     pooled = cache[3]
     logits = pooled.a @ model.head_w.value + model.head_b.value
     for i in range(len(TRAITS)):
@@ -201,17 +199,17 @@ def test_gradient_check_at_toy_dims() -> None:
     tokens_per_doc = [
         [f"w{rng.randint(16)}" for _ in range(rng.randint(6) + 3)] for _ in range(4)
     ]
-    encs = [encode(toks, model.vocab, model.config.max_len) for toks in tokens_per_doc]
+    ids, lengths = encode(tokens_per_doc, model.vocab, model.config.max_len)
     labels = [[rng.coin() for _ in range(5)] for _ in range(4)]
     params = model.params()
 
     def loss_fn() -> float:
         probs = classifier_forward(tokens_per_doc, model)
-        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(encs)
+        return sum(classifier_loss(p, y) for p, y in zip(probs, labels)) / len(labels)
 
     def grad_fn() -> float:
-        probs, cache = _forward(model, *_stack(encs))
-        _backward(model, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(encs))
+        probs, cache = _forward(model, ids, lengths)
+        _backward(model, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(labels))
         return loss_fn()
 
     report = gradient_check(loss_fn, grad_fn, params, h=1e-5, tol=1e-4)

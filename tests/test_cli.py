@@ -554,9 +554,10 @@ def test_nonexistent_input_file_exits_2(tmp_path, capsys) -> None:
     ("score", b"[score]\ntokenize-mode = bogus\n"),
     ("synth", b"[synth]\nbogus-key = 3\n"),
     ("synth", b"[DEFAULT]\nepoch = 5\n"),
+    ("synth", b"[DEFAULT]\nepochs = 3\n[synth]\nn = 2\nepochs = 4\n"),
 ], ids=["no-section-header", "duplicate-key", "not-utf8", "bad-interpolation",
         "boolean-maybe", "levels-maybe", "choice-not-allowed", "unknown-key",
-        "unknown-default-key"])
+        "unknown-default-key", "section-key-shadowing-a-default"])
 def test_malformed_config_exits_2(tmp_path, pipeline, capsys, command, ini) -> None:
     config = tmp_path / "run.ini"
     config.write_bytes(ini)
@@ -650,9 +651,12 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--spec", json.dumps({**default_synth_spec().as_dict(), "len_min": "x"}).encode()),
     ("--seed-pool", b"w000\n\xff\n"),
     ("--model", b"\xff{}"),
+    ("--corpus", json.dumps({"text": "a b", "labels": "EACNO"}).encode()),
+    ("--in", json.dumps({"text": "a b", "levels": list(TRAITS)}).encode()),
 ], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
         "lexicon-entries-not-list", "thresholds-not-json", "thresholds-string-cut",
-        "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8"])
+        "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8",
+        "corpus-labels-not-object", "corpus-levels-not-object"])
 def test_malformed_json_input_exits_2(tmp_path, pipeline, capsys, option, content) -> None:
     bad = tmp_path / "bad"
     bad.write_bytes(content)
@@ -664,6 +668,8 @@ def test_malformed_json_input_exits_2(tmp_path, pipeline, capsys, option, conten
         "--spec": ["synth", "--n", "2"],
         "--seed-pool": ["generate", "--model", str(pipeline["baseline"]), "--n", "1"],
         "--model": ["generate", "--seed-pool", str(pipeline["pool"]), "--n", "1"],
+        "--corpus": ["train-generator"],
+        "--in": ["score", "--lexicon", str(pipeline["lexicon"])],
     }[option]
     assert run(*command, option, str(bad), "--out", str(out)) == 2
     err = capsys.readouterr().err

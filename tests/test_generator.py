@@ -24,8 +24,6 @@ from traitgen.generator import (
     LstmConfig,
     LstmModel,
     generate,
-    generator_forward,
-    generator_loss,
     train_generator,
     _Row,
     _cell,
@@ -50,6 +48,19 @@ def make_model(n_tokens=4, k=3, h=3, cond=5, max_len=10, seed=2) -> LstmModel:
 
 def all_high() -> BfpCondition:
     return BfpCondition(1, 1, 1, 1, 1)
+
+
+def cond_row(condition: BfpCondition) -> np.ndarray:
+    """The (1, 5) condition input of a one-text batch."""
+    return np.array([condition.bits], dtype=np.float64)
+
+
+def next_token_loss(logits: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> float:
+    """masked_cross_entropy of _forward's time-major logits against the next ids."""
+    mask = np.arange(1, ids.shape[1])[:, None] < lengths
+    loss, _ = masked_cross_entropy(Matrix._wrap(logits), ids[:, 1:].T.reshape(-1),
+                                   mask.reshape(-1))
+    return loss
 
 
 def random_labeled_docs(n: int, tokens: list[str], rng: Rng, length=5) -> list[Document]:
@@ -154,31 +165,31 @@ def test_hidden_state_magnitude_below_one() -> None:
         assert np.abs(h).max() < 1.0
 
 
-# ----------------------------------------------------------- generator_forward
+# -------------------------------------------------------------------- _forward
 
 
 def test_forward_condition_arity_enforced() -> None:
     cond_model = make_model(cond=5)
     uncond_model = make_model(cond=0)
-    enc = encode(["w0"], cond_model.vocab, 6)
+    ids, _ = encode([["w0"]], cond_model.vocab, 6)
     with pytest.raises(ConditionError):
-        generator_forward(enc, None, cond_model)
+        _forward(cond_model, ids, None)
     with pytest.raises(ConditionError):
-        generator_forward(enc, all_high(), uncond_model)
+        _forward(uncond_model, ids, cond_row(all_high()))
 
 
 def test_forward_matches_hand_unrolled_steps() -> None:
     model = make_model(n_tokens=4, k=3, h=3, cond=5, max_len=4, seed=41)
-    enc = encode(["w0", "w2"], model.vocab, 4)  # ids: BOS w0 w2 EOS
+    ids, _ = encode([["w0", "w2"]], model.vocab, 4)  # BOS w0 w2 EOS
     cond = BfpCondition(1, 0, 1, 0, 1)
-    logits = generator_forward(enc, cond, model)
+    logits = _forward(model, ids, cond_row(cond))[0]
     assert logits.shape == (3, model.config.vocab_size)
 
     bits = list(map(float, cond.bits))
     w_o, b_o = model.out_w.value, model.out_b.value[0]
     h, c = [0.0] * 3, [0.0] * 3
     for t in range(3):
-        emb = model.embedding.value[enc.ids[t]].tolist()
+        emb = model.embedding.value[ids[0, t]].tolist()
         h, c = scalar_cell(model, emb + bits + h, c)
         expected = [b_o[v] + sum(h[j] * w_o[j, v] for j in range(3))
                     for v in range(model.config.vocab_size)]
@@ -189,11 +200,11 @@ def test_zeroed_condition_rows_make_all_conditions_identical() -> None:
     model = make_model(n_tokens=5, k=3, h=4, cond=5, max_len=6, seed=43)
     k = model.config.embed_dim
     model.gates_w.value[k:k + 5, :] = 0.0  # rows that read the condition bits
-    enc = encode(["w1", "w3"], model.vocab, 6)
+    ids, _ = encode([["w1", "w3"]], model.vocab, 6)
     reference = None
     for bits in range(32):
         cond = BfpCondition(*( (bits >> i) & 1 for i in range(5) ))
-        logits = generator_forward(enc, cond, model)
+        logits = _forward(model, ids, cond_row(cond))[0]
         if reference is None:
             reference = logits
         else:
@@ -206,9 +217,8 @@ def test_untrained_model_loss_is_near_log_vocab() -> None:
     total, count = 0.0, 0
     for _ in range(20):
         tokens = [f"w{rng.randint(40)}" for _ in range(8)]
-        enc = encode(tokens, model.vocab, 12)
-        logits = generator_forward(enc, None, model)
-        total += generator_loss(logits, enc)
+        ids, lengths = encode([tokens], model.vocab, 12)
+        total += next_token_loss(_forward(model, ids, None)[0], ids, lengths)
         count += 1
     mean = total / count
     assert abs(mean - math.log(model.config.vocab_size)) / math.log(
@@ -216,39 +226,37 @@ def test_untrained_model_loss_is_near_log_vocab() -> None:
     ) < 0.02
 
 
-# ------------------------------------------------------------- generator_loss
+# ------------------------------------------------------------- next-token loss
 
 
 def test_loss_zero_for_deterministic_correct_logits() -> None:
     model = make_model(n_tokens=3, max_len=5)
-    enc = encode(["w0", "w1"], model.vocab, 5)
-    v = model.config.vocab_size
-    logits = np.zeros((4, v))
-    for t in range(4):
-        if enc.mask[t + 1]:
-            logits[t, enc.ids[t + 1]] = 60.0
-    assert generator_loss(logits, enc) == pytest.approx(0.0, abs=1e-11)
+    ids, lengths = encode([["w0", "w1"]], model.vocab, 5)  # BOS w0 w1 EOS PAD
+    logits = np.zeros((4, model.config.vocab_size))
+    for t in range(1, lengths[0]):
+        logits[t - 1, ids[0, t]] = 60.0
+    assert next_token_loss(logits, ids, lengths) == pytest.approx(0.0, abs=1e-11)
 
 
 def test_loss_uniform_logits_equals_log_vocab() -> None:
     model = make_model(n_tokens=3, max_len=5)
-    enc = encode(["w0", "w1"], model.vocab, 5)
+    ids, lengths = encode([["w0", "w1"]], model.vocab, 5)
     logits = np.zeros((4, model.config.vocab_size))
-    assert generator_loss(logits, enc) == pytest.approx(
+    assert next_token_loss(logits, ids, lengths) == pytest.approx(
         math.log(model.config.vocab_size), abs=1e-12
     )
 
 
 def test_loss_matches_hand_sum_on_three_token_toy() -> None:
     model = make_model(n_tokens=3, max_len=5, seed=53)
-    enc = encode(["w0", "w1", "w2"], model.vocab, 5)
-    logits = generator_forward(enc, all_high(), model)
+    ids, lengths = encode([["w0", "w1", "w2"]], model.vocab, 5)
+    logits = _forward(model, ids, cond_row(all_high()))[0]
     by_hand = 0.0
     for t in range(4):
         row = logits[t]
         z = sum(math.exp(v) for v in row)
-        by_hand += -math.log(math.exp(row[enc.ids[t + 1]]) / z)
-    assert generator_loss(logits, enc) == pytest.approx(by_hand / 4.0, abs=1e-12)
+        by_hand += -math.log(math.exp(row[ids[0, t + 1]]) / z)
+    assert next_token_loss(logits, ids, lengths) == pytest.approx(by_hand / 4.0, abs=1e-12)
 
 
 # ------------------------------------------------------------- gradient check
@@ -259,6 +267,7 @@ def test_gradient_check_three_timesteps() -> None:
     rng = Rng(60)
     ids = np.array([[BOS_ID, 5, 7, EOS_ID], [BOS_ID, 4, EOS_ID, PAD_ID]], dtype=np.int64)
     mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
+    lengths = np.array([4, 3])
     cond = np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]], dtype=np.float64)
     params = model.params()
 
@@ -270,7 +279,7 @@ def test_gradient_check_three_timesteps() -> None:
         return loss
 
     def grad_fn() -> float:
-        loss, _ = _train_batch(model, ids, mask, cond)
+        loss, _ = _train_batch(model, ids, lengths, cond)
         return loss
 
     report = gradient_check(loss_fn, grad_fn, params, h=1e-5, tol=1e-4)
@@ -291,10 +300,9 @@ def test_training_smoke_and_loss_finite(tmp_path) -> None:
     path = tmp_path / "lstm.json"
     result.model.save(path)
     loaded = load_model(path, expect_kind="lstm")
-    enc = encode(["a", "b"], result.model.vocab, 8)
-    cond = all_high()
-    assert (generator_forward(enc, cond, result.model)
-            == generator_forward(enc, cond, loaded)).all()
+    ids, _ = encode([["a", "b"]], result.model.vocab, 8)
+    cond = cond_row(all_high())
+    assert (_forward(result.model, ids, cond)[0] == _forward(loaded, ids, cond)[0]).all()
 
 
 def test_training_is_deterministic(tmp_path) -> None:
@@ -559,8 +567,8 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
         cond = BfpCondition(*((model_seed >> i) & 1 for i in range(5)))
         for seed_word in ("w0", "w5", "w11"):
             out = generate(model, [cond], [seed_word], [Rng(model_seed)], temperature=0.0)[0]
-            enc = encode(out, model.vocab, len(out) + 2)
-            logits = generator_forward(enc, cond, model)
+            ids, _ = encode([out], model.vocab, len(out) + 2)
+            logits = _forward(model, ids, cond_row(cond))[0]
             for j in range(1, len(out)):  # row j has read BOS and out[:j]
                 best = int(sampleable[np.argmax(logits[j, sampleable])])
                 assert model.vocab.token_of(best) == out[j]

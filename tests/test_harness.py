@@ -19,7 +19,6 @@ from traitgen.harness import (
     default_synth_spec,
     evaluate_generation,
     generation_accuracy,
-    marker_count_label,
     matched_lexicon,
     render_table,
     synth_corpus,
@@ -140,6 +139,20 @@ def test_pi_one_all_high_documents_contain_only_high_markers() -> None:
 
 
 # -------------------------------------------------------------------- oracles
+
+
+def marker_count_label(tokens: list[str], spec: SynthSpec) -> dict[str, int | None]:
+    """Independent counting check: sign of (high hits - low hits) per trait.
+
+    Returns None for a trait when the counts tie (including zero markers),
+    meaning the check abstains.
+    """
+    out: dict[str, int | None] = {}
+    for t in TRAITS:
+        high = sum(tok in set(spec.markers[t]["high"]) for tok in tokens)
+        low = sum(tok in set(spec.markers[t]["low"]) for tok in tokens)
+        out[t] = None if high == low else int(high > low)
+    return out
 
 
 def test_counting_oracle_abstains_without_markers() -> None:

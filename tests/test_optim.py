@@ -12,7 +12,6 @@ from traitgen.checkpoint import load_model
 from traitgen.classifier import CnnConfig, CnnModel, train_classifier
 from traitgen.classifier import _backward as cnn_backward
 from traitgen.classifier import _forward as cnn_forward
-from traitgen.classifier import _stack
 from traitgen.errors import DivergenceError, ShapeError
 from traitgen.generator import LstmConfig, LstmModel, _train_batch
 from traitgen.numeric import (
@@ -177,14 +176,13 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
         model.save(path)
         check(load_model(path))
 
-    encoded = [encode(d.tokens, vocab, 8) for d in docs[:4]]
+    ids, lengths = encode([d.tokens for d in docs[:4]], vocab, 8)
     labels = np.array([[d.labels[t] for t in TRAITS] for d in docs[:4]], dtype=np.float64)
     zero_grads(cnn.params())
-    probs, cache = cnn_forward(cnn, *_stack(encoded))
+    probs, cache = cnn_forward(cnn, ids, lengths)
     cnn_backward(cnn, probs, cache, labels, 0.25)
     zero_grads(lstm.params())
-    _train_batch(lstm, np.array([e.ids for e in encoded]),
-                 np.array([e.mask for e in encoded], dtype=np.float64), labels)
+    _train_batch(lstm, ids, lengths, labels)
     for model in (cnn, lstm):
         assert clip_global_norm(model.params(), max_norm=1e-3) < 1.0
         for p in model.params():

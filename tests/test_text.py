@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from traitgen.textproc import (
     SPECIAL_TOKENS,
     UNK_ID,
     Document,
-    EncodedText,
     Vocabulary,
     encode,
     read_corpus,
@@ -111,9 +111,9 @@ def test_special_surface_forms_are_escaped_not_collided() -> None:
     assert tok_id >= 4
     assert v.token_of(tok_id) == "<pad>"
     assert v.token_of(PAD_ID) == "<pad>"  # the true special keeps its surface
-    enc = encode(["<pad>", "</s>"], v, max_len=6)
-    assert enc.ids[1] == tok_id
-    assert [v.token_of(i) for i in enc.ids[1:3]] == ["<pad>", "</s>"]
+    row = encode([["<pad>", "</s>"]], v, max_len=6)[0][0].tolist()
+    assert row[1] == tok_id
+    assert [v.token_of(i) for i in row[1:3]] == ["<pad>", "</s>"]
 
 
 def test_token_of_rejects_out_of_range() -> None:
@@ -129,27 +129,27 @@ def test_token_of_rejects_out_of_range() -> None:
 
 def test_encode_empty_tokens() -> None:
     v = Vocabulary.build([])
-    enc = encode([], v, max_len=4)
-    assert enc.ids == [BOS_ID, EOS_ID, PAD_ID, PAD_ID]
-    assert enc.mask == [1, 1, 0, 0]
-    assert enc.length == 2
+    ids, lengths = encode([[]], v, max_len=4)
+    assert ids.tolist() == [[BOS_ID, EOS_ID, PAD_ID, PAD_ID]]
+    assert lengths.tolist() == [2]
 
 
 def test_encode_unknown_token_maps_to_unk() -> None:
     v = Vocabulary.build([])
-    enc = encode(["mystery"], v, max_len=4)
-    assert enc.ids[1] == UNK_ID
+    ids, _ = encode([["mystery"]], v, max_len=4)
+    assert ids[0, 1] == UNK_ID
 
 
 def test_encode_truncates_keeping_prefix_and_eos() -> None:
     corpus = [[f"w{i}" for i in range(10)]]
     v = Vocabulary.build(corpus, min_count=1)
     tokens = [f"w{i}" for i in range(10)]
-    enc = encode(tokens, v, max_len=6)
-    assert len(enc.ids) == 6
-    assert enc.ids[0] == BOS_ID
-    assert enc.ids[5] == EOS_ID
-    assert [v.token_of(i) for i in enc.ids[1:5]] == tokens[:4]
+    ids, lengths = encode([tokens], v, max_len=6)
+    row = ids[0].tolist()
+    assert len(row) == 6 and lengths.tolist() == [6]
+    assert row[0] == BOS_ID
+    assert row[5] == EOS_ID
+    assert [v.token_of(i) for i in row[1:5]] == tokens[:4]
 
 
 def test_encode_rejects_tiny_max_len() -> None:
@@ -157,11 +157,11 @@ def test_encode_rejects_tiny_max_len() -> None:
         encode([], Vocabulary.build([]), max_len=1)
 
 
-def test_pad_exactly_where_mask_zero() -> None:
+def test_pad_exactly_past_length() -> None:
     v = Vocabulary.build([["a", "b", "a", "b"]], min_count=1)
-    enc = encode(["a", "b"], v, max_len=8)
-    for i, m in zip(enc.ids, enc.mask):
-        assert (i == PAD_ID) == (m == 0)
+    ids, lengths = encode([["a", "b"], [], ["b"] * 9], v, max_len=8)
+    for row, length in zip(ids.tolist(), lengths.tolist()):
+        assert [i == PAD_ID for i in row] == [t >= length for t in range(8)]
 
 
 _token_alphabet = st.text(
@@ -173,8 +173,8 @@ _token_alphabet = st.text(
 @settings(max_examples=60, deadline=None)
 def test_decode_encode_roundtrip_for_in_vocab_tokens(tokens: list[str]) -> None:
     v = Vocabulary.build([tokens], min_count=1, max_size=20000)
-    enc = encode(tokens, v, max_len=len(tokens) + 2)
-    assert [v.token_of(i) for i in enc.ids[1:-1]] == tokens
+    ids, _ = encode([tokens], v, max_len=len(tokens) + 2)
+    assert [v.token_of(i) for i in ids[0, 1:-1].tolist()] == tokens
 
 
 _awkward_token = st.one_of(
@@ -198,6 +198,24 @@ def test_id_of_agrees_with_escape_reference(corpus: list[str], queries: list[str
         assert (token in v) == (expected != UNK_ID)
     for token in v.non_special_tokens():
         assert v.token_of(v.id_of(token)) == token
+
+
+@given(st.lists(_awkward_token, max_size=12), st.lists(st.lists(_awkward_token, max_size=14),
+                                                       max_size=6), st.integers(2, 12))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_encode_rows_are_bos_ids_eos_then_pad(corpus: list[str], token_lists: list[list[str]],
+                                              max_len: int) -> None:
+    v = Vocabulary.build([corpus], min_count=1)
+    stored = {t: i for i, t in enumerate(v.to_list())}
+    ids, lengths = encode(token_lists, v, max_len)
+    assert ids.shape == (len(token_lists), max_len) and ids.dtype == np.int64
+    assert lengths.shape == (len(token_lists),) and lengths.dtype == np.int64
+    for row, length, tokens in zip(ids.tolist(), lengths.tolist(), token_lists):
+        assert length == min(len(tokens), max_len - 2) + 2
+        body = [stored.get(_escape(t), UNK_ID) for t in tokens[:length - 2]]
+        assert row == [BOS_ID, *body, EOS_ID] + [PAD_ID] * (max_len - length)
+    none_ids, none_lengths = encode([], v, max_len)
+    assert none_ids.shape == (0, max_len) and none_lengths.shape == (0,)
 
 
 # --------------------------------------------------------------- corpus files
@@ -280,8 +298,3 @@ def test_unknown_fields_ignored(tmp_path) -> None:
     path.write_text(json.dumps({"text": "a b", "meta": {"x": 1}}) + "\n", encoding="utf-8")
     docs = read_corpus(path)
     assert docs[0].tokens == ["a", "b"]
-
-
-def test_encoded_text_length_check() -> None:
-    with pytest.raises(ShapeError):
-        EncodedText(ids=[0, 1], mask=[1])
