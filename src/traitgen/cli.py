@@ -217,8 +217,8 @@ def cmd_synth(o: dict[str, Any]) -> Path:
 def cmd_train_classifier(o: dict[str, Any]) -> Path:
     config = _model_config(CnnConfig, o, vocab_size=0)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
-    out = _out_dir(o["out"])
     result = train_classifier(docs, config, Rng(o["seed"]))
+    out = _out_dir(o["out"])
     result.model.save(out / "classifier.json")
     metrics = {"best_epoch": result.best_epoch, "best_accuracy": result.best_accuracy,
                "per_epoch_accuracy": result.history}
@@ -248,8 +248,8 @@ def cmd_label(o: dict[str, Any]) -> Path:
 def cmd_train_generator(o: dict[str, Any]) -> Path:
     config = _model_config(LstmConfig, o, vocab_size=0, cond_dim=0 if o["unconditional"] else 5)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
-    out = _out_dir(o["out"])
     result = train_generator(docs, config, Rng(o["seed"]))
+    out = _out_dir(o["out"])
     result.model.save(out / "generator.json")
     write_json(out / "losses.json", {"epoch_mean_losses": result.epoch_mean_losses})
     losses = result.epoch_mean_losses
@@ -324,16 +324,16 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
     if not lexicon.all_entry_tokens() & set(model.vocab.non_special_tokens()):
         raise ConfigError("model vocabulary shares no tokens with the lexicon")
     pool = _read_seed_pool(o["seed-pool"])
-    out = _out_dir(o["out"])
-    texts: list[dict] = []
-    report = evaluate_generation(
+    report, records = evaluate_generation(
         model, baseline, lexicon, thresholds, o["n-per-condition"], pool, Rng(o["seed"]),
-        temperature=o["temperature"], max_len=o["max-len"], collect=texts,
+        temperature=o["temperature"], max_len=o["max-len"],
     )
-    report.save(out / "report.json")
-    write_lines(out / "table.txt", [render_table(report)])
-    write_jsonl(out / "generations.jsonl", texts)
-    print(render_table(report))
+    out = _out_dir(o["out"])
+    table = render_table(report)
+    write_json(out / "report.json", report)
+    write_lines(out / "table.txt", [table])
+    write_jsonl(out / "generations.jsonl", records)
+    print(table)
     return out / "manifest.json"
 
 

@@ -20,10 +20,10 @@ level distribution next to a shared unconditional pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, InsufficientDataError, ValidationError
+from .errors import ConfigError, ValidationError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
     Category,
@@ -33,7 +33,7 @@ from .lexicon import (
     score_tokens,
 )
 from .numeric import Rng
-from .textproc import Document, read_json, write_json
+from .textproc import Document, is_utf8, read_json, write_json
 from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
 
 # Neutral-chain shape: each neutral token has up to this many successors,
@@ -84,7 +84,9 @@ class SynthSpec:
             if not tokens:
                 raise ValidationError(f"token set {name} is empty")
             for tok in tokens:
-                if not isinstance(tok, str) or not tok or tok != tok.strip() or " " in tok:
+                # a token must survive the corpus round trip: whitespace tokenization
+                # and a UTF-8 file
+                if not isinstance(tok, str) or tok.split() != [tok] or not is_utf8(tok):
                     raise ValidationError(f"token set {name} contains invalid token {tok!r}")
                 if tok in seen:
                     raise ValidationError(
@@ -104,12 +106,18 @@ class SynthSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SynthSpec":
+        def token_list(value, name: str) -> list:
+            if not isinstance(value, list):  # list() would split a string into characters
+                raise ValidationError(
+                    f"token set {name} must be a JSON list, got {type(value).__name__}")
+            return list(value)
+
         try:
             spec = cls(
-                neutral_tokens=list(payload["neutral_tokens"]),
+                neutral_tokens=token_list(payload["neutral_tokens"], "neutral"),
                 markers={
-                    t: {"high": list(payload["markers"][t]["high"]),
-                        "low": list(payload["markers"][t]["low"])}
+                    t: {k: token_list(payload["markers"][t][k], f"{t}_{k}")
+                        for k in ("high", "low")}
                     for t in TRAITS
                 },
                 pi=float(payload.get("pi", 0.3)),
@@ -117,7 +125,7 @@ class SynthSpec:
                 len_max=int(payload.get("len_max", 50)),
                 neutral_bigram_smoothing=float(payload.get("neutral_bigram_smoothing", 0.55)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise ValidationError(f"malformed corpus spec: {exc}") from exc
         spec.validate()
         return spec
@@ -229,78 +237,9 @@ def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document]
 
 # ----------------------------------------------------------------- evaluation
 
-
-@dataclass
-class ConditionTally:
-    counts: dict[str, int] = field(default_factory=lambda: {lv: 0 for lv in LEVELS})
-
-    def add(self, level: str) -> None:
-        self.counts[level] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def fractions(self) -> dict[str, float]:
-        n = max(1, self.total)
-        return {lv: self.counts[lv] / n for lv in LEVELS}
-
-
-@dataclass
-class DimensionReport:
-    low_condition: ConditionTally
-    high_condition: ConditionTally
-    unconditional: ConditionTally
-
-    @property
-    def accuracy(self) -> float:
-        total = self.low_condition.total + self.high_condition.total
-        hits = self.low_condition.counts[LOW] + self.high_condition.counts[HIGH]
-        return hits / max(1, total)
-
-
-@dataclass
-class EvalReport:
-    dimensions: dict[str, DimensionReport]
-    n_per_condition: int
-
-    def to_json_dict(self) -> dict:
-        per_dim, average = generation_accuracy(self)
-        return {
-            "dimensions": {
-                t: {
-                    "low_condition": self.dimensions[t].low_condition.fractions(),
-                    "high_condition": self.dimensions[t].high_condition.fractions(),
-                    "unconditional": self.dimensions[t].unconditional.fractions(),
-                    "accuracy": per_dim[t],
-                }
-                for t in TRAITS
-            },
-            "average_accuracy": average,
-            "n_per_condition": self.n_per_condition,
-        }
-
-    def save(self, path: str | Path) -> None:
-        write_json(path, self.to_json_dict())
-
-
-def generation_accuracy(report: EvalReport) -> tuple[dict[str, float], float]:
-    """Consistency between scored level and input polarity, per dimension.
-
-    accuracy_d = (low-condition texts scoring Low + high-condition texts
-    scoring High) / all conditional texts for d; the average is the mean
-    over dimensions.
-    """
-    if not report.dimensions:
-        raise InsufficientDataError("report contains no dimensions")
-    per_dim = {}
-    for t, dim in report.dimensions.items():
-        if dim.low_condition.total + dim.high_condition.total == 0:
-            raise InsufficientDataError(f"dimension {t} has no conditional texts")
-        per_dim[t] = dim.accuracy
-    average = sum(per_dim.values()) / len(per_dim)
-    return per_dim, average
-
+# the three rows of a dimension's block in report.json and the table
+_ROWS = ("low_condition", "high_condition", "unconditional")
+_ROW_LABELS = ("Low condition", "High condition", "Unconditional")
 
 _TRAIT_NAMES = {
     "E": "Extraversion",
@@ -311,30 +250,48 @@ _TRAIT_NAMES = {
 }
 
 
-def render_table(report: EvalReport) -> str:
-    """Plain-text table: one block per dimension, three condition rows."""
-    per_dim, average = generation_accuracy(report)
+def _report(counts: dict[str, dict[str, dict[str, int]]], n_per_condition: int) -> dict:
+    """The ``report.json`` payload from ``counts[trait][row][level]`` text counts.
+
+    Each row holds its level fractions. A dimension's accuracy is the share
+    of its conditional texts whose level matches the pinned polarity (Low
+    under the low condition, High under the high one); the average is the
+    mean over the five dimensions.
+    """
+    dimensions = {}
+    for t in TRAITS:
+        rows = counts[t]
+        dim = {row: {lv: rows[row][lv] / max(1, sum(rows[row].values())) for lv in LEVELS}
+               for row in _ROWS}
+        conditional = sum(rows["low_condition"].values()) + sum(rows["high_condition"].values())
+        dim["accuracy"] = ((rows["low_condition"][LOW] + rows["high_condition"][HIGH])
+                           / max(1, conditional))
+        dimensions[t] = dim
+    return {
+        "dimensions": dimensions,
+        "average_accuracy": sum(dimensions[t]["accuracy"] for t in TRAITS) / len(TRAITS),
+        "n_per_condition": n_per_condition,
+    }
+
+
+def render_table(report: dict) -> str:
+    """Plain-text table of a ``report.json`` payload: one block per dimension."""
     lines = [
         f"{'Dimension':<18}{'Condition':<15}{'Low':>8}{'Medium':>9}{'High':>8}",
         "-" * 58,
     ]
     for t in TRAITS:
-        dim = report.dimensions[t]
-        rows = [
-            ("Low condition", dim.low_condition),
-            ("High condition", dim.high_condition),
-            ("Unconditional", dim.unconditional),
-        ]
-        for i, (label, tally) in enumerate(rows):
+        dim = report["dimensions"][t]
+        for i, (label, row) in enumerate(zip(_ROW_LABELS, _ROWS)):
             name = _TRAIT_NAMES[t] if i == 0 else ""
-            f = tally.fractions()
+            f = dim[row]
             lines.append(
                 f"{name:<18}{label:<15}"
                 f"{f[LOW]:>7.2%} {f[MEDIUM]:>8.2%} {f[HIGH]:>7.2%}"
             )
-        lines.append(f"{'':<18}accuracy: {per_dim[t]:.2%}")
+        lines.append(f"{'':<18}accuracy: {dim['accuracy']:.2%}")
         lines.append("-" * 58)
-    lines.append(f"average generation accuracy: {average:.2%}")
+    lines.append(f"average generation accuracy: {report['average_accuracy']:.2%}")
     return "\n".join(lines)
 
 
@@ -349,14 +306,14 @@ def evaluate_generation(
     *,
     temperature: float = EVAL_TEMPERATURE,
     max_len: int | None = None,
-    collect: list | None = None,
-) -> EvalReport:
-    """Tabulate level distributions for every (dimension, polarity) batch.
+) -> tuple[dict, list[dict]]:
+    """The ``report.json`` payload and one record per generated text.
 
     Text j of the batch for dimension d and polarity p uses the derived
     stream ``(d*2 + p) * n + j``; the shared unconditional pool uses
     streams ``10*n + j``. Results are therefore independent of evaluation
     order. The four unconstrained bits are redrawn uniformly per text.
+    Records list the conditional texts first, then the unconditional ones.
     """
     if model.config.cond_dim != 5:
         raise ConfigError("evaluation needs a conditional model (cond_dim 5)")
@@ -365,54 +322,36 @@ def evaluate_generation(
     if n_per_condition < 1:
         raise ConfigError(f"n_per_condition must be positive, got {n_per_condition}")
 
-    report = EvalReport(
-        dimensions={
-            t: DimensionReport(ConditionTally(), ConditionTally(), ConditionTally())
-            for t in TRAITS
-        },
-        n_per_condition=n_per_condition,
-    )
+    counts = {t: {row: dict.fromkeys(LEVELS, 0) for row in _ROWS} for t in TRAITS}
+    records: list[dict] = []
 
-    def score_levels(tokens: list[str]) -> dict[str, str]:
-        return assign_levels(score_tokens(tokens, lexicon), thresholds)
+    def run(generator, slots, conditions, streams) -> None:
+        """Generate, score and tally one batch; ``slots[i]`` is (trait or None, row)."""
+        texts = generate(generator, conditions, seed_pool, streams,
+                         temperature=temperature, max_len=max_len)
+        for (trait, row), condition, tokens in zip(slots, conditions, texts):
+            levels = assign_levels(score_tokens(tokens, lexicon), thresholds)
+            for t in TRAITS if trait is None else (trait,):
+                counts[t][row][levels[t]] += 1
+            records.append({
+                "dimension": trait,
+                "condition": None if condition is None else condition.to_string(),
+                "text": " ".join(tokens),
+                "levels": levels,
+            })
 
-    rows, conditions, streams = [], [], []
+    slots, conditions, streams = [], [], []
     for di, trait in enumerate(TRAITS):
         for polarity in (0, 1):
             for j in range(n_per_condition):
                 stream = rng.spawn((di * 2 + polarity) * n_per_condition + j)
                 bits = [stream.coin() for _ in TRAITS]
                 bits[di] = polarity
-                rows.append((trait, polarity))
+                slots.append((trait, _ROWS[polarity]))
                 conditions.append(BfpCondition(*bits))
                 streams.append(stream)
-    texts = generate(model, conditions, seed_pool, streams,
-                     temperature=temperature, max_len=max_len)
-    for (trait, polarity), condition, tokens in zip(rows, conditions, texts):
-        levels = score_levels(tokens)
-        dim = report.dimensions[trait]
-        (dim.high_condition if polarity else dim.low_condition).add(levels[trait])
-        if collect is not None:
-            collect.append({
-                "dimension": trait,
-                "condition": condition.to_string(),
-                "text": " ".join(tokens),
-                "levels": levels,
-            })
-
-    streams = [rng.spawn(_UNCONDITIONAL_STREAM_BASE * n_per_condition + j)
-               for j in range(n_per_condition)]
-    texts = generate(baseline, [None] * n_per_condition, seed_pool, streams,
-                     temperature=temperature, max_len=max_len)
-    for tokens in texts:
-        levels = score_levels(tokens)
-        for trait in TRAITS:
-            report.dimensions[trait].unconditional.add(levels[trait])
-        if collect is not None:
-            collect.append({
-                "dimension": None,
-                "condition": None,
-                "text": " ".join(tokens),
-                "levels": levels,
-            })
-    return report
+    run(model, slots, conditions, streams)
+    run(baseline, [(None, "unconditional")] * n_per_condition, [None] * n_per_condition,
+        [rng.spawn(_UNCONDITIONAL_STREAM_BASE * n_per_condition + j)
+         for j in range(n_per_condition)])
+    return _report(counts, n_per_condition), records

@@ -75,6 +75,15 @@ def tokenize(raw_text: str, mode: str = "whitespace") -> list[str]:
     raise ValidationError(f"unknown tokenize mode {mode!r}")
 
 
+def is_utf8(text: str) -> bool:
+    """False for a string holding a lone surrogate, which no UTF-8 file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _escape(token: str) -> str:
     if token in SPECIAL_TOKENS or token.startswith(_SENTINEL):
         return _SENTINEL + token
@@ -98,6 +107,8 @@ class Vocabulary:
         self._id_to_token = list(stored_tokens)
         self._token_to_id = {}
         for i, stored in enumerate(self._id_to_token[4:], start=4):
+            if not is_utf8(stored):  # a lone surrogate: no output file could hold it
+                raise ValidationError(f"vocabulary token {i} {stored!r} is not valid UTF-8")
             raw = _unescape(stored)
             if _escape(raw) != stored:  # else two stored tokens could share one raw token
                 raise ValidationError(f"vocabulary token {i} {stored!r} is not escaped canonically")

@@ -212,8 +212,8 @@ def test_gradient_check_at_toy_dims() -> None:
         _backward(model, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(labels))
         return loss_fn()
 
-    report = gradient_check(loss_fn, grad_fn, params, h=1e-5, tol=1e-4)
-    assert report.passed, report.summary()
+    errors = gradient_check(loss_fn, grad_fn, params, h=1e-5)
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ------------------------------------------------------------------- training

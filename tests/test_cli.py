@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import traitgen.classifier
 import traitgen.generator
@@ -220,6 +225,55 @@ def test_divergence_exits_2_without_checkpoint(tmp_path, pipeline, capsys, monke
     assert not (out / "generator.json").exists()
 
 
+def _first_lines(path: Path, n: int, dest: Path) -> Path:
+    dest.write_text("".join(path.read_text(encoding="utf-8").splitlines(True)[:n]),
+                    encoding="utf-8")
+    return dest
+
+
+def _unlabeled(path: Path) -> Path:
+    path.write_text("\n".join(json.dumps({"text": "w001 w002 w003"}) for _ in range(6)) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def _evaluate(pipeline, pool=None) -> list[str]:
+    return ["evaluate", "--model", str(pipeline["generator"]),
+            "--baseline", str(pipeline["baseline"]), "--lexicon", str(pipeline["lexicon"]),
+            "--thresholds", str(pipeline["thresholds"]), "--n-per-condition", "1",
+            "--seed-pool", str(pool or pipeline["pool"])]
+
+
+def _missing_seed_token(pipeline, tmp_path) -> list[str]:
+    pool = tmp_path / "pool.txt"
+    pool.write_text("w000\nnot-in-vocab\n", encoding="utf-8")
+    return _evaluate(pipeline, pool)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda pipeline, tmp_path: [
+        "train-generator", "--corpus", str(_unlabeled(tmp_path / "unlabeled.jsonl")),
+        "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"], "no trait labels"),
+    (lambda pipeline, tmp_path: [
+        "train-classifier", "--corpus", str(_first_lines(pipeline["corpus"], 2,
+                                                         tmp_path / "two.jsonl")),
+        "--epochs", "1"], "need at least 10 documents"),
+    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--max-len", "0"],
+     "max_len must be >= 1"),
+    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--temperature", "nan"],
+     "temperature must be finite"),
+    (_missing_seed_token, "seed tokens not in vocabulary"),
+], ids=["generator-unlabeled-corpus", "classifier-two-documents", "evaluate-max-len-0",
+        "evaluate-temperature-nan", "evaluate-seed-token-not-in-vocabulary"])
+def test_failed_run_leaves_no_out_dir(tmp_path, pipeline, capsys, argv, message) -> None:
+    out = tmp_path / "out"
+    assert run(*argv(pipeline, tmp_path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ labelling
 
 
@@ -353,12 +407,14 @@ def _per_trait_head(payload: dict) -> None:
     ("baseline", _set(["config", "hidden_dim"], "8")),
     ("baseline", _set(["vocab"], {"<pad>": 0})),
     ("baseline", _shadow_vocab_token),
+    ("baseline", _set(["vocab", 5], "\ud800")),
     ("baseline", _set(["params", "out_b", "shape"], [1])),
     ("baseline", _set(["params", "out_b", "data", 0], "x")),
     ("baseline", _set(["params", "gates_w", "data", 0], float("nan"))),
     ("classifier", _per_trait_head),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
-        "vocab-not-list", "non-canonical-vocab-token", "shape-not-pair", "non-numeric-data",
+        "vocab-not-list", "non-canonical-vocab-token", "lone-surrogate-vocab-token",
+        "shape-not-pair", "non-numeric-data",
         "non-finite-data", "per-trait-classifier-head"])
 def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
                                                mutate) -> None:
@@ -372,6 +428,7 @@ def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, check
     err = capsys.readouterr().err
     assert err.startswith(f"traitgen: error: {model}: ")
     assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
 # -------------------------------------------------------------- score/calibrate
@@ -623,7 +680,11 @@ def _spec_with(path: tuple, value) -> bytes:
     (("neutral_tokens",), ["w000", None]),
     (("markers", "E", "high"), ["ok", 4.5]),
     (("markers", "O", "low"), [["nested"]]),
-], ids=["neutral-ints", "neutral-null", "marker-float", "marker-list"])
+    (("neutral_tokens",), ["w000", "\ud800"]),
+    (("markers", "C", "high"), ["chi0", "c\udfffx"]),
+    (("neutral_tokens",), ["w000", "w\t001"]),
+], ids=["neutral-ints", "neutral-null", "marker-float", "marker-list",
+        "neutral-lone-surrogate", "marker-lone-surrogate", "neutral-inner-tab"])
 def test_spec_with_non_string_tokens_exits_2(tmp_path, capsys, path, value) -> None:
     spec = tmp_path / "spec.json"
     spec.write_bytes(_spec_with(path, value))
@@ -632,6 +693,64 @@ def test_spec_with_non_string_tokens_exits_2(tmp_path, capsys, path, value) -> N
     assert err.startswith("traitgen: error: ") and "invalid token" in err
     assert err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("neutral_tokens",), "abcdefghij"),
+    (("markers", "E", "high"), "xyz"),
+    (("markers", "N", "low"), {"nlo0": 1}),
+], ids=["neutral-string", "marker-string", "marker-object"])
+def test_spec_token_set_must_be_a_list(tmp_path, capsys, path, value) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(_spec_with(path, value))
+    assert run("synth", "--spec", str(spec), "--n", "2", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"traitgen: error: token set {'neutral' if len(path) == 1 else '_'.join(path[1:])} "
+        f"must be a JSON list, got {type(value).__name__}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+_SPEC_FIELDS = [("pi",), ("len_min",), ("len_max",), ("neutral_bigram_smoothing",),
+                ("neutral_tokens",), ("markers",),
+                *[("markers", t) for t in TRAITS],
+                *[("markers", t, k) for t in TRAITS for k in ("high", "low")]]
+_SPEC_PATHS = st.one_of(
+    st.sampled_from(_SPEC_FIELDS),
+    st.tuples(st.just("neutral_tokens"), st.integers(0, 339)),
+    st.tuples(st.just("markers"), st.sampled_from(TRAITS), st.sampled_from(["high", "low"]),
+              st.integers(0, 5)),
+)
+_WRONG_TYPES = st.one_of(
+    st.text(max_size=12),
+    st.integers(-10, 100) | st.floats(),
+    st.none(),
+    st.lists(st.lists(st.text(max_size=3) | st.integers(), max_size=2), min_size=1, max_size=3),
+    st.sampled_from(["\ud800", "w\udfff", "\udc80abc"]),  # lone surrogates
+)
+
+
+@given(path=_SPEC_PATHS, value=_WRONG_TYPES)
+@example(path=("len_min",), value=float("inf"))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_spec_with_one_field_of_a_wrong_type_exits_0_or_2(path, value) -> None:
+    """A mutated spec either round-trips its token sets or is one clean user error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = Path(tmp) / "spec.json"
+        spec.write_bytes(_spec_with(path, value))
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("synth", "--spec", str(spec), "--n", "3", "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("traitgen: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert not out.exists()
+        else:  # no token set was split, coerced or dropped on its way to the output
+            given_spec = json.loads(spec.read_text(encoding="utf-8"))
+            written = json.loads((out / "spec.json").read_text(encoding="utf-8"))
+            for key in ("neutral_tokens", "markers"):
+                assert written[key] == given_spec[key]
 
 
 def _lexicon_with(weights, entries=("w000",)) -> bytes:

@@ -282,8 +282,8 @@ def test_gradient_check_three_timesteps() -> None:
         loss, _ = _train_batch(model, ids, lengths, cond)
         return loss
 
-    report = gradient_check(loss_fn, grad_fn, params, h=1e-5, tol=1e-4)
-    assert report.passed, report.summary()
+    errors = gradient_check(loss_fn, grad_fn, params, h=1e-5)
+    assert max(errors.values()) < 1e-4, errors
 
 
 # ------------------------------------------------------------------- training

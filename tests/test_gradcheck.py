@@ -26,12 +26,11 @@ def test_affine_mse_toy_passes_tightly() -> None:
         b.grad += db.a
         return float((diff ** 2).mean())
 
-    report = gradient_check(loss_fn, grad_fn, [w, b], h=1e-5, tol=1e-7)
-    assert report.passed, report.summary()
-    assert report.worst < 1e-7
+    errors = gradient_check(loss_fn, grad_fn, [w, b], h=1e-5)
+    assert max(errors.values()) < 1e-7, errors
 
 
-def test_report_summary_mentions_every_parameter() -> None:
+def test_errors_name_every_parameter() -> None:
     p = Parameter("solo", [[0.5]])
 
     def loss_fn() -> float:
@@ -41,9 +40,9 @@ def test_report_summary_mentions_every_parameter() -> None:
         p.grad[0, 0] += 2.0 * p.value[0, 0]
         return loss_fn()
 
-    report = gradient_check(loss_fn, grad_fn, [p], tol=1e-6)
-    assert "solo" in report.max_rel_error
-    assert "PASS" in report.summary()
+    errors = gradient_check(loss_fn, grad_fn, [p])
+    assert list(errors) == ["solo"]
+    assert errors["solo"] < 1e-6
 
 
 def test_sampling_subset_of_coordinates() -> None:
@@ -57,10 +56,8 @@ def test_sampling_subset_of_coordinates() -> None:
         p.grad += 2.0 * p.value
         return loss_fn()
 
-    report = gradient_check(
-        loss_fn, grad_fn, [p], tol=1e-6, rng=Rng(7), max_coords_per_param=5
-    )
-    assert report.passed
+    errors = gradient_check(loss_fn, grad_fn, [p], rng=Rng(7), max_coords_per_param=5)
+    assert max(errors.values()) < 1e-6, errors
 
 
 def test_failure_is_reported_not_raised() -> None:
@@ -73,6 +70,5 @@ def test_failure_is_reported_not_raised() -> None:
         p.grad[0, 0] += 100.0  # wrong on purpose
         return loss_fn()
 
-    report = gradient_check(loss_fn, grad_fn, [p], tol=1e-4)
-    assert not report.passed
-    assert "FAIL" in report.summary()
+    errors = gradient_check(loss_fn, grad_fn, [p])
+    assert not max(errors.values()) < 1e-4

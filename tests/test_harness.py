@@ -5,20 +5,13 @@ import math
 
 import pytest
 
-from traitgen.errors import (
-    ConfigError,
-    InsufficientDataError,
-    ValidationError,
-)
-from traitgen.generator import LstmConfig, LstmModel
+from traitgen.errors import ConfigError, ValidationError
+from traitgen.generator import BfpCondition, LstmConfig, LstmModel
 from traitgen.harness import (
-    ConditionTally,
-    DimensionReport,
-    EvalReport,
     SynthSpec,
+    _report,
     default_synth_spec,
     evaluate_generation,
-    generation_accuracy,
     matched_lexicon,
     render_table,
     synth_corpus,
@@ -30,7 +23,7 @@ from traitgen.lexicon import (
     scores_by_trait,
 )
 from traitgen.numeric import Rng
-from traitgen.textproc import Vocabulary, write_corpus
+from traitgen.textproc import Vocabulary, write_corpus, write_json
 from traitgen.traits import HIGH, LOW, MEDIUM, TRAITS
 
 
@@ -239,21 +232,18 @@ def eval_fixture():
 
 def test_evaluation_distributions_sum_to_one() -> None:
     cond, uncond, lex, thresholds, pool = eval_fixture()
-    report = evaluate_generation(cond, uncond, lex, thresholds, 4, pool, Rng(31))
-    payload = report.to_json_dict()
+    report, _ = evaluate_generation(cond, uncond, lex, thresholds, 4, pool, Rng(31))
     for t in TRAITS:
         for row in ("low_condition", "high_condition", "unconditional"):
-            assert sum(payload["dimensions"][t][row].values()) == pytest.approx(1.0, abs=1e-9)
-    assert payload["n_per_condition"] == 4
+            assert sum(report["dimensions"][t][row].values()) == pytest.approx(1.0, abs=1e-9)
+    assert report["n_per_condition"] == 4
 
 
 def test_evaluation_is_deterministic() -> None:
     cond, uncond, lex, thresholds, pool = eval_fixture()
     r1 = evaluate_generation(cond, uncond, lex, thresholds, 3, pool, Rng(37))
     r2 = evaluate_generation(cond, uncond, lex, thresholds, 3, pool, Rng(37))
-    assert json.dumps(r1.to_json_dict(), sort_keys=True) == json.dumps(
-        r2.to_json_dict(), sort_keys=True
-    )
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
 def test_evaluation_requires_proper_models() -> None:
@@ -268,40 +258,50 @@ def test_evaluation_requires_proper_models() -> None:
 
 def test_evaluation_collects_per_text_records() -> None:
     cond, uncond, lex, thresholds, pool = eval_fixture()
-    rows: list[dict] = []
-    evaluate_generation(cond, uncond, lex, thresholds, 2, pool, Rng(41), collect=rows)
+    report, rows = evaluate_generation(cond, uncond, lex, thresholds, 2, pool, Rng(41))
     assert len(rows) == 5 * 2 * 2 + 2  # conditional batches plus shared pool
-    conditional = [r for r in rows if r["condition"] is not None]
     assert all("text" in r and "levels" in r for r in rows)
-    assert len(conditional) == 20
+    conditional, unconditional = rows[:20], rows[20:]
+    assert all(r["condition"] is not None for r in conditional)
+    assert all(r["condition"] is None and r["dimension"] is None for r in unconditional)
+    # the report tallies exactly the levels the records carry
+    for t in TRAITS:
+        dim = report["dimensions"][t]
+        ours = [r for r in conditional if r["dimension"] == t]
+        pinned = [BfpCondition.parse(r["condition"]).bits[TRAITS.index(t)] for r in ours]
+        hits = sum(r["levels"][t] == (HIGH if p else LOW) for r, p in zip(ours, pinned))
+        assert dim["accuracy"] == hits / 4
+        for level in (LOW, MEDIUM, HIGH):
+            assert dim["unconditional"][level] == sum(
+                r["levels"][t] == level for r in unconditional) / 2
 
 
 # ------------------------------------------------------------------- accuracy
 
 
-def hand_report() -> EvalReport:
+def hand_report() -> dict:
     # four texts per condition, tabulated by hand
-    dims = {}
-    for t in TRAITS:
-        low = ConditionTally({LOW: 3, MEDIUM: 1, HIGH: 0})
-        high = ConditionTally({LOW: 0, MEDIUM: 2, HIGH: 2})
-        unc = ConditionTally({LOW: 1, MEDIUM: 2, HIGH: 1})
-        dims[t] = DimensionReport(low, high, unc)
-    return EvalReport(dimensions=dims, n_per_condition=4)
+    counts = {
+        t: {
+            "low_condition": {LOW: 3, MEDIUM: 1, HIGH: 0},
+            "high_condition": {LOW: 0, MEDIUM: 2, HIGH: 2},
+            "unconditional": {LOW: 1, MEDIUM: 2, HIGH: 1},
+        }
+        for t in TRAITS
+    }
+    return _report(counts, 4)
 
 
 def test_generation_accuracy_matches_hand_arithmetic() -> None:
     report = hand_report()
-    per_dim, average = generation_accuracy(report)
     # (3 consistent low + 2 consistent high) / 8 conditional texts
     for t in TRAITS:
-        assert per_dim[t] == pytest.approx(5 / 8)
-    assert average == pytest.approx(5 / 8)
-
-
-def test_generation_accuracy_empty_report_rejected() -> None:
-    with pytest.raises(InsufficientDataError):
-        generation_accuracy(EvalReport(dimensions={}, n_per_condition=0))
+        dim = report["dimensions"][t]
+        assert dim["accuracy"] == 5 / 8
+        assert dim["low_condition"] == {LOW: 3 / 4, MEDIUM: 1 / 4, HIGH: 0.0}
+        assert dim["unconditional"] == {LOW: 1 / 4, MEDIUM: 2 / 4, HIGH: 1 / 4}
+    assert report["average_accuracy"] == pytest.approx(5 / 8)
+    assert report["n_per_condition"] == 4
 
 
 def test_render_table_shows_all_dimensions_and_rows() -> None:
@@ -312,11 +312,13 @@ def test_render_table_shows_all_dimensions_and_rows() -> None:
     assert table.count("Low condition") == 5
     assert table.count("High condition") == 5
     assert table.count("Unconditional") == 5
-    assert "average generation accuracy" in table
+    assert [line.strip() for line in table.splitlines()].count("accuracy: 62.50%") == 5
+    assert "average generation accuracy: 62.50%" in table
 
 
 def test_report_save_is_valid_json(tmp_path) -> None:
     path = tmp_path / "report.json"
-    hand_report().save(path)
+    write_json(path, hand_report())
     payload = json.loads(path.read_text())
+    assert payload == hand_report()
     assert payload["average_accuracy"] == pytest.approx(5 / 8)
