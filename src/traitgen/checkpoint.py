@@ -70,21 +70,26 @@ def params_from_payload(payload: dict, params: list[Parameter]) -> None:
         p.value[...] = values.reshape(p.value.shape)
 
 
-def _config_from_payload(config_cls, config: object):
-    """Build a model config after checking every key and value type."""
+def config_from_payload(config_cls, config: object, name: str = "config"):
+    """Build a dataclass from a JSON object after checking every key and value type.
+
+    Unknown and missing keys are errors. An ``int`` field takes only a JSON
+    integer and a ``float`` field any JSON number, never a bool or a
+    string. ``name`` names the object in the messages.
+    """
     if not isinstance(config, dict):
-        raise ValidationError(f"'config' must be an object, got {type(config).__name__}")
+        raise ValidationError(f"'{name}' must be an object, got {type(config).__name__}")
     fields = {f.name: f for f in dataclasses.fields(config_cls)}
     for key, value in config.items():
         if key not in fields:
-            raise ValidationError(f"config has unknown key {key!r}")
+            raise ValidationError(f"{name} has unknown key {key!r}")
         if fields[key].type == "int" and not _is_int(value):
-            raise ValidationError(f"config.{key} must be an integer, got {type(value).__name__}")
+            raise ValidationError(f"{name}.{key} must be an integer, got {type(value).__name__}")
         if fields[key].type == "float" and not (_is_int(value) or isinstance(value, float)):
-            raise ValidationError(f"config.{key} must be a number, got {type(value).__name__}")
-    for name, f in fields.items():
-        if f.default is dataclasses.MISSING and name not in config:
-            raise ValidationError(f"config is missing {name!r}")
+            raise ValidationError(f"{name}.{key} must be a number, got {type(value).__name__}")
+    for key, f in fields.items():
+        if f.default is dataclasses.MISSING and key not in config:
+            raise ValidationError(f"{name} is missing {key!r}")
     return config_cls(**config)
 
 
@@ -128,7 +133,7 @@ def load_model(path: str | Path, expect_kind: str | None = None):
     else:
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
     try:
-        config = _config_from_payload(config_cls, payload["config"])
+        config = config_from_payload(config_cls, payload["config"])
         vocab = payload["vocab"]
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
             raise ValidationError("'vocab' must be a list of strings")

@@ -174,21 +174,64 @@ class LstmModel:
 # ------------------------------------------------------------------ cell math
 
 
-def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray):
+class _Workspace:
+    """Step buffers of teacher-forced batches, allocated once and reused.
+
+    Every buffer is a (rows, width) float64 array; a (B, T) batch uses its
+    first (T - 1) * B rows, time-major as the logits, so row t*B + b holds
+    step t of text b. ``xh`` is the cell input [embedding, condition,
+    h_prev], ``gates`` the activations i f g o (the backward overwrites a
+    step's block with that step's gate gradient), ``c`` and ``tanh_c`` the
+    cell state, ``h`` the hidden state (the backward overwrites it with
+    dloss/dh) and ``logits`` the output projection.
+    """
+
+    __slots__ = ("xh", "h", "gates", "c", "tanh_c", "logits")
+
+    def __init__(self, config: LstmConfig, rows: int):
+        hdim = config.hidden_dim
+        self.xh = np.empty((rows, config.embed_dim + config.cond_dim + hdim))
+        self.h = np.empty((rows, hdim))
+        self.gates = np.empty((rows, 4 * hdim))
+        self.c = np.empty((rows, hdim))
+        self.tanh_c = np.empty((rows, hdim))
+        self.logits = np.empty((rows, config.vocab_size))
+
+
+def _sigmoid_inplace(z: np.ndarray) -> None:
+    """z <- 1 / (1 + exp(-z)), the same float operations in the same order."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+
+
+def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray,
+          out: tuple[np.ndarray, ...] | None = None):
     """One LSTM step on the cell input xh = [x, h_prev].
 
     Returns (h, c, (i, f, g, o, tanh_c)); the gate activations are what
-    the backward pass needs.
+    the backward pass needs. ``out`` = (gates, c, tanh_c, h) receives the
+    step, gates as one (B, 4H) block i f g o; without it they are
+    allocated.
     """
-    h = model.config.hidden_dim
-    z = xh @ model.gates_w.value + model.gates_b.value
-    i = 1.0 / (1.0 + np.exp(-z[:, :h]))
-    f = 1.0 / (1.0 + np.exp(-z[:, h:2 * h]))
-    g = np.tanh(z[:, 2 * h:3 * h])
-    o = 1.0 / (1.0 + np.exp(-z[:, 3 * h:]))
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    return o * tanh_c, c, (i, f, g, o, tanh_c)
+    hdim = model.config.hidden_dim
+    if out is None:
+        b = len(xh)
+        out = (np.empty((b, 4 * hdim)), np.empty((b, hdim)), np.empty((b, hdim)),
+               np.empty((b, hdim)))
+    z, c, tanh_c, h = out
+    np.matmul(xh, model.gates_w.value, out=z)
+    z += model.gates_b.value
+    i, f, g, o = (z[:, j * hdim:(j + 1) * hdim] for j in range(4))
+    _sigmoid_inplace(z[:, :2 * hdim])  # i and f
+    np.tanh(g, out=g)
+    _sigmoid_inplace(o)
+    np.multiply(f, c_prev, out=c)
+    c += np.multiply(i, g, out=tanh_c)
+    np.tanh(c, out=tanh_c)
+    np.multiply(o, tanh_c, out=h)
+    return h, c, (i, f, g, o, tanh_c)
 
 
 def _check_condition_arity(model: LstmModel,
@@ -199,47 +242,46 @@ def _check_condition_arity(model: LstmModel,
         raise ConditionError("this model is unconditional: no condition may be supplied")
 
 
-def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None):
+def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
+             ws: _Workspace | None = None):
     """Teacher-forced unroll over a (B, T) id batch.
 
-    Returns (logits, h_all, xh_all, caches). Rows are time-major: row
-    t*B + b of the flat ((T-1)*B, V) logits predicts ids[b, t+1]. Row
-    t*B + b of xh_all is the cell input [embedding, condition, h] of that
-    step and of h_all the hidden state it produced; caches[t] holds step
-    t's previous cell state and gate activations for the backward pass.
+    Writes every step into the first (T-1)*B rows of ``ws`` (a batch-sized
+    workspace when none is given) and returns (logits, ws). Rows are
+    time-major: row t*B + b of the flat ((T-1)*B, V) logits predicts
+    ids[b, t+1].
     """
     _check_condition_arity(model, cond)
     b, t_len = ids.shape
     cfg = model.config
     k, hdim = cfg.embed_dim, cfg.hidden_dim
     x_width = k + cfg.cond_dim
-    steps = t_len - 1
-    xh_all = np.empty((steps * b, x_width + hdim))
-    xh_steps = xh_all.reshape(steps, b, x_width + hdim)
-    xh_steps[:, :, :k] = model.embedding.value[ids[:, :steps].T]
+    n = (t_len - 1) * b
+    if ws is None:
+        ws = _Workspace(cfg, n)
+    xh_all, h_all, gates, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
+    xh_steps = xh_all.reshape(t_len - 1, b, x_width + hdim)
+    xh_steps[:, :, :k] = model.embedding.value[ids[:, :-1].T]
     if cond is not None:
         xh_steps[:, :, k:x_width] = cond
-    h_all = np.empty((steps * b, hdim))
-    h = np.zeros((b, hdim))
-    c = np.zeros_like(h)
-    caches = []
-    for t in range(steps):
-        xh = xh_all[t * b:(t + 1) * b]
-        xh[:, x_width:] = h
-        c_prev = c
-        h, c, acts = _cell(model, xh, c_prev)
-        h_all[t * b:(t + 1) * b] = h
-        caches.append((c_prev, acts))
-    logits = h_all @ model.out_w.value
+    xh_steps[0, :, x_width:] = 0.0
+    c_prev = np.zeros((b, hdim))
+    for s in range(0, n, b):
+        rows = slice(s, s + b)
+        if s:
+            xh_all[rows, x_width:] = h_all[s - b:s]
+            c_prev = c[s - b:s]
+        _cell(model, xh_all[rows], c_prev, out=(gates[rows], c[rows], tanh_c[rows], h_all[rows]))
+    logits = np.matmul(h_all, model.out_w.value, out=ws.logits[:n])
     logits += model.out_b.value
-    return logits, h_all, xh_all, caches
+    return logits, ws
 
 
 # ------------------------------------------------------------------- training
 
 
 def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
-                 cond: np.ndarray | None) -> tuple[float, float]:
+                 cond: np.ndarray | None, ws: _Workspace | None = None) -> tuple[float, float]:
     """Fused forward/backward over a (B, T) id batch; accumulates into grads.
 
     Row b's targets are its positions 1 .. lengths[b] - 1; the rest is PAD.
@@ -247,16 +289,20 @@ def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
     the backward one multiplies by the hidden-state rows of the gate
     weights only. Everything else (output projection, gate-weight
     gradient, the embedding gradient and its scatter) is batched across
-    all timesteps to keep the work in a few large matrix products.
+    all timesteps to keep the work in a few large matrix products. The
+    steps live in ``ws`` (see :func:`_forward`); the backward writes
+    dloss/dh over the hidden states and each step's gate gradient over its
+    gate activations once they are read.
     Returns (token-mean loss, token count).
     """
     b, t_len = ids.shape
     cfg = model.config
     k, hdim = cfg.embed_dim, cfg.hidden_dim
     x_width = k + cfg.cond_dim
-    steps = t_len - 1
+    n = (t_len - 1) * b
     w_g, w_o = model.gates_w.value, model.out_w.value
-    logits, h_all, xh_all, caches = _forward(model, ids, cond)
+    logits, ws = _forward(model, ids, cond, ws)
+    xh_all, h_all, dz_all, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
     targets = ids[:, 1:].T.reshape(-1)
     mask = (np.arange(1, t_len)[:, None] < lengths).reshape(-1)  # time-major, as the logits
     loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
@@ -264,29 +310,33 @@ def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
 
     model.out_w.grad += h_all.T @ dlogits
     model.out_b.grad += dlogits.sum(axis=0, keepdims=True)
-    dh_all = dlogits @ w_o.T
+    dh_all = np.matmul(dlogits, w_o.T, out=h_all)
 
-    dz_all = np.empty((steps * b, 4 * hdim))
     w_h_t = np.ascontiguousarray(w_g[x_width:].T)  # only h_prev's rows feed the recurrence
     dh_next = np.zeros((b, hdim))
     dc_next = np.zeros_like(dh_next)
-    for t in reversed(range(steps)):
-        c_prev, (i, f, g, o, tanh_c) = caches[t]
-        dh = dh_all[t * b:(t + 1) * b] + dh_next
-        do = dh * tanh_c
-        dc = dc_next + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = dz_all[t * b:(t + 1) * b]
-        dz[:, :hdim] = (dc * g) * i * (1.0 - i)
-        dz[:, hdim:2 * hdim] = (dc * c_prev) * f * (1.0 - f)
-        dz[:, 2 * hdim:3 * hdim] = (dc * i) * (1.0 - g * g)
-        dz[:, 3 * hdim:] = do * o * (1.0 - o)
-        if t:  # the initial state is a constant; nothing reads its gradient
+    for s in reversed(range(0, n, b)):
+        rows = slice(s, s + b)
+        dz = dz_all[rows]  # holds the activations i f g o until overwritten below
+        i, f, g, o = (dz[:, j * hdim:(j + 1) * hdim] for j in range(4))
+        tc = tanh_c[rows]
+        dh = dh_all[rows] + dh_next
+        do = dh * tc
+        dc = dc_next + dh * o * (1.0 - tc * tc)
+        dz_i = (dc * g) * i * (1.0 - i)
+        g[...] = (dc * i) * (1.0 - g * g)
+        i[...] = dz_i
+        c_prev = c[s - b:s] if s else 0.0  # the initial cell state is zero
+        if s:  # the initial state is a constant; nothing reads its gradient
             dc_next = dc * f
+        f[...] = (dc * c_prev) * f * (1.0 - f)
+        o[...] = do * o * (1.0 - o)
+        if s:
             dh_next = dz @ w_h_t
 
     model.gates_w.grad += xh_all.T @ dz_all
     model.gates_b.grad += dz_all.sum(axis=0, keepdims=True)
-    add_rows_at(model.embedding.grad, ids[:, :steps].T.reshape(-1), dz_all @ w_g[:k].T)
+    add_rows_at(model.embedding.grad, ids[:, :-1].T.reshape(-1), dz_all @ w_g[:k].T)
     return loss, float(mask.sum())
 
 
@@ -324,6 +374,8 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
 
     result = GeneratorTrainResult(model=model)
     params = model.params()
+    # one set of step buffers for every batch, as long as the longest encoded text
+    ws = _Workspace(config, (int(lengths.max()) - 1) * min(config.batch_size, len(docs)))
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
     order = list(range(len(docs)))
     for epoch in range(1, config.epochs + 1):
@@ -342,7 +394,7 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
             ids_b = ids[batch][:, :t_max]
             cond_b = cond_all[batch] if cond_all is not None else None
             zero_grads(params)
-            loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b)
+            loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss} in epoch {epoch}")
             clip_global_norm(params, CLIP_NORM)

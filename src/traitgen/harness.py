@@ -20,9 +20,10 @@ level distribution next to a shared unconditional pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .checkpoint import config_from_payload
 from .errors import ConfigError, ValidationError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
@@ -49,6 +50,9 @@ EVAL_TEMPERATURE = 0.7
 
 _UNCONDITIONAL_STREAM_BASE = 10
 
+# Longest document a spec may ask for; synth's time and memory grow with len_max.
+MAX_DOC_TOKENS = 10_000
+
 
 @dataclass
 class SynthSpec:
@@ -68,6 +72,8 @@ class SynthSpec:
             raise ValidationError(f"len_min must be at least 4, got {self.len_min}")
         if self.len_max < self.len_min:
             raise ValidationError("len_max must be at least len_min")
+        if self.len_max > MAX_DOC_TOKENS:
+            raise ValidationError(f"len_max must be at most {MAX_DOC_TOKENS}, got {self.len_max}")
         if not 0.0 <= self.neutral_bigram_smoothing <= 1.0:
             raise ValidationError("neutral_bigram_smoothing must lie in [0, 1]")
         if set(self.markers) != set(TRAITS):
@@ -105,30 +111,30 @@ class SynthSpec:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "SynthSpec":
+    def from_dict(cls, payload: object) -> "SynthSpec":
+        """Build and validate a spec: every key a field, every number of its JSON type."""
         def token_list(value, name: str) -> list:
             if not isinstance(value, list):  # list() would split a string into characters
                 raise ValidationError(
                     f"token set {name} must be a JSON list, got {type(value).__name__}")
             return list(value)
 
-        try:
-            spec = cls(
-                neutral_tokens=token_list(payload["neutral_tokens"], "neutral"),
-                markers={
-                    t: {k: token_list(payload["markers"][t][k], f"{t}_{k}")
-                        for k in ("high", "low")}
-                    for t in TRAITS
-                },
-                pi=float(payload.get("pi", 0.3)),
-                len_min=int(payload.get("len_min", 30)),
-                len_max=int(payload.get("len_max", 50)),
-                neutral_bigram_smoothing=float(payload.get("neutral_bigram_smoothing", 0.55)),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise ValidationError(f"malformed corpus spec: {exc}") from exc
-        spec.validate()
-        return spec
+        def json_object(value, name: str) -> dict:
+            if not isinstance(value, dict):
+                raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+            return value
+
+        spec = config_from_payload(cls, payload, "spec")
+        spec = replace(
+            spec,
+            neutral_tokens=token_list(spec.neutral_tokens, "neutral"),
+            markers={t: {k: token_list(v, f"{t}_{k}")
+                         for k, v in json_object(per_trait, f"markers.{t}").items()}
+                     for t, per_trait in json_object(spec.markers, "markers").items()},
+        )
+        spec.validate()  # bounds pi first: float() of a huge JSON integer overflows
+        return replace(spec, pi=float(spec.pi),
+                       neutral_bigram_smoothing=float(spec.neutral_bigram_smoothing))
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.as_dict())

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -14,9 +16,11 @@ from hypothesis import strategies as st
 import traitgen.classifier
 import traitgen.generator
 from traitgen.cli import COMMANDS, _resolve, build_parser, main
-from traitgen.harness import SynthSpec, default_synth_spec
+from traitgen.generator import LstmConfig, LstmModel
+from traitgen.harness import MAX_DOC_TOKENS, SynthSpec, default_synth_spec
 from traitgen.lexicon import load_thresholds
-from traitgen.textproc import read_corpus
+from traitgen.numeric import Rng
+from traitgen.textproc import Vocabulary, read_corpus
 from traitgen.traits import TRAITS
 
 
@@ -431,6 +435,60 @@ def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, check
     assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
 
+@functools.cache
+def _tiny_generator() -> str:
+    """A valid unconditional checkpoint: V = 8 (four specials, a-d), k = H = 2."""
+    vocab = Vocabulary.build([["a", "b", "c", "d"]], min_count=1)
+    config = LstmConfig(vocab_size=len(vocab), embed_dim=2, hidden_dim=2, cond_dim=0, max_len=6)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generator.json"
+        LstmModel.init(config, vocab, Rng(5)).save(path)
+        return path.read_text(encoding="utf-8")
+
+
+_LSTM_PARAMS = ["embedding", "gates_w", "gates_b", "out_w", "out_b"]
+_ODD_SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.floats(), st.integers(-5, -1),
+                         st.integers(0, 40), st.none())
+_CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.sampled_from([f.name for f in dataclasses.fields(LstmConfig)])
+              .map(lambda key: ("config", key)), _ODD_SCALARS),
+    st.tuples(st.integers(0, 7).map(lambda i: ("vocab", i)),
+              _ODD_SCALARS | st.sampled_from(["<pad>", "a", " a", "\ud800"])),
+    st.tuples(st.sampled_from(_LSTM_PARAMS).map(lambda name: ("params", name, "shape")),
+              st.lists(st.integers(-1, 40) | st.floats(0, 40) | st.text(max_size=2), max_size=3)
+              | _ODD_SCALARS),
+    st.tuples(st.tuples(st.just("params"), st.sampled_from(_LSTM_PARAMS), st.just("data"),
+                        st.integers(0, 1)),
+              _ODD_SCALARS | st.just(float("nan")) | st.lists(st.floats(), max_size=2)),
+)
+
+
+@given(edit=_CHECKPOINT_EDITS)
+@example(edit=(("config", "max_len"), 1))
+@example(edit=(("params", "out_w", "data", 0), float("nan")))
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
+    """generate on a mutated checkpoint either succeeds or is one clean user error."""
+    path, value = edit
+    payload = json.loads(_tiny_generator())
+    _set(list(path), value)(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        model, pool, out = (Path(tmp) / name for name in ("generator.json", "pool.txt", "out.jsonl"))
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        pool.write_text("a\nb\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("generate", "--model", str(model), "--n", "2", "--seed-pool", str(pool),
+                       "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("traitgen: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert sorted(p.name for p in Path(tmp).iterdir()) == ["generator.json", "pool.txt"]
+        else:
+            assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+
+
 # -------------------------------------------------------------- score/calibrate
 
 
@@ -710,6 +768,38 @@ def test_spec_token_set_must_be_a_list(tmp_path, capsys, path, value) -> None:
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
+@pytest.mark.parametrize("patch, message", [
+    ({"pi": "0.5"}, "spec.pi must be a number, got str"),
+    ({"pi": True}, "spec.pi must be a number, got bool"),
+    ({"len_min": "40"}, "spec.len_min must be an integer, got str"),
+    ({"len_min": 40.9}, "spec.len_min must be an integer, got float"),
+    ({"neutral_bigram_smoothing": None},
+     "spec.neutral_bigram_smoothing must be a number, got NoneType"),
+    ({"len_mx": 60}, "spec has unknown key 'len_mx'"),
+    ({"len_max": 1_000_000_000}, f"len_max must be at most {MAX_DOC_TOKENS}, got 1000000000"),
+    ({"markers": []}, "markers must be a JSON object, got list"),
+], ids=["pi-string", "pi-bool", "len-min-string", "len-min-float", "smoothing-null",
+        "unknown-key", "len-max-huge", "markers-list"])
+def test_spec_numbers_are_checked_not_coerced(tmp_path, capsys, patch, message) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**default_synth_spec().as_dict(), **patch}), encoding="utf-8")
+    assert run("synth", "--spec", str(spec), "--n", "2", "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.splitlines() == [f"traitgen: error: {message}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
+
+
+def test_spec_len_max_cap_is_inclusive(tmp_path) -> None:
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**default_synth_spec().as_dict(), "pi": 1,
+                                "len_min": MAX_DOC_TOKENS, "len_max": MAX_DOC_TOKENS}),
+                    encoding="utf-8")
+    assert run("synth", "--spec", str(spec), "--n", "1", "--out", str(tmp_path / "out")) == 0
+    written = json.loads((tmp_path / "out" / "spec.json").read_text(encoding="utf-8"))
+    assert written["pi"] == 1.0 and isinstance(written["pi"], float)  # an integer pi reads as 1.0
+    doc = json.loads((tmp_path / "out" / "corpus.jsonl").read_text(encoding="utf-8"))
+    assert len(doc["text"].split()) == MAX_DOC_TOKENS
+
+
 _SPEC_FIELDS = [("pi",), ("len_min",), ("len_max",), ("neutral_bigram_smoothing",),
                 ("neutral_tokens",), ("markers",),
                 *[("markers", t) for t in TRAITS],
@@ -722,7 +812,7 @@ _SPEC_PATHS = st.one_of(
 )
 _WRONG_TYPES = st.one_of(
     st.text(max_size=12),
-    st.integers(-10, 100) | st.floats(),
+    st.integers(-10, 100) | st.integers() | st.floats(),  # the len_max cap bounds any integer
     st.none(),
     st.lists(st.lists(st.text(max_size=3) | st.integers(), max_size=2), min_size=1, max_size=3),
     st.sampled_from(["\ud800", "w\udfff", "\udc80abc"]),  # lone surrogates
@@ -731,6 +821,9 @@ _WRONG_TYPES = st.one_of(
 
 @given(path=_SPEC_PATHS, value=_WRONG_TYPES)
 @example(path=("len_min",), value=float("inf"))
+@example(path=("len_max",), value=1e30)
+@example(path=("len_max",), value=1_000_000_000)
+@example(path=("pi",), value=True)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_spec_with_one_field_of_a_wrong_type_exits_0_or_2(path, value) -> None:
     """A mutated spec either round-trips its token sets or is one clean user error."""

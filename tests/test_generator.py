@@ -26,11 +26,12 @@ from traitgen.generator import (
     generate,
     train_generator,
     _Row,
+    _Workspace,
     _cell,
     _forward,
     _train_batch,
 )
-from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy
+from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy, zero_grads
 from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
@@ -287,6 +288,54 @@ def test_gradient_check_three_timesteps() -> None:
 
 
 # ------------------------------------------------------------------- training
+
+
+def _batch(draw, b: int, t_len: int, n_tokens: int, cond_dim: int):
+    """A (b, t_len) id batch shaped like train_generator's: BOS, tokens, EOS, PAD;
+    its longest row fills all t_len columns."""
+    lengths = np.array(draw(st.lists(st.integers(2, t_len), min_size=b, max_size=b)))
+    lengths[draw(st.integers(0, b - 1))] = t_len
+    ids = np.full((b, t_len), PAD_ID, dtype=np.int64)
+    for r, n in enumerate(lengths.tolist()):
+        ids[r, 0] = BOS_ID
+        ids[r, 1:n - 1] = draw(st.lists(st.integers(4, n_tokens - 1), min_size=n - 2,
+                                        max_size=n - 2))
+        ids[r, n - 1] = EOS_ID
+    cond = None
+    if cond_dim:
+        cond = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=5, max_size=5),
+                                      min_size=b, max_size=b)), dtype=np.float64)
+    return ids, lengths, cond
+
+
+@given(data=st.data(), cond_dim=st.sampled_from([5, 0]))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_reused_workspace_matches_a_fresh_one_batch_by_batch(data, cond_dim) -> None:
+    """Batches of any shape run through one workspace, as train_generator runs
+    them, give the loss and gradients of the same batch in a fresh workspace,
+    byte for byte. The workspace starts as NaN, so a row block a batch reads
+    before writing shows up in the first batch already."""
+    batch_size, max_t = 5, 9
+    model = make_model(n_tokens=9, k=3, h=4, cond=cond_dim, max_len=max_t, seed=71)
+    ws = _Workspace(model.config, (max_t - 1) * batch_size)
+    for buf in (ws.xh, ws.h, ws.gates, ws.c, ws.tanh_c, ws.logits):
+        buf.fill(np.nan)
+    short_t = data.draw(st.integers(2, max_t - 1))
+    shapes = [(batch_size, max_t), (batch_size, short_t),
+              *data.draw(st.lists(st.tuples(st.integers(1, batch_size), st.integers(2, max_t)),
+                                  max_size=3)),
+              (data.draw(st.integers(1, batch_size - 1)), data.draw(st.integers(2, max_t)))]
+    params = model.params()
+    for b, t_len in shapes:
+        ids, lengths, cond = _batch(data.draw, b, t_len, len(model.vocab), cond_dim)
+        results = []
+        for workspace in (ws, None):
+            zero_grads(params)
+            loss, n_tokens = _train_batch(model, ids, lengths, cond, workspace)
+            results.append((loss, n_tokens, [p.grad.tobytes() for p in params]))
+        assert results[0] == results[1], (b, t_len)
+        for p in params:  # the next batch sees other weights, as after an update
+            p.value += 0.01 * np.sign(p.grad)
 
 
 def test_training_smoke_and_loss_finite(tmp_path) -> None:
