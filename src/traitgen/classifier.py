@@ -12,7 +12,7 @@ are kept.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -38,7 +38,6 @@ from .numeric import (
 from .textproc import Document, Vocabulary, encode
 from .traits import TRAITS
 
-CLIP_NORM = 5.0
 # texts per forward/backward call; the window matrix, and with it the
 # peak memory of labeling, grows with the chunk
 CHUNK = 8
@@ -140,11 +139,11 @@ def _forward(model: CnnModel, ids: np.ndarray, lengths: np.ndarray):
     windows = model.embedding.value[win_ids].reshape(p * b, -1)
     conv_t = Matrix._wrap(model.conv_w.value.T)  # stored F x (m*k), used transposed
     pre, back_conv = affine(Matrix._wrap(windows), conv_t, Matrix._wrap(model.conv_b.value))
-    act, back_relu = elementwise_activation("relu", pre)
+    act, back_relu = elementwise_activation(pre)
     valid = np.arange(p)[:, None] <= np.maximum(lengths - m, 0)  # (P, B)
     feats = act.a.reshape(p, b, f)
     feats *= valid[:, :, None]
-    pooled, _, back_pool = max_over_time(Matrix._wrap(feats.reshape(p, b * f)))
+    pooled, back_pool = max_over_time(Matrix._wrap(feats.reshape(p, b * f)))
     pooled = Matrix._wrap(pooled.a.reshape(b, f))
     logits, back_head = affine(pooled, Matrix._wrap(model.head_w.value),
                                Matrix._wrap(model.head_b.value))
@@ -210,9 +209,9 @@ def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) 
     return float(total / len(TRAITS))
 
 
-def predict_labels(probs: Sequence[float] | np.ndarray, threshold: float = 0.5) -> list:
-    """Binary polarity per probability (one row, or rows); exactly threshold maps to 0."""
-    return (np.asarray(probs) > threshold).astype(int).tolist()
+def predict_labels(probs: np.ndarray) -> list[list[int]]:
+    """Binary polarities of (n, 5) probability rows; exactly 0.5 maps to 0."""
+    return (probs > 0.5).astype(int).tolist()
 
 
 def _accuracy_per_trait(model: CnnModel, ids: np.ndarray, lengths: np.ndarray,
@@ -223,22 +222,17 @@ def _accuracy_per_trait(model: CnnModel, ids: np.ndarray, lengths: np.ndarray,
     return {t: int(correct[i]) / n for i, t in enumerate(TRAITS)}
 
 
-@dataclass
-class ClassifierTrainResult:
-    model: CnnModel
-    best_epoch: int
-    best_accuracy: dict[str, float]
-    history: list[dict[str, float]] = field(default_factory=list)
+def train_classifier(docs: list[Document], config: CnnConfig,
+                     rng: Rng) -> tuple[CnnModel, dict]:
+    """Train on a fully labeled corpus; returns the best-epoch model and its metrics.
 
-
-def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
-                     vocab: Vocabulary | None = None) -> ClassifierTrainResult:
-    """Train on a fully labeled corpus; returns the best-epoch model.
-
-    Deterministic given (docs, config, rng seed): the corpus is shuffled
-    once for the 9:1 split, batches are reshuffled per epoch from a
-    dedicated stream, and every update is sequential. A batch accumulates
-    its gradient over chunks of :data:`CHUNK` texts. Raises
+    The metrics are the ``metrics.json`` payload: ``best_epoch`` (0 when
+    no epoch ran), ``best_accuracy`` (per trait, on the validation split)
+    and ``per_epoch_accuracy`` (one such map per epoch, or the untrained
+    model's alone). Deterministic given (docs, config, rng seed): the
+    corpus is shuffled once for the 9:1 split, batches are reshuffled per
+    epoch from a dedicated stream, and every update is sequential. A batch
+    accumulates its gradient over chunks of :data:`CHUNK` texts. Raises
     :class:`DivergenceError` when a parameter holds a non-finite value at
     the end of an epoch.
     """
@@ -247,8 +241,7 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
     for i, doc in enumerate(docs):
         if doc.labels is None:
             raise MissingLabelError(f"document {i} has no trait labels")
-    if vocab is None:
-        vocab = Vocabulary.build([d.tokens for d in docs])
+    vocab = Vocabulary.build([d.tokens for d in docs])
     config = replace(config, vocab_size=len(vocab))
     model = CnnModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
@@ -261,16 +254,14 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
     train_idx, val_idx = order[:-n_val], order[-n_val:]
     val = (ids[val_idx], lengths[val_idx], labels[val_idx])
 
-    result = ClassifierTrainResult(model=model, best_epoch=0, best_accuracy={})
     if config.epochs == 0:
-        result.best_accuracy = _accuracy_per_trait(model, *val)
-        result.history.append(result.best_accuracy)
-        return result
+        acc = _accuracy_per_trait(model, *val)
+        return model, {"best_epoch": 0, "best_accuracy": acc, "per_epoch_accuracy": [acc]}
 
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
     params = model.params()
+    history = []
     best_mean = -1.0  # any accuracy beats it, so epoch 1 always takes the snapshot
-    best_snapshot: dict[str, np.ndarray] = {}
     for epoch in range(1, config.epochs + 1):
         epoch_rng.shuffle(train_idx)
         for start in range(0, len(train_idx), config.batch_size):
@@ -281,21 +272,21 @@ def train_classifier(docs: list[Document], config: CnnConfig, rng: Rng,
                 rows = batch[c:c + CHUNK]
                 probs, cache = _forward(model, ids[rows], lengths[rows])
                 _backward(model, probs, cache, labels[rows], scale)
-            clip_global_norm(params, CLIP_NORM)
+            clip_global_norm(params)
             for p in params:
                 adam_step(p, config.learning_rate)
         check_finite(params)
         acc = _accuracy_per_trait(model, *val)
-        result.history.append(acc)
+        history.append(acc)
         mean_acc = sum(acc.values()) / len(acc)
         if mean_acc > best_mean:
             best_mean = mean_acc
             best_snapshot = {p.name: p.value.copy() for p in params}
-            result.best_epoch = epoch
-            result.best_accuracy = acc
+            best_epoch, best_accuracy = epoch, acc
     for p in params:
         p.value[...] = best_snapshot[p.name]
-    return result
+    return model, {"best_epoch": best_epoch, "best_accuracy": best_accuracy,
+                   "per_epoch_accuracy": history}
 
 
 def label_corpus(docs: list[Document], model: CnnModel) -> list[Document]:

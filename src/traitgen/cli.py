@@ -217,19 +217,17 @@ def cmd_synth(o: dict[str, Any]) -> Path:
 def cmd_train_classifier(o: dict[str, Any]) -> Path:
     config = _model_config(CnnConfig, o, vocab_size=0)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
-    result = train_classifier(docs, config, Rng(o["seed"]))
+    model, metrics = train_classifier(docs, config, Rng(o["seed"]))
     out = _out_dir(o["out"])
-    result.model.save(out / "classifier.json")
-    metrics = {"best_epoch": result.best_epoch, "best_accuracy": result.best_accuracy,
-               "per_epoch_accuracy": result.history}
+    model.save(out / "classifier.json")
     write_json(out / "metrics.json", metrics)
-    print(f"best epoch {result.best_epoch}: "
-          + " ".join(f"{t}={result.best_accuracy[t]:.4f}" for t in TRAITS))
+    print(f"best epoch {metrics['best_epoch']}: "
+          + " ".join(f"{t}={metrics['best_accuracy'][t]:.4f}" for t in TRAITS))
     return out / "manifest.json"
 
 
 def cmd_label(o: dict[str, Any]) -> Path:
-    model = load_model(o["model"], expect_kind="cnn")
+    model = load_model(o["model"], "cnn")
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     rate = _unk_rate(docs, model.vocab)
     if rate > 0.5:
@@ -248,11 +246,10 @@ def cmd_label(o: dict[str, Any]) -> Path:
 def cmd_train_generator(o: dict[str, Any]) -> Path:
     config = _model_config(LstmConfig, o, vocab_size=0, cond_dim=0 if o["unconditional"] else 5)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
-    result = train_generator(docs, config, Rng(o["seed"]))
+    model, losses = train_generator(docs, config, Rng(o["seed"]))
     out = _out_dir(o["out"])
-    result.model.save(out / "generator.json")
-    write_json(out / "losses.json", {"epoch_mean_losses": result.epoch_mean_losses})
-    losses = result.epoch_mean_losses
+    model.save(out / "generator.json")
+    write_json(out / "losses.json", {"epoch_mean_losses": losses})
     trend = f"; loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else ""
     print(f"trained {config.epochs} epochs{trend}")
     return out / "manifest.json"
@@ -262,7 +259,7 @@ def cmd_generate(o: dict[str, Any]) -> Path:
     n = o["n"]
     if n < 0:
         raise ConfigError(f"--n must be >= 0, got {n}")
-    model = load_model(o["model"], expect_kind="lstm")
+    model = load_model(o["model"], "lstm")
     condition = None
     if o["condition"]:
         try:
@@ -317,8 +314,8 @@ def cmd_calibrate(o: dict[str, Any]) -> Path:
 
 
 def cmd_evaluate(o: dict[str, Any]) -> Path:
-    model = load_model(o["model"], expect_kind="lstm")
-    baseline = load_model(o["baseline"], expect_kind="lstm")
+    model = load_model(o["model"], "lstm")
+    baseline = load_model(o["baseline"], "lstm")
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"])
     if not lexicon.all_entry_tokens() & set(model.vocab.non_special_tokens()):

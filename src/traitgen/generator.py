@@ -18,7 +18,7 @@ tail is trimmed before returning.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ from .numeric import (
 from .textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
 from .traits import TRAITS
 
-CLIP_NORM = 5.0
 GREEDY_TEMPERATURE = 1e-6  # below this, decoding is argmax
 
 RUN_LIMIT = 3        # stop when one token is emitted this many times in a row
@@ -243,13 +242,12 @@ def _check_condition_arity(model: LstmModel,
 
 
 def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
-             ws: _Workspace | None = None):
-    """Teacher-forced unroll over a (B, T) id batch.
+             ws: _Workspace) -> np.ndarray:
+    """Teacher-forced unroll over a (B, T) id batch; returns the logits.
 
-    Writes every step into the first (T-1)*B rows of ``ws`` (a batch-sized
-    workspace when none is given) and returns (logits, ws). Rows are
-    time-major: row t*B + b of the flat ((T-1)*B, V) logits predicts
-    ids[b, t+1].
+    Writes every step into the first (T-1)*B rows of ``ws``; the logits
+    are a view of ``ws.logits``. Rows are time-major: row t*B + b of the
+    flat ((T-1)*B, V) logits predicts ids[b, t+1].
     """
     _check_condition_arity(model, cond)
     b, t_len = ids.shape
@@ -257,8 +255,6 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
     k, hdim = cfg.embed_dim, cfg.hidden_dim
     x_width = k + cfg.cond_dim
     n = (t_len - 1) * b
-    if ws is None:
-        ws = _Workspace(cfg, n)
     xh_all, h_all, gates, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
     xh_steps = xh_all.reshape(t_len - 1, b, x_width + hdim)
     xh_steps[:, :, :k] = model.embedding.value[ids[:, :-1].T]
@@ -274,14 +270,14 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
         _cell(model, xh_all[rows], c_prev, out=(gates[rows], c[rows], tanh_c[rows], h_all[rows]))
     logits = np.matmul(h_all, model.out_w.value, out=ws.logits[:n])
     logits += model.out_b.value
-    return logits, ws
+    return logits
 
 
 # ------------------------------------------------------------------- training
 
 
 def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
-                 cond: np.ndarray | None, ws: _Workspace | None = None) -> tuple[float, float]:
+                 cond: np.ndarray | None, ws: _Workspace) -> tuple[float, float]:
     """Fused forward/backward over a (B, T) id batch; accumulates into grads.
 
     Row b's targets are its positions 1 .. lengths[b] - 1; the rest is PAD.
@@ -301,7 +297,7 @@ def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
     x_width = k + cfg.cond_dim
     n = (t_len - 1) * b
     w_g, w_o = model.gates_w.value, model.out_w.value
-    logits, ws = _forward(model, ids, cond, ws)
+    logits = _forward(model, ids, cond, ws)
     xh_all, h_all, dz_all, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
     targets = ids[:, 1:].T.reshape(-1)
     mask = (np.arange(1, t_len)[:, None] < lengths).reshape(-1)  # time-major, as the logits
@@ -340,18 +336,12 @@ def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
     return loss, float(mask.sum())
 
 
-@dataclass
-class GeneratorTrainResult:
-    model: LstmModel
-    epoch_mean_losses: list[float] = field(default_factory=list)
-
-
-def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
-                    vocab: Vocabulary | None = None) -> GeneratorTrainResult:
+def train_generator(docs: list[Document], config: LstmConfig,
+                    rng: Rng) -> tuple[LstmModel, list[float]]:
     """Teacher-forced minibatch Adam training with global-norm clipping.
 
-    Per-epoch mean training loss (token-weighted) is recorded in the
-    result. Deterministic given (docs, config, rng seed). Raises
+    Returns the model and each epoch's mean training loss (token-weighted).
+    Deterministic given (docs, config, rng seed). Raises
     :class:`DivergenceError` on a non-finite batch loss, or when a
     parameter holds a non-finite value at the end of an epoch.
     """
@@ -362,8 +352,7 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
         for i, doc in enumerate(docs):
             if doc.labels is None:
                 raise MissingLabelError(f"document {i} has no trait labels")
-    if vocab is None:
-        vocab = Vocabulary.build([d.tokens for d in docs])
+    vocab = Vocabulary.build([d.tokens for d in docs])
     config = replace(config, vocab_size=len(vocab))
     model = LstmModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
@@ -372,7 +361,7 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
     if conditional:
         cond_all = np.array([[d.labels[t] for t in TRAITS] for d in docs], dtype=np.float64)
 
-    result = GeneratorTrainResult(model=model)
+    losses = []
     params = model.params()
     # one set of step buffers for every batch, as long as the longest encoded text
     ws = _Workspace(config, (int(lengths.max()) - 1) * min(config.batch_size, len(docs)))
@@ -397,14 +386,14 @@ def train_generator(docs: list[Document], config: LstmConfig, rng: Rng,
             loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss {loss} in epoch {epoch}")
-            clip_global_norm(params, CLIP_NORM)
+            clip_global_norm(params)
             for p in params:
                 adam_step(p, config.learning_rate)
             loss_sum += loss * n_tokens
             token_sum += n_tokens
         check_finite(params)
-        result.epoch_mean_losses.append(loss_sum / token_sum)
-    return result
+        losses.append(loss_sum / token_sum)
+    return model, losses
 
 
 # ------------------------------------------------------------------- decoding

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .checkpoint import config_from_payload
 from .errors import ConfigError, ValidationError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
@@ -34,7 +33,7 @@ from .lexicon import (
     score_tokens,
 )
 from .numeric import Rng
-from .textproc import Document, is_utf8, read_json, write_json
+from .textproc import Document, config_from_payload, is_utf8, read_json, write_json
 from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
 
 # Neutral-chain shape: each neutral token has up to this many successors,
@@ -132,7 +131,7 @@ class SynthSpec:
                          for k, v in json_object(per_trait, f"markers.{t}").items()}
                      for t, per_trait in json_object(spec.markers, "markers").items()},
         )
-        spec.validate()  # bounds pi first: float() of a huge JSON integer overflows
+        spec.validate()
         return replace(spec, pi=float(spec.pi),
                        neutral_bigram_smoothing=float(spec.neutral_bigram_smoothing))
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ValidationError
-from .textproc import read_json, write_json
+from .textproc import config_from_payload, read_json, write_json
 from .traits import HIGH, LOW, MEDIUM, TRAITS
 
 
@@ -206,15 +206,21 @@ class LevelThresholds:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "LevelThresholds":
-        try:
-            cuts = {
-                t: (float(payload[t]["low_cut"]), float(payload[t]["high_cut"]))
-                for t in TRAITS
-            }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed thresholds document: {exc}") from exc
+    def from_dict(cls, payload: object) -> "LevelThresholds":
+        """Validate a thresholds document: per trait exactly two finite JSON numbers."""
+        if not isinstance(payload, dict) or set(payload) != set(TRAITS):
+            raise ValidationError(f"thresholds must be an object keyed by exactly {TRAITS}")
+        cuts = {}
+        for t in TRAITS:
+            pair = config_from_payload(_Cuts, payload[t], f"thresholds.{t}")
+            cuts[t] = (float(pair.low_cut), float(pair.high_cut))
         return cls(cuts)
+
+
+@dataclass
+class _Cuts:  # one trait's entry of a thresholds document
+    low_cut: float
+    high_cut: float
 
 
 def save_thresholds(thresholds: LevelThresholds, path: str | Path) -> None:

@@ -2,8 +2,9 @@
 
 Every operation that participates in training returns ``(output, backward)``
 where ``backward`` maps the upstream gradient to gradients of the inputs,
-computed analytically. Gradients are plain values; accumulation into
-:class:`~traitgen.numeric.optim.Parameter` buffers is the caller's job.
+computed analytically (the loss's backward takes no argument). Gradients
+are plain values; accumulation into :class:`~traitgen.numeric.optim.Parameter`
+buffers is the caller's job.
 
 All arithmetic is float64. Operations are pure functions of their inputs,
 so repeated calls are bit-identical and matrices can be shared read-only
@@ -100,39 +101,20 @@ def affine(x: Matrix, w: Matrix, b: Matrix):
     return Matrix._wrap(out), backward
 
 
-_ACTIVATIONS = ("relu", "sigmoid", "tanh")
+def elementwise_activation(x: Matrix):
+    """relu entrywise.
 
-
-def elementwise_activation(kind: str, x: Matrix):
-    """Apply relu, sigmoid, or tanh entrywise.
-
-    Returns (out, backward); backward(d) multiplies by the analytic
-    derivative evaluated where the forward ran.
+    Returns (out, backward); backward(d) passes d where the input was
+    positive and zero elsewhere.
     """
-    if kind not in _ACTIVATIONS:
-        raise ShapeError(f"unknown activation {kind!r}, expected one of {_ACTIVATIONS}")
     xa = x.a
     if not np.isfinite(xa).all():
         raise ShapeError("activation input contains non-finite entries")
-    if kind == "relu":
-        out = np.maximum(xa, 0.0)
 
-        def backward(d: Matrix):
-            return Matrix._wrap(d.a * (xa > 0.0))
+    def backward(d: Matrix):
+        return Matrix._wrap(d.a * (xa > 0.0))
 
-    elif kind == "sigmoid":
-        out = 1.0 / (1.0 + np.exp(-xa))
-
-        def backward(d: Matrix):
-            return Matrix._wrap(d.a * out * (1.0 - out))
-
-    else:  # tanh
-        out = np.tanh(xa)
-
-        def backward(d: Matrix):
-            return Matrix._wrap(d.a * (1.0 - out * out))
-
-    return Matrix._wrap(out), backward
+    return Matrix._wrap(np.maximum(xa, 0.0)), backward
 
 
 def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[int]):
@@ -140,10 +122,10 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
 
     ``logits`` is T x V; ``targets`` and ``mask`` have length T. Position t
     contributes ``-log softmax(logits[t])[targets[t]]`` when ``mask[t]`` is 1
-    and nothing otherwise. Returns (loss, backward); backward(upstream=1.0)
-    -> dlogits. ``logits`` is left unchanged, and the loss is the
-    log-softmax expression ``shifted - log(sum(exp(shifted)))`` at the
-    target, ``shifted`` being each row minus its maximum.
+    and nothing otherwise. Returns (loss, backward); backward() -> dlogits.
+    ``logits`` is left unchanged, and the loss is the log-softmax
+    expression ``shifted - log(sum(exp(shifted)))`` at the target,
+    ``shifted`` being each row minus its maximum.
     """
     la = logits.a
     t_arr = np.asarray(targets, dtype=np.int64)
@@ -167,15 +149,15 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
     picked -= np.log(sums)[:, 0]
     loss = float(-(m_arr * picked).sum() / denom)
 
-    def backward(upstream: float = 1.0):
-        """dlogits = (softmax - onehot) * mask * upstream / denom, written into the exp buffer.
+    def backward():
+        """dlogits = (softmax - onehot) * mask / denom, written into the exp buffer.
 
         Call it at most once: it consumes that buffer.
         """
         grad = exp
         grad /= sums
         grad[rows, t_arr] -= 1.0
-        grad *= (upstream / denom) * m_arr[:, None]
+        grad *= (1.0 / denom) * m_arr[:, None]
         return Matrix._wrap(grad)
 
     return loss, backward
@@ -184,9 +166,9 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
 def max_over_time(features: Matrix):
     """Column-wise maximum over positions (rows).
 
-    Ties break toward the lowest row index. Returns (out, argmax, backward);
-    ``out`` is 1 x F, ``argmax`` lists the winning row per column, and
-    backward routes the upstream gradient only to the winning positions.
+    Ties break toward the lowest row index. Returns (out, backward); ``out``
+    is 1 x F, and backward routes the upstream gradient only to each
+    column's winning row.
     """
     fa = features.a
     if fa.shape[0] < 1:
@@ -203,4 +185,4 @@ def max_over_time(features: Matrix):
         grad[arg, cols] = da[0]
         return Matrix._wrap(grad)
 
-    return Matrix._wrap(out), arg.tolist(), backward
+    return Matrix._wrap(out), backward

@@ -8,6 +8,12 @@ import numpy as np
 
 from ..errors import DivergenceError, ShapeError, ValidationError
 
+# the one training recipe of both networks
+CLIP_NORM = 5.0
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class Parameter:
     """A weight matrix with its gradient and Adam state.
@@ -36,9 +42,6 @@ class Parameter:
         self.scratch = None
         self.step_count = 0
 
-    def zero_grad(self) -> None:
-        self.grad.fill(0.0)
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
 
@@ -55,7 +58,7 @@ def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
 
 def zero_grads(params: Iterable[Parameter]) -> None:
     for p in params:
-        p.zero_grad()
+        p.grad.fill(0.0)
 
 
 def check_finite(params: Iterable[Parameter]) -> None:
@@ -65,17 +68,11 @@ def check_finite(params: Iterable[Parameter]) -> None:
             raise DivergenceError(f"non-finite value in parameter {p.name!r}")
 
 
-def adam_step(
-    param: Parameter,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> Parameter:
+def adam_step(param: Parameter, lr: float) -> None:
     """One Adam update with bias correction.
 
     Increments ``step_count`` and updates ``value`` in place; the gradient
-    buffer is left intact until ``zero_grad`` is called. Evaluates
+    buffer is left intact until :func:`zero_grads` clears it. Evaluates
     ``value -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by operation
     in ``param.scratch``, so the bits are those of the textbook expression
     without its temporaries.
@@ -89,19 +86,18 @@ def adam_step(
     if param.scratch is None:
         param.scratch = np.empty((2,) + g.shape)
     a, b = param.scratch
-    m *= beta1
-    m += np.multiply(g, 1.0 - beta1, out=a)
-    v *= beta2
+    m *= ADAM_BETA1
+    m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
+    v *= ADAM_BETA2
     np.multiply(g, g, out=a)
-    v += np.multiply(a, 1.0 - beta2, out=a)
-    np.divide(m, 1.0 - beta1 ** t, out=a)  # m_hat
+    v += np.multiply(a, 1.0 - ADAM_BETA2, out=a)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=a)  # m_hat
     a *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=b)  # v_hat
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=b)  # v_hat
     np.sqrt(b, out=b)
-    b += eps
+    b += ADAM_EPS
     a /= b
     param.value -= a
-    return param
 
 
 def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -124,8 +120,8 @@ def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     out[touched] = acc
 
 
-def clip_global_norm(params: Iterable[Parameter], max_norm: float = 5.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(params: Iterable[Parameter]) -> float:
+    """Scale all gradients so their joint L2 norm is at most :data:`CLIP_NORM`.
 
     Returns the scale that was applied (1.0 when no clipping happened).
     """
@@ -135,9 +131,9 @@ def clip_global_norm(params: Iterable[Parameter], max_norm: float = 5.0) -> floa
         g = p.grad
         total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if norm <= max_norm or norm == 0.0:
+    if norm <= CLIP_NORM or norm == 0.0:
         return 1.0
-    scale = max_norm / norm
+    scale = CLIP_NORM / norm
     for p in params:
         p.grad *= scale
     return scale

@@ -88,9 +88,6 @@ class Rng:
         """Uniform in [0, 1) with 53 bits of precision."""
         return (self.next_uint64() >> 11) * (2.0 ** -53)
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:

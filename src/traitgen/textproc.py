@@ -13,8 +13,10 @@ file whole.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +25,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from .errors import EncodingError, InvalidIdError, ShapeError, ValidationError
-from .traits import check_label_map, check_level_map
+from .traits import LEVELS, check_trait_map
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
@@ -32,6 +34,11 @@ SPECIAL_TOKENS = ("<pad>", "<unk>", "<s>", "</s>")
 # sentinel itself) are stored with this prefix so the token<->id map stays a
 # bijection. ``Vocabulary.token_of`` strips one leading sentinel.
 _SENTINEL = "\x1f"
+
+# Vocabulary.build keeps tokens seen at least MIN_COUNT times, at most
+# MAX_VOCAB ids in all (specials included).
+MIN_COUNT = 2
+MAX_VOCAB = 20000
 
 _CJK_RANGES = (
     (0x3400, 0x4DBF),    # CJK extension A
@@ -117,27 +124,20 @@ class Vocabulary:
             raise ValidationError("vocabulary contains duplicate tokens")
 
     @classmethod
-    def build(
-        cls,
-        corpus: Iterable[Sequence[str]],
-        min_count: int = 2,
-        max_size: int = 20000,
-    ) -> "Vocabulary":
+    def build(cls, corpus: Iterable[Sequence[str]]) -> "Vocabulary":
         """Count tokens across documents and keep the most frequent.
 
-        Tokens with frequency >= ``min_count`` are ranked by (count desc,
-        token asc), truncated to ``max_size - 4``, and placed after the
-        specials. An empty corpus yields a specials-only vocabulary.
+        Tokens with frequency >= :data:`MIN_COUNT` are ranked by (count
+        desc, token asc), truncated to ``MAX_VOCAB - 4``, and placed after
+        the specials. An empty corpus yields a specials-only vocabulary.
         """
-        if max_size < 4:
-            raise ValidationError(f"max_size must be at least 4, got {max_size}")
         counts: Counter[str] = Counter()
         for tokens in corpus:
             counts.update(_escape(t) for t in tokens)
         kept = sorted(
-            (t for t, c in counts.items() if c >= min_count),
+            (t for t, c in counts.items() if c >= MIN_COUNT),
             key=lambda t: (-counts[t], t),
-        )[: max_size - 4]
+        )[: MAX_VOCAB - 4]
         return cls(list(SPECIAL_TOKENS) + kept)
 
     def __len__(self) -> int:
@@ -187,17 +187,43 @@ class Document:
     labels: dict[str, int] | None = None
     levels: dict[str, str] | None = None
 
-    @classmethod
-    def from_text(cls, raw_text: str, mode: str = "whitespace", **kw) -> "Document":
-        return cls(raw_text=raw_text, tokens=tokenize(raw_text, mode), **kw)
-
 
 def read_json(path: str | Path) -> Any:
     """Parse a UTF-8 JSON file; undecodable or malformed text raises ValidationError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also a decode error, or an integer too long to convert
         raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+
+
+def is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def config_from_payload(config_cls, config: object, name: str = "config"):
+    """Build a dataclass from a JSON object after checking every key and value type.
+
+    Unknown and missing keys are errors. An ``int`` field takes only a JSON
+    integer and a ``float`` field any finite JSON number, never a bool or a
+    string. ``name`` names the object in the messages.
+    """
+    if not isinstance(config, dict):
+        raise ValidationError(f"'{name}' must be an object, got {type(config).__name__}")
+    fields = {f.name: f for f in dataclasses.fields(config_cls)}
+    for key, value in config.items():
+        if key not in fields:
+            raise ValidationError(f"{name} has unknown key {key!r}")
+        if fields[key].type == "int" and not is_int(value):
+            raise ValidationError(f"{name}.{key} must be an integer, got {type(value).__name__}")
+        if fields[key].type == "float":
+            if not (is_int(value) or isinstance(value, float)):
+                raise ValidationError(f"{name}.{key} must be a number, got {type(value).__name__}")
+            if not abs(value) <= sys.float_info.max:  # exact for a huge integer, false for NaN
+                raise ValidationError(f"{name}.{key} must be a finite number")
+    for key, f in fields.items():
+        if f.default is dataclasses.MISSING and key not in config:
+            raise ValidationError(f"{name} is missing {key!r}")
+    return config_cls(**config)
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
@@ -245,18 +271,19 @@ def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
+            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or not isinstance(record.get("text"), str):
             raise ValidationError(f"{path}:{lineno}: record must be an object with a 'text' string")
         labels = record.get("labels")
         levels = record.get("levels")
         try:
-            labels = check_label_map(labels) if labels is not None else None
-            levels = check_level_map(levels) if levels is not None else None
+            labels = check_trait_map(labels, (0, 1), "labels") if labels is not None else None
+            levels = check_trait_map(levels, LEVELS, "levels") if levels is not None else None
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        docs.append(Document.from_text(record["text"], mode=mode, labels=labels, levels=levels))
+        text = record["text"]
+        docs.append(Document(text, tokenize(text, mode), labels=labels, levels=levels))
     return docs
 
 

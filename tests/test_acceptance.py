@@ -53,6 +53,8 @@ from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy
 from traitgen.textproc import Vocabulary, encode, read_corpus
 from traitgen.traits import HIGH, LOW, TRAITS
 
+from lstm_helpers import batch_workspace
+
 pytestmark = pytest.mark.acceptance
 
 
@@ -124,7 +126,7 @@ def eval_report(spec, generator_corpus, trained_conditional, trained_baseline,
     _, lexicon = generator_corpus
     pool = spec.neutral_tokens[:50]
     return timed(lambda: evaluate_generation(
-        trained_conditional.value.model, trained_baseline.value.model,
+        trained_conditional.value[0], trained_baseline.value[0],
         lexicon, thresholds, 500, pool, Rng(46), temperature=EVAL_TEMPERATURE,
     ))
 
@@ -135,7 +137,7 @@ def eval_report(spec, generator_corpus, trained_conditional, trained_baseline,
 def test_criterion_1_gradient_integrity():
     start = time.perf_counter()
 
-    vocab = Vocabulary.build([[f"w{i}" for i in range(16)]], min_count=1)  # V = 20
+    vocab = Vocabulary.build([[f"w{i}" for i in range(16)]] * 2)  # V = 20
     assert len(vocab) == 20
 
     cnn = CnnModel.init(
@@ -168,14 +170,14 @@ def test_criterion_1_gradient_integrity():
     cond = np.array([[1, 0, 1, 0, 1], [0, 1, 1, 0, 0]], dtype=np.float64)
 
     def lstm_loss() -> float:
-        logits = _forward(lstm, ids, cond)[0]
+        logits = _forward(lstm, ids, cond, batch_workspace(lstm, ids))
         loss, _ = masked_cross_entropy(
             Matrix._wrap(logits), ids[:, 1:].T.reshape(-1), mask[:, 1:].T.reshape(-1)
         )
         return loss
 
     def lstm_grad() -> float:
-        loss, _ = _train_batch(lstm, ids, lengths, cond)
+        loss, _ = _train_batch(lstm, ids, lengths, cond, batch_workspace(lstm, ids))
         return loss
 
     lstm_worst = max(gradient_check(lstm_loss, lstm_grad, lstm.params(), h=1e-5).values())
@@ -193,14 +195,14 @@ def test_criterion_1_gradient_integrity():
 
 
 def test_criterion_2_classifier_validation_accuracy(trained_classifier):
-    result = trained_classifier.value
-    accs = result.best_accuracy
+    _, metrics = trained_classifier.value
+    accs = metrics["best_accuracy"]
     ok_acc = all(accs[t] >= 0.90 for t in TRAITS)
     ok_time = trained_classifier.seconds <= 300.0
-    ok_epochs = result.best_epoch <= 10
+    ok_epochs = metrics["best_epoch"] <= 10
     report(2, "classifier validation accuracy", ok_acc and ok_time and ok_epochs,
            "per-trait " + " ".join(f"{t}={accs[t]:.4f}" for t in TRAITS)
-           + f" (all >= 0.90), best epoch {result.best_epoch} <= 10, "
+           + f" (all >= 0.90), best epoch {metrics['best_epoch']} <= 10, "
            f"{trained_classifier.seconds:.0f}s <= 300s")
 
 
@@ -209,7 +211,7 @@ def test_criterion_2_classifier_validation_accuracy(trained_classifier):
 
 def test_criterion_3_autolabel_fidelity(spec, trained_classifier):
     fresh_docs, _ = synth_corpus(spec, 2000, Rng(1042))
-    labeled = label_corpus(fresh_docs, trained_classifier.value.model)
+    labeled = label_corpus(fresh_docs, trained_classifier.value[0])
     agreement = {t: 0 for t in TRAITS}
     for truth, predicted in zip(fresh_docs, labeled):
         for t in TRAITS:
@@ -250,13 +252,13 @@ def test_criterion_4_generator_controllability(trained_conditional, trained_base
 
 
 def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
-    losses = trained_conditional.value.epoch_mean_losses
+    model, losses = trained_conditional.value
     ratio = losses[-1] / losses[0]
     ok_ratio = ratio < 0.9
 
     docs, _ = generator_corpus
     sample = docs[:200]
-    vocab = trained_conditional.value.model.vocab
+    vocab = model.vocab
     untrained = LstmModel.init(
         LstmConfig(vocab_size=len(vocab), cond_dim=5), vocab, Rng(777)
     )
@@ -264,7 +266,8 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
     ids = ids[:, :lengths.max()]
     cond = np.array([[doc.labels[t] for t in TRAITS] for doc in sample], dtype=np.float64)
     mask = np.arange(1, ids.shape[1])[:, None] < lengths  # time-major, as the logits
-    mean_ce, _ = masked_cross_entropy(Matrix._wrap(_forward(untrained, ids, cond)[0]),
+    logits = _forward(untrained, ids, cond, batch_workspace(untrained, ids))
+    mean_ce, _ = masked_cross_entropy(Matrix._wrap(logits),
                                       ids[:, 1:].T.reshape(-1), mask.reshape(-1))
     ln_v = math.log(len(vocab))
     ok_untrained = abs(mean_ce - ln_v) / ln_v < 0.02
@@ -278,7 +281,7 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
 
 
 def test_criterion_6_decoding_contract():
-    vocab = Vocabulary.build([[f"w{i}" for i in range(30)]], min_count=1)
+    vocab = Vocabulary.build([[f"w{i}" for i in range(30)]] * 2)
     model = LstmModel.init(
         LstmConfig(vocab_size=len(vocab), embed_dim=6, hidden_dim=8, cond_dim=5,
                    max_len=16),
@@ -339,7 +342,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
                        "--out", str(data)) == 0
         if run_id == "r1":
             # seed pool: frequent neutral tokens, guaranteed to survive the
-            # generator vocabulary's min_count threshold
+            # generator vocabulary's MIN_COUNT cut
             from collections import Counter
 
             counts = Counter(
@@ -397,22 +400,23 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     mismatched = [name for name, blobs in outputs.items() if blobs[0] != blobs[1]]
 
     # (b) checkpoint save/load round-trips reproduce forward outputs bit-exactly
-    cnn = trained_classifier.value.model
+    cnn = trained_classifier.value[0]
     cnn_path = tmp_path / "cnn.json"
     cnn.save(cnn_path)
-    cnn_loaded = load_model(cnn_path, expect_kind="cnn")
+    cnn_loaded = load_model(cnn_path, "cnn")
     probe_tokens = [spec.neutral_tokens[i] for i in range(8)]
     cnn_probs = classifier_forward([probe_tokens], cnn).tolist()
     cnn_same = cnn_probs == classifier_forward([probe_tokens], cnn_loaded).tolist()
 
-    lstm = trained_conditional.value.model
+    lstm = trained_conditional.value[0]
     lstm_path = tmp_path / "lstm.json"
     lstm.save(lstm_path)
-    lstm_loaded = load_model(lstm_path, expect_kind="lstm")
+    lstm_loaded = load_model(lstm_path, "lstm")
     probe_ids, _ = encode([probe_tokens], lstm.vocab, lstm.config.max_len)
     cond = np.array([BfpCondition(1, 1, 0, 0, 1).bits], dtype=np.float64)
-    lstm_same = (_forward(lstm, probe_ids, cond)[0]
-                 == _forward(lstm_loaded, probe_ids, cond)[0]).all()
+    lstm_logits = [_forward(m, probe_ids, cond, batch_workspace(m, probe_ids))
+                   for m in (lstm, lstm_loaded)]
+    lstm_same = (lstm_logits[0] == lstm_logits[1]).all()
 
     ok = not mismatched and cnn_same and bool(lstm_same)
     report(7, "determinism and persistence", ok,

@@ -9,14 +9,13 @@ from traitgen.checkpoint import (
     load_model,
     params_from_payload,
     params_to_payload,
-    read_checkpoint,
     write_checkpoint,
 )
 from traitgen.classifier import CnnConfig, CnnModel
 from traitgen.errors import ValidationError
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.numeric import Parameter, Rng
-from traitgen.textproc import Vocabulary
+from traitgen.textproc import Vocabulary, read_json
 
 
 def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
@@ -24,7 +23,7 @@ def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
     p = Parameter("w", values)
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "cnn", {"any": 1}, Vocabulary.build([]).to_list(), [p])
-    payload = read_checkpoint(path)
+    payload = read_json(path)
     q = Parameter("w", np.zeros((2, 3)))
     params_from_payload(payload["params"], [q])
     assert q.value.ravel().tolist() == p.value.ravel().tolist()
@@ -33,11 +32,11 @@ def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
 
 def test_random_values_roundtrip_bit_exact(tmp_path) -> None:
     rng = Rng(101)
-    p = Parameter("w", [[rng.uniform(-10, 10) for _ in range(17)] for _ in range(9)])
+    p = Parameter("w", [[20.0 * rng.random() - 10.0 for _ in range(17)] for _ in range(9)])
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "lstm", {}, Vocabulary.build([]).to_list(), [p])
     q = Parameter("w", np.zeros((9, 17)))
-    params_from_payload(read_checkpoint(path)["params"], [q])
+    params_from_payload(read_json(path)["params"], [q])
     assert q.value.ravel().tolist() == p.value.ravel().tolist()
 
 
@@ -45,28 +44,28 @@ def test_kind_mismatch_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "cnn", {}, Vocabulary.build([]).to_list(), [])
     with pytest.raises(ValidationError, match="expected a 'lstm'"):
-        read_checkpoint(path, expect_kind="lstm")
+        load_model(path, "lstm")
 
 
 def test_not_json_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text("definitely not json", encoding="utf-8")
     with pytest.raises(ValidationError):
-        read_checkpoint(path)
+        load_model(path, "cnn")
 
 
 def test_missing_sections_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({"format_version": 1, "kind": "cnn"}), encoding="utf-8")
     with pytest.raises(ValidationError, match="missing"):
-        read_checkpoint(path)
+        load_model(path, "cnn")
 
 
 def test_wrong_format_version_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
     with pytest.raises(ValidationError):
-        read_checkpoint(path)
+        load_model(path, "cnn")
 
 
 def test_param_name_and_shape_mismatches_rejected() -> None:
@@ -79,7 +78,7 @@ def test_param_name_and_shape_mismatches_rejected() -> None:
 
 
 def test_load_model_dispatches_by_kind(tmp_path) -> None:
-    vocab = Vocabulary.build([["x", "x", "y", "y"]], min_count=1)
+    vocab = Vocabulary.build([["x", "x", "y", "y"]])
     cnn = CnnModel.init(
         CnnConfig(vocab_size=len(vocab), embed_dim=2, window=2, num_filters=2, max_len=6),
         vocab, Rng(1),
@@ -91,5 +90,5 @@ def test_load_model_dispatches_by_kind(tmp_path) -> None:
     cnn_path, lstm_path = tmp_path / "cnn.json", tmp_path / "lstm.json"
     cnn.save(cnn_path)
     lstm.save(lstm_path)
-    assert isinstance(load_model(cnn_path), CnnModel)
-    assert isinstance(load_model(lstm_path), LstmModel)
+    assert isinstance(load_model(cnn_path, "cnn"), CnnModel)
+    assert isinstance(load_model(lstm_path, "lstm"), LstmModel)

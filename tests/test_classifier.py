@@ -24,7 +24,7 @@ from traitgen.traits import TRAITS
 
 
 def tiny_vocab(n_tokens: int) -> Vocabulary:
-    return Vocabulary.build([[f"w{i}" for i in range(n_tokens)]], min_count=1)
+    return Vocabulary.build([[f"w{i}" for i in range(n_tokens)]] * 2)
 
 
 def make_model(n_tokens=2, k=2, m=2, f=1, max_len=8, seed=5) -> CnnModel:
@@ -173,11 +173,8 @@ def test_loss_rejects_bad_labels() -> None:
 
 
 def test_predict_labels_boundary_maps_to_zero() -> None:
-    assert predict_labels([0.9, 0.1, 0.6, 0.4, 0.5]) == [1, 0, 1, 0, 0]
-
-
-def test_predict_labels_zero_threshold() -> None:
-    assert predict_labels([0.01, 0.5, 0.99, 0.3, 0.7], threshold=0.0) == [1, 1, 1, 1, 1]
+    probs = np.array([[0.9, 0.1, 0.6, 0.4, 0.5], [0.5000000000000001, 0.0, 1.0, 0.49, 0.51]])
+    assert predict_labels(probs) == [[1, 0, 1, 0, 0], [1, 0, 1, 0, 1]]
 
 
 def test_prediction_agrees_with_logit_sign() -> None:
@@ -236,10 +233,12 @@ def test_zero_epochs_returns_initialised_model_near_chance() -> None:
     rng = Rng(2)
     docs = random_corpus(400, [f"w{i}" for i in range(10)], rng)
     config = CnnConfig(vocab_size=0, embed_dim=4, num_filters=4, max_len=10, epochs=0)
-    result = train_classifier(docs, config, Rng(3))
+    _, metrics = train_classifier(docs, config, Rng(3))
+    assert metrics["best_epoch"] == 0
+    assert metrics["per_epoch_accuracy"] == [metrics["best_accuracy"]]
     # labels are independent coin flips: accuracy is chance up to noise
     for t in TRAITS:
-        assert 0.2 <= result.best_accuracy[t] <= 0.8
+        assert 0.2 <= metrics["best_accuracy"][t] <= 0.8
 
 
 def test_training_is_deterministic() -> None:
@@ -249,12 +248,8 @@ def test_training_is_deterministic() -> None:
                        epochs=2, batch_size=8)
 
     def run():
-        res = train_classifier(docs, config, Rng(7))
-        return (
-            [p.value.ravel().tolist() for p in res.model.params()],
-            res.history,
-            res.best_epoch,
-        )
+        model, metrics = train_classifier(docs, config, Rng(7))
+        return [p.value.ravel().tolist() for p in model.params()], metrics
 
     assert run() == run()
 
@@ -264,10 +259,12 @@ def test_history_and_best_epoch_recorded() -> None:
     docs = random_corpus(30, ["a", "b"], rng)
     config = CnnConfig(vocab_size=0, embed_dim=4, num_filters=2, max_len=10,
                        epochs=3, batch_size=8)
-    result = train_classifier(docs, config, Rng(8))
-    assert len(result.history) == 3
-    assert 1 <= result.best_epoch <= 3
-    assert set(result.best_accuracy) == set(TRAITS)
+    _, metrics = train_classifier(docs, config, Rng(8))
+    assert set(metrics) == {"best_epoch", "best_accuracy", "per_epoch_accuracy"}
+    assert len(metrics["per_epoch_accuracy"]) == 3
+    assert 1 <= metrics["best_epoch"] <= 3
+    assert metrics["best_accuracy"] == metrics["per_epoch_accuracy"][metrics["best_epoch"] - 1]
+    assert set(metrics["best_accuracy"]) == set(TRAITS)
 
 
 # ------------------------------------------------------------------ labelling
@@ -288,7 +285,7 @@ def test_label_corpus_matches_forward_predictions_and_preserves_order() -> None:
     labeled = label_corpus(docs, model)
     assert [d.raw_text for d in labeled] == [d.raw_text for d in docs]
     for src, out in zip(docs, labeled):
-        expected = predict_labels(classifier_forward([src.tokens], model)[0])
+        expected = predict_labels(classifier_forward([src.tokens], model))[0]
         assert [out.labels[t] for t in TRAITS] == expected
 
 
@@ -299,7 +296,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     model = make_model(n_tokens=6, k=3, m=2, f=4, seed=29)
     path = tmp_path / "cnn.json"
     model.save(path)
-    loaded = load_model(path, expect_kind="cnn")
+    loaded = load_model(path, "cnn")
     for p, q in zip(model.params(), loaded.params()):
         assert p.value.ravel().tolist() == q.value.ravel().tolist()
     tokens = ["w0", "w3", "w5"]

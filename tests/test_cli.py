@@ -6,6 +6,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -438,7 +439,7 @@ def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, check
 @functools.cache
 def _tiny_generator() -> str:
     """A valid unconditional checkpoint: V = 8 (four specials, a-d), k = H = 2."""
-    vocab = Vocabulary.build([["a", "b", "c", "d"]], min_count=1)
+    vocab = Vocabulary.build([["a", "b", "c", "d"]] * 2)
     config = LstmConfig(vocab_size=len(vocab), embed_dim=2, hidden_dim=2, cond_dim=0, max_len=6)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generator.json"
@@ -466,6 +467,9 @@ _CHECKPOINT_EDITS = st.one_of(
 @given(edit=_CHECKPOINT_EDITS)
 @example(edit=(("config", "max_len"), 1))
 @example(edit=(("params", "out_w", "data", 0), float("nan")))
+@example(edit=(("params", "out_b", "data", 1), True))
+@example(edit=(("config", "temperature"), 10 ** 400))
+@example(edit=(("config", "learning_rate"), float("inf")))
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
     """generate on a mutated checkpoint either succeeds or is one clean user error."""
@@ -487,6 +491,8 @@ def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["generator.json", "pool.txt"]
         else:
             assert len(out.read_text(encoding="utf-8").splitlines()) == 2
+            if path[0] == "params" and path[2] == "data":  # only a finite number is a valid entry
+                assert type(value) in (int, float) and math.isfinite(value), value
 
 
 # -------------------------------------------------------------- score/calibrate
@@ -547,6 +553,53 @@ def test_calibrate_matches_library(tmp_path, pipeline) -> None:
     expected = calibrate_thresholds(scores_by_trait((d.tokens for d in docs), lexicon))
     actual = load_thresholds(pipeline["thresholds"])
     assert actual.cuts == expected.cuts
+
+
+_CUT_VALUES = st.one_of(
+    st.text(max_size=4), st.sampled_from(["-0.1", "-inf", "inf", "nan"]), st.booleans(),
+    st.none(), st.lists(st.floats(-1, 1), max_size=2), st.floats(), st.integers(-3, 3),
+)
+_THRESHOLD_EDITS = st.one_of(
+    st.tuples(st.tuples(st.sampled_from(TRAITS), st.sampled_from(["low_cut", "high_cut"])),
+              _CUT_VALUES),
+    # an extra key, beside a trait's two cuts or beside the five traits
+    st.tuples(st.tuples(st.sampled_from(TRAITS), st.sampled_from(["mid_cut", "low", ""])),
+              _CUT_VALUES),
+    st.tuples(st.sampled_from(["X", "e", "", "low_cut"]).map(lambda key: (key,)),
+              st.just({"low_cut": -1.0, "high_cut": 1.0}) | _CUT_VALUES),
+)
+
+
+@given(edit=_THRESHOLD_EDITS)
+@example(edit=(("E", "low_cut"), "-0.1"))
+@example(edit=(("E", "low_cut"), True))
+@example(edit=(("A", "high_cut"), "inf"))
+@example(edit=(("C", "low_cut"), "-inf"))
+@example(edit=(("N", "high_cut"), float("inf")))
+@example(edit=(("O", "mid_cut"), 0.0))
+@example(edit=(("X",), {"low_cut": -1.0, "high_cut": 1.0}))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_thresholds_with_one_field_changed_exits_0_or_2(pipeline, edit) -> None:
+    """score --levels on a mutated thresholds file either succeeds or is one clean user error."""
+    path, value = edit
+    payload = json.loads(pipeline["thresholds"].read_text(encoding="utf-8"))
+    _set(list(path), value)(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        thresholds, out = Path(tmp) / "thresholds.json", Path(tmp) / "scored.jsonl"
+        thresholds.write_text(json.dumps(payload), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("score", "--lexicon", str(pipeline["lexicon"]),
+                       "--in", str(pipeline["corpus"]), "--thresholds", str(thresholds),
+                       "--levels", "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("traitgen: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert [p.name for p in Path(tmp).iterdir()] == ["thresholds.json"]
+        else:  # the one valid edit: a finite JSON number in place of a cut
+            assert len(path) == 2 and path[1] in ("low_cut", "high_cut"), path
+            assert type(value) in (int, float) and math.isfinite(value), value
 
 
 # --------------------------------------------------------------- output files
@@ -865,10 +918,13 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--model", b"\xff{}"),
     ("--corpus", json.dumps({"text": "a b", "labels": "EACNO"}).encode()),
     ("--in", json.dumps({"text": "a b", "levels": list(TRAITS)}).encode()),
+    ("--model", b'{"format_version": 1' + b"0" * 5000 + b"}"),
+    ("--in", b'{"text": "a b", "n": 1' + b"0" * 5000 + b"}\n"),
 ], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
         "lexicon-entries-not-list", "thresholds-not-json", "thresholds-string-cut",
         "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8",
-        "corpus-labels-not-object", "corpus-levels-not-object"])
+        "corpus-labels-not-object", "corpus-levels-not-object", "checkpoint-integer-too-long",
+        "corpus-integer-too-long"])
 def test_malformed_json_input_exits_2(tmp_path, pipeline, capsys, option, content) -> None:
     bad = tmp_path / "bad"
     bad.write_bytes(content)

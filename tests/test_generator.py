@@ -20,7 +20,6 @@ from traitgen.generator import (
     NGRAM_WINDOW,
     RUN_LIMIT,
     BfpCondition,
-    GeneratorTrainResult,
     LstmConfig,
     LstmModel,
     generate,
@@ -35,9 +34,11 @@ from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy, 
 from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
+from lstm_helpers import batch_workspace
+
 
 def tiny_vocab(n_tokens: int) -> Vocabulary:
-    return Vocabulary.build([[f"w{i}" for i in range(n_tokens)]], min_count=1)
+    return Vocabulary.build([[f"w{i}" for i in range(n_tokens)]] * 2)
 
 
 def make_model(n_tokens=4, k=3, h=3, cond=5, max_len=10, seed=2) -> LstmModel:
@@ -54,6 +55,11 @@ def all_high() -> BfpCondition:
 def cond_row(condition: BfpCondition) -> np.ndarray:
     """The (1, 5) condition input of a one-text batch."""
     return np.array([condition.bits], dtype=np.float64)
+
+
+def forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
+    """_forward's time-major logits, in a workspace of their own."""
+    return _forward(model, ids, cond, batch_workspace(model, ids))
 
 
 def next_token_loss(logits: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> float:
@@ -161,7 +167,7 @@ def test_hidden_state_magnitude_below_one() -> None:
     h = np.zeros((1, 4))
     c = np.zeros((1, 4))
     for _ in range(50):
-        x = np.array([[rng.uniform(-3, 3), rng.uniform(-3, 3)]])
+        x = np.array([[6.0 * rng.random() - 3.0, 6.0 * rng.random() - 3.0]])
         h, c, _ = _cell(model, np.concatenate([x, h], axis=1), c)
         assert np.abs(h).max() < 1.0
 
@@ -174,16 +180,16 @@ def test_forward_condition_arity_enforced() -> None:
     uncond_model = make_model(cond=0)
     ids, _ = encode([["w0"]], cond_model.vocab, 6)
     with pytest.raises(ConditionError):
-        _forward(cond_model, ids, None)
+        forward(cond_model, ids, None)
     with pytest.raises(ConditionError):
-        _forward(uncond_model, ids, cond_row(all_high()))
+        forward(uncond_model, ids, cond_row(all_high()))
 
 
 def test_forward_matches_hand_unrolled_steps() -> None:
     model = make_model(n_tokens=4, k=3, h=3, cond=5, max_len=4, seed=41)
     ids, _ = encode([["w0", "w2"]], model.vocab, 4)  # BOS w0 w2 EOS
     cond = BfpCondition(1, 0, 1, 0, 1)
-    logits = _forward(model, ids, cond_row(cond))[0]
+    logits = forward(model, ids, cond_row(cond))
     assert logits.shape == (3, model.config.vocab_size)
 
     bits = list(map(float, cond.bits))
@@ -205,7 +211,7 @@ def test_zeroed_condition_rows_make_all_conditions_identical() -> None:
     reference = None
     for bits in range(32):
         cond = BfpCondition(*( (bits >> i) & 1 for i in range(5) ))
-        logits = _forward(model, ids, cond_row(cond))[0]
+        logits = forward(model, ids, cond_row(cond))
         if reference is None:
             reference = logits
         else:
@@ -219,7 +225,7 @@ def test_untrained_model_loss_is_near_log_vocab() -> None:
     for _ in range(20):
         tokens = [f"w{rng.randint(40)}" for _ in range(8)]
         ids, lengths = encode([tokens], model.vocab, 12)
-        total += next_token_loss(_forward(model, ids, None)[0], ids, lengths)
+        total += next_token_loss(forward(model, ids, None), ids, lengths)
         count += 1
     mean = total / count
     assert abs(mean - math.log(model.config.vocab_size)) / math.log(
@@ -251,7 +257,7 @@ def test_loss_uniform_logits_equals_log_vocab() -> None:
 def test_loss_matches_hand_sum_on_three_token_toy() -> None:
     model = make_model(n_tokens=3, max_len=5, seed=53)
     ids, lengths = encode([["w0", "w1", "w2"]], model.vocab, 5)
-    logits = _forward(model, ids, cond_row(all_high()))[0]
+    logits = forward(model, ids, cond_row(all_high()))
     by_hand = 0.0
     for t in range(4):
         row = logits[t]
@@ -273,14 +279,14 @@ def test_gradient_check_three_timesteps() -> None:
     params = model.params()
 
     def loss_fn() -> float:
-        logits = _forward(model, ids, cond)[0]
+        logits = forward(model, ids, cond)
         targets = ids[:, 1:].T.reshape(-1)
         mask_flat = mask[:, 1:].T.reshape(-1)
         loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
         return loss
 
     def grad_fn() -> float:
-        loss, _ = _train_batch(model, ids, lengths, cond)
+        loss, _ = _train_batch(model, ids, lengths, cond, batch_workspace(model, ids))
         return loss
 
     errors = gradient_check(loss_fn, grad_fn, params, h=1e-5)
@@ -329,7 +335,7 @@ def test_reused_workspace_matches_a_fresh_one_batch_by_batch(data, cond_dim) -> 
     for b, t_len in shapes:
         ids, lengths, cond = _batch(data.draw, b, t_len, len(model.vocab), cond_dim)
         results = []
-        for workspace in (ws, None):
+        for workspace in (ws, batch_workspace(model, ids)):
             zero_grads(params)
             loss, n_tokens = _train_batch(model, ids, lengths, cond, workspace)
             results.append((loss, n_tokens, [p.grad.tobytes() for p in params]))
@@ -343,15 +349,15 @@ def test_training_smoke_and_loss_finite(tmp_path) -> None:
     docs = random_labeled_docs(10, ["a", "b", "c"], rng, length=4)
     config = LstmConfig(vocab_size=0, embed_dim=4, hidden_dim=5, cond_dim=5,
                         max_len=8, epochs=1, batch_size=4)
-    result = train_generator(docs, config, Rng(62))
-    assert len(result.epoch_mean_losses) == 1
-    assert math.isfinite(result.epoch_mean_losses[0])
+    model, losses = train_generator(docs, config, Rng(62))
+    assert len(losses) == 1
+    assert math.isfinite(losses[0])
     path = tmp_path / "lstm.json"
-    result.model.save(path)
-    loaded = load_model(path, expect_kind="lstm")
-    ids, _ = encode([["a", "b"]], result.model.vocab, 8)
+    model.save(path)
+    loaded = load_model(path, "lstm")
+    ids, _ = encode([["a", "b"]], model.vocab, 8)
     cond = cond_row(all_high())
-    assert (_forward(result.model, ids, cond)[0] == _forward(loaded, ids, cond)[0]).all()
+    assert (forward(model, ids, cond) == forward(loaded, ids, cond)).all()
 
 
 def test_training_is_deterministic(tmp_path) -> None:
@@ -360,8 +366,8 @@ def test_training_is_deterministic(tmp_path) -> None:
     config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=4, cond_dim=5,
                         max_len=8, epochs=2, batch_size=4)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
-    train_generator(docs, config, Rng(64)).model.save(p1)
-    train_generator(docs, config, Rng(64)).model.save(p2)
+    train_generator(docs, config, Rng(64))[0].save(p1)
+    train_generator(docs, config, Rng(64))[0].save(p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -376,8 +382,8 @@ def test_unconditional_training_ignores_labels() -> None:
     docs = [Document("a b", ["a", "b"]) for _ in range(6)]
     config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=3, cond_dim=0,
                         max_len=6, epochs=1, batch_size=3)
-    result = train_generator(docs, config, Rng(1))
-    assert isinstance(result, GeneratorTrainResult)
+    model, losses = train_generator(docs, config, Rng(1))
+    assert model.config.cond_dim == 0 and len(losses) == 1
 
 
 def test_empty_corpus_rejected() -> None:
@@ -617,7 +623,7 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
         for seed_word in ("w0", "w5", "w11"):
             out = generate(model, [cond], [seed_word], [Rng(model_seed)], temperature=0.0)[0]
             ids, _ = encode([out], model.vocab, len(out) + 2)
-            logits = _forward(model, ids, cond_row(cond))[0]
+            logits = forward(model, ids, cond_row(cond))
             for j in range(1, len(out)):  # row j has read BOS and out[:j]
                 best = int(sampleable[np.argmax(logits[j, sampleable])])
                 assert model.vocab.token_of(best) == out[j]

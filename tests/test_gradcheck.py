@@ -8,10 +8,10 @@ from traitgen.numeric import Matrix, Parameter, Rng, affine, gradient_check
 def test_affine_mse_toy_passes_tightly() -> None:
     # linear model + squared error: central differences are exact up to rounding
     rng = Rng(31)
-    w = Parameter("w", [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(3)])
-    b = Parameter("b", [[rng.uniform(-1, 1) for _ in range(2)]])
-    x = Matrix([[rng.uniform(-1, 1) for _ in range(3)] for _ in range(4)])
-    y = np.array([[rng.uniform(-1, 1) for _ in range(2)] for _ in range(4)])
+    w = Parameter("w", [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(3)])
+    b = Parameter("b", [[2.0 * rng.random() - 1.0 for _ in range(2)]])
+    x = Matrix([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(4)])
+    y = np.array([[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(4)])
 
     def loss_fn() -> float:
         out, _ = affine(x, Matrix(w.value), Matrix(b.value))
@@ -47,7 +47,7 @@ def test_errors_name_every_parameter() -> None:
 
 def test_sampling_subset_of_coordinates() -> None:
     rng = Rng(33)
-    p = Parameter("wide", [[rng.uniform(-1, 1) for _ in range(50)]])
+    p = Parameter("wide", [[2.0 * rng.random() - 1.0 for _ in range(50)]])
 
     def loss_fn() -> float:
         return float((p.value ** 2).sum())

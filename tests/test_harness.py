@@ -216,7 +216,7 @@ def eval_fixture():
     spec = small_spec()
     docs, lex = synth_corpus(spec, 60, Rng(19))
     markers = [tok for t in TRAITS for k in ("high", "low") for tok in spec.markers[t][k]]
-    vocab = Vocabulary.build([spec.neutral_tokens + markers], min_count=1)
+    vocab = Vocabulary.build([spec.neutral_tokens + markers] * 2)
     cond = LstmModel.init(
         LstmConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, cond_dim=5, max_len=10),
         vocab, Rng(23),

@@ -23,8 +23,11 @@ from traitgen.numeric import (
     clip_global_norm,
     zero_grads,
 )
+from traitgen.numeric.optim import CLIP_NORM
 from traitgen.textproc import Document, Vocabulary, encode
 from traitgen.traits import TRAITS
+
+from lstm_helpers import batch_workspace
 
 
 def make_param(values, name="p") -> Parameter:
@@ -77,7 +80,7 @@ def test_adam_is_deterministic_across_identical_states() -> None:
         p = make_param([[0.3, -0.7], [0.1, 0.9]])
         rng = Rng(21)
         for _ in range(25):
-            p.grad[:] = [[rng.uniform(-1, 1) for _ in range(2)] for _ in range(2)]
+            p.grad[:] = [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(2)]
             adam_step(p, lr=3e-3)
         return p.value.tolist()
 
@@ -102,37 +105,37 @@ def test_check_finite_names_the_first_bad_parameter() -> None:
 
 def test_clip_below_threshold_is_identity() -> None:
     p = make_param([[1.0, 1.0]])
-    p.grad[:] = [[0.3, 0.4]]  # norm 0.5
-    scale = clip_global_norm([p], max_norm=5.0)
+    p.grad[:] = [[0.06 * CLIP_NORM, 0.08 * CLIP_NORM]]  # norm CLIP_NORM / 10
+    scale = clip_global_norm([p])
     assert scale == 1.0
-    assert p.grad.tolist() == [[0.3, 0.4]]
+    assert p.grad.tolist() == [[0.06 * CLIP_NORM, 0.08 * CLIP_NORM]]
 
 
 def test_clip_scales_to_max_norm() -> None:
     p = make_param([[0.0, 0.0]])
-    p.grad[:] = [[3.0, 4.0]]  # norm 5
-    scale = clip_global_norm([p], max_norm=2.5)
+    p.grad[:] = [[1.2 * CLIP_NORM, 1.6 * CLIP_NORM]]  # norm 2 * CLIP_NORM
+    scale = clip_global_norm([p])
     assert scale == pytest.approx(0.5)
-    assert p.grad.tolist() == [[1.5, 2.0]]
+    assert p.grad.tolist() == [[0.6 * CLIP_NORM, 0.8 * CLIP_NORM]]
 
 
 def test_clip_post_norm_equals_min_of_norm_and_max() -> None:
     rng = Rng(22)
-    for max_norm in (0.5, 2.0, 100.0):
-        params = [make_param([[rng.uniform(-1, 1) for _ in range(3)]], name=f"p{i}")
+    for factor in (0.1, 0.4, 20.0):  # gradient norms from far below to far above the cut
+        params = [make_param([[2.0 * rng.random() - 1.0 for _ in range(3)]], name=f"p{i}")
                   for i in range(4)]
         for p in params:
-            p.grad[:] = [[rng.uniform(-2, 2) for _ in range(3)]]
+            p.grad[:] = [[factor * CLIP_NORM * (4.0 * rng.random() - 2.0) for _ in range(3)]]
         before = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
-        clip_global_norm(params, max_norm=max_norm)
+        clip_global_norm(params)
         after = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
-        assert after == pytest.approx(min(before, max_norm), abs=1e-9)
+        assert after == pytest.approx(min(before, CLIP_NORM), abs=1e-9)
         assert after <= before + 1e-12
 
 
 def test_clip_handles_all_zero_gradients() -> None:
     p = make_param([[1.0]])
-    assert clip_global_norm([p], max_norm=1.0) == 1.0
+    assert clip_global_norm([p]) == 1.0
     assert p.grad[0, 0] == 0.0
 
 
@@ -165,7 +168,7 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
     for _ in range(12):
         tokens = [words[rng.randint(len(words))] for _ in range(5)]
         docs.append(Document(" ".join(tokens), tokens, labels={t: rng.coin() for t in TRAITS}))
-    vocab = Vocabulary.build([d.tokens for d in docs], min_count=1)
+    vocab = Vocabulary.build([d.tokens for d in docs] * 2)
     cnn = CnnModel.init(CnnConfig(vocab_size=len(vocab), embed_dim=3, window=2, num_filters=2,
                                   max_len=8), vocab, Rng(1))
     lstm = LstmModel.init(LstmConfig(vocab_size=len(vocab), embed_dim=3, hidden_dim=4,
@@ -174,7 +177,7 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
         check(model)
         path = tmp_path / f"{model.kind}.json"
         model.save(path)
-        check(load_model(path))
+        check(load_model(path, model.kind))
 
     ids, lengths = encode([d.tokens for d in docs[:4]], vocab, 8)
     labels = np.array([[d.labels[t] for t in TRAITS] for d in docs[:4]], dtype=np.float64)
@@ -182,16 +185,18 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
     probs, cache = cnn_forward(cnn, ids, lengths)
     cnn_backward(cnn, probs, cache, labels, 0.25)
     zero_grads(lstm.params())
-    _train_batch(lstm, ids, lengths, labels)
+    _train_batch(lstm, ids, lengths, labels, batch_workspace(lstm, ids))
     for model in (cnn, lstm):
-        assert clip_global_norm(model.params(), max_norm=1e-3) < 1.0
+        for p in model.params():  # puts the joint norm well past the cut
+            p.grad += CLIP_NORM
+        assert clip_global_norm(model.params()) < 1.0
         for p in model.params():
             adam_step(p, lr=1e-2)
         check(model)
 
     config = CnnConfig(vocab_size=0, embed_dim=3, window=2, num_filters=2, max_len=8,
                        epochs=2, batch_size=4)
-    check(train_classifier(docs, config, Rng(3)).model)
+    check(train_classifier(docs, config, Rng(3))[0])
 
 
 def test_adam_is_bit_equal_to_the_textbook_expression_over_several_steps() -> None:

@@ -11,6 +11,7 @@ from traitgen.errors import EncodingError, InvalidIdError, ShapeError, Validatio
 from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
+    MAX_VOCAB,
     PAD_ID,
     SPECIAL_TOKENS,
     UNK_ID,
@@ -72,32 +73,32 @@ def test_empty_corpus_gives_specials_only() -> None:
 
 
 def test_min_count_filters_rare_tokens() -> None:
-    v = Vocabulary.build([["x", "x"], ["x", "y"]], min_count=2)
+    v = Vocabulary.build([["x", "x"], ["x", "y"]])
     assert len(v) == 5
     assert v.id_of("x") == 4
     assert v.id_of("y") == UNK_ID
 
 
 def test_frequency_ties_break_lexicographically() -> None:
-    v = Vocabulary.build([["b", "a", "c"]], min_count=1)
+    v = Vocabulary.build([["b", "a", "c"]] * 2)
     assert [v.token_of(i) for i in range(4, 7)] == ["a", "b", "c"]
 
 
 def test_ranking_is_frequency_first() -> None:
-    v = Vocabulary.build([["z", "z", "z", "a"]], min_count=1)
+    v = Vocabulary.build([["z", "z", "z", "a"]] * 2)
     assert v.token_of(4) == "z"
     assert v.token_of(5) == "a"
 
 
 def test_max_size_truncates() -> None:
-    corpus = [[f"t{i:02d}"] * (i + 1) for i in range(10)]
-    v = Vocabulary.build(corpus, min_count=1, max_size=7)
-    assert len(v) == 7
-    # the three most frequent survive
-    assert v.id_of("t09") == 4
-    assert v.id_of("t08") == 5
-    assert v.id_of("t07") == 6
-    assert v.id_of("t00") == UNK_ID
+    # one frequent token, then more tied ones than the ids left for them
+    tied = [f"t{i:05d}" for i in range(MAX_VOCAB)]
+    v = Vocabulary.build([["zz"] * 3, tied * 2])
+    assert len(v) == MAX_VOCAB
+    assert v.id_of("zz") == 4  # frequency first
+    assert v.id_of(tied[0]) == 5  # then ties in token order, up to the cap
+    assert v.id_of(tied[MAX_VOCAB - 6]) == MAX_VOCAB - 1
+    assert v.id_of(tied[MAX_VOCAB - 5]) == UNK_ID
 
 
 def test_build_is_deterministic() -> None:
@@ -106,7 +107,7 @@ def test_build_is_deterministic() -> None:
 
 
 def test_special_surface_forms_are_escaped_not_collided() -> None:
-    v = Vocabulary.build([["<pad>", "<pad>", "</s>", "</s>"]], min_count=1)
+    v = Vocabulary.build([["<pad>", "<pad>", "</s>", "</s>"]])
     tok_id = v.id_of("<pad>")
     assert tok_id >= 4
     assert v.token_of(tok_id) == "<pad>"
@@ -142,7 +143,7 @@ def test_encode_unknown_token_maps_to_unk() -> None:
 
 def test_encode_truncates_keeping_prefix_and_eos() -> None:
     corpus = [[f"w{i}" for i in range(10)]]
-    v = Vocabulary.build(corpus, min_count=1)
+    v = Vocabulary.build(corpus * 2)
     tokens = [f"w{i}" for i in range(10)]
     ids, lengths = encode([tokens], v, max_len=6)
     row = ids[0].tolist()
@@ -158,7 +159,7 @@ def test_encode_rejects_tiny_max_len() -> None:
 
 
 def test_pad_exactly_past_length() -> None:
-    v = Vocabulary.build([["a", "b", "a", "b"]], min_count=1)
+    v = Vocabulary.build([["a", "b", "a", "b"]])
     ids, lengths = encode([["a", "b"], [], ["b"] * 9], v, max_len=8)
     for row, length in zip(ids.tolist(), lengths.tolist()):
         assert [i == PAD_ID for i in row] == [t >= length for t in range(8)]
@@ -172,7 +173,7 @@ _token_alphabet = st.text(
 @given(st.lists(_token_alphabet, min_size=0, max_size=10))
 @settings(max_examples=60, deadline=None)
 def test_decode_encode_roundtrip_for_in_vocab_tokens(tokens: list[str]) -> None:
-    v = Vocabulary.build([tokens], min_count=1, max_size=20000)
+    v = Vocabulary.build([tokens] * 2)
     ids, _ = encode([tokens], v, max_len=len(tokens) + 2)
     assert [v.token_of(i) for i in ids[0, 1:-1].tolist()] == tokens
 
@@ -190,7 +191,7 @@ _awkward_token = st.one_of(
 @given(st.lists(_awkward_token, max_size=12), st.lists(_awkward_token, max_size=6))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_id_of_agrees_with_escape_reference(corpus: list[str], queries: list[str]) -> None:
-    v = Vocabulary.build([corpus], min_count=1)
+    v = Vocabulary.build([corpus] * 2)
     stored = {t: i for i, t in enumerate(v.to_list())}
     for token in corpus + queries:
         expected = stored.get(_escape(token), UNK_ID)
@@ -205,7 +206,7 @@ def test_id_of_agrees_with_escape_reference(corpus: list[str], queries: list[str
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_encode_rows_are_bos_ids_eos_then_pad(corpus: list[str], token_lists: list[list[str]],
                                               max_len: int) -> None:
-    v = Vocabulary.build([corpus], min_count=1)
+    v = Vocabulary.build([corpus] * 2)
     stored = {t: i for i, t in enumerate(v.to_list())}
     ids, lengths = encode(token_lists, v, max_len)
     assert ids.shape == (len(token_lists), max_len) and ids.dtype == np.int64
@@ -223,10 +224,10 @@ def test_encode_rows_are_bos_ids_eos_then_pad(corpus: list[str], token_lists: li
 
 def test_corpus_roundtrip(tmp_path) -> None:
     docs = [
-        Document.from_text("a b c", labels={"E": 1, "A": 0, "C": 1, "N": 0, "O": 1}),
-        Document.from_text("d e"),
-        Document.from_text(
-            "f", levels={"E": "low", "A": "medium", "C": "high", "N": "low", "O": "low"}
+        Document("a b c", ["a", "b", "c"], labels={"E": 1, "A": 0, "C": 1, "N": 0, "O": 1}),
+        Document("d e", ["d", "e"]),
+        Document(
+            "f", ["f"], levels={"E": "low", "A": "medium", "C": "high", "N": "low", "O": "low"}
         ),
     ]
     path = tmp_path / "corpus.jsonl"
@@ -240,7 +241,7 @@ def test_corpus_roundtrip(tmp_path) -> None:
 
 
 def test_corpus_write_is_byte_deterministic(tmp_path) -> None:
-    docs = [Document.from_text("x y", labels={"E": 0, "A": 1, "C": 0, "N": 1, "O": 0})]
+    docs = [Document("x y", ["x", "y"], labels={"E": 0, "A": 1, "C": 0, "N": 1, "O": 0})]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_corpus(p1, docs)
     write_corpus(p2, docs)
@@ -276,6 +277,32 @@ def test_malformed_line_reports_line_number(tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text('{"text": "ok"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValidationError, match=":2:"):
+        read_corpus(path)
+
+
+def test_json_boolean_labels_read_and_write_back_as_integers(tmp_path) -> None:
+    path = tmp_path / "in.jsonl"
+    labels = {"E": True, "A": False, "C": 1, "N": 0.0, "O": 1.0}
+    path.write_text(json.dumps({"text": "a", "labels": labels}) + "\n", encoding="utf-8")
+    docs = read_corpus(path)
+    assert docs[0].labels == {"E": 1, "A": 0, "C": 1, "N": 0, "O": 1}
+    assert all(type(v) is int for v in docs[0].labels.values())
+    write_corpus(tmp_path / "out.jsonl", docs)
+    assert (tmp_path / "out.jsonl").read_text(encoding="utf-8") == (
+        '{"labels": {"A": 0, "C": 1, "E": 1, "N": 0, "O": 1}, "text": "a"}\n')
+
+
+@pytest.mark.parametrize("field, value", [
+    ("labels", {"E": 2, "A": 0, "C": 1, "N": 0, "O": 1}),
+    ("labels", {"E": "1", "A": 0, "C": 1, "N": 0, "O": 1}),
+    ("levels", {"E": "mid", "A": "low", "C": "low", "N": "low", "O": "low"}),
+    ("levels", {"E": "low", "A": "low", "C": "low", "N": "low", "O": "low", "X": "low"}),
+    ("levels", ["low"] * 5),
+])
+def test_bad_trait_map_names_the_line_and_the_map(tmp_path, field, value) -> None:
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps({"text": "a", field: value}) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f":1: {field}"):
         read_corpus(path)
 
 
