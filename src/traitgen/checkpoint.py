@@ -1,13 +1,15 @@
 """Shared JSON checkpoint format for both neural models.
 
-Layout: {"format_version": 1, "kind": "cnn"|"lstm", "config": {...},
+Layout: {"format_version": 2, "kind": "cnn"|"lstm", "config": {...},
 "vocab": [stored tokens...], "params": {name: {"shape": [r, c],
-"data": [floats...]}}}. Float values are written with Python's
-shortest-round-trip repr, so a reload reproduces every bit.
+"data": str}}}. ``data`` is the standard base64 of the parameter's
+row-major little-endian float64 bytes, so a reload reproduces every bit.
+A checkpoint of any other format version must be retrained.
 """
 
 from __future__ import annotations
 
+import base64
 from pathlib import Path
 
 import numpy as np
@@ -16,32 +18,26 @@ from .errors import ValidationError
 from .numeric import Parameter
 from .textproc import Vocabulary, config_from_payload, is_int, read_json, write_json
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def params_to_payload(params: list[Parameter]) -> dict:
-    payload = {}
-    for p in params:
-        payload[p.name] = {
+    return {
+        p.name: {
             "shape": list(p.value.shape),
-            "data": p.value.ravel().tolist(),
+            "data": base64.b64encode(p.value.astype("<f8").tobytes()).decode("ascii"),
         }
-    return payload
+        for p in params
+    }
 
 
-def _numbers(data: object) -> np.ndarray | None:
-    """``data`` as a flat numeric array, or None if it is not a list of numbers (bools are not)."""
-    if not isinstance(data, list):
-        return None
+def _decode(data: object, size: int) -> np.ndarray | None:
+    """``data`` as ``size`` finite float64s, or None if it is not their base64."""
     try:
-        values = np.asarray(data)
-    except ValueError:  # ragged nesting
+        values = np.frombuffer(base64.b64decode(data, validate=True), "<f8")
+    except (TypeError, ValueError):  # not a string, not ASCII base64, or not whole float64s
         return None
-    if values.ndim != 1 or values.dtype.kind not in "if":
-        return None
-    # a bool among numbers became 0 or 1, so only those entries need a look
-    suspects = np.flatnonzero((values == 0) | (values == 1)).tolist()
-    return None if any(type(data[i]) is bool for i in suspects) else values
+    return values if values.size == size and np.isfinite(values).all() else None
 
 
 def params_from_payload(payload: dict, params: list[Parameter]) -> None:
@@ -62,10 +58,10 @@ def params_from_payload(payload: dict, params: list[Parameter]) -> None:
             raise ValidationError(
                 f"parameter {p.name!r}: checkpoint shape {tuple(shape)} != model {p.value.shape}"
             )
-        values = _numbers(entry.get("data"))
-        size = p.value.size
-        if values is None or values.size != size or not np.isfinite(values).all():
-            raise ValidationError(f"params.{p.name}.data must be a list of {size} finite numbers")
+        values = _decode(entry.get("data"), p.value.size)
+        if values is None:
+            raise ValidationError(f"params.{p.name}.data must be the base64 of "
+                                  f"{p.value.size} finite little-endian float64s")
         p.value[...] = values.reshape(p.value.shape)
 
 
@@ -89,8 +85,10 @@ def load_model(path: str | Path, kind: str):
     path and the field.
     """
     payload = read_json(path)
-    if not isinstance(payload, dict) or payload.get("format_version") != FORMAT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint format")
+    found = payload.get("format_version") if isinstance(payload, dict) else None
+    if found != FORMAT_VERSION:
+        raise ValidationError(f"{path}: checkpoint format_version is {found!r}, expected "
+                              f"{FORMAT_VERSION}; retrain the model to write this format")
     found = payload.get("kind")
     if found != kind:
         raise ValidationError(f"{path}: expected a {kind!r} checkpoint, found {found!r}")

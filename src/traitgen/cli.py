@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -318,7 +319,7 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
     baseline = load_model(o["baseline"], "lstm")
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"])
-    if not lexicon.all_entry_tokens() & set(model.vocab.non_special_tokens()):
+    if not any(token in model.vocab for token in lexicon.all_entry_tokens()):
         raise ConfigError("model vocabulary shares no tokens with the lexicon")
     pool = _read_seed_pool(o["seed-pool"])
     report, records = evaluate_generation(
@@ -437,6 +438,7 @@ def _help(opt: Opt) -> str:
     return f"{opt.help} (default: {opt.default})"
 
 
+@functools.cache  # built once per process, however often main() runs in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=PROG,

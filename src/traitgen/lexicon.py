@@ -16,12 +16,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import InsufficientDataError, ValidationError
-from .textproc import config_from_payload, read_json, write_json
+from .textproc import config_from_payload, is_finite_number, read_json, write_json
 from .traits import HIGH, LOW, MEDIUM, TRAITS
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,10 @@ class Lexicon:
                 f"weight matrix has {len(weights)} rows for {len(categories)} categories"
             )
         for name, row in zip(names, weights):
-            if not (isinstance(row, (list, tuple)) and all(map(_is_number, row))):
-                raise ValidationError(f"weight row for category {name!r} must be a list of numbers")
+            if not (isinstance(row, (list, tuple)) and all(map(is_finite_number, row))):
+                raise ValidationError(
+                    f"weight row for category {name!r} must be a list of finite numbers"
+                )
             if len(row) != len(TRAITS):
                 raise ValidationError(
                     f"weight row for category {name!r} has {len(row)} entries, expected {len(TRAITS)}"

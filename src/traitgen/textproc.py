@@ -158,9 +158,6 @@ class Vocabulary:
         """Stored token list (specials first), suitable for checkpoints."""
         return list(self._id_to_token)
 
-    def non_special_tokens(self) -> list[str]:
-        return [_unescape(t) for t in self._id_to_token[4:]]
-
 
 def encode(token_lists: Sequence[Sequence[str]], vocab: Vocabulary,
            max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +197,11 @@ def is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def is_finite_number(value: object) -> bool:
+    """A JSON number, never a bool, within the float range (exact for a huge integer)."""
+    return (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
 def config_from_payload(config_cls, config: object, name: str = "config"):
     """Build a dataclass from a JSON object after checking every key and value type.
 
@@ -215,11 +217,10 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
             raise ValidationError(f"{name} has unknown key {key!r}")
         if fields[key].type == "int" and not is_int(value):
             raise ValidationError(f"{name}.{key} must be an integer, got {type(value).__name__}")
-        if fields[key].type == "float":
-            if not (is_int(value) or isinstance(value, float)):
-                raise ValidationError(f"{name}.{key} must be a number, got {type(value).__name__}")
-            if not abs(value) <= sys.float_info.max:  # exact for a huge integer, false for NaN
+        if fields[key].type == "float" and not is_finite_number(value):
+            if is_int(value) or isinstance(value, float):
                 raise ValidationError(f"{name}.{key} must be a finite number")
+            raise ValidationError(f"{name}.{key} must be a number, got {type(value).__name__}")
     for key, f in fields.items():
         if f.default is dataclasses.MISSING and key not in config:
             raise ValidationError(f"{name} is missing {key!r}")

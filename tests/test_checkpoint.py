@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import base64
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from traitgen.checkpoint import (
+    FORMAT_VERSION,
     load_model,
     params_from_payload,
     params_to_payload,
@@ -19,13 +22,15 @@ from traitgen.textproc import Vocabulary, read_json
 
 
 def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
-    values = [[0.1, 1.0 / 3.0, -0.0], [1e-300, 1e300, -7.234567890123456e-05]]
+    values = [[0.1, 1.0 / 3.0, -0.0], [1e-300, 1e300, -7.234567890123456e-05],
+              [5e-324, 1.7976931348623157e308, -1.7976931348623157e308]]
     p = Parameter("w", values)
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "cnn", {"any": 1}, Vocabulary.build([]).to_list(), [p])
     payload = read_json(path)
-    q = Parameter("w", np.zeros((2, 3)))
+    q = Parameter("w", np.zeros((3, 3)))
     params_from_payload(payload["params"], [q])
+    assert q.value.tobytes() == p.value.tobytes()
     assert q.value.ravel().tolist() == p.value.ravel().tolist()
     assert (np.signbit(q.value) == np.signbit(p.value)).all()
 
@@ -56,7 +61,8 @@ def test_not_json_rejected(tmp_path) -> None:
 
 def test_missing_sections_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
-    path.write_text(json.dumps({"format_version": 1, "kind": "cnn"}), encoding="utf-8")
+    path.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "cnn"}),
+                    encoding="utf-8")
     with pytest.raises(ValidationError, match="missing"):
         load_model(path, "cnn")
 
@@ -92,3 +98,12 @@ def test_load_model_dispatches_by_kind(tmp_path) -> None:
     lstm.save(lstm_path)
     assert isinstance(load_model(cnn_path, "cnn"), CnnModel)
     assert isinstance(load_model(lstm_path, "lstm"), LstmModel)
+
+
+def test_data_is_base64_of_row_major_little_endian_float64(tmp_path) -> None:
+    values = [[1.0, -2.5, 0.1], [3e-310, 7.0, -0.0]]
+    path = tmp_path / "ckpt.json"
+    write_checkpoint(path, "cnn", {}, Vocabulary.build([]).to_list(), [Parameter("w", values)])
+    entry = read_json(path)["params"]["w"]
+    assert entry["shape"] == [2, 3]
+    assert entry["data"] == base64.b64encode(struct.pack("<6d", *values[0], *values[1])).decode()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import functools
@@ -7,15 +8,18 @@ import hashlib
 import io
 import json
 import math
+import string
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import traitgen.classifier
 import traitgen.generator
+from traitgen.checkpoint import FORMAT_VERSION
 from traitgen.cli import COMMANDS, _resolve, build_parser, main
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.harness import MAX_DOC_TOKENS, SynthSpec, default_synth_spec
@@ -396,14 +400,31 @@ def _shadow_vocab_token(payload: dict) -> None:
     payload["vocab"][5] = "\x1f" + payload["vocab"][4]
 
 
+def _b64(values) -> str:
+    """Checkpoint ``data``: base64 of the values as row-major little-endian float64s."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def _floats(data: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(data), "<f8")
+
+
 def _per_trait_head(payload: dict) -> None:
     """Split the five-column classifier head into the earlier per-trait layout."""
     params = payload["params"]
     head_w, head_b = params.pop("head_w"), params.pop("head_b")
     rows = head_w["shape"][0]
+    w, b = _floats(head_w["data"]), _floats(head_b["data"])
     for i, t in enumerate(TRAITS):
-        params[f"head_w_{t}"] = {"shape": [rows, 1], "data": head_w["data"][i::len(TRAITS)]}
-        params[f"head_b_{t}"] = {"shape": [1, 1], "data": [head_b["data"][i]]}
+        params[f"head_w_{t}"] = {"shape": [rows, 1], "data": _b64(w[i::len(TRAITS)])}
+        params[f"head_b_{t}"] = {"shape": [1, 1], "data": _b64(b[i:i + 1])}
+
+
+def _non_finite_data(payload: dict) -> None:
+    entry = payload["params"]["gates_w"]
+    values = _floats(entry["data"]).copy()
+    values[0] = float("nan")
+    entry["data"] = _b64(values)
 
 
 @pytest.mark.parametrize("checkpoint, mutate", [
@@ -414,8 +435,8 @@ def _per_trait_head(payload: dict) -> None:
     ("baseline", _shadow_vocab_token),
     ("baseline", _set(["vocab", 5], "\ud800")),
     ("baseline", _set(["params", "out_b", "shape"], [1])),
-    ("baseline", _set(["params", "out_b", "data", 0], "x")),
-    ("baseline", _set(["params", "gates_w", "data", 0], float("nan"))),
+    ("baseline", _set(["params", "out_b", "data"], "not base64!")),
+    ("baseline", _non_finite_data),
     ("classifier", _per_trait_head),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
         "vocab-not-list", "non-canonical-vocab-token", "lone-surrogate-vocab-token",
@@ -450,6 +471,16 @@ def _tiny_generator() -> str:
 _LSTM_PARAMS = ["embedding", "gates_w", "gates_b", "out_w", "out_b"]
 _ODD_SCALARS = st.one_of(st.text(max_size=4), st.booleans(), st.floats(), st.integers(-5, -1),
                          st.integers(0, 40), st.none())
+# One edit of a parameter's base64 ``data`` string, applied by _edit_data.
+_DATA_EDITS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 400)),
+    st.tuples(st.just("replace"), st.integers(0, 400),
+              st.sampled_from(string.ascii_letters + string.digits + "+/")),
+    st.tuples(st.just("insert"), st.integers(0, 400), st.sampled_from(["!", " ", "\n", "-", "é"])),
+    st.tuples(st.just("pad"), st.integers(1, 3)),
+    st.tuples(st.just("v1-list")),
+    st.tuples(st.just("swap"), _ODD_SCALARS | st.just(float("nan"))),
+)
 _CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.sampled_from([f.name for f in dataclasses.fields(LstmConfig)])
               .map(lambda key: ("config", key)), _ODD_SCALARS),
@@ -458,16 +489,34 @@ _CHECKPOINT_EDITS = st.one_of(
     st.tuples(st.sampled_from(_LSTM_PARAMS).map(lambda name: ("params", name, "shape")),
               st.lists(st.integers(-1, 40) | st.floats(0, 40) | st.text(max_size=2), max_size=3)
               | _ODD_SCALARS),
-    st.tuples(st.tuples(st.just("params"), st.sampled_from(_LSTM_PARAMS), st.just("data"),
-                        st.integers(0, 1)),
-              _ODD_SCALARS | st.just(float("nan")) | st.lists(st.floats(), max_size=2)),
+    st.tuples(st.sampled_from(_LSTM_PARAMS).map(lambda name: ("params", name, "data")),
+              _DATA_EDITS),
 )
+
+
+def _edit_data(data: str, edit: tuple):
+    kind, *args = edit
+    if kind == "swap":  # a value in place of the string
+        return args[0]
+    if kind == "v1-list":  # the float list of the first checkpoint format
+        return _floats(data).tolist()
+    if kind == "pad":
+        return data + "=" * args[0]
+    i = args[0] % len(data)
+    if kind == "truncate":
+        return data[:i]
+    return data[:i] + args[1] + data[i + (kind == "replace"):]
 
 
 @given(edit=_CHECKPOINT_EDITS)
 @example(edit=(("config", "max_len"), 1))
-@example(edit=(("params", "out_w", "data", 0), float("nan")))
-@example(edit=(("params", "out_b", "data", 1), True))
+@example(edit=(("params", "out_b", "data"), ("swap", _b64([float("nan")] + [0.0] * 7))))
+@example(edit=(("params", "out_b", "data"), ("swap", _b64([0.0] * 7 + [float("inf")]))))
+@example(edit=(("params", "out_b", "data"), ("swap", _b64([0.0] * 7))))
+@example(edit=(("params", "out_b", "data"), ("swap", _b64([0.5] * 8))))
+@example(edit=(("params", "out_b", "data"), ("v1-list",)))
+@example(edit=(("params", "out_b", "data"), ("swap", True)))
+@example(edit=(("params", "gates_w", "data"), ("insert", 4, "\n")))
 @example(edit=(("config", "temperature"), 10 ** 400))
 @example(edit=(("config", "learning_rate"), float("inf")))
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -475,6 +524,8 @@ def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
     """generate on a mutated checkpoint either succeeds or is one clean user error."""
     path, value = edit
     payload = json.loads(_tiny_generator())
+    if path[-1] == "data":
+        value = _edit_data(payload["params"][path[1]]["data"], value)
     _set(list(path), value)(payload)
     with tempfile.TemporaryDirectory() as tmp:
         model, pool, out = (Path(tmp) / name for name in ("generator.json", "pool.txt", "out.jsonl"))
@@ -491,8 +542,27 @@ def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
             assert sorted(p.name for p in Path(tmp).iterdir()) == ["generator.json", "pool.txt"]
         else:
             assert len(out.read_text(encoding="utf-8").splitlines()) == 2
-            if path[0] == "params" and path[2] == "data":  # only a finite number is a valid entry
-                assert type(value) in (int, float) and math.isfinite(value), value
+            if path[-1] == "data":  # only the base64 of shape-many finite float64s loads
+                assert isinstance(value, str), value
+                values = np.frombuffer(base64.b64decode(value, validate=True), "<f8")
+                assert values.size == math.prod(payload["params"][path[1]]["shape"])
+                assert np.isfinite(values).all()
+
+
+def test_checkpoint_of_an_earlier_format_exits_2_asking_to_retrain(tmp_path, capsys) -> None:
+    payload = json.loads(_tiny_generator())
+    payload["format_version"] = 1
+    for entry in payload["params"].values():  # the first format's float lists
+        entry["data"] = _floats(entry["data"]).tolist()
+    model, pool = tmp_path / "generator.json", tmp_path / "pool.txt"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    pool.write_text("a\n", encoding="utf-8")
+    assert run("generate", "--model", str(model), "--n", "1", "--seed-pool", str(pool),
+               "--out", str(tmp_path / "out.jsonl")) == 2
+    assert capsys.readouterr().err == (
+        f"traitgen: error: {model}: checkpoint format_version is 1, expected {FORMAT_VERSION}; "
+        "retrain the model to write this format\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["generator.json", "pool.txt"]
 
 
 # -------------------------------------------------------------- score/calibrate
@@ -600,6 +670,57 @@ def test_thresholds_with_one_field_changed_exits_0_or_2(pipeline, edit) -> None:
         else:  # the one valid edit: a finite JSON number in place of a cut
             assert len(path) == 2 and path[1] in ("low_cut", "high_cut"), path
             assert type(value) in (int, float) and math.isfinite(value), value
+
+
+_LEXICON_VALUES = st.one_of(
+    st.text(max_size=4), st.sampled_from(["w000", "w00*", "*", "E_low"]), st.booleans(),
+    st.none(), st.floats(), st.integers(-3, 3), st.just(10 ** 400),
+    st.lists(st.text(max_size=3), max_size=2),
+    st.lists(st.floats() | st.integers(-2, 2), min_size=4, max_size=6),
+)
+# the synth lexicon: 10 categories of 6 entries each, a 10 x 5 weight matrix
+_LEXICON_EDITS = st.one_of(
+    st.tuples(st.just(("trait_order",)), _LEXICON_VALUES | st.permutations(TRAITS)),
+    st.tuples(st.integers(0, 9).map(lambda c: ("categories", c, "name")), _LEXICON_VALUES),
+    st.tuples(st.integers(0, 9).map(lambda c: ("categories", c, "entries")), _LEXICON_VALUES),
+    st.tuples(st.tuples(st.just("categories"), st.integers(0, 9), st.just("entries"),
+                        st.integers(0, 5)), _LEXICON_VALUES),
+    st.tuples(st.integers(0, 9).map(lambda r: ("weights", r)), _LEXICON_VALUES),
+    st.tuples(st.tuples(st.just("weights"), st.integers(0, 9), st.integers(0, 4)),
+              _LEXICON_VALUES),
+)
+
+
+@given(edit=_LEXICON_EDITS)
+@example(edit=(("weights", 0, 0), 10 ** 400))
+@example(edit=(("weights", 1, 2), float("nan")))
+@example(edit=(("weights", 2, 4), float("-inf")))
+@example(edit=(("weights", 3, 1), True))
+@example(edit=(("weights", 4), [1, 0.5, -2, 0, 1e308]))
+@example(edit=(("categories", 5, "entries", 0), "*"))
+@example(edit=(("categories", 6, "name"), "E_low"))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_lexicon_with_one_field_changed_exits_0_or_2(pipeline, edit) -> None:
+    """score on a mutated lexicon either succeeds or is one clean user error."""
+    path, value = edit
+    payload = json.loads(pipeline["lexicon"].read_text(encoding="utf-8"))
+    _set(list(path), value)(payload)
+    with tempfile.TemporaryDirectory() as tmp:
+        lexicon, out = Path(tmp) / "lexicon.json", Path(tmp) / "scored.jsonl"
+        lexicon.write_text(json.dumps(payload), encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run("score", "--lexicon", str(lexicon), "--in", str(pipeline["corpus"]),
+                       "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("traitgen: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert [p.name for p in Path(tmp).iterdir()] == ["lexicon.json"]
+        elif path[0] == "weights":  # a weight edit loads only as finite JSON numbers
+            row = value if len(path) == 2 else [value]
+            assert isinstance(row, list) and len(row) in (1, len(TRAITS)), value
+            assert all(type(v) in (int, float) and math.isfinite(v) for v in row), value
 
 
 # --------------------------------------------------------------- output files
@@ -910,6 +1031,11 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--lexicon", _lexicon_with(0.5)),
     ("--lexicon", _lexicon_with([1, 0, "x", 0, 0])),
     ("--lexicon", _lexicon_with([1, 0, 0, 0, 0], entries=5)),
+    ("--lexicon", _lexicon_with([0, 10 ** 400, 0, 0, 0])),
+    ("--lexicon", _lexicon_with([0, float("nan"), 0, 0, 0])),
+    ("--lexicon", _lexicon_with([0, 0, float("inf"), 0, 0])),
+    ("--lexicon", _lexicon_with([0, 0, 0, float("-inf"), 0])),
+    ("--lexicon", _lexicon_with([0, 0, 0, 0, True])),
     ("--thresholds", b"[1, 2"),
     ("--thresholds", json.dumps({t: {"low_cut": "x", "high_cut": 1} for t in TRAITS}).encode()),
     ("--spec", b"\n\n}"),
@@ -921,7 +1047,9 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--model", b'{"format_version": 1' + b"0" * 5000 + b"}"),
     ("--in", b'{"text": "a b", "n": 1' + b"0" * 5000 + b"}\n"),
 ], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
-        "lexicon-entries-not-list", "thresholds-not-json", "thresholds-string-cut",
+        "lexicon-entries-not-list", "lexicon-weight-past-float-range", "lexicon-nan-weight",
+        "lexicon-inf-weight", "lexicon-negative-inf-weight", "lexicon-boolean-weight",
+        "thresholds-not-json", "thresholds-string-cut",
         "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8",
         "corpus-labels-not-object", "corpus-levels-not-object", "checkpoint-integer-too-long",
         "corpus-integer-too-long"])
