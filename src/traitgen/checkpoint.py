@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import TraitgenError
 from .numeric import Parameter
 from .textproc import Vocabulary, config_from_payload, is_int, read_json, write_json
 
@@ -43,25 +43,25 @@ def _decode(data: object, size: int) -> np.ndarray | None:
 def params_from_payload(payload: dict, params: list[Parameter]) -> None:
     """Load values into existing parameters, checking names, shapes and data."""
     if not isinstance(payload, dict):
-        raise ValidationError(f"'params' must be an object, got {type(payload).__name__}")
+        raise TraitgenError(f"'params' must be an object, got {type(payload).__name__}")
     names = {p.name for p in params}
     if set(payload) != names:
-        raise ValidationError(
+        raise TraitgenError(
             f"checkpoint parameters {sorted(payload)} do not match model {sorted(names)}"
         )
     for p in params:
         entry = payload[p.name]
         shape = entry.get("shape") if isinstance(entry, dict) else None
         if not (isinstance(shape, list) and len(shape) == 2 and all(map(is_int, shape))):
-            raise ValidationError(f"params.{p.name}.shape must be a pair of integers")
+            raise TraitgenError(f"params.{p.name}.shape must be a pair of integers")
         if tuple(shape) != p.value.shape:
-            raise ValidationError(
+            raise TraitgenError(
                 f"parameter {p.name!r}: checkpoint shape {tuple(shape)} != model {p.value.shape}"
             )
         values = _decode(entry.get("data"), p.value.size)
         if values is None:
-            raise ValidationError(f"params.{p.name}.data must be the base64 of "
-                                  f"{p.value.size} finite little-endian float64s")
+            raise TraitgenError(f"params.{p.name}.data must be the base64 of "
+                                f"{p.value.size} finite little-endian float64s")
         p.value[...] = values.reshape(p.value.shape)
 
 
@@ -81,20 +81,20 @@ def load_model(path: str | Path, kind: str):
 
     The format version and kind are checked first, then the config and
     vocabulary before the model is built, and each parameter before it is
-    assigned; a malformed field raises :class:`ValidationError` naming the
+    assigned; a malformed field raises :class:`TraitgenError` naming the
     path and the field.
     """
     payload = read_json(path)
     found = payload.get("format_version") if isinstance(payload, dict) else None
     if found != FORMAT_VERSION:
-        raise ValidationError(f"{path}: checkpoint format_version is {found!r}, expected "
-                              f"{FORMAT_VERSION}; retrain the model to write this format")
+        raise TraitgenError(f"{path}: checkpoint format_version is {found!r}, expected "
+                            f"{FORMAT_VERSION}; retrain the model to write this format")
     found = payload.get("kind")
     if found != kind:
-        raise ValidationError(f"{path}: expected a {kind!r} checkpoint, found {found!r}")
+        raise TraitgenError(f"{path}: expected a {kind!r} checkpoint, found {found!r}")
     for key in ("config", "vocab", "params"):
         if key not in payload:
-            raise ValidationError(f"{path}: checkpoint is missing {key!r}")
+            raise TraitgenError(f"{path}: checkpoint is missing {key!r}")
     if kind == "cnn":
         from .classifier import CnnConfig as config_cls, CnnModel as model_cls
     else:
@@ -103,9 +103,9 @@ def load_model(path: str | Path, kind: str):
         config = config_from_payload(config_cls, payload["config"])
         vocab = payload["vocab"]
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
-            raise ValidationError("'vocab' must be a list of strings")
+            raise TraitgenError("'vocab' must be a list of strings")
         model = model_cls(config, Vocabulary(vocab))
         params_from_payload(payload["params"], model.params())
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    except TraitgenError as exc:
+        raise TraitgenError(f"{path}: {exc}") from exc
     return model

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import write_checkpoint
-from .errors import InsufficientDataError, MissingLabelError, ShapeError, ValidationError
+from .errors import TraitgenError
 from .numeric import (
     Matrix,
     Parameter,
@@ -61,15 +61,15 @@ class CnnConfig:
 
     def validate(self) -> None:
         if self.window < 1:
-            raise ValidationError(f"window must be >= 1, got {self.window}")
+            raise TraitgenError(f"window must be >= 1, got {self.window}")
         if self.embed_dim < 1 or self.num_filters < 1:
-            raise ValidationError("embed_dim and num_filters must be >= 1")
+            raise TraitgenError("embed_dim and num_filters must be >= 1")
         if self.max_len < self.window + 2:
-            raise ValidationError(
+            raise TraitgenError(
                 f"max_len {self.max_len} must be at least window + 2 = {self.window + 2}"
             )
         if self.vocab_size < 5:
-            raise ValidationError(f"vocab_size must include the specials, got {self.vocab_size}")
+            raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
 
 
@@ -81,7 +81,7 @@ class CnnModel:
     def __init__(self, config: CnnConfig, vocab: Vocabulary):
         config.validate()
         if len(vocab) != config.vocab_size:
-            raise ValidationError(
+            raise TraitgenError(
                 f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
             )
         self.config = config
@@ -198,12 +198,12 @@ def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) 
     if isinstance(labels, dict):
         labels = [labels[t] for t in TRAITS]
     if len(probs) != len(TRAITS) or len(labels) != len(TRAITS):
-        raise ShapeError("need exactly five probabilities and five labels")
+        raise TraitgenError("need exactly five probabilities and five labels")
     eps = 1e-12
     total = 0.0
     for p, y in zip(probs, labels):
         if y not in (0, 1):
-            raise ValidationError(f"labels must be 0/1, got {y!r}")
+            raise TraitgenError(f"labels must be 0/1, got {y!r}")
         p = min(max(p, eps), 1.0 - eps)
         total += -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
     return float(total / len(TRAITS))
@@ -233,14 +233,14 @@ def train_classifier(docs: list[Document], config: CnnConfig,
     corpus is shuffled once for the 9:1 split, batches are reshuffled per
     epoch from a dedicated stream, and every update is sequential. A batch
     accumulates its gradient over chunks of :data:`CHUNK` texts. Raises
-    :class:`DivergenceError` when a parameter holds a non-finite value at
+    :class:`TraitgenError` when a parameter holds a non-finite value at
     the end of an epoch.
     """
     if len(docs) < 10:
-        raise InsufficientDataError(f"need at least 10 documents, got {len(docs)}")
+        raise TraitgenError(f"need at least 10 documents, got {len(docs)}")
     for i, doc in enumerate(docs):
         if doc.labels is None:
-            raise MissingLabelError(f"document {i} has no trait labels")
+            raise TraitgenError(f"document {i} has no trait labels")
     vocab = Vocabulary.build([d.tokens for d in docs])
     config = replace(config, vocab_size=len(vocab))
     model = CnnModel.init(config, vocab, rng.spawn(_STREAM_INIT))

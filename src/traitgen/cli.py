@@ -25,7 +25,7 @@ from typing import Any, Callable
 from . import __version__
 from .checkpoint import load_model
 from .classifier import CnnConfig, train_classifier, label_corpus
-from .errors import ConditionError, ConfigError, EncodingError, TraitgenError
+from .errors import TraitgenError
 from .generator import BfpCondition, LstmConfig, generate, train_generator
 from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_generation,
                       render_table, synth_corpus)
@@ -79,39 +79,41 @@ def _config_section(path: str, command: str) -> dict[str, str]:
     own = configparser.ConfigParser(default_section="\n", interpolation=None)
     try:
         if not parser.read(path, encoding="utf-8"):
-            raise ConfigError(f"config file not found: {path}")
+            raise TraitgenError(f"config file not found: {path}")
         own.read(path, encoding="utf-8")
         shared = set(parser.defaults())
         section_keys = set(own.options(command)) if own.has_section(command) else set()
         values = dict(parser.items(command if parser.has_section(command)
                                    else parser.default_section))
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from exc
+        raise TraitgenError(f"config file {path}: {' '.join(str(exc).split())}") from exc
     known = {o.name for o in COMMANDS[command].opts}
     known_anywhere = {o.name for c in COMMANDS.values() for o in c.opts}
     for section, unknown in ((parser.default_section, shared - known_anywhere),
                              (command, section_keys - known)):
         if unknown:
-            raise ConfigError(f"config file {path}: unknown key "
-                              f"{', '.join(sorted(unknown))} in [{section}]")
+            raise TraitgenError(f"config file {path}: unknown key "
+                                f"{', '.join(sorted(unknown))} in [{section}]")
     return values
 
 
 def _cast(opt: Opt, raw: str) -> Any:
     """An INI value checked as strictly as the parser checks the flag."""
+    if "\0" in raw:  # no command-line argument can hold one, and no path may
+        raise TraitgenError(f"config value {opt.name}={raw!r}: contains a NUL character")
     if opt.type is bool:
         value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
         if value is None:
-            raise ConfigError(f"config value {opt.name}={raw!r}: expected one of "
-                              + "/".join(configparser.ConfigParser.BOOLEAN_STATES))
+            raise TraitgenError(f"config value {opt.name}={raw!r}: expected one of "
+                                + "/".join(configparser.ConfigParser.BOOLEAN_STATES))
         return value
     try:
         value = opt.type(raw)
     except ValueError as exc:
-        raise ConfigError(f"config value {opt.name}={raw!r}: {exc}") from exc
+        raise TraitgenError(f"config value {opt.name}={raw!r}: {exc}") from exc
     if opt.choices and value not in opt.choices:
-        raise ConfigError(f"config value {opt.name}={raw!r}: expected one of "
-                          + ", ".join(opt.choices))
+        raise TraitgenError(f"config value {opt.name}={raw!r}: expected one of "
+                            + ", ".join(opt.choices))
     return value
 
 
@@ -129,7 +131,7 @@ def _resolve(args: argparse.Namespace, command: str) -> dict[str, Any]:
         else:
             value = opt.default
         if opt.required and not value:
-            raise ConfigError(f"missing required option --{opt.name}")
+            raise TraitgenError(f"missing required option --{opt.name}")
         resolved[opt.name] = value
     return resolved
 
@@ -191,7 +193,7 @@ def _read_seed_pool(path: str) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise TraitgenError(f"{path}: not valid UTF-8: {exc}") from exc
     return [t for t in (line.strip() for line in text.splitlines()) if t]
 
 
@@ -232,7 +234,7 @@ def cmd_label(o: dict[str, Any]) -> Path:
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     rate = _unk_rate(docs, model.vocab)
     if rate > 0.5:
-        raise ConfigError(
+        raise TraitgenError(
             f"vocabulary mismatch: {rate:.0%} of corpus tokens are unknown to the model"
         )
     if rate > 0.1:
@@ -259,14 +261,14 @@ def cmd_train_generator(o: dict[str, Any]) -> Path:
 def cmd_generate(o: dict[str, Any]) -> Path:
     n = o["n"]
     if n < 0:
-        raise ConfigError(f"--n must be >= 0, got {n}")
+        raise TraitgenError(f"--n must be >= 0, got {n}")
     model = load_model(o["model"], "lstm")
     condition = None
     if o["condition"]:
         try:
             condition = BfpCondition.parse(o["condition"])
-        except ConditionError as exc:
-            raise ConfigError(
+        except TraitgenError as exc:
+            raise TraitgenError(
                 f"{exc} (valid syntax: \"E=1,A=0,C=1,N=0,O=1\", each trait exactly once)"
             ) from exc
     pool = _read_seed_pool(o["seed-pool"])
@@ -286,7 +288,7 @@ def cmd_generate(o: dict[str, Any]) -> Path:
 
 def cmd_score(o: dict[str, Any]) -> Path:
     if o["levels"] and not o["thresholds"]:
-        raise ConfigError("--levels requires --thresholds")
+        raise TraitgenError("--levels requires --thresholds")
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"]) if o["thresholds"] else None
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
@@ -320,7 +322,7 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"])
     if not any(token in model.vocab for token in lexicon.all_entry_tokens()):
-        raise ConfigError("model vocabulary shares no tokens with the lexicon")
+        raise TraitgenError("model vocabulary shares no tokens with the lexicon")
     pool = _read_seed_pool(o["seed-pool"])
     report, records = evaluate_generation(
         model, baseline, lexicon, thresholds, o["n-per-condition"], pool, Rng(o["seed"]),

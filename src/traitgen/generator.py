@@ -24,14 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import write_checkpoint
-from .errors import (
-    ConditionError,
-    DivergenceError,
-    InsufficientDataError,
-    MissingLabelError,
-    SeedPoolError,
-    ValidationError,
-)
+from .errors import TraitgenError
 from .numeric import (
     Matrix,
     Parameter,
@@ -71,7 +64,7 @@ class BfpCondition:
     def __post_init__(self) -> None:
         for t, v in zip(TRAITS, self.bits):
             if v not in (0, 1):
-                raise ConditionError(f"trait {t} polarity must be 0 or 1, got {v!r}")
+                raise TraitgenError(f"trait {t} polarity must be 0 or 1, got {v!r}")
 
     @property
     def bits(self) -> tuple[int, int, int, int, int]:
@@ -84,19 +77,19 @@ class BfpCondition:
         for part in text.split(","):
             part = part.strip()
             if "=" not in part:
-                raise ConditionError(f"bad condition component {part!r}, expected TRAIT=0|1")
+                raise TraitgenError(f"bad condition component {part!r}, expected TRAIT=0|1")
             name, _, value = part.partition("=")
             name, value = name.strip(), value.strip()
             if name not in TRAITS:
-                raise ConditionError(f"unknown trait {name!r}, expected one of {TRAITS}")
+                raise TraitgenError(f"unknown trait {name!r}, expected one of {TRAITS}")
             if name in seen:
-                raise ConditionError(f"trait {name} given twice")
+                raise TraitgenError(f"trait {name} given twice")
             if value not in ("0", "1"):
-                raise ConditionError(f"trait {name} polarity must be 0 or 1, got {value!r}")
+                raise TraitgenError(f"trait {name} polarity must be 0 or 1, got {value!r}")
             seen[name] = int(value)
         if set(seen) != set(TRAITS):
             missing = [t for t in TRAITS if t not in seen]
-            raise ConditionError(f"condition missing traits {missing}")
+            raise TraitgenError(f"condition missing traits {missing}")
         return cls(*(seen[t] for t in TRAITS))
 
     def to_string(self) -> str:
@@ -117,16 +110,16 @@ class LstmConfig:
 
     def validate(self) -> None:
         if self.cond_dim not in (0, 5):
-            raise ValidationError(f"cond_dim must be 0 or 5, got {self.cond_dim}")
+            raise TraitgenError(f"cond_dim must be 0 or 5, got {self.cond_dim}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
-            raise ValidationError("embed_dim and hidden_dim must be >= 1")
+            raise TraitgenError("embed_dim and hidden_dim must be >= 1")
         if self.max_len < 2:
-            raise ValidationError(f"max_len must be at least 2, got {self.max_len}")
+            raise TraitgenError(f"max_len must be at least 2, got {self.max_len}")
         if self.vocab_size < 5:
-            raise ValidationError(f"vocab_size must include the specials, got {self.vocab_size}")
+            raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
         if not np.isfinite(self.temperature):
-            raise ValidationError(f"temperature must be finite, got {self.temperature}")
+            raise TraitgenError(f"temperature must be finite, got {self.temperature}")
 
 
 class LstmModel:
@@ -137,7 +130,7 @@ class LstmModel:
     def __init__(self, config: LstmConfig, vocab: Vocabulary):
         config.validate()
         if len(vocab) != config.vocab_size:
-            raise ValidationError(
+            raise TraitgenError(
                 f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
             )
         self.config = config
@@ -236,9 +229,9 @@ def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray,
 def _check_condition_arity(model: LstmModel,
                            condition: BfpCondition | np.ndarray | None) -> None:
     if model.config.cond_dim == 5 and condition is None:
-        raise ConditionError("this model is conditional: a five-bit condition is required")
+        raise TraitgenError("this model is conditional: a five-bit condition is required")
     if model.config.cond_dim == 0 and condition is not None:
-        raise ConditionError("this model is unconditional: no condition may be supplied")
+        raise TraitgenError("this model is unconditional: no condition may be supplied")
 
 
 def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
@@ -342,16 +335,16 @@ def train_generator(docs: list[Document], config: LstmConfig,
 
     Returns the model and each epoch's mean training loss (token-weighted).
     Deterministic given (docs, config, rng seed). Raises
-    :class:`DivergenceError` on a non-finite batch loss, or when a
+    :class:`TraitgenError` on a non-finite batch loss, or when a
     parameter holds a non-finite value at the end of an epoch.
     """
     if not docs:
-        raise InsufficientDataError("cannot train a generator on an empty corpus")
+        raise TraitgenError("cannot train a generator on an empty corpus")
     conditional = config.cond_dim == 5
     if conditional:
         for i, doc in enumerate(docs):
             if doc.labels is None:
-                raise MissingLabelError(f"document {i} has no trait labels")
+                raise TraitgenError(f"document {i} has no trait labels")
     vocab = Vocabulary.build([d.tokens for d in docs])
     config = replace(config, vocab_size=len(vocab))
     model = LstmModel.init(config, vocab, rng.spawn(_STREAM_INIT))
@@ -385,7 +378,7 @@ def train_generator(docs: list[Document], config: LstmConfig,
             zero_grads(params)
             loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
             if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss {loss} in epoch {epoch}")
+                raise TraitgenError(f"non-finite training loss {loss} in epoch {epoch}")
             clip_global_norm(params)
             for p in params:
                 adam_step(p, config.learning_rate)
@@ -446,23 +439,23 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
     word.
     """
     if len(conditions) != len(streams):
-        raise ValidationError(f"{len(conditions)} conditions for {len(streams)} streams")
+        raise TraitgenError(f"{len(conditions)} conditions for {len(streams)} streams")
     for condition in conditions:
         _check_condition_arity(model, condition)
     if not seed_pool:
-        raise SeedPoolError("seed pool is empty")
+        raise TraitgenError("seed pool is empty")
     missing = [t for t in seed_pool if t not in model.vocab]
     if missing:
-        raise SeedPoolError(f"seed tokens not in vocabulary: {missing[:5]}")
+        raise TraitgenError(f"seed tokens not in vocabulary: {missing[:5]}")
     cfg = model.config
     if temperature is None:
         temperature = cfg.temperature
     if not np.isfinite(temperature):  # any finite value is valid, negative means greedy
-        raise ValidationError(f"temperature must be finite, got {temperature}")
+        raise TraitgenError(f"temperature must be finite, got {temperature}")
     if max_len is None:
         max_len = cfg.max_len
     if max_len < 1:
-        raise ValidationError(f"max_len must be >= 1, got {max_len}")
+        raise TraitgenError(f"max_len must be >= 1, got {max_len}")
 
     seed_ids = [model.vocab.id_of(seed_pool[s.randint(len(seed_pool))]) for s in streams]
     cond = np.array([c.bits for c in conditions], dtype=np.float64) if cfg.cond_dim else None

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import ConfigError, ValidationError
+from .errors import TraitgenError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
     Category,
@@ -66,35 +66,35 @@ class SynthSpec:
 
     def validate(self) -> None:
         if not 0.0 < self.pi <= 1.0:
-            raise ValidationError(f"pi must be in (0, 1], got {self.pi}")
+            raise TraitgenError(f"pi must be in (0, 1], got {self.pi}")
         if self.len_min < 4:
-            raise ValidationError(f"len_min must be at least 4, got {self.len_min}")
+            raise TraitgenError(f"len_min must be at least 4, got {self.len_min}")
         if self.len_max < self.len_min:
-            raise ValidationError("len_max must be at least len_min")
+            raise TraitgenError("len_max must be at least len_min")
         if self.len_max > MAX_DOC_TOKENS:
-            raise ValidationError(f"len_max must be at most {MAX_DOC_TOKENS}, got {self.len_max}")
+            raise TraitgenError(f"len_max must be at most {MAX_DOC_TOKENS}, got {self.len_max}")
         if not 0.0 <= self.neutral_bigram_smoothing <= 1.0:
-            raise ValidationError("neutral_bigram_smoothing must lie in [0, 1]")
+            raise TraitgenError("neutral_bigram_smoothing must lie in [0, 1]")
         if set(self.markers) != set(TRAITS):
-            raise ValidationError(f"markers must cover exactly the traits {TRAITS}")
+            raise TraitgenError(f"markers must cover exactly the traits {TRAITS}")
         sets = [("neutral", self.neutral_tokens)]
         for t in TRAITS:
             per_trait = self.markers[t]
             if set(per_trait) != {"high", "low"}:
-                raise ValidationError(f"markers for trait {t} need 'high' and 'low' sets")
+                raise TraitgenError(f"markers for trait {t} need 'high' and 'low' sets")
             sets.append((f"{t}_high", per_trait["high"]))
             sets.append((f"{t}_low", per_trait["low"]))
         seen: dict[str, str] = {}
         for name, tokens in sets:
             if not tokens:
-                raise ValidationError(f"token set {name} is empty")
+                raise TraitgenError(f"token set {name} is empty")
             for tok in tokens:
                 # a token must survive the corpus round trip: whitespace tokenization
                 # and a UTF-8 file
                 if not isinstance(tok, str) or tok.split() != [tok] or not is_utf8(tok):
-                    raise ValidationError(f"token set {name} contains invalid token {tok!r}")
+                    raise TraitgenError(f"token set {name} contains invalid token {tok!r}")
                 if tok in seen:
-                    raise ValidationError(
+                    raise TraitgenError(
                         f"token {tok!r} appears in both {seen[tok]} and {name}"
                     )
                 seen[tok] = name
@@ -114,13 +114,13 @@ class SynthSpec:
         """Build and validate a spec: every key a field, every number of its JSON type."""
         def token_list(value, name: str) -> list:
             if not isinstance(value, list):  # list() would split a string into characters
-                raise ValidationError(
+                raise TraitgenError(
                     f"token set {name} must be a JSON list, got {type(value).__name__}")
             return list(value)
 
         def json_object(value, name: str) -> dict:
             if not isinstance(value, dict):
-                raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+                raise TraitgenError(f"{name} must be a JSON object, got {type(value).__name__}")
             return value
 
         spec = config_from_payload(cls, payload, "spec")
@@ -235,7 +235,7 @@ def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document]
     """
     spec.validate()
     if n_docs < 0:
-        raise ValidationError(f"n_docs must be non-negative, got {n_docs}")
+        raise TraitgenError(f"n_docs must be non-negative, got {n_docs}")
     docs = [_synth_document(spec, rng.spawn(i)) for i in range(n_docs)]
     return docs, matched_lexicon(spec)
 
@@ -321,11 +321,11 @@ def evaluate_generation(
     Records list the conditional texts first, then the unconditional ones.
     """
     if model.config.cond_dim != 5:
-        raise ConfigError("evaluation needs a conditional model (cond_dim 5)")
+        raise TraitgenError("evaluation needs a conditional model (cond_dim 5)")
     if baseline.config.cond_dim != 0:
-        raise ConfigError("baseline model must be unconditional (cond_dim 0)")
+        raise TraitgenError("baseline model must be unconditional (cond_dim 0)")
     if n_per_condition < 1:
-        raise ConfigError(f"n_per_condition must be positive, got {n_per_condition}")
+        raise TraitgenError(f"n_per_condition must be positive, got {n_per_condition}")
 
     counts = {t: {row: dict.fromkeys(LEVELS, 0) for row in _ROWS} for t in TRAITS}
     records: list[dict] = []

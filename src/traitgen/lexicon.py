@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import TraitgenError
 from .textproc import config_from_payload, is_finite_number, read_json, write_json
 from .traits import HIGH, LOW, MEDIUM, TRAITS
 
@@ -46,18 +46,18 @@ class Lexicon:
         names = [c.name for c in categories]
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
-            raise ValidationError(f"duplicate category names: {dupes}")
+            raise TraitgenError(f"duplicate category names: {dupes}")
         if len(weights) != len(categories):
-            raise ValidationError(
+            raise TraitgenError(
                 f"weight matrix has {len(weights)} rows for {len(categories)} categories"
             )
         for name, row in zip(names, weights):
             if not (isinstance(row, (list, tuple)) and all(map(is_finite_number, row))):
-                raise ValidationError(
+                raise TraitgenError(
                     f"weight row for category {name!r} must be a list of finite numbers"
                 )
             if len(row) != len(TRAITS):
-                raise ValidationError(
+                raise TraitgenError(
                     f"weight row for category {name!r} has {len(row)} entries, expected {len(TRAITS)}"
                 )
         self.categories = tuple(categories)
@@ -91,11 +91,11 @@ def _parse_entries(name: str, entries: Iterable[str]) -> Category:
     prefixes: set[str] = set()
     for entry in entries:
         if not isinstance(entry, str) or not entry:
-            raise ValidationError(f"category {name!r} contains an empty entry")
+            raise TraitgenError(f"category {name!r} contains an empty entry")
         if entry.endswith("*"):
             stem = entry[:-1]
             if not stem:
-                raise ValidationError(f"category {name!r} has a bare wildcard entry")
+                raise TraitgenError(f"category {name!r} has a bare wildcard entry")
             prefixes.add(stem)
         else:
             literals.add(entry)
@@ -105,21 +105,21 @@ def _parse_entries(name: str, entries: Iterable[str]) -> Category:
 def lexicon_from_dict(payload: dict) -> Lexicon:
     """Validate and build a lexicon from its JSON document form."""
     if not isinstance(payload, dict):
-        raise ValidationError("lexicon document must be a JSON object")
+        raise TraitgenError("lexicon document must be a JSON object")
     order = payload.get("trait_order")
     if order != list(TRAITS):
-        raise ValidationError(f"trait_order must be {list(TRAITS)}, got {order}")
+        raise TraitgenError(f"trait_order must be {list(TRAITS)}, got {order}")
     raw_categories = payload.get("categories")
     weights = payload.get("weights")
     if not isinstance(raw_categories, list) or not raw_categories:
-        raise ValidationError("lexicon needs a non-empty 'categories' list")
+        raise TraitgenError("lexicon needs a non-empty 'categories' list")
     if not isinstance(weights, list):
-        raise ValidationError("lexicon needs a 'weights' matrix")
+        raise TraitgenError("lexicon needs a 'weights' matrix")
     categories = []
     for item in raw_categories:
         if not (isinstance(item, dict) and isinstance(item.get("name"), str)
                 and isinstance(item.get("entries"), list)):
-            raise ValidationError("each category needs a 'name' string and an 'entries' list")
+            raise TraitgenError("each category needs a 'name' string and an 'entries' list")
         categories.append(_parse_entries(item["name"], item["entries"]))
     return Lexicon(categories, weights)
 
@@ -157,7 +157,7 @@ def category_frequencies(tokens: Sequence[str], lexicon: Lexicon) -> list[float]
 def trait_scores(freqs: Sequence[float], lexicon: Lexicon) -> dict[str, float]:
     """Linear map of category frequencies through the weight matrix, keyed in TRAITS order."""
     if len(freqs) != lexicon.num_categories:
-        raise ValidationError(
+        raise TraitgenError(
             f"{len(freqs)} frequencies for {lexicon.num_categories} categories"
         )
     sums = [0.0] * len(TRAITS)
@@ -165,7 +165,7 @@ def trait_scores(freqs: Sequence[float], lexicon: Lexicon) -> dict[str, float]:
         for j in range(len(TRAITS)):
             sums[j] += f * row[j]
     if not all(math.isfinite(s) for s in sums):
-        raise ValidationError("trait scores are not finite")
+        raise TraitgenError("trait scores are not finite")
     return dict(zip(TRAITS, sums))
 
 
@@ -193,10 +193,10 @@ class LevelThresholds:
 
     def __post_init__(self) -> None:
         if set(self.cuts) != set(TRAITS):
-            raise ValidationError(f"thresholds must cover exactly the traits {TRAITS}")
+            raise TraitgenError(f"thresholds must cover exactly the traits {TRAITS}")
         for t, (lo, hi) in self.cuts.items():
             if not (lo <= hi):
-                raise ValidationError(f"trait {t}: low_cut {lo} exceeds high_cut {hi}")
+                raise TraitgenError(f"trait {t}: low_cut {lo} exceeds high_cut {hi}")
 
     def as_dict(self) -> dict:
         return {
@@ -207,7 +207,7 @@ class LevelThresholds:
     def from_dict(cls, payload: object) -> "LevelThresholds":
         """Validate a thresholds document: per trait exactly two finite JSON numbers."""
         if not isinstance(payload, dict) or set(payload) != set(TRAITS):
-            raise ValidationError(f"thresholds must be an object keyed by exactly {TRAITS}")
+            raise TraitgenError(f"thresholds must be an object keyed by exactly {TRAITS}")
         cuts = {}
         for t in TRAITS:
             pair = config_from_payload(_Cuts, payload[t], f"thresholds.{t}")
@@ -243,12 +243,12 @@ def calibrate_thresholds(
 ) -> LevelThresholds:
     """Nearest-rank percentile cuts per trait; needs at least 3 scores each."""
     if not 0.0 <= p_low <= p_high <= 1.0:  # false for NaN too
-        raise ValidationError(f"need 0 <= p_low <= p_high <= 1, got {p_low} and {p_high}")
+        raise TraitgenError(f"need 0 <= p_low <= p_high <= 1, got {p_low} and {p_high}")
     cuts = {}
     for t in TRAITS:
         scores = list(scores_per_trait.get(t, ()))
         if len(scores) < 3:
-            raise InsufficientDataError(
+            raise TraitgenError(
                 f"trait {t}: need at least 3 scores to calibrate, got {len(scores)}"
             )
         ordered = sorted(scores)

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DegenerateMaskError, EmptyInputError, InvalidIdError, ShapeError
+from ..errors import TraitgenError
 from .rng import Rng, _splitmix_range
 
 
@@ -34,9 +34,9 @@ class Matrix:
     def __init__(self, data):
         a = np.asarray(data, dtype=np.float64)
         if a.ndim != 2:
-            raise ShapeError(f"matrix data must be 2-D, got shape {a.shape}")
+            raise TraitgenError(f"matrix data must be 2-D, got shape {a.shape}")
         if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"matrix dimensions must be at least 1x1, got {a.shape}")
+            raise TraitgenError(f"matrix dimensions must be at least 1x1, got {a.shape}")
         self.a = a
 
     @classmethod
@@ -71,7 +71,7 @@ def xavier_init(rows: int, cols: int, rng: Rng) -> np.ndarray:
     (rows, cols, rng state), and successive calls on one stream differ.
     """
     if rows < 1 or cols < 1:
-        raise ShapeError(f"xavier_init needs positive dimensions, got ({rows}, {cols})")
+        raise TraitgenError(f"xavier_init needs positive dimensions, got ({rows}, {cols})")
     bound = np.sqrt(6.0 / (rows + cols))
     u = (_splitmix_range(rng.next_uint64(), rows * cols) >> np.uint64(11)) * 2.0 ** -53
     return (-bound + 2.0 * bound * u).reshape(rows, cols)
@@ -83,16 +83,16 @@ def affine(x: Matrix, w: Matrix, b: Matrix):
     Returns (out, backward); backward(d) -> (dx, dw, db).
     """
     if x.cols != w.rows:
-        raise ShapeError(f"affine inner dimensions disagree: {x.shape} @ {w.shape}")
+        raise TraitgenError(f"affine inner dimensions disagree: {x.shape} @ {w.shape}")
     if b.rows != 1 or b.cols != w.cols:
-        raise ShapeError(f"affine bias must be 1x{w.cols}, got {b.shape}")
+        raise TraitgenError(f"affine bias must be 1x{w.cols}, got {b.shape}")
     xa, wa = x.a, w.a
     out = xa @ wa + b.a
 
     def backward(d: Matrix):
         da = d.a
         if da.shape != out.shape:
-            raise ShapeError(f"upstream gradient shape {da.shape} != output {out.shape}")
+            raise TraitgenError(f"upstream gradient shape {da.shape} != output {out.shape}")
         dx = da @ wa.T
         dw = xa.T @ da
         db = da.sum(axis=0, keepdims=True)
@@ -109,7 +109,7 @@ def elementwise_activation(x: Matrix):
     """
     xa = x.a
     if not np.isfinite(xa).all():
-        raise ShapeError("activation input contains non-finite entries")
+        raise TraitgenError("activation input contains non-finite entries")
 
     def backward(d: Matrix):
         return Matrix._wrap(d.a * (xa > 0.0))
@@ -131,15 +131,15 @@ def masked_cross_entropy(logits: Matrix, targets: Sequence[int], mask: Sequence[
     t_arr = np.asarray(targets, dtype=np.int64)
     m_arr = np.asarray(mask, dtype=np.float64)
     if t_arr.ndim != 1 or m_arr.ndim != 1 or t_arr.size != la.shape[0] or m_arr.size != la.shape[0]:
-        raise ShapeError(
+        raise TraitgenError(
             f"targets/mask of lengths {t_arr.size}/{m_arr.size} do not match {la.shape[0]} logit rows"
         )
     if t_arr.size and (t_arr.min() < 0 or t_arr.max() >= la.shape[1]):
-        raise InvalidIdError(f"target ids must lie in [0, {la.shape[1]}), got range "
-                             f"[{t_arr.min()}, {t_arr.max()}]")
+        raise TraitgenError(f"target ids must lie in [0, {la.shape[1]}), got range "
+                            f"[{t_arr.min()}, {t_arr.max()}]")
     denom = m_arr.sum()
     if denom <= 0.0:
-        raise DegenerateMaskError("mask selects no positions")
+        raise TraitgenError("mask selects no positions")
 
     rows = np.arange(la.shape[0])
     shifted = la - la.max(axis=1, keepdims=True)
@@ -172,7 +172,7 @@ def max_over_time(features: Matrix):
     """
     fa = features.a
     if fa.shape[0] < 1:
-        raise EmptyInputError("max_over_time needs at least one position")
+        raise TraitgenError("max_over_time needs at least one position")
     arg = fa.argmax(axis=0)  # numpy argmax returns the first (lowest) index on ties
     cols = np.arange(fa.shape[1])
     out = fa[arg, cols][None, :]
@@ -180,7 +180,7 @@ def max_over_time(features: Matrix):
     def backward(d: Matrix):
         da = d.a
         if da.shape != (1, fa.shape[1]):
-            raise ShapeError(f"upstream gradient must be 1x{fa.shape[1]}, got {da.shape}")
+            raise TraitgenError(f"upstream gradient must be 1x{fa.shape[1]}, got {da.shape}")
         grad = np.zeros_like(fa)
         grad[arg, cols] = da[0]
         return Matrix._wrap(grad)

@@ -6,7 +6,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ..errors import DivergenceError, ShapeError, ValidationError
+from ..errors import TraitgenError
 
 # the one training recipe of both networks
 CLIP_NORM = 5.0
@@ -32,8 +32,8 @@ class Parameter:
     def __init__(self, name: str, value: np.typing.ArrayLike) -> None:
         a = np.array(value, dtype=np.float64, order="C")  # always a copy
         if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"parameter {name!r} must be a 2-D array of at least 1x1, "
-                             f"got shape {a.shape}")
+            raise TraitgenError(f"parameter {name!r} must be a 2-D array of at least 1x1, "
+                                f"got shape {a.shape}")
         self.name = name
         self.value = a
         self.grad = np.zeros_like(a)
@@ -49,11 +49,11 @@ class Parameter:
 def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
     """Reject a training schedule no trainer can run."""
     if epochs < 0:
-        raise ValidationError(f"epochs must be >= 0, got {epochs}")
+        raise TraitgenError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
-        raise ValidationError(f"batch_size must be >= 1, got {batch_size}")
+        raise TraitgenError(f"batch_size must be >= 1, got {batch_size}")
     if not (np.isfinite(learning_rate) and learning_rate > 0):
-        raise ValidationError(f"learning_rate must be a finite number > 0, got {learning_rate}")
+        raise TraitgenError(f"learning_rate must be a finite number > 0, got {learning_rate}")
 
 
 def zero_grads(params: Iterable[Parameter]) -> None:
@@ -62,10 +62,10 @@ def zero_grads(params: Iterable[Parameter]) -> None:
 
 
 def check_finite(params: Iterable[Parameter]) -> None:
-    """Raise :class:`DivergenceError` naming the first parameter with a non-finite value."""
+    """Raise :class:`TraitgenError` naming the first parameter with a non-finite value."""
     for p in params:
         if not np.isfinite(p.value).all():
-            raise DivergenceError(f"non-finite value in parameter {p.name!r}")
+            raise TraitgenError(f"non-finite value in parameter {p.name!r}")
 
 
 def adam_step(param: Parameter, lr: float) -> None:
@@ -79,7 +79,7 @@ def adam_step(param: Parameter, lr: float) -> None:
     """
     g = param.grad
     if not np.isfinite(g).all():
-        raise DivergenceError(f"non-finite gradient in parameter {param.name!r}")
+        raise TraitgenError(f"non-finite gradient in parameter {param.name!r}")
     param.step_count += 1
     t = param.step_count
     m, v = param.opt_m, param.opt_v

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import TraitgenError
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -69,7 +69,7 @@ class Rng:
     def spawn(self, stream_id: int) -> "Rng":
         """Independent child stream; deterministic in (seed, stream_id)."""
         if stream_id < 0:
-            raise ShapeError(f"stream_id must be non-negative, got {stream_id}")
+            raise TraitgenError(f"stream_id must be non-negative, got {stream_id}")
         return Rng(_splitmix_at(self.seed, 4 + stream_id))
 
     def next_uint64(self) -> int:
@@ -91,7 +91,7 @@ class Rng:
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
         if n <= 0:
-            raise ShapeError(f"randint bound must be positive, got {n}")
+            raise TraitgenError(f"randint bound must be positive, got {n}")
         limit = _MASK + 1 - ((_MASK + 1) % n)
         while True:
             r = self.next_uint64()

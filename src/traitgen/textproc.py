@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EncodingError, InvalidIdError, ShapeError, ValidationError
+from .errors import TraitgenError
 from .traits import LEVELS, check_trait_map
 
 PAD_ID, UNK_ID, BOS_ID, EOS_ID = 0, 1, 2, 3
@@ -58,7 +58,7 @@ def tokenize(raw_text: str, mode: str = "whitespace") -> list[str]:
     try:
         raw_text.encode("utf-8")
     except UnicodeEncodeError as exc:
-        raise EncodingError(f"text is not valid UTF-8: {exc}") from exc
+        raise TraitgenError(f"text is not valid UTF-8: {exc}") from exc
     if mode == "whitespace":
         return raw_text.split()
     if mode == "cjk_char":
@@ -79,7 +79,7 @@ def tokenize(raw_text: str, mode: str = "whitespace") -> list[str]:
         if run:
             tokens.append("".join(run))
         return tokens
-    raise ValidationError(f"unknown tokenize mode {mode!r}")
+    raise TraitgenError(f"unknown tokenize mode {mode!r}")
 
 
 def is_utf8(text: str) -> bool:
@@ -110,18 +110,18 @@ class Vocabulary:
 
     def __init__(self, stored_tokens: Sequence[str]):
         if list(stored_tokens[:4]) != list(SPECIAL_TOKENS):
-            raise ValidationError("vocabulary must start with the four special tokens")
+            raise TraitgenError("vocabulary must start with the four special tokens")
         self._id_to_token = list(stored_tokens)
         self._token_to_id = {}
         for i, stored in enumerate(self._id_to_token[4:], start=4):
             if not is_utf8(stored):  # a lone surrogate: no output file could hold it
-                raise ValidationError(f"vocabulary token {i} {stored!r} is not valid UTF-8")
+                raise TraitgenError(f"vocabulary token {i} {stored!r} is not valid UTF-8")
             raw = _unescape(stored)
             if _escape(raw) != stored:  # else two stored tokens could share one raw token
-                raise ValidationError(f"vocabulary token {i} {stored!r} is not escaped canonically")
+                raise TraitgenError(f"vocabulary token {i} {stored!r} is not escaped canonically")
             self._token_to_id[raw] = i
         if len(self._token_to_id) != len(self._id_to_token) - 4:
-            raise ValidationError("vocabulary contains duplicate tokens")
+            raise TraitgenError("vocabulary contains duplicate tokens")
 
     @classmethod
     def build(cls, corpus: Iterable[Sequence[str]]) -> "Vocabulary":
@@ -151,7 +151,7 @@ class Vocabulary:
 
     def token_of(self, token_id: int) -> str:
         if not 0 <= token_id < len(self._id_to_token):
-            raise InvalidIdError(f"id {token_id} outside vocabulary of size {len(self)}")
+            raise TraitgenError(f"id {token_id} outside vocabulary of size {len(self)}")
         return _unescape(self._id_to_token[token_id])
 
     def to_list(self) -> list[str]:
@@ -168,7 +168,7 @@ def encode(token_lists: Sequence[Sequence[str]], vocab: Vocabulary,
     keeps the prefix, and out-of-vocabulary tokens map to UNK.
     """
     if max_len < 2:
-        raise ShapeError(f"max_len must be at least 2, got {max_len}")
+        raise TraitgenError(f"max_len must be at least 2, got {max_len}")
     rows = [[BOS_ID, *map(vocab.id_of, tokens[: max_len - 2]), EOS_ID] for tokens in token_lists]
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
     ids = np.array([row + [PAD_ID] * (max_len - len(row)) for row in rows], dtype=np.int64)
@@ -186,11 +186,11 @@ class Document:
 
 
 def read_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file; undecodable or malformed text raises ValidationError."""
+    """Parse a UTF-8 JSON file; undecodable or malformed text raises TraitgenError."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # also a decode error, or an integer too long to convert
-        raise ValidationError(f"{path}: not valid JSON: {exc}") from exc
+        raise TraitgenError(f"{path}: not valid JSON: {exc}") from exc
 
 
 def is_int(value: object) -> bool:
@@ -210,20 +210,20 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
     string. ``name`` names the object in the messages.
     """
     if not isinstance(config, dict):
-        raise ValidationError(f"'{name}' must be an object, got {type(config).__name__}")
+        raise TraitgenError(f"'{name}' must be an object, got {type(config).__name__}")
     fields = {f.name: f for f in dataclasses.fields(config_cls)}
     for key, value in config.items():
         if key not in fields:
-            raise ValidationError(f"{name} has unknown key {key!r}")
+            raise TraitgenError(f"{name} has unknown key {key!r}")
         if fields[key].type == "int" and not is_int(value):
-            raise ValidationError(f"{name}.{key} must be an integer, got {type(value).__name__}")
+            raise TraitgenError(f"{name}.{key} must be an integer, got {type(value).__name__}")
         if fields[key].type == "float" and not is_finite_number(value):
             if is_int(value) or isinstance(value, float):
-                raise ValidationError(f"{name}.{key} must be a finite number")
-            raise ValidationError(f"{name}.{key} must be a number, got {type(value).__name__}")
+                raise TraitgenError(f"{name}.{key} must be a finite number")
+            raise TraitgenError(f"{name}.{key} must be a number, got {type(value).__name__}")
     for key, f in fields.items():
         if f.default is dataclasses.MISSING and key not in config:
-            raise ValidationError(f"{name} is missing {key!r}")
+            raise TraitgenError(f"{name} is missing {key!r}")
     return config_cls(**config)
 
 
@@ -266,23 +266,23 @@ def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:
     try:
         raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: not valid UTF-8: {exc}") from exc
+        raise TraitgenError(f"{path}: not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(raw_lines, start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
         except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
-            raise ValidationError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+            raise TraitgenError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
         if not isinstance(record, dict) or not isinstance(record.get("text"), str):
-            raise ValidationError(f"{path}:{lineno}: record must be an object with a 'text' string")
+            raise TraitgenError(f"{path}:{lineno}: record must be an object with a 'text' string")
         labels = record.get("labels")
         levels = record.get("levels")
         try:
             labels = check_trait_map(labels, (0, 1), "labels") if labels is not None else None
             levels = check_trait_map(levels, LEVELS, "levels") if levels is not None else None
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        except TraitgenError as exc:
+            raise TraitgenError(f"{path}:{lineno}: {exc}") from exc
         text = record["text"]
         docs.append(Document(text, tokenize(text, mode), labels=labels, levels=levels))
     return docs

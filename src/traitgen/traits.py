@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import TraitgenError
 
 # Fixed trait order used everywhere: Extraversion, Agreeableness,
 # Conscientiousness, Neuroticism, Openness.
@@ -21,9 +21,9 @@ def check_trait_map(values: object, allowed: tuple, what: str) -> dict:
     ``true`` label becomes ``1``. ``what`` names the map in the messages.
     """
     if not (isinstance(values, dict) and set(values) == set(TRAITS)):
-        raise ValidationError(f"{what} must be an object keyed by exactly the traits {TRAITS}, "
-                              f"got {values!r}")
+        raise TraitgenError(f"{what} must be an object keyed by exactly the traits {TRAITS}, "
+                            f"got {values!r}")
     for t in TRAITS:
         if values[t] not in allowed:
-            raise ValidationError(f"{what}.{t} must be one of {allowed}, got {values[t]!r}")
+            raise TraitgenError(f"{what}.{t} must be one of {allowed}, got {values[t]!r}")
     return {t: allowed[allowed.index(values[t])] for t in TRAITS}

@@ -15,7 +15,7 @@ from traitgen.checkpoint import (
     write_checkpoint,
 )
 from traitgen.classifier import CnnConfig, CnnModel
-from traitgen.errors import ValidationError
+from traitgen.errors import TraitgenError
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.numeric import Parameter, Rng
 from traitgen.textproc import Vocabulary, read_json
@@ -48,14 +48,14 @@ def test_random_values_roundtrip_bit_exact(tmp_path) -> None:
 def test_kind_mismatch_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     write_checkpoint(path, "cnn", {}, Vocabulary.build([]).to_list(), [])
-    with pytest.raises(ValidationError, match="expected a 'lstm'"):
+    with pytest.raises(TraitgenError, match="expected a 'lstm'"):
         load_model(path, "lstm")
 
 
 def test_not_json_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text("definitely not json", encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="not valid JSON"):
         load_model(path, "cnn")
 
 
@@ -63,23 +63,23 @@ def test_missing_sections_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "cnn"}),
                     encoding="utf-8")
-    with pytest.raises(ValidationError, match="missing"):
+    with pytest.raises(TraitgenError, match="missing"):
         load_model(path, "cnn")
 
 
 def test_wrong_format_version_rejected(tmp_path) -> None:
     path = tmp_path / "ckpt.json"
     path.write_text(json.dumps({"format_version": 99}), encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="format_version is 99, expected 2"):
         load_model(path, "cnn")
 
 
 def test_param_name_and_shape_mismatches_rejected() -> None:
     p = Parameter("a", np.zeros((2, 2)))
     payload = params_to_payload([p])
-    with pytest.raises(ValidationError, match="do not match"):
+    with pytest.raises(TraitgenError, match="do not match"):
         params_from_payload(payload, [Parameter("b", np.zeros((2, 2)))])
-    with pytest.raises(ValidationError, match="shape"):
+    with pytest.raises(TraitgenError, match="shape"):
         params_from_payload(payload, [Parameter("a", np.zeros((2, 3)))])
 
 

@@ -17,7 +17,7 @@ from traitgen.classifier import (
     _backward,
     _forward,
 )
-from traitgen.errors import InsufficientDataError, MissingLabelError, ValidationError
+from traitgen.errors import TraitgenError
 from traitgen.numeric import Rng, gradient_check
 from traitgen.textproc import PAD_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
@@ -165,7 +165,7 @@ def test_loss_accepts_trait_dict() -> None:
 
 
 def test_loss_rejects_bad_labels() -> None:
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="labels must be 0/1, got 2"):
         classifier_loss([0.5] * 5, [2, 0, 0, 0, 0])
 
 
@@ -219,13 +219,13 @@ def test_gradient_check_at_toy_dims() -> None:
 def test_training_needs_ten_documents() -> None:
     rng = Rng(1)
     docs = random_corpus(9, ["a", "b"], rng)
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(TraitgenError, match="need at least 10 documents, got 9"):
         train_classifier(docs, CnnConfig(vocab_size=0, epochs=1), Rng(0))
 
 
 def test_training_requires_labels() -> None:
     docs = [Document("a b c", ["a", "b", "c"]) for _ in range(12)]
-    with pytest.raises(MissingLabelError):
+    with pytest.raises(TraitgenError, match="document 0 has no trait labels"):
         train_classifier(docs, CnnConfig(vocab_size=0, epochs=1), Rng(0))
 
 

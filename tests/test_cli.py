@@ -723,6 +723,84 @@ def test_lexicon_with_one_field_changed_exits_0_or_2(pipeline, edit) -> None:
             assert all(type(v) in (int, float) and math.isfinite(v) for v in row), value
 
 
+_CORPUS_VALUES = st.one_of(
+    st.text(max_size=6), st.sampled_from(["", " ", "w000 \ud800 w001", "\ud800", "low", "1"]),
+    st.booleans(), st.none(), st.floats(), st.integers(-2, 3),
+    st.lists(st.integers(0, 1) | st.text(max_size=2), max_size=5),
+    st.dictionaries(st.sampled_from([*TRAITS, "X", "e"]), st.integers(0, 2) | st.text(max_size=4),
+                    max_size=6),
+)
+# One edit of one corpus line: a record field (``text``, or ``labels`` or
+# ``levels`` whole or one trait), dropped or set to a value that json.dumps
+# writes with its lone surrogates escaped; or the line's bytes.
+_CORPUS_EDITS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from([("text",), ("labels",), ("levels",)])
+              | st.tuples(st.sampled_from(["labels", "levels"]), st.sampled_from(TRAITS)),
+              _CORPUS_VALUES),
+    st.tuples(st.just("drop"), st.sampled_from(["text", "labels"])),
+    st.tuples(st.just("insert"), st.integers(0, 400),
+              st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"])),
+    st.tuples(st.just("truncate"), st.integers(0, 400)),
+)
+_VALID_TRAIT_MAPS = {"labels": dict.fromkeys(TRAITS, 1), "levels": dict.fromkeys(TRAITS, "medium")}
+
+
+def _edit_line(line: bytes, edit: tuple) -> bytes:
+    kind, *args = edit
+    if kind == "insert":
+        i = args[0] % len(line)
+        return line[:i] + args[1] + line[i:]
+    if kind == "truncate":
+        return line[:args[0] % len(line)] + b"\n"
+    record = json.loads(line)
+    if kind == "drop":
+        del record[args[0]]
+    else:
+        path, value = args
+        if len(path) == 2:
+            record.setdefault(path[0], dict(_VALID_TRAIT_MAPS[path[0]]))
+        _set(list(path), value)(record)
+    return json.dumps(record).encode() + b"\n"
+
+
+@given(line=st.integers(0, 39), edit=_CORPUS_EDITS)
+@example(line=0, edit=("set", ("text",), "w000 \ud800 w001"))
+@example(line=5, edit=("set", ("labels", "E"), 2))
+@example(line=7, edit=("set", ("levels",), dict.fromkeys(TRAITS, "high")))
+@example(line=9, edit=("set", ("levels", "O"), "mid"))
+@example(line=39, edit=("drop", "labels"))
+@example(line=3, edit=("insert", 20, b"\xff"))
+@example(line=11, edit=("truncate", 30))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_corpus_with_one_line_changed_exits_0_or_2(pipeline, line, edit) -> None:
+    """Each command that reads a corpus runs on a mutated one or is one clean user error."""
+    lines = pipeline["corpus"].read_bytes().splitlines(True)[:40]
+    lines[line] = _edit_line(lines[line], edit)
+    tiny = ["--epochs", "1", "--embed-dim", "4", "--max-len", "16"]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus.jsonl"
+        corpus.write_bytes(b"".join(lines))
+        for command, flags in {
+            "train-classifier": ["--corpus", str(corpus), *tiny, "--num-filters", "4"],
+            "train-generator": ["--corpus", str(corpus), *tiny, "--hidden-dim", "4"],
+            "label": ["--model", str(pipeline["classifier"]), "--in", str(corpus)],
+            "score": ["--lexicon", str(pipeline["lexicon"]), "--in", str(corpus)],
+            "calibrate": ["--lexicon", str(pipeline["lexicon"]), "--in", str(corpus)],
+        }.items():
+            work = Path(tmp) / command
+            work.mkdir()
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run(command, *flags, "--out", str(work / "out"))
+            assert code in (0, 2), (command, err.getvalue())
+            if code == 2:
+                assert err.getvalue().startswith("traitgen: error: "), command
+                assert err.getvalue().count("\n") == 1, command
+                assert not any(work.iterdir()), command
+            else:
+                assert (work / "out").exists(), command
+
+
 # --------------------------------------------------------------- output files
 
 
@@ -878,6 +956,110 @@ def test_config_defaults_apply_without_a_section(tmp_path) -> None:
     out = tmp_path / "out"
     assert run("synth", "--config", str(config), "--out", str(out)) == 0
     assert len(read_corpus(out / "corpus.jsonl")) == 2
+
+
+def _valid_config(pipeline, command: str) -> dict[str, str]:
+    """A config section that runs ``command`` on the pipeline's files."""
+    p = {key: str(value) for key, value in pipeline.items()}
+    train = {"corpus": p["corpus"], "seed": "3", "epochs": "1", "batch-size": "8",
+             "learning-rate": "0.01", "embed-dim": "4", "max-len": "16",
+             "tokenize-mode": "whitespace"}
+    return {
+        "synth": {"spec": str(pipeline["data"] / "spec.json"), "n": "3", "seed": "3"},
+        "train-classifier": {**train, "window": "3", "num-filters": "4"},
+        "label": {"model": p["classifier"], "in": p["corpus"], "tokenize-mode": "whitespace"},
+        "train-generator": {**train, "unconditional": "false", "hidden-dim": "4",
+                            "temperature": "1.0"},
+        "generate": {"model": p["generator"], "condition": "E=1,A=0,C=1,N=0,O=1", "n": "2",
+                     "seed-pool": p["pool"], "temperature": "0.5", "max-len": "8", "seed": "3"},
+        "score": {"lexicon": p["lexicon"], "in": p["corpus"], "thresholds": p["thresholds"],
+                  "levels": "true", "tokenize-mode": "whitespace"},
+        "calibrate": {"lexicon": p["lexicon"], "in": p["corpus"], "p-low": "0.3",
+                      "p-high": "0.7", "tokenize-mode": "whitespace"},
+        "evaluate": {"model": p["generator"], "baseline": p["baseline"],
+                     "lexicon": p["lexicon"], "thresholds": p["thresholds"],
+                     "n-per-condition": "2", "seed-pool": p["pool"], "temperature": "1.0",
+                     "max-len": "8", "seed": "3"},
+    }[command]
+
+
+# Flags that bound each command's run time; a flag wins over the config file.
+_BOUNDING_FLAGS = {
+    "synth": ["--n", "3"],
+    "train-classifier": ["--epochs", "1", "--embed-dim", "4", "--num-filters", "4",
+                         "--max-len", "16"],
+    "label": [],
+    "train-generator": ["--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4",
+                        "--max-len", "16"],
+    "generate": ["--n", "2", "--max-len", "8"],
+    "score": [],
+    "calibrate": [],
+    "evaluate": ["--n-per-condition", "2", "--max-len", "8"],
+}
+_INI_KEYS = st.sampled_from(sorted({o.name for c in COMMANDS.values() for o in c.opts})
+                            + ["", "bogus", "Seed", "epoch", "n n", "#n", "[x]", "%(n)s"])
+_INI_VALUES = st.text(max_size=6) | st.sampled_from(
+    ["", "0", "1", "-1", "0.5", "1e400", "nan", "inf", "false", "maybe", "%(x)s", "%", "/",
+     "missing.json", "cjk_char", "E=2", "a\x00b", "9" * 30])
+# One edit of a valid config file: a key or a value of the i-th option line,
+# the section header, or one byte inserted, replaced or deleted.
+_INI_EDITS = st.one_of(
+    st.tuples(st.just("key"), st.integers(0, 20), _INI_KEYS),
+    st.tuples(st.just("value"), st.integers(0, 20), _INI_VALUES),
+    st.tuples(st.just("header"), st.sampled_from(  # "{}" stands for the command
+        ["", "[DEFAULT]", "[synth]", "[score]", "[]", "[{}", "{}]", "[ {} ]", "[{}]\n[{}]",
+         "[%(x)s]"])),
+    st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.integers(0, 2000),
+              st.sampled_from([b"\xff", b"\x00", b"[", b"]", b"=", b":", b"\n", b"%", b" ",
+                               b"#", b"\t", b"x"])),
+)
+
+
+def _edited_config(command: str, section: dict[str, str], edit: tuple) -> bytes:
+    kind, *args = edit
+    header = f"[{command}]"
+    items = list(section.items())
+    if kind == "header":
+        header = args[0].format(command, command)
+    elif kind == "key":
+        i = args[0] % len(items)
+        items[i] = (args[1], items[i][1])
+    elif kind == "value":
+        i = args[0] % len(items)
+        items[i] = (items[i][0], args[1])
+    data = "\n".join([header, *(f"{key} = {value}" for key, value in items), ""]).encode()
+    if kind in ("insert", "replace", "delete"):
+        i = args[0] % len(data)
+        data = data[:i] + (b"" if kind == "delete" else args[1]) + data[i + (kind != "insert"):]
+    return data
+
+
+@given(command=st.sampled_from(sorted(COMMANDS)), edit=_INI_EDITS)
+@example(command="score", edit=("value", 1, "a\x00b"))
+@example(command="label", edit=("value", 1, "/"))
+@example(command="score", edit=("value", 3, "maybe"))
+@example(command="train-generator", edit=("key", 0, "bogus"))
+@example(command="evaluate", edit=("header", "[DEFAULT]"))
+@example(command="generate", edit=("value", 1, "E=2"))
+@example(command="calibrate", edit=("insert", 12, b"\xff"))
+@example(command="train-classifier", edit=("insert", 20, b"%"))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_config_with_one_edit_exits_0_or_2(pipeline, command, edit) -> None:
+    """Every command either runs from a mutated config file or is one clean user error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.ini", Path(tmp) / "out"
+        config.write_bytes(_edited_config(command, _valid_config(pipeline, command), edit))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(command, *_BOUNDING_FLAGS[command], "--config", str(config),
+                       "--out", str(out))
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("traitgen: error: ")
+            assert err.getvalue().count("\n") == 1
+            assert [p.name for p in Path(tmp).iterdir()] == ["run.ini"]
+        else:
+            assert out.exists()
 
 
 def test_manifest_keeps_the_hash_of_each_input_sharing_a_file_name(tmp_path, pipeline) -> None:
@@ -1046,13 +1228,17 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--in", json.dumps({"text": "a b", "levels": list(TRAITS)}).encode()),
     ("--model", b'{"format_version": 1' + b"0" * 5000 + b"}"),
     ("--in", b'{"text": "a b", "n": 1' + b"0" * 5000 + b"}\n"),
+    ("--seed-pool", b"w000\n\xed\xa0\x80\n"),
+    ("--seed-pool", b"\n \n"),
+    ("--seed-pool", b"zzz\n"),
 ], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
         "lexicon-entries-not-list", "lexicon-weight-past-float-range", "lexicon-nan-weight",
         "lexicon-inf-weight", "lexicon-negative-inf-weight", "lexicon-boolean-weight",
         "thresholds-not-json", "thresholds-string-cut",
         "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8",
         "corpus-labels-not-object", "corpus-levels-not-object", "checkpoint-integer-too-long",
-        "corpus-integer-too-long"])
+        "corpus-integer-too-long", "seed-pool-encoded-surrogate", "seed-pool-blank-lines-only",
+        "seed-pool-out-of-vocabulary"])
 def test_malformed_json_input_exits_2(tmp_path, pipeline, capsys, option, content) -> None:
     bad = tmp_path / "bad"
     bad.write_bytes(content)

@@ -8,13 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitgen.checkpoint import load_model
-from traitgen.errors import (
-    ConditionError,
-    InsufficientDataError,
-    MissingLabelError,
-    SeedPoolError,
-    ValidationError,
-)
+from traitgen.errors import TraitgenError
 from traitgen.generator import (
     GREEDY_TEMPERATURE,
     NGRAM_WINDOW,
@@ -89,14 +83,17 @@ def test_condition_bits_and_string_roundtrip() -> None:
 
 
 def test_condition_parse_rejects_malformed() -> None:
-    for bad in ("E=1", "E=1,A=0,C=1,N=0,O=2", "E=1,E=0,C=1,N=0,O=1",
-                "X=1,A=0,C=1,N=0,O=1", "E:1,A=0,C=1,N=0,O=1"):
-        with pytest.raises(ConditionError):
+    for bad, message in (("E=1", "condition missing traits"),
+                         ("E=1,A=0,C=1,N=0,O=2", "trait O polarity must be 0 or 1"),
+                         ("E=1,E=0,C=1,N=0,O=1", "trait E given twice"),
+                         ("X=1,A=0,C=1,N=0,O=1", "unknown trait 'X'"),
+                         ("E:1,A=0,C=1,N=0,O=1", "bad condition component")):
+        with pytest.raises(TraitgenError, match=message):
             BfpCondition.parse(bad)
 
 
 def test_condition_rejects_non_binary() -> None:
-    with pytest.raises(ConditionError):
+    with pytest.raises(TraitgenError, match="polarity must be 0 or 1, got 2"):
         BfpCondition(2, 0, 0, 0, 0)
 
 
@@ -179,9 +176,9 @@ def test_forward_condition_arity_enforced() -> None:
     cond_model = make_model(cond=5)
     uncond_model = make_model(cond=0)
     ids, _ = encode([["w0"]], cond_model.vocab, 6)
-    with pytest.raises(ConditionError):
+    with pytest.raises(TraitgenError, match="this model is conditional"):
         forward(cond_model, ids, None)
-    with pytest.raises(ConditionError):
+    with pytest.raises(TraitgenError, match="this model is unconditional"):
         forward(uncond_model, ids, cond_row(all_high()))
 
 
@@ -374,7 +371,7 @@ def test_training_is_deterministic(tmp_path) -> None:
 def test_conditional_training_requires_labels() -> None:
     docs = [Document("a b", ["a", "b"]) for _ in range(5)]
     config = LstmConfig(vocab_size=0, cond_dim=5, epochs=1)
-    with pytest.raises(MissingLabelError):
+    with pytest.raises(TraitgenError, match="document 0 has no trait labels"):
         train_generator(docs, config, Rng(0))
 
 
@@ -387,7 +384,7 @@ def test_unconditional_training_ignores_labels() -> None:
 
 
 def test_empty_corpus_rejected() -> None:
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(TraitgenError, match="cannot train a generator on an empty corpus"):
         train_generator([], LstmConfig(vocab_size=0), Rng(0))
 
 
@@ -560,9 +557,9 @@ def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
 
 def test_generate_rows_must_match_streams_and_model() -> None:
     model = make_model(cond=5)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="1 conditions for 2 streams"):
         generate(model, [all_high()], ["w0"], [Rng(0), Rng(1)])
-    with pytest.raises(ConditionError):
+    with pytest.raises(TraitgenError, match="this model is conditional"):
         generate(model, [all_high(), None], ["w0"], [Rng(0), Rng(1)])
     assert generate(model, [], ["w0"], []) == []
 
@@ -605,9 +602,9 @@ def test_max_len_cap() -> None:
 
 def test_seed_pool_errors() -> None:
     model = make_model(cond=0)
-    with pytest.raises(SeedPoolError):
+    with pytest.raises(TraitgenError, match="seed pool is empty"):
         generate(model, [None], [], [Rng(0)])
-    with pytest.raises(SeedPoolError):
+    with pytest.raises(TraitgenError, match="seed tokens not in vocabulary"):
         generate(model, [None], ["nope"], [Rng(0)])
 
 
@@ -633,5 +630,5 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
 
 def test_generate_condition_arity() -> None:
     cond_model = make_model(cond=5)
-    with pytest.raises(ConditionError):
+    with pytest.raises(TraitgenError, match="this model is conditional"):
         generate(cond_model, [None], ["w0"], [Rng(0)])

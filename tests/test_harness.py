@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from traitgen.errors import ConfigError, ValidationError
+from traitgen.errors import TraitgenError
 from traitgen.generator import BfpCondition, LstmConfig, LstmModel
 from traitgen.harness import (
     SynthSpec,
@@ -57,22 +57,22 @@ def test_default_spec_is_valid_and_sized_as_documented() -> None:
 def test_spec_rejects_overlapping_sets() -> None:
     spec = small_spec()
     spec.markers["E"]["high"][0] = spec.neutral_tokens[0]
-    with pytest.raises(ValidationError, match="appears in both"):
+    with pytest.raises(TraitgenError, match="appears in both"):
         spec.validate()
 
 
 def test_spec_rejects_empty_sets_and_bad_pi() -> None:
     spec = small_spec()
     spec.markers["A"]["low"] = []
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="token set A_low is empty"):
         spec.validate()
     spec = small_spec()
     spec.pi = 0.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match=r"pi must be in \(0, 1\]"):
         spec.validate()
     spec = small_spec()
     spec.len_min = 3
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="len_min must be at least 4"):
         spec.validate()
 
 
@@ -248,11 +248,11 @@ def test_evaluation_is_deterministic() -> None:
 
 def test_evaluation_requires_proper_models() -> None:
     cond, uncond, lex, thresholds, pool = eval_fixture()
-    with pytest.raises(ConfigError):
+    with pytest.raises(TraitgenError, match="evaluation needs a conditional model"):
         evaluate_generation(uncond, uncond, lex, thresholds, 2, pool, Rng(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(TraitgenError, match="baseline model must be unconditional"):
         evaluate_generation(cond, cond, lex, thresholds, 2, pool, Rng(0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(TraitgenError, match="n_per_condition must be positive"):
         evaluate_generation(cond, uncond, lex, thresholds, 0, pool, Rng(0))
 
 

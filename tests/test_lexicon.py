@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from traitgen.errors import InsufficientDataError, ValidationError
+from traitgen.errors import TraitgenError
 from traitgen.lexicon import (
     Category,
     LevelThresholds,
@@ -45,41 +45,41 @@ def test_loads_well_formed_lexicon() -> None:
 
 def test_weight_shape_mismatch_names_problem() -> None:
     payload = two_category_payload(weights=[[1, 0, 0, 0, 0]] * 3)
-    with pytest.raises(ValidationError, match="3 rows"):
+    with pytest.raises(TraitgenError, match="3 rows"):
         lexicon_from_dict(payload)
 
 
 def test_short_weight_row_rejected() -> None:
     payload = two_category_payload(weights=[[1, 0], [0, 1]])
-    with pytest.raises(ValidationError, match="pos"):
+    with pytest.raises(TraitgenError, match="pos"):
         lexicon_from_dict(payload)
 
 
 def test_duplicate_category_names_rejected() -> None:
     payload = two_category_payload()
     payload["categories"][1]["name"] = "pos"
-    with pytest.raises(ValidationError, match="pos"):
+    with pytest.raises(TraitgenError, match="pos"):
         lexicon_from_dict(payload)
 
 
 def test_empty_entry_rejected() -> None:
     payload = two_category_payload()
     payload["categories"][0]["entries"] = ["good", ""]
-    with pytest.raises(ValidationError, match="pos"):
+    with pytest.raises(TraitgenError, match="pos"):
         lexicon_from_dict(payload)
 
 
 def test_bare_wildcard_rejected() -> None:
     payload = two_category_payload()
     payload["categories"][0]["entries"] = ["*"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="bare wildcard entry"):
         lexicon_from_dict(payload)
 
 
 def test_wrong_trait_order_rejected() -> None:
     payload = two_category_payload()
     payload["trait_order"] = ["O", "C", "E", "A", "N"]
-    with pytest.raises(ValidationError, match="trait_order"):
+    with pytest.raises(TraitgenError, match="trait_order"):
         lexicon_from_dict(payload)
 
 
@@ -241,7 +241,7 @@ def test_score_tokens_convenience() -> None:
 
 def test_frequency_length_checked() -> None:
     lex = lexicon_from_dict(two_category_payload())
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="1 frequencies for 2 categories"):
         trait_scores([0.1], lex)
 
 
@@ -272,7 +272,7 @@ def test_calibration_is_permutation_invariant() -> None:
 
 
 def test_calibration_needs_three_scores() -> None:
-    with pytest.raises(InsufficientDataError, match="trait E"):
+    with pytest.raises(TraitgenError, match="trait E"):
         calibrate_thresholds({t: [1.0, 2.0] for t in TRAITS})
 
 
@@ -286,7 +286,7 @@ def test_thresholds_file_roundtrip(tmp_path) -> None:
 def test_thresholds_validate_ordering() -> None:
     cuts = {t: (0.0, 1.0) for t in TRAITS}
     cuts["E"] = (2.0, 1.0)
-    with pytest.raises(ValidationError, match="E"):
+    with pytest.raises(TraitgenError, match="E"):
         LevelThresholds(cuts)
 
 

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from traitgen.errors import (
-    DegenerateMaskError,
-    EmptyInputError,
-    InvalidIdError,
-    ShapeError,
-)
+from traitgen.errors import TraitgenError
 from traitgen.numeric import (
     Matrix,
     Rng,
@@ -32,9 +27,9 @@ def rand_matrix(rows: int, cols: int, rng: Rng, scale: float = 1.0) -> Matrix:
 
 
 def test_matrix_requires_2d() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="must be 2-D"):
         Matrix([1.0, 2.0])
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="at least 1x1"):
         Matrix(np.zeros((0, 3)))
 
 
@@ -86,7 +81,7 @@ def test_xavier_entry_j_is_splitmix_output_j_plus_1_of_one_key() -> None:
 
 
 def test_xavier_rejects_zero_dimension() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="xavier_init needs positive dimensions"):
         xavier_init(0, 4, Rng(0))
 
 
@@ -122,9 +117,9 @@ def test_affine_matches_naive_triple_loop() -> None:
 
 
 def test_affine_shape_mismatch() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="affine inner dimensions disagree"):
         affine(Matrix(np.zeros((2, 3))), Matrix(np.zeros((4, 2))), Matrix(np.zeros((1, 2))))
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="affine bias must be 1x2"):
         affine(Matrix(np.zeros((2, 3))), Matrix(np.zeros((3, 2))), Matrix(np.zeros((2, 2))))
 
 
@@ -162,7 +157,7 @@ def test_relu_values() -> None:
 
 
 def test_nonfinite_activation_input_rejected() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="activation input contains non-finite entries"):
         elementwise_activation(Matrix([[float("nan")]]))
 
 
@@ -255,12 +250,12 @@ def test_cross_entropy_loss_is_the_log_softmax_expression_and_leaves_logits_alon
 
 
 def test_cross_entropy_degenerate_mask_raises() -> None:
-    with pytest.raises(DegenerateMaskError):
+    with pytest.raises(TraitgenError, match="mask selects no positions"):
         masked_cross_entropy(Matrix(np.zeros((2, 3))), [0, 1], [0, 0])
 
 
 def test_cross_entropy_rejects_out_of_range_targets() -> None:
-    with pytest.raises(InvalidIdError):
+    with pytest.raises(TraitgenError, match="target ids must lie in"):
         masked_cross_entropy(Matrix(np.zeros((2, 3))), [0, 3], [1, 1])
 
 
@@ -338,7 +333,7 @@ def test_max_over_time_backward_routes_to_argmax_only() -> None:
 def test_max_over_time_rejects_empty() -> None:
     # the public constructor already refuses zero rows; the internal path
     # still reports the degenerate reduction explicitly
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="at least 1x1"):
         Matrix(np.zeros((0, 3)))
-    with pytest.raises(EmptyInputError):
+    with pytest.raises(TraitgenError, match="max_over_time needs at least one position"):
         max_over_time(Matrix._wrap(np.zeros((0, 3))))

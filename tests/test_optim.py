@@ -12,7 +12,7 @@ from traitgen.checkpoint import load_model
 from traitgen.classifier import CnnConfig, CnnModel, train_classifier
 from traitgen.classifier import _backward as cnn_backward
 from traitgen.classifier import _forward as cnn_forward
-from traitgen.errors import DivergenceError, ShapeError
+from traitgen.errors import TraitgenError
 from traitgen.generator import LstmConfig, LstmModel, _train_batch
 from traitgen.numeric import (
     Parameter,
@@ -51,7 +51,7 @@ def test_zero_grad_clears_gradient() -> None:
 
 def test_parameter_requires_nonempty_2d() -> None:
     for bad in ([1.0, 2.0], [[[1.0]]], np.zeros((0, 3)), np.zeros((3, 0))):
-        with pytest.raises(ShapeError):
+        with pytest.raises(TraitgenError, match="must be a 2-D array of at least 1x1"):
             make_param(bad)
 
 
@@ -90,7 +90,7 @@ def test_adam_is_deterministic_across_identical_states() -> None:
 def test_adam_rejects_nonfinite_gradient() -> None:
     p = make_param([[0.0]])
     p.grad[0, 0] = float("inf")
-    with pytest.raises(DivergenceError):
+    with pytest.raises(TraitgenError, match="non-finite gradient"):
         adam_step(p, lr=1e-3)
 
 
@@ -99,7 +99,7 @@ def test_check_finite_names_the_first_bad_parameter() -> None:
     check_finite([good, bad])
     for value in (float("nan"), float("inf"), float("-inf")):
         bad.value[0, 1] = value
-        with pytest.raises(DivergenceError, match="'bad'"):
+        with pytest.raises(TraitgenError, match="'bad'"):
             check_finite([good, bad])
 
 

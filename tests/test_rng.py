@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from traitgen.errors import ShapeError
+from traitgen.errors import TraitgenError
 from traitgen.numeric.rng import Rng, _splitmix_at, _splitmix_range
 
 
@@ -45,7 +45,7 @@ def test_spawn_streams_differ_by_id() -> None:
 
 
 def test_spawn_rejects_negative_id() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="stream_id must be non-negative"):
         Rng(0).spawn(-1)
 
 
@@ -70,7 +70,7 @@ def test_randint_bounds_and_rough_uniformity() -> None:
 
 
 def test_randint_rejects_nonpositive_bound() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="randint bound must be positive"):
         Rng(0).randint(0)
 
 

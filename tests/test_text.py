@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from traitgen.errors import EncodingError, InvalidIdError, ShapeError, ValidationError
+from traitgen.errors import TraitgenError
 from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
@@ -51,12 +51,12 @@ def test_cjk_char_mode_keeps_emoticons_as_tokens() -> None:
 
 
 def test_unknown_mode_rejected() -> None:
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="unknown tokenize mode"):
         tokenize("abc", mode="bpe")
 
 
 def test_lone_surrogate_rejected() -> None:
-    with pytest.raises(EncodingError):
+    with pytest.raises(TraitgenError, match="text is not valid UTF-8"):
         tokenize("bad \ud800 text")
 
 
@@ -119,9 +119,9 @@ def test_special_surface_forms_are_escaped_not_collided() -> None:
 
 def test_token_of_rejects_out_of_range() -> None:
     v = Vocabulary.build([])
-    with pytest.raises(InvalidIdError):
+    with pytest.raises(TraitgenError, match="id 4 outside vocabulary"):
         v.token_of(4)
-    with pytest.raises(InvalidIdError):
+    with pytest.raises(TraitgenError, match="id -1 outside vocabulary"):
         v.token_of(-1)
 
 
@@ -154,7 +154,7 @@ def test_encode_truncates_keeping_prefix_and_eos() -> None:
 
 
 def test_encode_rejects_tiny_max_len() -> None:
-    with pytest.raises(ShapeError):
+    with pytest.raises(TraitgenError, match="max_len must be at least 2"):
         encode([], Vocabulary.build([]), max_len=1)
 
 
@@ -276,7 +276,7 @@ def test_write_jsonl_failing_part_way_keeps_the_old_file(tmp_path) -> None:
 def test_malformed_line_reports_line_number(tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text('{"text": "ok"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(ValidationError, match=":2:"):
+    with pytest.raises(TraitgenError, match=":2:"):
         read_corpus(path)
 
 
@@ -302,21 +302,21 @@ def test_json_boolean_labels_read_and_write_back_as_integers(tmp_path) -> None:
 def test_bad_trait_map_names_the_line_and_the_map(tmp_path, field, value) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"text": "a", field: value}) + "\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match=f":1: {field}"):
+    with pytest.raises(TraitgenError, match=f":1: {field}"):
         read_corpus(path)
 
 
 def test_missing_text_field_rejected(tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text('{"label": 1}\n', encoding="utf-8")
-    with pytest.raises(ValidationError, match=":1:"):
+    with pytest.raises(TraitgenError, match=":1:"):
         read_corpus(path)
 
 
 def test_partial_labels_rejected(tmp_path) -> None:
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps({"text": "a", "labels": {"E": 1}}) + "\n", encoding="utf-8")
-    with pytest.raises(ValidationError):
+    with pytest.raises(TraitgenError, match="labels must be an object keyed by exactly the traits"):
         read_corpus(path)
 
 
