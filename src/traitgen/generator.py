@@ -13,11 +13,16 @@ the temperature-scaled softmax restricted to non-special tokens plus the
 end marker, and stops on end-of-sequence, at ``max_len`` tokens, or when
 a repetition rule fires (a token emitted three times in a row, or the
 trailing 4-gram already present earlier in the output); the repeated
-tail is trimmed before returning.
+tail is trimmed before returning. Texts decode in chunks of
+``DECODE_CHUNK`` rows; when there are two or more chunks, the caller's
+thread and one helper thread each take the next undone chunk until none
+is left. A chunk's tokens do not depend on the thread that decodes it,
+nor on when.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -38,14 +43,16 @@ from .numeric import (
     xavier_init,
     zero_grads,
 )
-from .textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
+from .textproc import BOS_ID, EOS_ID, Document, Vocabulary, encode
 from .traits import TRAITS
 
 GREEDY_TEMPERATURE = 1e-6  # below this, decoding is argmax
 
 RUN_LIMIT = 3        # stop when one token is emitted this many times in a row
 NGRAM_WINDOW = 4     # stop when the trailing n-gram repeats earlier output
-DECODE_CHUNK = 64    # rows decoded together; a row's tokens do not depend on it
+# rows decoded together, and the unit of work of generate's two threads;
+# a row's tokens depend neither on the chunk nor on the thread
+DECODE_CHUNK = 64
 
 _STREAM_INIT = 0
 _STREAM_EPOCHS = 1
@@ -434,9 +441,11 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
     ``random()`` per sampled token. BOS and the seed are fed before
     free-running sampling starts. Rows run in chunks of DECODE_CHUNK in
     which every live row steps together, and a row's tokens do not depend
-    on the other rows. Temperatures below 1e-6 switch to argmax decoding,
-    which draws nothing after the seed word and is deterministic per seed
-    word.
+    on the other rows. With two or more chunks, this thread and one helper
+    thread, which lives for this call only, each decode the next undone
+    chunk until none is left; an exception in either is raised here.
+    Temperatures below 1e-6 switch to argmax decoding, which draws nothing
+    after the seed word and is deterministic per seed word.
     """
     if len(conditions) != len(streams):
         raise TraitgenError(f"{len(conditions)} conditions for {len(streams)} streams")
@@ -459,12 +468,34 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
 
     seed_ids = [model.vocab.id_of(seed_pool[s.randint(len(seed_pool))]) for s in streams]
     cond = np.array([c.bits for c in conditions], dtype=np.float64) if cfg.cond_dim else None
-    out: list[list[int]] = []
-    for start in range(0, len(streams), DECODE_CHUNK):
-        chunk = slice(start, start + DECODE_CHUNK)
-        out += _decode_chunk(model, None if cond is None else cond[chunk], seed_ids[chunk],
-                             streams[chunk], temperature, max_len)
-    return [[model.vocab.token_of(i) for i in ids] for ids in out]
+    n_chunks = -(-len(streams) // DECODE_CHUNK)
+    undone = iter(range(n_chunks))
+    take = threading.Lock()
+    decoded: list[list[list[int]]] = [[] for _ in range(n_chunks)]
+
+    def drain() -> None:
+        """Decode the next undone chunk until none is left."""
+        while True:
+            with take:
+                j = next(undone, None)
+            if j is None:
+                return
+            chunk = slice(j * DECODE_CHUNK, (j + 1) * DECODE_CHUNK)
+            decoded[j] = _decode_chunk(model, None if cond is None else cond[chunk],
+                                       seed_ids[chunk], streams[chunk], temperature, max_len)
+
+    if n_chunks > 1:
+        # imported here: concurrent.futures loads logging, about half a MiB
+        # resident that the commands which never decode two chunks need not hold
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            helper = pool.submit(drain)
+            drain()
+            helper.result()
+    else:
+        drain()
+    return [[model.vocab.token_of(i) for i in ids] for part in decoded for ids in part]
 
 
 def _step(model: LstmModel, token_ids: np.ndarray, cond: np.ndarray | None,
@@ -486,9 +517,9 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
     """Decode one chunk; a finished row leaves the stepped batch at once."""
     cfg = model.config
     out_w, out_b = model.out_w.value, model.out_b.value
-    # every real token plus EOS is sampleable; PAD/UNK/BOS never are
-    allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)],
-                       dtype=np.int64)
+    # EOS and every real token are sampleable, PAD/UNK/BOS never are; the
+    # specials are ids 0-3, EOS last, so the sampleable ids are [EOS_ID, V)
+    n_allowed = cfg.vocab_size - EOS_ID
     greedy = temperature < GREEDY_TEMPERATURE
 
     rows = [_Row(s) for s in seed_ids]
@@ -500,7 +531,7 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
     h, c = _step(model, np.full(len(rows), BOS_ID), cond, h, c)
     h, c = _step(model, np.array(seed_ids, dtype=np.int64), cond, h, c)
     while live:
-        logits = (h @ out_w + out_b)[:, allowed]
+        logits = (h @ out_w + out_b)[:, EOS_ID:]
         if greedy:
             picks = np.argmax(logits, axis=1)
         else:
@@ -510,8 +541,8 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
             probs /= probs.sum(axis=1, keepdims=True)
             cum = np.cumsum(probs, axis=1)
             u = np.array([streams[r].random() for r in live])
-            picks = np.minimum((cum <= u[:, None]).sum(axis=1), len(allowed) - 1)
-        next_ids = allowed[picks]
+            picks = np.minimum((cum <= u[:, None]).sum(axis=1), n_allowed - 1)
+        next_ids = picks + EOS_ID
         keep = [j for j, (r, token_id) in enumerate(zip(live, next_ids.tolist()))
                 if token_id != EOS_ID and not rows[r].push(token_id)
                 and len(rows[r].ids) < max_len]

@@ -20,10 +20,13 @@ class Parameter:
 
     ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 2-D, C-contiguous
     float64 arrays of one shape, owned by the parameter and only ever
-    written in place, so a view of any of them stays live. ``scratch``
-    holds two more arrays of that shape in which :func:`adam_step` works;
-    the first update allocates it, so a model that is only loaded never
-    pays for it. Updates require exclusive access; everything else is
+    written in place, so a view of any of them stays live. ``grad``,
+    ``opt_m`` and ``opt_v`` come from ``np.zeros``, which asks the
+    allocator for zeroed memory and, at the sizes of weight matrices, gets
+    fresh pages that stay unfaulted until written, so a model that is only
+    loaded never makes them resident. ``scratch`` holds two more arrays
+    of that shape in which :func:`adam_step` works; the first update
+    allocates it. Updates require exclusive access; everything else is
     read-only safe.
     """
 
@@ -36,9 +39,9 @@ class Parameter:
                                 f"got shape {a.shape}")
         self.name = name
         self.value = a
-        self.grad = np.zeros_like(a)
-        self.opt_m = np.zeros_like(a)
-        self.opt_v = np.zeros_like(a)
+        self.grad = np.zeros(a.shape)
+        self.opt_m = np.zeros(a.shape)
+        self.opt_v = np.zeros(a.shape)
         self.scratch = None
         self.step_count = 0
 

@@ -8,7 +8,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import traitgen
 import traitgen.classifier
 import traitgen.generator
 from traitgen.checkpoint import FORMAT_VERSION
@@ -858,6 +862,39 @@ def test_evaluate_is_byte_identical_across_reruns(tmp_path, pipeline) -> None:
                    "--seed", "13", "--out", str(out)) == 0
         outs.append(out)
     for fname in ("report.json", "table.txt", "generations.jsonl"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def test_evaluate_is_byte_identical_across_reruns_with_two_blas_threads(
+        tmp_path, pipeline) -> None:
+    """Decoding's two threads, each calling a two-thread BLAS, write the
+    same texts on every run: no token depends on thread timing.
+
+    The generators are wide enough that the decoding matmuls pass
+    OpenBLAS's size threshold for splitting a product across threads, and
+    200 conditional texts make four decoding chunks.
+    """
+    models = {}
+    for name, extra in (("gen", ()), ("base", ("--unconditional",))):
+        assert run("train-generator", "--corpus", str(pipeline["corpus"]),
+                   "--out", str(tmp_path / name), "--epochs", "1", "--embed-dim", "16",
+                   "--hidden-dim", "96", "--max-len", "16", *extra) == 0
+        models[name] = tmp_path / name / "generator.json"
+    src = str(Path(traitgen.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outs = []
+    for name in ("e1", "e2"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "traitgen", "evaluate",
+                        "--model", str(models["gen"]), "--baseline", str(models["base"]),
+                        "--lexicon", str(pipeline["lexicon"]),
+                        "--thresholds", str(pipeline["thresholds"]),
+                        "--n-per-condition", "20", "--seed-pool", str(pipeline["pool"]),
+                        "--seed", "17", "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outs.append(out)
+    for fname in ("report.json", "generations.jsonl"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 

@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import traitgen.generator
 from traitgen.checkpoint import load_model
 from traitgen.errors import TraitgenError
 from traitgen.generator import (
+    DECODE_CHUNK,
     GREEDY_TEMPERATURE,
     NGRAM_WINDOW,
     RUN_LIMIT,
@@ -21,11 +25,21 @@ from traitgen.generator import (
     _Row,
     _Workspace,
     _cell,
+    _decode_chunk,
     _forward,
     _train_batch,
 )
 from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy, zero_grads
-from traitgen.textproc import BOS_ID, EOS_ID, PAD_ID, UNK_ID, Document, Vocabulary, encode
+from traitgen.textproc import (
+    BOS_ID,
+    EOS_ID,
+    PAD_ID,
+    SPECIAL_TOKENS,
+    UNK_ID,
+    Document,
+    Vocabulary,
+    encode,
+)
 from traitgen.traits import TRAITS
 
 from lstm_helpers import batch_workspace
@@ -553,6 +567,69 @@ def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
                             temperature=temperature, max_len=max_len)
         assert got == expected, f"batch size {batch}"
         assert [stream.next_uint64() for stream in rows] == ref_next, f"batch size {batch}"
+
+
+def test_sampleable_ids_are_the_range_from_eos() -> None:
+    """_decode_chunk samples the ids [EOS_ID, V): PAD, UNK and BOS come first."""
+    assert (PAD_ID, UNK_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
+    assert SPECIAL_TOKENS[EOS_ID] == "</s>"
+    assert tiny_vocab(5).to_list()[:EOS_ID + 1] == list(SPECIAL_TOKENS)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_two_thread_decoding_equals_the_serial_chunk_loop(n: int, temperature: float) -> None:
+    """generate's texts and final stream states are those of _decode_chunk
+    called chunk by chunk on one thread, however the threads interleave."""
+    model = make_model(n_tokens=30, k=8, h=32, cond=5, max_len=16, seed=223)
+    pool = ["w0", "w3", "w7", "w9"]
+    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
+
+    def streams() -> list[Rng]:
+        return [Rng(991).spawn(r) for r in range(n)]
+
+    serial = streams()
+    seed_ids = [model.vocab.id_of(pool[s.randint(len(pool))]) for s in serial]
+    cond = np.array([c.bits for c in conditions], dtype=np.float64)
+    expected = []
+    for start in range(0, n, DECODE_CHUNK):
+        chunk = slice(start, start + DECODE_CHUNK)
+        expected += [[model.vocab.token_of(i) for i in ids]
+                     for ids in _decode_chunk(model, cond[chunk], seed_ids[chunk],
+                                              serial[chunk], temperature, 16)]
+    rows = streams()
+    threads_before = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, to shuffle the chunks between them
+    try:
+        got = generate(model, conditions, pool, rows, temperature=temperature)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads_before
+    assert got == expected
+    assert [s.next_uint64() for s in rows] == [s.next_uint64() for s in serial]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(
+        monkeypatch, failing: int) -> None:
+    model = make_model(cond=0, max_len=8)
+    n = 3 * DECODE_CHUNK
+    streams = [Rng(5).spawn(r) for r in range(n)]
+    error = RuntimeError(f"chunk {failing} failed")
+    decode = traitgen.generator._decode_chunk
+
+    def flaky(model, cond, seed_ids, chunk_streams, *args):
+        if chunk_streams[0] is streams[failing * DECODE_CHUNK]:
+            raise error
+        return decode(model, cond, seed_ids, chunk_streams, *args)
+
+    monkeypatch.setattr(traitgen.generator, "_decode_chunk", flaky)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        generate(model, [None] * n, ["w0"], streams)
+    assert caught.value is error
+    assert threading.active_count() == threads_before
 
 
 def test_generate_rows_must_match_streams_and_model() -> None:

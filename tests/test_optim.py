@@ -35,10 +35,12 @@ def make_param(values, name="p") -> Parameter:
 
 
 def test_parameter_starts_with_zero_state() -> None:
-    p = make_param([[1.0, 2.0]])
-    assert p.grad.tolist() == [[0.0, 0.0]]
-    assert p.opt_m.tolist() == [[0.0, 0.0]]
-    assert p.opt_v.tolist() == [[0.0, 0.0]]
+    p = make_param(np.asfortranarray([[1, 2, 3], [4, 5, 6]]))
+    for state in (p.grad, p.opt_m, p.opt_v):
+        assert state.tolist() == [[0.0] * 3] * 2
+        assert state.dtype == np.float64 and state.shape == p.value.shape
+        assert state.flags.c_contiguous and state.flags.owndata
+        assert not np.shares_memory(state, p.value)
     assert p.step_count == 0
 
 
