@@ -17,7 +17,8 @@ tail is trimmed before returning. Texts decode in chunks of
 ``DECODE_CHUNK`` rows; when there are two or more chunks, the caller's
 thread and one helper thread each take the next undone chunk until none
 is left. A chunk's tokens do not depend on the thread that decodes it,
-nor on when.
+nor on when. Each step draws the live rows' uniforms in lockstep, and a
+row's stream is left where the row's last draw left it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from .checkpoint import write_checkpoint
 from .errors import TraitgenError
 from .numeric import (
+    Lockstep,
     Matrix,
     Parameter,
     Rng,
@@ -526,6 +528,8 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
     if max_len == 1:  # the seed word alone fills every row
         return [row.ids for row in rows]
     live = list(range(len(rows)))
+    # column j holds the stream of row live[j], compacted with h and c
+    draws = None if greedy else Lockstep.of(streams)
     h = np.zeros((len(rows), cfg.hidden_dim))
     c = np.zeros_like(h)
     h, c = _step(model, np.full(len(rows), BOS_ID), cond, h, c)
@@ -540,15 +544,20 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
             probs = np.exp(scaled)
             probs /= probs.sum(axis=1, keepdims=True)
             cum = np.cumsum(probs, axis=1)
-            u = np.array([streams[r].random() for r in live])
+            u = draws.random()
             picks = np.minimum((cum <= u[:, None]).sum(axis=1), n_allowed - 1)
         next_ids = picks + EOS_ID
-        keep = [j for j, (r, token_id) in enumerate(zip(live, next_ids.tolist()))
-                if token_id != EOS_ID and not rows[r].push(token_id)
-                and len(rows[r].ids) < max_len]
+        keep = []
+        for j, (r, token_id) in enumerate(zip(live, next_ids.tolist())):
+            if token_id != EOS_ID and not rows[r].push(token_id) and len(rows[r].ids) < max_len:
+                keep.append(j)
+            elif draws is not None:  # the row is done: its stream takes the state it reached
+                draws.store(j, streams[r])
         if len(keep) < len(live):
             live = [live[j] for j in keep]
             h, c, next_ids = h[keep], c[keep], next_ids[keep]
+            if draws is not None:
+                draws.state = draws.state[:, keep]
             if cond is not None:
                 cond = cond[keep]
         if live:

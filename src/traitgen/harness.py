@@ -11,6 +11,13 @@ lexicon has one category per marker set with weight +1 (high) or -1
 (low) on its own trait, which makes lexicon scoring a direct readout of
 the planted signal.
 
+Document i draws only from ``rng.spawn(i)``. The documents of a block
+draw in lockstep (:class:`~traitgen.numeric.Lockstep`), one token
+position at a time: the marker and neutral branches are masks over the
+documents, and marker-set sizes and successor counts are per-document
+bounds, so each stream is consumed in the order a token-by-token loop
+over that one document would consume it.
+
 Evaluation mirrors the conditional-versus-unconditional protocol: for
 each dimension and polarity, generate a batch of texts with that bit
 pinned and the other four drawn uniformly per text, score them with the
@@ -23,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .errors import TraitgenError
 from .generator import BfpCondition, LstmModel, generate
 from .lexicon import (
@@ -32,7 +41,7 @@ from .lexicon import (
     assign_levels,
     score_tokens,
 )
-from .numeric import Rng
+from .numeric import Lockstep, Rng
 from .textproc import Document, config_from_payload, is_utf8, read_json, write_json
 from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
 
@@ -51,6 +60,13 @@ _UNCONDITIONAL_STREAM_BASE = 10
 
 # Longest document a spec may ask for; synth's time and memory grow with len_max.
 MAX_DOC_TOKENS = 10_000
+# Largest marker set: its halving-weight draw takes a bound of 2**size - 1,
+# which must fit in 64 bits.
+MAX_MARKER_SET = 64
+# Most token slots (documents x len_max) synth_corpus draws at once. Every
+# token position costs a fixed number of numpy calls over the block, so
+# blocks stay wide enough to amortise them even at MAX_DOC_TOKENS.
+SYNTH_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -88,6 +104,9 @@ class SynthSpec:
         for name, tokens in sets:
             if not tokens:
                 raise TraitgenError(f"token set {name} is empty")
+            if name != "neutral" and len(tokens) > MAX_MARKER_SET:
+                raise TraitgenError(f"token set {name} has {len(tokens)} tokens, "
+                                    f"more than {MAX_MARKER_SET}")
             for tok in tokens:
                 # a token must survive the corpus round trip: whitespace tokenization
                 # and a UTF-8 file
@@ -170,22 +189,6 @@ def _chain_successors(idx: int, n: int) -> list[int]:
     return seen
 
 
-def _skewed_marker_index(rng: Rng, n: int) -> int:
-    """Marker draw within a set: token j carries weight 2^(n-1-j).
-
-    Word use is Zipf-like, so each marker set has common and rare members;
-    the skew also gives the corpus learnable within-set structure without
-    changing per-trait marker rates.
-    """
-    r = rng.randint((1 << n) - 1)
-    acc = 0
-    for j in range(n):
-        acc += 1 << (n - 1 - j)
-        if r < acc:
-            return j
-    return n - 1
-
-
 def matched_lexicon(spec: SynthSpec) -> Lexicon:
     """One category per marker set, +1 / -1 weight on its own trait."""
     categories = []
@@ -205,26 +208,81 @@ def matched_lexicon(spec: SynthSpec) -> Lexicon:
     return Lexicon(categories, weights)
 
 
-def _synth_document(spec: SynthSpec, rng: Rng) -> Document:
-    bits = {t: rng.coin() for t in TRAITS}
-    length = spec.len_min + rng.randint(spec.len_max - spec.len_min + 1)
+class _Layout:
+    """A spec's token ids: the neutral tokens, then each marker set, trait by trait, high first.
+
+    Set ``2 * trait + 1 - bit`` holds a trait's markers under latent bit
+    ``bit``; its members draw with halving weights via the bound
+    ``2**size - 1`` (at most 2**64 - 1, since a set has at most 64 tokens).
+    """
+
+    def __init__(self, spec: SynthSpec):
+        sets = [spec.markers[t][k] for t in TRAITS for k in ("high", "low")]
+        n_neutral = len(spec.neutral_tokens)
+        self.tokens = np.array(spec.neutral_tokens + [tok for pool in sets for tok in pool],
+                               dtype=object)
+        self.set_size = np.array([len(pool) for pool in sets])
+        self.set_offset = n_neutral + np.cumsum(self.set_size) - self.set_size
+        self.set_bound = np.array([(1 << len(pool)) - 1 for pool in sets], dtype=np.uint64)
+        chains = [_chain_successors(i, n_neutral) for i in range(n_neutral)]
+        self.n_successors = np.array([len(chain) for chain in chains])
+        self.successors = np.zeros((n_neutral, NEUTRAL_CHAIN_FANOUT), dtype=np.intp)
+        for i, chain in enumerate(chains):
+            self.successors[i, :len(chain)] = chain
+
+
+def _bit_length(d: np.ndarray) -> np.ndarray:
+    """Exact bit length of every entry of a uint64 array."""
+    d = d.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        d |= d >> np.uint64(shift)
+    return np.bitwise_count(d)
+
+
+def _draw_block(spec: SynthSpec, layout: _Layout,
+                streams: Lockstep) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Token ids, lengths and latent bits of one document per stream.
+
+    Document j draws from stream j, in order: one coin per trait, its
+    length, then per token a uniform that picks marker (below pi) or
+    neutral. A marker draws its trait, then its index within the set its
+    latent bit selects, token j of n with weight 2^(n-1-j). A neutral
+    token after an earlier neutral one draws a uniform, and unless it
+    falls below the smoothing weight it draws among the earlier one's
+    chain successors; otherwise it draws uniformly from all neutral
+    tokens. All documents step through token positions together;
+    ``ids[j, length[j]:]`` is unset.
+    """
+    n = streams.state.shape[1]
+    bits = np.stack([streams.coin() for _ in TRAITS], axis=1).astype(np.intp)
+    lengths = spec.len_min + streams.randint(spec.len_max - spec.len_min + 1).astype(np.intp)
+    ids = np.empty((n, spec.len_max), dtype=np.int32)
+    prev = np.full(n, -1)  # each document's latest neutral token, -1 before the first
     n_neutral = len(spec.neutral_tokens)
-    tokens: list[str] = []
-    prev_neutral: int | None = None
-    for _ in range(length):
-        if rng.random() < spec.pi:
-            trait = TRAITS[rng.randint(len(TRAITS))]
-            pool = spec.markers[trait]["high" if bits[trait] else "low"]
-            tokens.append(pool[_skewed_marker_index(rng, len(pool))])
-        else:
-            if prev_neutral is None or rng.random() < spec.neutral_bigram_smoothing:
-                idx = rng.randint(n_neutral)
-            else:
-                successors = _chain_successors(prev_neutral, n_neutral)
-                idx = successors[rng.randint(len(successors))]
-            tokens.append(spec.neutral_tokens[idx])
-            prev_neutral = idx
-    return Document(raw_text=" ".join(tokens), tokens=tokens, labels=bits)
+    for pos in range(int(lengths.max(initial=0))):
+        rows = np.flatnonzero(lengths > pos)
+        marker = streams.random(rows) < spec.pi
+        chained = ~marker & (prev[rows] >= 0)
+        at = np.flatnonzero(chained)
+        chained[at] = streams.random(rows[at]) >= spec.neutral_bigram_smoothing
+        drawn = rows[marker]
+        trait = streams.randint(len(TRAITS), drawn).astype(np.intp)
+        pool = 2 * trait + 1 - bits[drawn, trait]
+        # every token's last draw: an index into its marker set, its
+        # predecessor's successors, or all neutral tokens
+        bound = np.full(len(rows), n_neutral, dtype=np.uint64)
+        bound[marker] = layout.set_bound[pool]
+        before = prev[rows[chained]]
+        bound[chained] = layout.n_successors[before]
+        r = streams.randint(bound, rows)
+        token = r.astype(np.intp)
+        token[chained] = layout.successors[before, token[chained]]
+        # r < 2^n - 2^(n-1-j) first holds at j = n - bit_length(2^n - 1 - r)
+        spare = bound[marker] - r[marker]
+        token[marker] = layout.set_offset[pool] + layout.set_size[pool] - _bit_length(spare)
+        ids[rows, pos] = token
+        prev[rows[~marker]] = token[~marker]
+    return ids, lengths, bits
 
 
 def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document], Lexicon]:
@@ -232,11 +290,21 @@ def synth_corpus(spec: SynthSpec, n_docs: int, rng: Rng) -> tuple[list[Document]
 
     Document i is drawn entirely from ``rng.spawn(i)``, so corpora are
     byte-identical across runs and independent of any parallel schedule.
+    Documents are drawn in blocks of at most SYNTH_BLOCK_ENTRIES token slots.
     """
     spec.validate()
     if n_docs < 0:
         raise TraitgenError(f"n_docs must be non-negative, got {n_docs}")
-    docs = [_synth_document(spec, rng.spawn(i)) for i in range(n_docs)]
+    layout = _Layout(spec)
+    per_block = max(1, SYNTH_BLOCK_ENTRIES // spec.len_max)
+    docs = []
+    for start in range(0, n_docs, per_block):
+        streams = Lockstep.spawned(rng, start, min(per_block, n_docs - start))
+        ids, lengths, bits = _draw_block(spec, layout, streams)
+        for row, length, labels in zip(ids, lengths.tolist(), bits.tolist()):
+            tokens = layout.tokens[row[:length]].tolist()
+            docs.append(Document(raw_text=" ".join(tokens), tokens=tokens,
+                                 labels=dict(zip(TRAITS, labels))))
     return docs, matched_lexicon(spec)
 
 

@@ -18,9 +18,10 @@ from .optim import (
     clip_global_norm,
     zero_grads,
 )
-from .rng import Rng
+from .rng import Lockstep, Rng
 
 __all__ = [
+    "Lockstep",
     "Matrix",
     "Parameter",
     "Rng",

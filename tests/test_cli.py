@@ -1193,6 +1193,27 @@ def test_spec_len_max_cap_is_inclusive(tmp_path) -> None:
     assert len(doc["text"].split()) == MAX_DOC_TOKENS
 
 
+@pytest.mark.parametrize("size, code", [(64, 0), (65, 2)])
+def test_synth_with_an_oversized_marker_set_exits_2_promptly(tmp_path, size, code) -> None:
+    """A 65-token set once sent synth into an endless rejection loop; it is
+    now one user error, and 64 tokens, the largest set, still work."""
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(_spec_with(("markers", "E", "high"), [f"ehx{j}" for j in range(size)]))
+    src = str(Path(traitgen.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "traitgen", "synth", "--spec", str(spec),
+                           "--n", "50", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code == 2:
+        assert done.stderr == "traitgen: error: token set E_high has 65 tokens, more than 64\n"
+        assert not out.exists()
+    else:
+        assert len((out / "corpus.jsonl").read_text(encoding="utf-8").splitlines()) == 50
+
+
 _SPEC_FIELDS = [("pi",), ("len_min",), ("len_max",), ("neutral_bigram_smoothing",),
                 ("neutral_tokens",), ("markers",),
                 *[("markers", t) for t in TRAITS],
@@ -1217,6 +1238,7 @@ _WRONG_TYPES = st.one_of(
 @example(path=("len_max",), value=1e30)
 @example(path=("len_max",), value=1_000_000_000)
 @example(path=("pi",), value=True)
+@example(path=("markers", "A", "low"), value=[f"alx{j}" for j in range(65)])  # one past the cap
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_spec_with_one_field_of_a_wrong_type_exits_0_or_2(path, value) -> None:
     """A mutated spec either round-trips its token sets or is one clean user error."""

@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from traitgen.errors import TraitgenError
 from traitgen.generator import BfpCondition, LstmConfig, LstmModel
 from traitgen.harness import (
+    MAX_MARKER_SET,
     SynthSpec,
+    _bit_length,
+    _chain_successors,
     _report,
     default_synth_spec,
     evaluate_generation,
@@ -23,7 +32,7 @@ from traitgen.lexicon import (
     scores_by_trait,
 )
 from traitgen.numeric import Rng
-from traitgen.textproc import Vocabulary, write_corpus, write_json
+from traitgen.textproc import Document, Vocabulary, write_corpus, write_json
 from traitgen.traits import HIGH, LOW, MEDIUM, TRAITS
 
 
@@ -76,6 +85,16 @@ def test_spec_rejects_empty_sets_and_bad_pi() -> None:
         spec.validate()
 
 
+def test_spec_caps_marker_sets_at_64_tokens() -> None:
+    spec = small_spec()
+    spec.markers["E"]["high"] = [f"ehi{j}" for j in range(MAX_MARKER_SET)]
+    spec.neutral_tokens = [f"n{j}" for j in range(MAX_MARKER_SET + 1)]  # neutral is uncapped
+    spec.validate()
+    spec.markers["O"]["low"] = [f"olo{j}" for j in range(MAX_MARKER_SET + 1)]
+    with pytest.raises(TraitgenError, match="token set O_low has 65 tokens, more than 64"):
+        spec.validate()
+
+
 def test_spec_file_roundtrip(tmp_path) -> None:
     spec = small_spec()
     path = tmp_path / "spec.json"
@@ -101,6 +120,28 @@ def test_corpus_is_byte_deterministic(tmp_path) -> None:
     write_corpus(p1, docs1)
     write_corpus(p2, docs2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def corpus_sha256(docs: list[Document]) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_corpus(path, docs)
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("n, seed, digest", [
+    (1, 0, "17fee4ff6d8f8ab6648f0a65b5e00f879430dab67d0c65b2e759aa2267f16f3e"),
+    (40, 0, "fe1287b6ec8e5221655149a804ba75e4c09dda42ff8d5adf24f0c0a3b294c4dd"),
+    (57, 1, "c1512f4eb12a5b72182614752cc262061811af03ce663ed65c51e7b9f08d65b7"),
+    (128, 12345, "5ad59a4ab5c20a80abbffe18fbd020e58b5f9a8db50fb9bc0e4204637a621391"),
+    (300, 2 ** 64 - 1, "62704d18000e97156be8f16e1540ce0a57006d0165fd3723edcd47063001bd80"),
+    (1500, 1, "243e879567e631136d9fe604195bef8ec29c797ee7d19b766baf5fdf21d42f73"),
+])
+def test_frozen_corpus_bytes(n, seed, digest) -> None:
+    # pins the draw order of the default corpus, as test_frozen_regression_values
+    # pins the generator: a reordered draw changes these bytes
+    docs, _ = synth_corpus(default_synth_spec(), n, Rng(seed))
+    assert corpus_sha256(docs) == digest
 
 
 def test_doc_lengths_respect_bounds_and_labels_present() -> None:
@@ -166,6 +207,89 @@ def test_counting_oracle_tracks_latent_bits_as_signal_grows() -> None:
                 correct += int(guess[t] == doc.labels[t])
     assert checked > 500
     assert correct / checked > 0.97
+
+
+# ----------------------------------------------------------- scalar reference
+
+
+def reference_marker_index(rng: Rng, n: int) -> int:
+    """Token j of a set of n carries weight 2^(n-1-j): walk the partial sums."""
+    r = rng.randint((1 << n) - 1)
+    acc = 0
+    for j in range(n):
+        acc += 1 << (n - 1 - j)
+        if r < acc:
+            return j
+    return n - 1
+
+
+def reference_document(spec: SynthSpec, rng: Rng) -> Document:
+    """One document, token by token, from one scalar stream."""
+    bits = {t: rng.coin() for t in TRAITS}
+    length = spec.len_min + rng.randint(spec.len_max - spec.len_min + 1)
+    n_neutral = len(spec.neutral_tokens)
+    tokens: list[str] = []
+    prev_neutral: int | None = None
+    for _ in range(length):
+        if rng.random() < spec.pi:
+            trait = TRAITS[rng.randint(len(TRAITS))]
+            pool = spec.markers[trait]["high" if bits[trait] else "low"]
+            tokens.append(pool[reference_marker_index(rng, len(pool))])
+        else:
+            if prev_neutral is None or rng.random() < spec.neutral_bigram_smoothing:
+                idx = rng.randint(n_neutral)
+            else:
+                successors = _chain_successors(prev_neutral, n_neutral)
+                idx = successors[rng.randint(len(successors))]
+            tokens.append(spec.neutral_tokens[idx])
+            prev_neutral = idx
+    return Document(raw_text=" ".join(tokens), tokens=tokens, labels=bits)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(values=st.lists(st.integers(1, 2 ** 64 - 1), max_size=20))
+@example(values=[1, 2, 3, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1, 2 ** 63, 2 ** 64 - 1])
+@example(values=[(1 << k) - 1 for k in range(1, 65)] + [1 << k for k in range(64)])
+def test_bit_length_is_exact_over_uint64(values) -> None:
+    got = _bit_length(np.array(values, dtype=np.uint64))
+    assert got.tolist() == [v.bit_length() for v in values]
+
+
+@st.composite
+def synth_specs(draw) -> SynthSpec:
+    sizes = draw(st.lists(st.integers(1, MAX_MARKER_SET), min_size=10, max_size=10))
+    sizes = iter(sizes)
+    markers = {t: {k: [f"{t.lower()}{k}{j}" for j in range(next(sizes))]
+                   for k in ("high", "low")} for t in TRAITS}
+    len_min = draw(st.integers(4, 12))
+    return SynthSpec(
+        neutral_tokens=[f"n{i}" for i in range(draw(st.integers(1, 40)))],
+        markers=markers,
+        pi=draw(st.just(1.0) | st.floats(0.0, 1.0, exclude_min=True)),
+        len_min=len_min,
+        len_max=len_min + draw(st.integers(0, 8)),
+        neutral_bigram_smoothing=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(spec=synth_specs(), n_docs=st.integers(0, 60), seed=st.integers(0, 2 ** 64 - 1))
+@example(spec=default_synth_spec(), n_docs=60, seed=2 ** 64 - 1)
+@example(spec=SynthSpec(  # 64- and 1-token sets; 34 neutral tokens dedupe to 2 successors
+    neutral_tokens=[f"n{i}" for i in range(34)],
+    markers={t: {"high": [f"{t}h{j}" for j in range(MAX_MARKER_SET)], "low": [f"{t}l"]}
+             for t in TRAITS},
+    pi=0.5, len_min=12, len_max=12, neutral_bigram_smoothing=0.0), n_docs=60, seed=0)
+def test_synth_corpus_equals_the_scalar_reference(spec, n_docs, seed) -> None:
+    """Document i is the token-by-token draw from ``rng.spawn(i)``, whatever
+    the set sizes, successor lists, pi and smoothing."""
+    docs, _ = synth_corpus(spec, n_docs, Rng(seed))
+    expected = [reference_document(spec, Rng(seed).spawn(i)) for i in range(n_docs)]
+    assert [d.tokens for d in docs] == [d.tokens for d in expected]
+    assert [d.raw_text for d in docs] == [d.raw_text for d in expected]
+    assert [d.labels for d in docs] == [d.labels for d in expected]
+    assert all(type(v) is int for d in docs for v in d.labels.values())
+    assert corpus_sha256(docs) == corpus_sha256(expected)
 
 
 # ------------------------------------------------------------ matched lexicon

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitgen.errors import TraitgenError
-from traitgen.numeric.rng import Rng, _splitmix_at, _splitmix_range
+from traitgen.numeric.rng import Lockstep, Rng, _splitmix_at, _splitmix_range
 
 
 def test_splitmix64_matches_published_seed0_sequence() -> None:
@@ -74,6 +74,19 @@ def test_randint_rejects_nonpositive_bound() -> None:
         Rng(0).randint(0)
 
 
+def test_randint_bound_of_2_to_the_64_is_the_raw_draw_and_beyond_raises() -> None:
+    a, b = Rng(3), Rng(3)
+    assert a.randint(2 ** 64) == b.next_uint64()
+    # past 2**64 no draw could be accepted: an error, not an endless rejection loop
+    for n in (2 ** 64 + 1, (1 << 65) - 1):
+        with pytest.raises(TraitgenError, match=r"randint bound must be at most 2\*\*64"):
+            a.randint(n)
+        with pytest.raises(TraitgenError, match=r"randint bound must be at most 2\*\*64"):
+            Lockstep.spawned(a, 0, 2).randint(n)
+    with pytest.raises(TraitgenError, match="randint bound must be positive"):
+        Lockstep.spawned(a, 0, 2).randint(np.array([3, 0], dtype=np.uint64))
+
+
 def test_shuffle_is_deterministic_and_a_permutation() -> None:
     items1 = list(range(30))
     items2 = list(range(30))
@@ -102,3 +115,58 @@ def test_vector_splitmix_equals_the_scalar_outputs(seed, n) -> None:
     block = _splitmix_range(seed, n)
     assert block.dtype == np.uint64 and block.shape == (n,)
     assert [int(z) for z in block] == [_splitmix_at(seed, j) for j in range(n)]
+
+
+# bounds that exercise the rejection rule: 2**63 + 1 rejects about half of
+# all draws, 2**64 - 1 rejects one value, 1 and powers of two accept every draw
+_BOUNDS = (st.sampled_from([1, 2, 5, 2 ** 63, 2 ** 63 + 1, 2 ** 64 - 1])
+           | st.integers(1, 2 ** 64 - 1))
+_OPS = st.one_of(
+    st.tuples(st.sampled_from(["next_uint64", "random", "coin"])),
+    st.tuples(st.just("randint"), _BOUNDS | st.just(2 ** 64)),
+    st.tuples(st.just("randint_per_row"), st.lists(_BOUNDS, min_size=12, max_size=12)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 64 - 1), start=st.integers(0, 2 ** 40), n=st.integers(0, 12),
+       draws=st.lists(st.tuples(_OPS, st.lists(st.booleans(), min_size=12, max_size=12)
+                                | st.none()), max_size=25))
+@example(seed=0, start=0, n=3, draws=[(("randint", 2 ** 63 + 1), None)] * 8)
+@example(seed=2 ** 64 - 1, start=7, n=5,
+         draws=[(("randint_per_row", [2 ** 63 + 1, 1, 2 ** 64 - 1] * 4), [True] * 12)] * 8)
+def test_lockstep_streams_equal_the_scalar_streams(seed, start, n, draws) -> None:
+    """Each lockstep stream draws the scalar values of ``spawn(start + j)`` and
+    ends in its state, whichever subsets of streams draw in between."""
+    rng = Rng(seed)
+    lockstep = Lockstep.spawned(rng, start, n)
+    scalar = [rng.spawn(start + j) for j in range(n)]
+    assert lockstep.state.dtype == np.uint64 and lockstep.state.shape == (4, n)
+    assert [lockstep.state[:, j].tolist() for j in range(n)] == [s._s for s in scalar]
+    for (op, *bound), chosen in draws:
+        rows = None if chosen is None else np.flatnonzero(chosen[:n])
+        picked = range(n) if rows is None else rows.tolist()
+        if op == "randint":
+            got = lockstep.randint(bound[0], rows)
+            expected = [scalar[j].randint(bound[0]) for j in picked]
+        elif op == "randint_per_row":
+            got = lockstep.randint(np.array([bound[0][j] for j in picked], dtype=np.uint64), rows)
+            expected = [scalar[j].randint(bound[0][j]) for j in picked]
+        else:
+            got = getattr(lockstep, op)(rows)
+            expected = [getattr(scalar[j], op)() for j in picked]
+        assert got.dtype == (np.float64 if op == "random" else np.uint64)
+        assert got.tolist() == expected
+    assert [lockstep.state[:, j].tolist() for j in range(n)] == [s._s for s in scalar]
+
+
+def test_lockstep_of_and_store_round_trip_stream_states() -> None:
+    streams = [Rng(5).spawn(j) for j in range(4)]
+    streams[2].next_uint64()
+    lockstep = Lockstep.of(streams)
+    expected = [s.next_uint64() for s in streams]
+    assert lockstep.next_uint64().tolist() == expected
+    fresh = Rng(0)
+    lockstep.store(2, fresh)
+    assert fresh._s == streams[2]._s
+    assert Lockstep.of([]).state.shape == (4, 0)
