@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
+import numpy as np
+
 from . import __version__
 from .checkpoint import load_model
 from .classifier import CnnConfig, train_classifier, label_corpus
@@ -31,7 +33,7 @@ from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_
                       render_table, synth_corpus)
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
                       save_lexicon, save_thresholds, score_tokens, scores_by_trait)
-from .numeric import Rng
+from .numeric import Lockstep, Rng
 from .textproc import UNK_ID, read_corpus, write_corpus, write_json, write_jsonl, write_lines
 from .traits import TRAITS
 
@@ -272,9 +274,9 @@ def cmd_generate(o: dict[str, Any]) -> Path:
                 f"{exc} (valid syntax: \"E=1,A=0,C=1,N=0,O=1\", each trait exactly once)"
             ) from exc
     pool = _read_seed_pool(o["seed-pool"])
-    rng = Rng(o["seed"])
-    streams = [rng.spawn(i) for i in range(n)]  # per-text streams: output independent of batching
-    texts = generate(model, [condition] * n, pool, streams,
+    cond = None if condition is None else np.tile(condition.bits, (n, 1))
+    # text i draws from stream i: output independent of batching
+    texts = generate(model, cond, pool, Lockstep.spawned(Rng(o["seed"]), 0, n),
                      temperature=o["temperature"], max_len=o["max-len"])
     out = _out_file(o["out"])
     write_jsonl(out, ({
@@ -321,7 +323,7 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
     baseline = load_model(o["baseline"], "lstm")
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"])
-    if not any(token in model.vocab for token in lexicon.all_entry_tokens()):
+    if not any(map(lexicon.hits, model.vocab)):
         raise TraitgenError("model vocabulary shares no tokens with the lexicon")
     pool = _read_seed_pool(o["seed-pool"])
     report, records = evaluate_generation(

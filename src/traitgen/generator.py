@@ -17,8 +17,7 @@ tail is trimmed before returning. Texts decode in chunks of
 ``DECODE_CHUNK`` rows; when there are two or more chunks, the caller's
 thread and one helper thread each take the next undone chunk until none
 is left. A chunk's tokens do not depend on the thread that decodes it,
-nor on when. Each step draws the live rows' uniforms in lockstep, and a
-row's stream is left where the row's last draw left it.
+nor on when. Each step draws the live rows' uniforms in lockstep.
 """
 
 from __future__ import annotations
@@ -235,8 +234,7 @@ def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray,
     return h, c, (i, f, g, o, tanh_c)
 
 
-def _check_condition_arity(model: LstmModel,
-                           condition: BfpCondition | np.ndarray | None) -> None:
+def _check_condition_arity(model: LstmModel, condition: np.ndarray | None) -> None:
     if model.config.cond_dim == 5 and condition is None:
         raise TraitgenError("this model is conditional: a five-bit condition is required")
     if model.config.cond_dim == 0 and condition is not None:
@@ -433,13 +431,14 @@ class _Row:
         return False
 
 
-def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool: list[str],
-             streams: list[Rng], *, temperature: float | None = None,
+def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
+             streams: Lockstep, *, temperature: float | None = None,
              max_len: int | None = None) -> list[list[str]]:
-    """Sample one short text per row; returns the token lists in row order.
+    """Sample one short text per stream; returns the token lists in row order.
 
-    Row r decodes under ``conditions[r]`` and draws only from
-    ``streams[r]``: first its seed word, uniformly from the pool, then one
+    Row r decodes under the 0/1 bits ``cond[r]`` (order E A C N O; ``cond``
+    is None for an unconditional model) and draws only from stream r of
+    ``streams``: first its seed word, uniformly from the pool, then one
     ``random()`` per sampled token. BOS and the seed are fed before
     free-running sampling starts. Rows run in chunks of DECODE_CHUNK in
     which every live row steps together, and a row's tokens do not depend
@@ -447,12 +446,13 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
     thread, which lives for this call only, each decode the next undone
     chunk until none is left; an exception in either is raised here.
     Temperatures below 1e-6 switch to argmax decoding, which draws nothing
-    after the seed word and is deterministic per seed word.
+    after the seed word and is deterministic per seed word. The streams'
+    state after the call is unspecified.
     """
-    if len(conditions) != len(streams):
-        raise TraitgenError(f"{len(conditions)} conditions for {len(streams)} streams")
-    for condition in conditions:
-        _check_condition_arity(model, condition)
+    n = streams.state.shape[1]
+    if cond is not None and np.shape(cond) != (n, len(TRAITS)):
+        raise TraitgenError(f"condition array of shape {np.shape(cond)} for {n} streams")
+    _check_condition_arity(model, cond)
     if not seed_pool:
         raise TraitgenError("seed pool is empty")
     missing = [t for t in seed_pool if t not in model.vocab]
@@ -468,9 +468,10 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
     if max_len < 1:
         raise TraitgenError(f"max_len must be >= 1, got {max_len}")
 
-    seed_ids = [model.vocab.id_of(seed_pool[s.randint(len(seed_pool))]) for s in streams]
-    cond = np.array([c.bits for c in conditions], dtype=np.float64) if cfg.cond_dim else None
-    n_chunks = -(-len(streams) // DECODE_CHUNK)
+    seed_ids = [model.vocab.id_of(seed_pool[i]) for i in streams.randint(len(seed_pool)).tolist()]
+    if cond is not None:
+        cond = np.asarray(cond, dtype=np.float64)
+    n_chunks = -(-n // DECODE_CHUNK)
     undone = iter(range(n_chunks))
     take = threading.Lock()
     decoded: list[list[list[int]]] = [[] for _ in range(n_chunks)]
@@ -484,7 +485,8 @@ def generate(model: LstmModel, conditions: list[BfpCondition | None], seed_pool:
                 return
             chunk = slice(j * DECODE_CHUNK, (j + 1) * DECODE_CHUNK)
             decoded[j] = _decode_chunk(model, None if cond is None else cond[chunk],
-                                       seed_ids[chunk], streams[chunk], temperature, max_len)
+                                       seed_ids[chunk], Lockstep(streams.state[:, chunk].copy()),
+                                       temperature, max_len)
 
     if n_chunks > 1:
         # imported here: concurrent.futures loads logging, about half a MiB
@@ -515,8 +517,9 @@ def _step(model: LstmModel, token_ids: np.ndarray, cond: np.ndarray | None,
 
 
 def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int],
-                  streams: list[Rng], temperature: float, max_len: int) -> list[list[int]]:
-    """Decode one chunk; a finished row leaves the stepped batch at once."""
+                  streams: Lockstep, temperature: float, max_len: int) -> list[list[int]]:
+    """Decode one chunk, drawing from ``streams``, which it owns; a finished
+    row leaves the stepped batch at once."""
     cfg = model.config
     out_w, out_b = model.out_w.value, model.out_b.value
     # EOS and every real token are sampleable, PAD/UNK/BOS never are; the
@@ -529,7 +532,6 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
         return [row.ids for row in rows]
     live = list(range(len(rows)))
     # column j holds the stream of row live[j], compacted with h and c
-    draws = None if greedy else Lockstep.of(streams)
     h = np.zeros((len(rows), cfg.hidden_dim))
     c = np.zeros_like(h)
     h, c = _step(model, np.full(len(rows), BOS_ID), cond, h, c)
@@ -544,20 +546,15 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
             probs = np.exp(scaled)
             probs /= probs.sum(axis=1, keepdims=True)
             cum = np.cumsum(probs, axis=1)
-            u = draws.random()
+            u = streams.random()
             picks = np.minimum((cum <= u[:, None]).sum(axis=1), n_allowed - 1)
         next_ids = picks + EOS_ID
-        keep = []
-        for j, (r, token_id) in enumerate(zip(live, next_ids.tolist())):
-            if token_id != EOS_ID and not rows[r].push(token_id) and len(rows[r].ids) < max_len:
-                keep.append(j)
-            elif draws is not None:  # the row is done: its stream takes the state it reached
-                draws.store(j, streams[r])
+        keep = [j for j, (r, token_id) in enumerate(zip(live, next_ids.tolist()))
+                if token_id != EOS_ID and not rows[r].push(token_id) and len(rows[r].ids) < max_len]
         if len(keep) < len(live):
             live = [live[j] for j in keep]
             h, c, next_ids = h[keep], c[keep], next_ids[keep]
-            if draws is not None:
-                draws.state = draws.state[:, keep]
+            streams.state = streams.state[:, keep]
             if cond is not None:
                 cond = cond[keep]
         if live:

@@ -56,8 +56,6 @@ _CHAIN_STRIDE = 17
 # distribution slightly to read out the planted signal.
 EVAL_TEMPERATURE = 0.7
 
-_UNCONDITIONAL_STREAM_BASE = 10
-
 # Longest document a spec may ask for; synth's time and memory grow with len_max.
 MAX_DOC_TOKENS = 10_000
 # Largest marker set: its halving-weight draw takes a bound of 2**size - 1,
@@ -385,8 +383,10 @@ def evaluate_generation(
     Text j of the batch for dimension d and polarity p uses the derived
     stream ``(d*2 + p) * n + j``; the shared unconditional pool uses
     streams ``10*n + j``. Results are therefore independent of evaluation
-    order. The four unconstrained bits are redrawn uniformly per text.
-    Records list the conditional texts first, then the unconditional ones.
+    order. A conditional text's condition is its stream's first five
+    coins, with bit d then pinned to p, so the four unconstrained bits are
+    uniform per text. Records list the conditional texts first, then the
+    unconditional ones.
     """
     if model.config.cond_dim != 5:
         raise TraitgenError("evaluation needs a conditional model (cond_dim 5)")
@@ -398,33 +398,33 @@ def evaluate_generation(
     counts = {t: {row: dict.fromkeys(LEVELS, 0) for row in _ROWS} for t in TRAITS}
     records: list[dict] = []
 
-    def run(generator, slots, conditions, streams) -> None:
+    def run(generator, slots, cond, streams) -> None:
         """Generate, score and tally one batch; ``slots[i]`` is (trait or None, row)."""
-        texts = generate(generator, conditions, seed_pool, streams,
+        texts = generate(generator, cond, seed_pool, streams,
                          temperature=temperature, max_len=max_len)
-        for (trait, row), condition, tokens in zip(slots, conditions, texts):
+        bits = [None] * len(texts) if cond is None else cond.tolist()
+        for (trait, row), text_bits, tokens in zip(slots, bits, texts):
             levels = assign_levels(score_tokens(tokens, lexicon), thresholds)
             for t in TRAITS if trait is None else (trait,):
                 counts[t][row][levels[t]] += 1
             records.append({
                 "dimension": trait,
-                "condition": None if condition is None else condition.to_string(),
+                "condition": None if text_bits is None else BfpCondition(*text_bits).to_string(),
                 "text": " ".join(tokens),
                 "levels": levels,
             })
 
-    slots, conditions, streams = [], [], []
+    n = n_per_condition
+    n_conditional = 2 * len(TRAITS) * n  # column (2d + p) * n + j: text j of (d, p)
+    streams = Lockstep.spawned(rng, 0, n_conditional)
+    cond = np.stack([streams.coin() for _ in TRAITS], axis=1)
+    slots = []
     for di, trait in enumerate(TRAITS):
         for polarity in (0, 1):
-            for j in range(n_per_condition):
-                stream = rng.spawn((di * 2 + polarity) * n_per_condition + j)
-                bits = [stream.coin() for _ in TRAITS]
-                bits[di] = polarity
-                slots.append((trait, _ROWS[polarity]))
-                conditions.append(BfpCondition(*bits))
-                streams.append(stream)
-    run(model, slots, conditions, streams)
-    run(baseline, [(None, "unconditional")] * n_per_condition, [None] * n_per_condition,
-        [rng.spawn(_UNCONDITIONAL_STREAM_BASE * n_per_condition + j)
-         for j in range(n_per_condition)])
-    return _report(counts, n_per_condition), records
+            block = (di * 2 + polarity) * n
+            cond[block:block + n, di] = polarity
+            slots += [(trait, _ROWS[polarity])] * n
+    run(model, slots, cond, streams)
+    run(baseline, [(None, "unconditional")] * n, None,
+        Lockstep.spawned(rng, n_conditional, n))
+    return _report(counts, n), records

@@ -77,14 +77,6 @@ class Lexicon:
             )
         return found
 
-    def all_entry_tokens(self) -> set[str]:
-        """Literal entries plus wildcard stems, for vocabulary-overlap checks."""
-        out: set[str] = set()
-        for cat in self.categories:
-            out |= cat.literals
-            out |= set(cat.prefixes)
-        return out
-
 
 def _parse_entries(name: str, entries: Iterable[str]) -> Category:
     literals: set[str] = set()

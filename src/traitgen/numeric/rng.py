@@ -12,8 +12,10 @@ mod 2**64 exactly as the masked scalar ones do; weight initialisation
 draws one key from a stream and expands it this way.
 
 Stream derivation: ``Rng(seed).spawn(i)`` reseeds from the ``(i + 1)``-th
-splitmix64 output of ``seed``. Parallel work items should each take
-``spawn(item_index)`` so results never depend on scheduling order.
+splitmix64 output of ``seed``. Work items that may run in any order or
+batching each take their own stream, item i stream i, so results never
+depend on scheduling; many items take theirs as the columns of one
+``Lockstep.spawned(rng, 0, n)``.
 
 :class:`Lockstep` steps many xoshiro256** streams together: their four
 state words live in one (4, n) ``uint64`` array, and each draw advances
@@ -155,15 +157,6 @@ class Lockstep:
         seeds = _splitmix_range(rng.seed, n, 4 + start)
         return cls(np.stack([_mix_words(seeds + np.uint64(((i + 1) * _GOLDEN) & _MASK))
                              for i in range(4)]))
-
-    @classmethod
-    def of(cls, streams: list[Rng]) -> "Lockstep":
-        """The streams' current states, which the caller writes back with :meth:`store`."""
-        return cls(np.array([s._s for s in streams], dtype=np.uint64).reshape(-1, 4).T.copy())
-
-    def store(self, column: int, rng: Rng) -> None:
-        """Give ``rng`` the state of stream ``column``."""
-        rng._s = self.state[:, column].tolist()
 
     def next_uint64(self, rows: np.ndarray | None = None) -> np.ndarray:
         s = self.state if rows is None else self.state[:, rows]

@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -145,6 +145,10 @@ class Vocabulary:
 
     def __contains__(self, token: str) -> bool:
         return token in self._token_to_id
+
+    def __iter__(self) -> Iterator[str]:
+        """The non-special tokens, raw, in id order."""
+        return iter(self._token_to_id)
 
     def id_of(self, token: str) -> int:
         return self._token_to_id.get(token, UNK_ID)

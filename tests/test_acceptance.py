@@ -49,7 +49,7 @@ from traitgen.lexicon import (
     scores_by_trait,
     trait_scores,
 )
-from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy
+from traitgen.numeric import Lockstep, Matrix, Rng, gradient_check, masked_cross_entropy
 from traitgen.textproc import Vocabulary, encode, read_corpus
 from traitgen.traits import HIGH, LOW, TRAITS
 
@@ -293,8 +293,8 @@ def test_criterion_6_decoding_contract():
     condition = BfpCondition(1, 0, 1, 0, 1)
     violations = 0
     rng = Rng(606)
-    outs = generate(model, [condition] * 10000, pool, [rng.spawn(i) for i in range(10000)],
-                    temperature=1.0, max_len=max_len)
+    outs = generate(model, np.tile(condition.bits, (10000, 1)), pool,
+                    Lockstep.spawned(rng, 0, 10000), temperature=1.0, max_len=max_len)
     for out in outs:
         if specials & set(out):
             violations += 1
@@ -303,10 +303,9 @@ def test_criterion_6_decoding_contract():
         elif any(out[j] == out[j + 1] == out[j + 2] for j in range(len(out) - 2)):
             violations += 1
 
-    seeds = (1, 22, 333)
     greedy_runs = {
-        tuple(out) for out in generate(model, [condition] * len(seeds), ["w7"],
-                                       [Rng(s) for s in seeds], temperature=0.0,
+        tuple(out) for out in generate(model, np.tile(condition.bits, (3, 1)), ["w7"],
+                                       Lockstep.spawned(rng, 10000, 3), temperature=0.0,
                                        max_len=max_len)
     }
     ok = violations == 0 and len(greedy_runs) == 1

@@ -898,6 +898,48 @@ def test_evaluate_is_byte_identical_across_reruns_with_two_blas_threads(
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_frozen_decoding_bytes(tmp_path, small_spec_path) -> None:
+    """Pins the bytes that generate and evaluate write on a tiny seeded
+    pipeline: a reordered stream draw or a changed decoding step changes
+    them. 130 texts make three decoding chunks, so both threads decode."""
+    data, gen, base = tmp_path / "data", tmp_path / "gen", tmp_path / "base"
+    assert run("synth", "--spec", str(small_spec_path), "--n", "60", "--seed", "3",
+               "--out", str(data)) == 0
+    for out, extra in ((gen, ()), (base, ("--unconditional",))):
+        assert run("train-generator", "--corpus", str(data / "corpus.jsonl"), "--out", str(out),
+                   "--epochs", "2", "--embed-dim", "6", "--hidden-dim", "8",
+                   "--max-len", "16", "--seed", "4", *extra) == 0
+    thresholds, pool = tmp_path / "thresholds.json", tmp_path / "pool.txt"
+    assert run("calibrate", "--lexicon", str(data / "lexicon.json"),
+               "--in", str(data / "corpus.jsonl"), "--out", str(thresholds)) == 0
+    pool.write_text("\n".join(f"w{i:03d}" for i in range(8)), encoding="utf-8")
+    digests = {}
+    for temperature in ("1.0", "0.0"):
+        out = tmp_path / f"texts-{temperature}.jsonl"
+        assert run("generate", "--model", str(gen / "generator.json"),
+                   "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "130",
+                   "--seed-pool", str(pool), "--temperature", temperature, "--seed", "5",
+                   "--out", str(out)) == 0
+        digests[f"generate-{temperature}"] = _sha256(out)
+    ev = tmp_path / "eval"
+    assert run("evaluate", "--model", str(gen / "generator.json"),
+               "--baseline", str(base / "generator.json"), "--lexicon", str(data / "lexicon.json"),
+               "--thresholds", str(thresholds), "--n-per-condition", "13",
+               "--seed-pool", str(pool), "--seed", "7", "--out", str(ev)) == 0
+    for name in ("report.json", "generations.jsonl"):
+        digests[name] = _sha256(ev / name)
+    assert digests == {
+        "generate-1.0": "102ad8b51f18a245f0896a45de78c742340d1c79854e948dfca687574efb2651",
+        "generate-0.0": "a0d31908b2ea2b7ef151e5437165fef6d04d0c554d41489f3e9d08f42469716c",
+        "report.json": "fa63994ddd1d6f9eaa42152481baa4e292edd88c948e3eac4e01fde0e748a52d",
+        "generations.jsonl": "364279a96e60651e28182e4a418fe52139aec433c45504e0d187e27cabc7af69",
+    }
+
+
 def test_evaluate_vocabulary_mismatch_exits_2(tmp_path, pipeline) -> None:
     alien_lexicon = tmp_path / "alien.json"
     alien_lexicon.write_text(json.dumps({
@@ -911,6 +953,26 @@ def test_evaluate_vocabulary_mismatch_exits_2(tmp_path, pipeline) -> None:
                "--thresholds", str(pipeline["thresholds"]),
                "--n-per-condition", "2", "--seed-pool", str(pipeline["pool"]),
                "--out", str(tmp_path / "ev")) == 2
+
+
+@pytest.mark.parametrize("entries, code", [
+    (["w00*"], 0),
+    (["zz*", "zzzz"], 2),
+], ids=["wildcard-matching-vocabulary", "nothing-matching-vocabulary"])
+def test_evaluate_needs_a_vocabulary_token_the_lexicon_matches(tmp_path, pipeline, capsys,
+                                                               entries, code) -> None:
+    """The overlap check matches vocabulary tokens as scoring does, so a
+    lexicon of wildcards alone is accepted when a wildcard matches."""
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_bytes(_lexicon_with([1, 0, 0, 0, 0], entries=entries))
+    assert run("evaluate", "--model", str(pipeline["generator"]),
+               "--baseline", str(pipeline["baseline"]),
+               "--lexicon", str(lexicon),
+               "--thresholds", str(pipeline["thresholds"]),
+               "--n-per-condition", "2", "--seed-pool", str(pipeline["pool"]),
+               "--out", str(tmp_path / "ev")) == code
+    err = capsys.readouterr().err
+    assert ("model vocabulary shares no tokens with the lexicon" in err) == (code == 2)
 
 
 # ------------------------------------------------------------------ config file

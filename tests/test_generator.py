@@ -29,7 +29,7 @@ from traitgen.generator import (
     _forward,
     _train_batch,
 )
-from traitgen.numeric import Matrix, Rng, gradient_check, masked_cross_entropy, zero_grads
+from traitgen.numeric import Lockstep, Matrix, Rng, gradient_check, masked_cross_entropy, zero_grads
 from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
@@ -60,9 +60,14 @@ def all_high() -> BfpCondition:
     return BfpCondition(1, 1, 1, 1, 1)
 
 
-def cond_row(condition: BfpCondition) -> np.ndarray:
-    """The (1, 5) condition input of a one-text batch."""
-    return np.array([condition.bits], dtype=np.float64)
+def streams_of(seed: int, n: int) -> Lockstep:
+    """The decoding streams ``Rng(seed).spawn(r)`` for r in [0, n)."""
+    return Lockstep.spawned(Rng(seed), 0, n)
+
+
+def cond_row(*conditions: BfpCondition) -> np.ndarray:
+    """The (n, 5) condition input of n texts, one row per condition."""
+    return np.array([c.bits for c in conditions], dtype=np.float64)
 
 
 def forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
@@ -416,13 +421,13 @@ def forced_token_model(token: str = "w1", n_tokens: int = 4) -> LstmModel:
 
 def test_forced_repetition_stops_and_trims_to_two_copies() -> None:
     model = forced_token_model("w1")
-    out = generate(model, [None], ["w0"], [Rng(3)])[0]
+    out = generate(model, None, ["w0"], streams_of(3, 1))[0]
     assert out == ["w0", "w1", "w1"]
 
 
 def test_seed_equal_to_forced_token_still_obeys_run_limit() -> None:
     model = forced_token_model("w1")
-    out = generate(model, [None], ["w1"], [Rng(3)])[0]
+    out = generate(model, None, ["w1"], streams_of(3, 1))[0]
     assert out == ["w1", "w1"]
 
 
@@ -541,32 +546,27 @@ def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool
 @pytest.mark.parametrize("cond_dim", [5, 0])
 def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
         cond_dim: int, temperature: float, max_len: int) -> None:
-    """Row r gives the reference loop's tokens and leaves its stream where
-    the reference leaves it, whatever the batch it is decoded in."""
+    """Row r gives the reference loop's tokens on stream ``spawn(r)``,
+    whatever the batch it is decoded in."""
     model = make_model(n_tokens=10, k=4, h=6, cond=cond_dim, max_len=16, seed=211 + cond_dim)
     pool = ["w0", "w3", "w7", "w9"]
     n = 500
     conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) if cond_dim else None
                   for r in range(n)]
-
-    def streams() -> list[Rng]:
-        return [Rng(977).spawn(r) for r in range(n)]
-
-    ref_streams = streams()
-    ref = [reference_decode(model, cond, pool, stream, temperature, max_len)
-           for cond, stream in zip(conditions, ref_streams)]
+    ref = [reference_decode(model, cond, pool, Rng(977).spawn(r), temperature, max_len)
+           for r, cond in enumerate(conditions)]
     expected = [[model.vocab.token_of(i) for i in ids] for ids, _ in ref]
-    ref_next = [stream.next_uint64() for stream in ref_streams]
     if temperature > 0 and max_len == 16:  # every stop rule is exercised
         assert {reason for _, reason in ref} == {"eos", "run", "ngram", "max_len"}
     for batch in (1, 7, 64, 65, 500):
-        rows = streams()
         got = []
         for s in range(0, n, batch):
-            got += generate(model, conditions[s:s + batch], pool, rows[s:s + batch],
+            batch_rows = range(s, min(s + batch, n))
+            cond = cond_row(*(conditions[r] for r in batch_rows)) if cond_dim else None
+            got += generate(model, cond, pool,
+                            Lockstep.spawned(Rng(977), s, len(batch_rows)),
                             temperature=temperature, max_len=max_len)
         assert got == expected, f"batch size {batch}"
-        assert [stream.next_uint64() for stream in rows] == ref_next, f"batch size {batch}"
 
 
 def test_sampleable_ids_are_the_range_from_eos() -> None:
@@ -579,35 +579,29 @@ def test_sampleable_ids_are_the_range_from_eos() -> None:
 @pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 def test_two_thread_decoding_equals_the_serial_chunk_loop(n: int, temperature: float) -> None:
-    """generate's texts and final stream states are those of _decode_chunk
-    called chunk by chunk on one thread, however the threads interleave."""
+    """generate's texts are those of _decode_chunk called chunk by chunk on
+    one thread, however the threads interleave."""
     model = make_model(n_tokens=30, k=8, h=32, cond=5, max_len=16, seed=223)
     pool = ["w0", "w3", "w7", "w9"]
-    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
-
-    def streams() -> list[Rng]:
-        return [Rng(991).spawn(r) for r in range(n)]
-
-    serial = streams()
-    seed_ids = [model.vocab.id_of(pool[s.randint(len(pool))]) for s in serial]
-    cond = np.array([c.bits for c in conditions], dtype=np.float64)
+    cond = cond_row(*(BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)))
+    serial = streams_of(991, n)
+    seed_ids = [model.vocab.id_of(pool[i]) for i in serial.randint(len(pool)).tolist()]
     expected = []
     for start in range(0, n, DECODE_CHUNK):
         chunk = slice(start, start + DECODE_CHUNK)
         expected += [[model.vocab.token_of(i) for i in ids]
                      for ids in _decode_chunk(model, cond[chunk], seed_ids[chunk],
-                                              serial[chunk], temperature, 16)]
-    rows = streams()
+                                              Lockstep(serial.state[:, chunk].copy()),
+                                              temperature, 16)]
     threads_before = threading.active_count()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # switch threads often, to shuffle the chunks between them
     try:
-        got = generate(model, conditions, pool, rows, temperature=temperature)
+        got = generate(model, cond, pool, streams_of(991, n), temperature=temperature)
     finally:
         sys.setswitchinterval(interval)
     assert threading.active_count() == threads_before
     assert got == expected
-    assert [s.next_uint64() for s in rows] == [s.next_uint64() for s in serial]
 
 
 @pytest.mark.parametrize("failing", [0, 1])
@@ -615,37 +609,42 @@ def test_a_failing_chunk_raises_in_the_caller_and_leaves_no_thread(
         monkeypatch, failing: int) -> None:
     model = make_model(cond=0, max_len=8)
     n = 3 * DECODE_CHUNK
-    streams = [Rng(5).spawn(r) for r in range(n)]
+    # a chunk is known by its first stream's state after the seed-word draw
+    firsts = streams_of(5, n)
+    firsts.randint(1)
+    failing_first = firsts.state[:, failing * DECODE_CHUNK].tolist()
     error = RuntimeError(f"chunk {failing} failed")
     decode = traitgen.generator._decode_chunk
 
     def flaky(model, cond, seed_ids, chunk_streams, *args):
-        if chunk_streams[0] is streams[failing * DECODE_CHUNK]:
+        if chunk_streams.state[:, 0].tolist() == failing_first:
             raise error
         return decode(model, cond, seed_ids, chunk_streams, *args)
 
     monkeypatch.setattr(traitgen.generator, "_decode_chunk", flaky)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError) as caught:
-        generate(model, [None] * n, ["w0"], streams)
+        generate(model, None, ["w0"], streams_of(5, n))
     assert caught.value is error
     assert threading.active_count() == threads_before
 
 
 def test_generate_rows_must_match_streams_and_model() -> None:
     model = make_model(cond=5)
-    with pytest.raises(TraitgenError, match="1 conditions for 2 streams"):
-        generate(model, [all_high()], ["w0"], [Rng(0), Rng(1)])
+    with pytest.raises(TraitgenError, match=r"condition array of shape \(1, 5\) for 2 streams"):
+        generate(model, cond_row(all_high()), ["w0"], streams_of(0, 2))
+    with pytest.raises(TraitgenError, match=r"condition array of shape \(2, 4\) for 2 streams"):
+        generate(model, cond_row(all_high(), all_high())[:, :4], ["w0"], streams_of(0, 2))
     with pytest.raises(TraitgenError, match="this model is conditional"):
-        generate(model, [all_high(), None], ["w0"], [Rng(0), Rng(1)])
-    assert generate(model, [], ["w0"], []) == []
+        generate(model, None, ["w0"], streams_of(0, 2))
+    assert generate(model, np.zeros((0, 5)), ["w0"], streams_of(0, 0)) == []
 
 
 def test_generation_respects_contract_over_many_samples() -> None:
     model = make_model(n_tokens=6, k=4, h=6, cond=5, max_len=12, seed=71)
     pool = ["w0", "w3"]
     specials = {"<pad>", "<s>", "<unk>"}
-    outs = generate(model, [all_high()] * 300, pool, [Rng(1000 + i) for i in range(300)],
+    outs = generate(model, cond_row(*[all_high()] * 300), pool, streams_of(1000, 300),
                     temperature=1.0)
     for out in outs:
         assert 1 <= len(out) <= 12
@@ -658,31 +657,30 @@ def test_generation_respects_contract_over_many_samples() -> None:
 def test_generation_deterministic_given_seed() -> None:
     model = make_model(n_tokens=8, cond=5, seed=73)
     pool = ["w0", "w1", "w2"]
-    a = generate(model, [all_high()], pool, [Rng(42)], temperature=0.9)[0]
-    b = generate(model, [all_high()], pool, [Rng(42)], temperature=0.9)[0]
+    a = generate(model, cond_row(all_high()), pool, streams_of(42, 1), temperature=0.9)[0]
+    b = generate(model, cond_row(all_high()), pool, streams_of(42, 1), temperature=0.9)[0]
     assert a == b
 
 
 def test_greedy_mode_deterministic_per_seed_word() -> None:
     model = make_model(n_tokens=8, cond=0, seed=79)
-    seeds = (1, 2, 3, 99)
-    outs = {tuple(out) for out in generate(model, [None] * len(seeds), ["w5"],
-                                           [Rng(seed) for seed in seeds], temperature=0.0)}
+    outs = {tuple(out) for out in generate(model, None, ["w5"], streams_of(1, 4),
+                                           temperature=0.0)}
     assert len(outs) == 1
 
 
 def test_max_len_cap() -> None:
     model = make_model(n_tokens=8, cond=0, seed=83)
-    out = generate(model, [None], ["w0"], [Rng(5)], temperature=1.0, max_len=3)[0]
+    out = generate(model, None, ["w0"], streams_of(5, 1), temperature=1.0, max_len=3)[0]
     assert len(out) <= 3
 
 
 def test_seed_pool_errors() -> None:
     model = make_model(cond=0)
     with pytest.raises(TraitgenError, match="seed pool is empty"):
-        generate(model, [None], [], [Rng(0)])
+        generate(model, None, [], streams_of(0, 1))
     with pytest.raises(TraitgenError, match="seed tokens not in vocabulary"):
-        generate(model, [None], ["nope"], [Rng(0)])
+        generate(model, None, ["nope"], streams_of(0, 1))
 
 
 def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
@@ -695,7 +693,8 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
                                if i not in (PAD_ID, UNK_ID, BOS_ID)])
         cond = BfpCondition(*((model_seed >> i) & 1 for i in range(5)))
         for seed_word in ("w0", "w5", "w11"):
-            out = generate(model, [cond], [seed_word], [Rng(model_seed)], temperature=0.0)[0]
+            out = generate(model, cond_row(cond), [seed_word], streams_of(model_seed, 1),
+                           temperature=0.0)[0]
             ids, _ = encode([out], model.vocab, len(out) + 2)
             logits = forward(model, ids, cond_row(cond))
             for j in range(1, len(out)):  # row j has read BOS and out[:j]
@@ -708,4 +707,6 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
 def test_generate_condition_arity() -> None:
     cond_model = make_model(cond=5)
     with pytest.raises(TraitgenError, match="this model is conditional"):
-        generate(cond_model, [None], ["w0"], [Rng(0)])
+        generate(cond_model, None, ["w0"], streams_of(0, 1))
+    with pytest.raises(TraitgenError, match="this model is unconditional"):
+        generate(make_model(cond=0), cond_row(all_high()), ["w0"], streams_of(0, 1))

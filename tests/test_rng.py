@@ -158,15 +158,3 @@ def test_lockstep_streams_equal_the_scalar_streams(seed, start, n, draws) -> Non
         assert got.dtype == (np.float64 if op == "random" else np.uint64)
         assert got.tolist() == expected
     assert [lockstep.state[:, j].tolist() for j in range(n)] == [s._s for s in scalar]
-
-
-def test_lockstep_of_and_store_round_trip_stream_states() -> None:
-    streams = [Rng(5).spawn(j) for j in range(4)]
-    streams[2].next_uint64()
-    lockstep = Lockstep.of(streams)
-    expected = [s.next_uint64() for s in streams]
-    assert lockstep.next_uint64().tolist() == expected
-    fresh = Rng(0)
-    lockstep.store(2, fresh)
-    assert fresh._s == streams[2]._s
-    assert Lockstep.of([]).state.shape == (4, 0)
