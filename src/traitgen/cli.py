@@ -19,6 +19,8 @@ import dataclasses
 import functools
 import hashlib
 import sys
+from collections import Counter
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -34,7 +36,7 @@ from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
                       save_lexicon, save_thresholds, score_tokens, scores_by_trait)
 from .numeric import Lockstep, Rng
-from .textproc import UNK_ID, read_corpus, write_corpus, write_json, write_jsonl, write_lines
+from .textproc import read_corpus, write_corpus, write_json, write_jsonl, write_lines
 from .traits import TRAITS
 
 PROG = "traitgen"
@@ -200,8 +202,9 @@ def _read_seed_pool(path: str) -> list[str]:
 
 
 def _unk_rate(docs, vocab) -> float:
-    total = sum(len(d.tokens) for d in docs)
-    unk = sum(1 for d in docs for tok in d.tokens if vocab.id_of(tok) == UNK_ID)
+    counts = Counter(chain.from_iterable(d.tokens for d in docs))
+    total = sum(counts.values())
+    unk = sum(c for tok, c in counts.items() if tok not in vocab)
     return unk / total if total else 0.0
 
 

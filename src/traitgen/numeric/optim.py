@@ -104,23 +104,15 @@ def adam_step(param: Parameter, lr: float) -> None:
 
 
 def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """``np.add.at(out, ids, rows)`` for a 2-D ``out``, bit for bit, by ``np.bincount``.
+    """``np.add.at(out, ids, rows)`` for a C-contiguous 2-D ``out``, bit for bit.
 
-    Row ``rows[i]`` is added into ``out[ids[i]]``. Only the rows that
-    ``ids`` touch take part, so the cost does not grow with ``len(out)``.
-    Per column, each touched row's bin starts at its current value and
-    ``np.bincount`` adds the weights in input order, so every entry sees
-    the additions of ``np.add.at`` in the same order. The one difference:
-    a touched -0.0 comes back as +0.0, which a gradient accumulated from
-    zeros never holds.
+    Entry ``(u, j)`` receives ``rows[i, j]`` for each ``i`` with
+    ``ids[i] == u``, in increasing ``i``. One ``np.add.at`` on the flat
+    view of ``out``, at indices ``ids[i] * k + j``, adds in that order and
+    takes numpy's fast path for 1-D indices.
     """
-    touched, slot = np.unique(np.asarray(ids, dtype=np.int64), return_inverse=True)
-    bins = np.concatenate([np.arange(len(touched)), slot])
-    acc = out[touched]
-    for j in range(out.shape[1]):
-        acc[:, j] = np.bincount(bins, np.concatenate([acc[:, j], rows[:, j]]),
-                                minlength=len(touched))
-    out[touched] = acc
+    k = out.shape[1]
+    np.add.at(out.reshape(-1), (ids[:, None] * k + np.arange(k)).reshape(-1), rows.reshape(-1))
 
 
 def clip_global_norm(params: Iterable[Parameter]) -> float:

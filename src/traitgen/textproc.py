@@ -19,6 +19,7 @@ import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -131,13 +132,10 @@ class Vocabulary:
         desc, token asc), truncated to ``MAX_VOCAB - 4``, and placed after
         the specials. An empty corpus yields a specials-only vocabulary.
         """
-        counts: Counter[str] = Counter()
-        for tokens in corpus:
-            counts.update(_escape(t) for t in tokens)
-        kept = sorted(
-            (t for t, c in counts.items() if c >= MIN_COUNT),
-            key=lambda t: (-counts[t], t),
-        )[: MAX_VOCAB - 4]
+        raw = Counter(chain.from_iterable(corpus))
+        # _escape is one-to-one, so escaping each distinct token keeps every count
+        counts = {_escape(t): c for t, c in raw.items() if c >= MIN_COUNT}
+        kept = sorted(counts, key=lambda t: (-counts[t], t))[: MAX_VOCAB - 4]
         return cls(list(SPECIAL_TOKENS) + kept)
 
     def __len__(self) -> int:
@@ -173,10 +171,14 @@ def encode(token_lists: Sequence[Sequence[str]], vocab: Vocabulary,
     """
     if max_len < 2:
         raise TraitgenError(f"max_len must be at least 2, got {max_len}")
-    rows = [[BOS_ID, *map(vocab.id_of, tokens[: max_len - 2]), EOS_ID] for tokens in token_lists]
+    get = vocab._token_to_id.get
+    rows = [[BOS_ID, *map(get, tokens[: max_len - 2], repeat(UNK_ID)), EOS_ID]
+            for tokens in token_lists]
     lengths = np.array([len(row) for row in rows], dtype=np.int64)
-    ids = np.array([row + [PAD_ID] * (max_len - len(row)) for row in rows], dtype=np.int64)
-    return ids.reshape(len(rows), max_len), lengths
+    ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
+    # the mask's True entries run row by row, in the order of the flat ids
+    ids[np.arange(max_len) < lengths[:, None]] = np.fromiter(chain.from_iterable(rows), np.int64)
+    return ids, lengths
 
 
 @dataclass

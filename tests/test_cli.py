@@ -940,6 +940,34 @@ def test_frozen_decoding_bytes(tmp_path, small_spec_path) -> None:
     }
 
 
+def test_frozen_training_bytes(tmp_path, small_spec_path) -> None:
+    """Pins the bytes that train-classifier, label and a conditional
+    train-generator write on a tiny seeded pipeline: a changed gradient
+    (the embedding scatter included), a reordered draw or a changed label
+    rule changes them."""
+    data, cls, gen = tmp_path / "data", tmp_path / "cls", tmp_path / "gen"
+    labeled = tmp_path / "labeled.jsonl"
+    assert run("synth", "--spec", str(small_spec_path), "--n", "60", "--seed", "3",
+               "--out", str(data)) == 0
+    assert run("train-classifier", "--corpus", str(data / "corpus.jsonl"), "--out", str(cls),
+               "--epochs", "2", "--embed-dim", "6", "--num-filters", "4", "--max-len", "16",
+               "--seed", "4") == 0
+    assert run("label", "--model", str(cls / "classifier.json"),
+               "--in", str(data / "corpus.jsonl"), "--out", str(labeled)) == 0
+    assert run("train-generator", "--corpus", str(labeled), "--out", str(gen),
+               "--epochs", "2", "--embed-dim", "6", "--hidden-dim", "8", "--max-len", "16",
+               "--seed", "5") == 0
+    digests = {p.name: _sha256(p) for p in (cls / "classifier.json", cls / "metrics.json",
+                                            labeled, gen / "generator.json", gen / "losses.json")}
+    assert digests == {
+        "classifier.json": "f9def121b988ebea48487a94b215c8acd1c1be6a1c47ca412e07469ffbf31767",
+        "metrics.json": "110ee622e623281510d8d6c7becb4c8caa50e7f7c644efa26f1f9e04b85cee62",
+        "labeled.jsonl": "a9f70676e9b98aca6975771a3109bee48c38825f0a95916032254b8ddfdc2c7e",
+        "generator.json": "cf11a8bcda69b724f18442288efdb243e82d2a8d5fbfcfa93d30c02c96a91a89",
+        "losses.json": "f6648d971a46afac1d84d2192e46c31668c952f7198e5d704e9c774bf9d6a74a",
+    }
+
+
 def test_evaluate_vocabulary_mismatch_exits_2(tmp_path, pipeline) -> None:
     alien_lexicon = tmp_path / "alien.json"
     alien_lexicon.write_text(json.dumps({

@@ -231,16 +231,27 @@ def _scatters(draw):
     ids = draw(st.lists(st.integers(0, max(0, n - 2)), min_size=0, max_size=25))
     rows = draw(hnp.arrays(np.float64, (len(ids), k), elements=_FINITE))
     start = draw(st.sampled_from(["zeros", "random"]))
-    # a -0.0 in out comes back +0.0 (documented); gradients never hold one
     out = (np.zeros((n, k)) if start == "zeros"
-           else draw(hnp.arrays(np.float64, (n, k), elements=_FINITE.map(lambda x: x + 0.0))))
+           else draw(hnp.arrays(np.float64, (n, k), elements=_FINITE)))
     return out, np.array(ids, dtype=np.int64), rows
+
+
+_scale_rng = np.random.default_rng(7)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_scatters())
 @example((np.zeros((3, 2)), np.array([1, 1, 1], dtype=np.int64),
           np.array([[1e16, 1.0], [1.0, 1e-16], [-1e16, 1.0]])))
+# a touched -0.0 plus -0.0 stays -0.0
+@example((np.full((2, 2), -0.0), np.array([0], dtype=np.int64), np.array([[-0.0, 1.0]])))
+@example((np.ones((3, 4)), np.zeros(0, dtype=np.int64), np.zeros((0, 4))))
+# a non-contiguous view of rows
+@example((np.zeros((5, 3)), np.array([4, 0, 4, 2], dtype=np.int64),
+          np.arange(24.0).reshape(4, 6)[:, ::2] / 7))
+# the trainers' scale: k = 32, hundreds of rows over few ids
+@example((_scale_rng.standard_normal((60, 32)), _scale_rng.integers(0, 60, 700),
+          _scale_rng.standard_normal((700, 32))))
 def test_add_rows_at_is_bit_equal_to_np_add_at(case) -> None:
     out, ids, rows = case
     expected = out.copy()

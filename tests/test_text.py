@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traitgen import textproc
 from traitgen.errors import TraitgenError
 from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
     MAX_VOCAB,
+    MIN_COUNT,
     PAD_ID,
     SPECIAL_TOKENS,
     UNK_ID,
@@ -199,6 +203,26 @@ def test_id_of_agrees_with_escape_reference(corpus: list[str], queries: list[str
         assert (token in v) == (expected != UNK_ID)
     for token_id in range(4, len(v)):
         assert v.id_of(v.token_of(token_id)) == token_id
+
+
+def _reference_build(corpus: list[list[str]], cap: int) -> list[str]:
+    """The stored token list of a vocabulary built by escaping every token, then counting."""
+    counts: Counter[str] = Counter()
+    for tokens in corpus:
+        counts.update(_escape(t) for t in tokens)
+    kept = sorted((t for t, c in counts.items() if c >= MIN_COUNT),
+                  key=lambda t: (-counts[t], t))[: cap - 4]
+    return list(SPECIAL_TOKENS) + kept
+
+
+@given(st.lists(st.lists(_awkward_token, max_size=12), max_size=8),
+       st.sampled_from([4, 5, 6, 8, 12, MAX_VOCAB]))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_build_agrees_with_escape_every_token_reference(corpus: list[list[str]],
+                                                        cap: int) -> None:
+    """A small cap puts tied awkward tokens on both sides of the cut."""
+    with mock.patch.object(textproc, "MAX_VOCAB", cap):
+        assert Vocabulary.build(corpus).to_list() == _reference_build(corpus, cap)
 
 
 @given(st.lists(_awkward_token, max_size=12), st.lists(st.lists(_awkward_token, max_size=14),
