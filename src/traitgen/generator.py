@@ -15,9 +15,17 @@ a repetition rule fires (a token emitted three times in a row, or the
 trailing 4-gram already present earlier in the output); the repeated
 tail is trimmed before returning. Texts decode in chunks of
 ``DECODE_CHUNK`` rows; when there are two or more chunks, the caller's
-thread and one helper thread each take the next undone chunk until none
-is left. A chunk's tokens do not depend on the thread that decodes it,
-nor on when. Each step draws the live rows' uniforms in lockstep.
+thread and one helper thread each take the next undone chunk
+until none is left. A chunk's tokens do not depend on the thread that
+decodes it, nor on when. Each step draws the live rows' uniforms in
+lockstep.
+
+A row's logits do depend, in their last bits, on its chunk: OpenBLAS
+rounds a row of the output product (M x H)(H x V) differently for
+different live-row counts M. A token can change only when a uniform
+draw falls within that rounding of a cumulative-probability boundary,
+about 1e-16 per draw, so in practice the texts are the same at any
+chunk size; the tests compare chunk sizes at the real dimensions.
 """
 
 from __future__ import annotations
@@ -51,9 +59,10 @@ GREEDY_TEMPERATURE = 1e-6  # below this, decoding is argmax
 
 RUN_LIMIT = 3        # stop when one token is emitted this many times in a row
 NGRAM_WINDOW = 4     # stop when the trailing n-gram repeats earlier output
-# rows decoded together, and the unit of work of generate's two threads;
-# a row's tokens depend neither on the chunk nor on the thread
-DECODE_CHUNK = 64
+# most rows decoded together, and the unit of work of generate's two
+# threads: fewer, larger chunks make fewer numpy calls per text
+DECODE_CHUNK = 150
+ID_COLUMNS = 64  # a chunk's first id columns; doubled as its texts grow
 
 _STREAM_INIT = 0
 _STREAM_EPOCHS = 1
@@ -184,6 +193,10 @@ class _Workspace:
     step's block with that step's gate gradient), ``c`` and ``tanh_c`` the
     cell state, ``h`` the hidden state (the backward overwrites it with
     dloss/dh) and ``logits`` the output projection.
+
+    Decoding takes one per chunk, a row per text: its live rows are the
+    first ones, it keeps h in xh's h columns (``h`` stays unused) and it
+    turns the logits into cumulative probabilities in place.
     """
 
     __slots__ = ("xh", "h", "gates", "c", "tanh_c", "logits")
@@ -207,19 +220,15 @@ def _sigmoid_inplace(z: np.ndarray) -> None:
 
 
 def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray,
-          out: tuple[np.ndarray, ...] | None = None):
+          out: tuple[np.ndarray, ...]) -> None:
     """One LSTM step on the cell input xh = [x, h_prev].
 
-    Returns (h, c, (i, f, g, o, tanh_c)); the gate activations are what
-    the backward pass needs. ``out`` = (gates, c, tanh_c, h) receives the
-    step, gates as one (B, 4H) block i f g o; without it they are
-    allocated.
+    ``out`` = (gates, c, tanh_c, h) receives the step: gates as one (B, 4H)
+    block of the activations i f g o, which the backward pass reads. ``c``
+    may be ``c_prev`` and ``h`` may be xh's h columns: each is written
+    only after what it overwrites has been read.
     """
     hdim = model.config.hidden_dim
-    if out is None:
-        b = len(xh)
-        out = (np.empty((b, 4 * hdim)), np.empty((b, hdim)), np.empty((b, hdim)),
-               np.empty((b, hdim)))
     z, c, tanh_c, h = out
     np.matmul(xh, model.gates_w.value, out=z)
     z += model.gates_b.value
@@ -231,7 +240,18 @@ def _cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray,
     c += np.multiply(i, g, out=tanh_c)
     np.tanh(c, out=tanh_c)
     np.multiply(o, tanh_c, out=h)
-    return h, c, (i, f, g, o, tanh_c)
+
+
+def _cell_input(model: LstmModel, xh: np.ndarray, ids: np.ndarray,
+                cond: np.ndarray | None) -> None:
+    """Write the x columns of cell inputs xh (..., k + c + H): the embedding
+    of ``ids`` (shape ``xh.shape[:-1]``) and, unless ``cond`` is None, the
+    condition bits, broadcast over the leading axes. The h columns are the
+    caller's."""
+    k = model.config.embed_dim
+    xh[..., :k] = model.embedding.value[ids]
+    if cond is not None:
+        xh[..., k:k + model.config.cond_dim] = cond
 
 
 def _check_condition_arity(model: LstmModel, condition: np.ndarray | None) -> None:
@@ -252,14 +272,12 @@ def _forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None,
     _check_condition_arity(model, cond)
     b, t_len = ids.shape
     cfg = model.config
-    k, hdim = cfg.embed_dim, cfg.hidden_dim
-    x_width = k + cfg.cond_dim
+    x_width = cfg.embed_dim + cfg.cond_dim
+    hdim = cfg.hidden_dim
     n = (t_len - 1) * b
     xh_all, h_all, gates, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
     xh_steps = xh_all.reshape(t_len - 1, b, x_width + hdim)
-    xh_steps[:, :, :k] = model.embedding.value[ids[:, :-1].T]
-    if cond is not None:
-        xh_steps[:, :, k:x_width] = cond
+    _cell_input(model, xh_steps, ids[:, :-1].T, cond)
     xh_steps[0, :, x_width:] = 0.0
     c_prev = np.zeros((b, hdim))
     for s in range(0, n, b):
@@ -399,36 +417,30 @@ def train_generator(docs: list[Document], config: LstmConfig,
 # ------------------------------------------------------------------- decoding
 
 
-class _Row:
-    """One text being decoded: its ids and its O(1) repetition-rule state."""
+def _append(ids: np.ndarray, n: int, run: np.ndarray,
+            token_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Write ``token_ids`` into column n of ``ids``, whose rows hold n ids
+    each, and apply the repetition rules to every row at once.
 
-    __slots__ = ("ids", "run", "seen")
-
-    def __init__(self, seed_id: int):
-        self.ids = [seed_id]
-        self.run = 1  # length of the trailing run of equal ids
-        self.seen: set[tuple[int, ...]] = set()  # the n-grams before the trailing one
-
-    def push(self, token_id: int) -> bool:
-        """Append a sampled id; True when a repetition rule stops the row.
-
-        A run of RUN_LIMIT equal ids is trimmed back to RUN_LIMIT - 1
-        copies; a trailing NGRAM_WINDOW-gram that already occurs earlier
-        in the row (overlaps included) is trimmed off.
-        """
-        ids = self.ids
-        self.run = self.run + 1 if token_id == ids[-1] else 1
-        ids.append(token_id)
-        if self.run >= RUN_LIMIT:
-            del ids[-1]
-            return True
-        n = len(ids)
-        if n > NGRAM_WINDOW:
-            self.seen.add(tuple(ids[n - NGRAM_WINDOW - 1:n - 1]))
-            if tuple(ids[n - NGRAM_WINDOW:]) in self.seen:
-                del ids[n - NGRAM_WINDOW:]
-                return True
-        return False
+    ``run`` is each row's trailing run of equal ids before the append.
+    Returns that run after it, and the length each row keeps: n + 1, or n
+    when the new id makes a run of RUN_LIMIT (trimmed back to RUN_LIMIT - 1
+    copies), or n + 1 - NGRAM_WINDOW when the trailing NGRAM_WINDOW-gram
+    already starts at an earlier column (overlaps included) and is trimmed
+    off. The run rule is checked first.
+    """
+    run = np.where(token_ids == ids[:, n - 1], run + 1, 1)
+    ids[:, n] = token_ids
+    n += 1
+    length = np.full(len(ids), n)
+    starts = n - NGRAM_WINDOW  # the earlier n-grams start at columns [0, starts)
+    if starts > 0:
+        seen = ids[:, :starts] == ids[:, starts, None]
+        for j in range(1, NGRAM_WINDOW):
+            seen &= ids[:, j:j + starts] == ids[:, starts + j, None]
+        length[seen.any(axis=1)] = starts
+    length[run >= RUN_LIMIT] = n - 1
+    return run, length
 
 
 def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
@@ -440,9 +452,10 @@ def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
     is None for an unconditional model) and draws only from stream r of
     ``streams``: first its seed word, uniformly from the pool, then one
     ``random()`` per sampled token. BOS and the seed are fed before
-    free-running sampling starts. Rows run in chunks of DECODE_CHUNK in
-    which every live row steps together, and a row's tokens do not depend
-    on the other rows. With two or more chunks, this thread and one helper
+    free-running sampling starts. Rows run in contiguous chunks of
+    DECODE_CHUNK, in which every live row steps together; a row's tokens
+    do not depend on the other rows (up to the rounding the module
+    docstring describes). With two or more chunks, this thread and one helper
     thread, which lives for this call only, each decode the next undone
     chunk until none is left; an exception in either is raised here.
     Temperatures below 1e-6 switch to argmax decoding, which draws nothing
@@ -502,61 +515,81 @@ def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
     return [[model.vocab.token_of(i) for i in ids] for part in decoded for ids in part]
 
 
-def _step(model: LstmModel, token_ids: np.ndarray, cond: np.ndarray | None,
-          h: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feed one id per row through the cell input [embedding, condition, h]."""
-    k = model.config.embed_dim
-    x_width = k + model.config.cond_dim
-    xh = np.empty((len(token_ids), x_width + h.shape[1]))
-    xh[:, :k] = model.embedding.value[token_ids]
-    if cond is not None:
-        xh[:, k:x_width] = cond
-    xh[:, x_width:] = h
-    h, c, _ = _cell(model, xh, c)
-    return h, c
-
-
 def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int],
                   streams: Lockstep, temperature: float, max_len: int) -> list[list[int]]:
-    """Decode one chunk, drawing from ``streams``, which it owns; a finished
-    row leaves the stepped batch at once."""
+    """Decode one chunk, drawing from ``streams``, which it owns.
+
+    The rows step together in one workspace allocated for them, with h in
+    the h columns of the cell input and the condition bits written once.
+    All live rows hold the same number of ids, so the stop rules are array
+    operations over one id array of a column per id, which starts at
+    ID_COLUMNS columns and doubles (up to max_len) when the rows fill it; a
+    finished row hands its ids out, and the live rows move to the front of
+    every row buffer, in order, with their streams.
+    """
+    m = len(seed_ids)
+    if max_len == 1:  # the seed word alone fills every row
+        return [[s] for s in seed_ids]
     cfg = model.config
+    x_width = cfg.embed_dim + cfg.cond_dim
     out_w, out_b = model.out_w.value, model.out_b.value
     # EOS and every real token are sampleable, PAD/UNK/BOS never are; the
     # specials are ids 0-3, EOS last, so the sampleable ids are [EOS_ID, V)
     n_allowed = cfg.vocab_size - EOS_ID
     greedy = temperature < GREEDY_TEMPERATURE
+    ws = _Workspace(cfg, m)
+    xh, c = ws.xh, ws.c
+    ids = np.empty((m, min(max_len, ID_COLUMNS)), dtype=np.int64)
+    ids[:, 0] = seed_ids
+    texts: list[list[int]] = [[] for _ in range(m)]
+    rows = np.arange(m)  # the chunk row of each live row
+    run = np.ones(m, dtype=np.int64)  # each live row's trailing run of equal ids
 
-    rows = [_Row(s) for s in seed_ids]
-    if max_len == 1:  # the seed word alone fills every row
-        return [row.ids for row in rows]
-    live = list(range(len(rows)))
-    # column j holds the stream of row live[j], compacted with h and c
-    h = np.zeros((len(rows), cfg.hidden_dim))
-    c = np.zeros_like(h)
-    h, c = _step(model, np.full(len(rows), BOS_ID), cond, h, c)
-    h, c = _step(model, np.array(seed_ids, dtype=np.int64), cond, h, c)
+    def feed(token_ids: np.ndarray) -> None:
+        live = len(token_ids)
+        _cell_input(model, xh[:live], token_ids, None)  # the condition columns keep their bits
+        _cell(model, xh[:live], c[:live],
+              (ws.gates[:live], c[:live], ws.tanh_c[:live], xh[:live, x_width:]))
+
+    _cell_input(model, xh, np.full(m, BOS_ID), cond)
+    xh[:, x_width:] = 0.0
+    c[...] = 0.0
+    _cell(model, xh, c, (ws.gates, c, ws.tanh_c, xh[:, x_width:]))
+    feed(ids[:, 0])
+    live, n = m, 1  # every live row holds n ids
     while live:
-        logits = (h @ out_w + out_b)[:, EOS_ID:]
+        logits = np.matmul(xh[:live, x_width:], out_w, out=ws.logits[:live])
+        logits += out_b
+        probs = logits[:, EOS_ID:]
         if greedy:
-            picks = np.argmax(logits, axis=1)
+            picks = np.argmax(probs, axis=1)
         else:
-            scaled = logits / temperature
-            scaled -= scaled.max(axis=1, keepdims=True)
-            probs = np.exp(scaled)
+            probs /= temperature
+            probs -= probs.max(axis=1, keepdims=True)
+            np.exp(probs, out=probs)
             probs /= probs.sum(axis=1, keepdims=True)
-            cum = np.cumsum(probs, axis=1)
+            cum = np.cumsum(probs, axis=1, out=probs)
             u = streams.random()
             picks = np.minimum((cum <= u[:, None]).sum(axis=1), n_allowed - 1)
         next_ids = picks + EOS_ID
-        keep = [j for j, (r, token_id) in enumerate(zip(live, next_ids.tolist()))
-                if token_id != EOS_ID and not rows[r].push(token_id) and len(rows[r].ids) < max_len]
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            h, c, next_ids = h[keep], c[keep], next_ids[keep]
-            streams.state = streams.state[:, keep]
-            if cond is not None:
-                cond = cond[keep]
+        if n == ids.shape[1]:
+            grown = np.empty((live, min(max_len, 2 * n)), dtype=np.int64)
+            grown[:, :n] = ids[:live]
+            ids = grown
+        run, length = _append(ids[:live], n, run, next_ids)
+        n += 1
+        length[next_ids == EOS_ID] = n - 1
+        done = (length < n) | (n == max_len)
+        if done.any():
+            for j in np.flatnonzero(done).tolist():
+                texts[rows[j]] = ids[j, :length[j]].tolist()
+            going = np.flatnonzero(~done)
+            live = len(going)
+            for buf in (xh, c):
+                buf[:live] = buf[going]
+            ids[:live, :n] = ids[going, :n]
+            rows, run, next_ids = rows[going], run[going], next_ids[going]
+            streams.state = streams.state[:, going]
         if live:
-            h, c = _step(model, next_ids, cond, h, c)
-    return [row.ids for row in rows]
+            feed(next_ids)
+    return texts

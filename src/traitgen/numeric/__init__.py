@@ -1,5 +1,9 @@
-"""Numeric core: matrices, differentiable ops, optimizer, gradient checks."""
+"""Numeric core: matrices, differentiable ops, optimizer, gradient checks.
 
+Importing it pins OpenBLAS to one thread (see :mod:`.blas`).
+"""
+
+from .blas import pin_one_thread
 from .gradcheck import gradient_check
 from .matrix import (
     Matrix,
@@ -19,6 +23,8 @@ from .optim import (
     zero_grads,
 )
 from .rng import Lockstep, Rng
+
+pin_one_thread()
 
 __all__ = [
     "Lockstep",

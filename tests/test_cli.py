@@ -28,7 +28,7 @@ from traitgen.cli import COMMANDS, _resolve, build_parser, main
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.harness import MAX_DOC_TOKENS, SynthSpec, default_synth_spec
 from traitgen.lexicon import load_thresholds
-from traitgen.numeric import Rng
+from traitgen.numeric import Rng, blas
 from traitgen.textproc import Vocabulary, read_corpus
 from traitgen.traits import TRAITS
 
@@ -867,12 +867,13 @@ def test_evaluate_is_byte_identical_across_reruns(tmp_path, pipeline) -> None:
 
 def test_evaluate_is_byte_identical_across_reruns_with_two_blas_threads(
         tmp_path, pipeline) -> None:
-    """Decoding's two threads, each calling a two-thread BLAS, write the
-    same texts on every run: no token depends on thread timing.
+    """Decoding's two threads write the same texts on every run, with
+    OPENBLAS_NUM_THREADS asking for two BLAS threads: no token depends on
+    thread timing.
 
-    The generators are wide enough that the decoding matmuls pass
+    The generators are wide enough that the decoding matmuls would pass
     OpenBLAS's size threshold for splitting a product across threads, and
-    200 conditional texts make four decoding chunks.
+    200 conditional texts make two decoding chunks.
     """
     models = {}
     for name, extra in (("gen", ()), ("base", ("--unconditional",))):
@@ -905,7 +906,10 @@ def _sha256(path: Path) -> str:
 def test_frozen_decoding_bytes(tmp_path, small_spec_path) -> None:
     """Pins the bytes that generate and evaluate write on a tiny seeded
     pipeline: a reordered stream draw or a changed decoding step changes
-    them. 130 texts make three decoding chunks, so both threads decode."""
+    them. The digests date from 64-row chunks, when 130 texts made three
+    chunks; they hold for any chunking (see test_generator.py). The 400
+    texts make three chunks (150, 150 and 100), so both decoding threads
+    run."""
     data, gen, base = tmp_path / "data", tmp_path / "gen", tmp_path / "base"
     assert run("synth", "--spec", str(small_spec_path), "--n", "60", "--seed", "3",
                "--out", str(data)) == 0
@@ -925,6 +929,12 @@ def test_frozen_decoding_bytes(tmp_path, small_spec_path) -> None:
                    "--seed-pool", str(pool), "--temperature", temperature, "--seed", "5",
                    "--out", str(out)) == 0
         digests[f"generate-{temperature}"] = _sha256(out)
+    out = tmp_path / "texts-400.jsonl"
+    assert run("generate", "--model", str(gen / "generator.json"),
+               "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "400",
+               "--seed-pool", str(pool), "--temperature", "1.0", "--seed", "5",
+               "--out", str(out)) == 0
+    digests["generate-1.0-400"] = _sha256(out)
     ev = tmp_path / "eval"
     assert run("evaluate", "--model", str(gen / "generator.json"),
                "--baseline", str(base / "generator.json"), "--lexicon", str(data / "lexicon.json"),
@@ -935,6 +945,7 @@ def test_frozen_decoding_bytes(tmp_path, small_spec_path) -> None:
     assert digests == {
         "generate-1.0": "102ad8b51f18a245f0896a45de78c742340d1c79854e948dfca687574efb2651",
         "generate-0.0": "a0d31908b2ea2b7ef151e5437165fef6d04d0c554d41489f3e9d08f42469716c",
+        "generate-1.0-400": "58d76d9cce7a4f1e55c50901acc539bb1ff0e8faa125211e207e7329531241fe",
         "report.json": "fa63994ddd1d6f9eaa42152481baa4e292edd88c948e3eac4e01fde0e748a52d",
         "generations.jsonl": "364279a96e60651e28182e4a418fe52139aec433c45504e0d187e27cabc7af69",
     }
@@ -966,6 +977,42 @@ def test_frozen_training_bytes(tmp_path, small_spec_path) -> None:
         "generator.json": "cf11a8bcda69b724f18442288efdb243e82d2a8d5fbfcfa93d30c02c96a91a89",
         "losses.json": "f6648d971a46afac1d84d2192e46c31668c952f7198e5d704e9c774bf9d6a74a",
     }
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path) -> None:
+    """train-generator and generate write the same bytes whether
+    OPENBLAS_NUM_THREADS asks for one BLAS thread or two. The corpus is
+    large enough (600 documents, a few hundred word types) for OpenBLAS to
+    split the vocabulary-wide products across two threads, which changes
+    the trained weights unless the package pins one thread."""
+    data = tmp_path / "data"
+    assert run("synth", "--n", "600", "--seed", "7", "--out", str(data)) == 0
+    pool = tmp_path / "pool.txt"
+    pool.write_text("\n".join(read_corpus(data / "corpus.jsonl")[0].tokens[:3]), encoding="utf-8")
+    src = str(Path(traitgen.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / f"threads-{threads}"
+        for argv in (["train-generator", "--corpus", str(data / "corpus.jsonl"),
+                      "--out", str(out), "--epochs", "2", "--seed", "7"],
+                     ["generate", "--model", str(out / "generator.json"),
+                      "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "200",
+                      "--seed-pool", str(pool), "--out", str(out / "texts.jsonl")]):
+            subprocess.run([sys.executable, "-m", "traitgen", *argv],
+                           env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    for fname in ("generator.json", "losses.json", "texts.jsonl"):
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes(), fname
+
+
+def test_blas_pin_warns_when_no_openblas_is_found(monkeypatch) -> None:
+    """Without an OpenBLAS thread setter to call, the pin warns and the
+    package still works."""
+    monkeypatch.setattr(blas, "_loaded_openblas", lambda: [])
+    with pytest.warns(RuntimeWarning, match="no OpenBLAS thread setter found"):
+        blas.pin_one_thread()
 
 
 def test_evaluate_vocabulary_mismatch_exits_2(tmp_path, pipeline) -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from traitgen.errors import TraitgenError
 from traitgen.generator import (
     DECODE_CHUNK,
     GREEDY_TEMPERATURE,
+    ID_COLUMNS,
     NGRAM_WINDOW,
     RUN_LIMIT,
     BfpCondition,
@@ -22,9 +24,8 @@ from traitgen.generator import (
     LstmModel,
     generate,
     train_generator,
-    _Row,
     _Workspace,
-    _cell,
+    _append,
     _decode_chunk,
     _forward,
     _train_batch,
@@ -42,7 +43,7 @@ from traitgen.textproc import (
 )
 from traitgen.traits import TRAITS
 
-from lstm_helpers import batch_workspace
+from lstm_helpers import batch_workspace, cell
 
 
 def tiny_vocab(n_tokens: int) -> Vocabulary:
@@ -152,7 +153,7 @@ def test_zero_weights_zero_state_stays_zero() -> None:
     model = zeroed_model(h=3)
     width = model.config.embed_dim + model.config.cond_dim
     xh = np.array([[0.7] * width + [0.0] * 3])
-    h, c, _ = _cell(model, xh, np.zeros((1, 3)))
+    h, c = cell(model, xh, np.zeros((1, 3)))
     assert h.tolist() == [[0.0, 0.0, 0.0]]
     assert c.tolist() == [[0.0, 0.0, 0.0]]
 
@@ -161,7 +162,7 @@ def test_zero_weights_halve_cell_state() -> None:
     model = zeroed_model(h=3)
     width = model.config.embed_dim + model.config.cond_dim
     xh = np.array([[1.0] * width + [0.0] * 3])
-    h, c, _ = _cell(model, xh, np.array([[0.4, -1.2, 2.0]]))
+    h, c = cell(model, xh, np.array([[0.4, -1.2, 2.0]]))
     assert c.tolist()[0] == pytest.approx([0.2, -0.6, 1.0])
     expected_h = [0.5 * math.tanh(v) for v in [0.2, -0.6, 1.0]]
     assert h.tolist()[0] == pytest.approx(expected_h)
@@ -171,7 +172,7 @@ def test_lstm_step_matches_scalar_hand_oracle() -> None:
     model = make_model(k=2, h=3, cond=0, seed=31)
     xh = [0.3, -0.8, 0.1, -0.2, 0.05]  # x = [0.3, -0.8], h_prev = [0.1, -0.2, 0.05]
     c0 = [0.4, 0.0, -0.6]
-    h1, c1, _ = _cell(model, np.array([xh]), np.array([c0]))
+    h1, c1 = cell(model, np.array([xh]), np.array([c0]))
     h_exp, c_exp = scalar_cell(model, xh, c0)
     assert c1[0].tolist() == pytest.approx(c_exp, abs=1e-12)
     assert h1[0].tolist() == pytest.approx(h_exp, abs=1e-12)
@@ -184,7 +185,7 @@ def test_hidden_state_magnitude_below_one() -> None:
     c = np.zeros((1, 4))
     for _ in range(50):
         x = np.array([[6.0 * rng.random() - 3.0, 6.0 * rng.random() - 3.0]])
-        h, c, _ = _cell(model, np.concatenate([x, h], axis=1), c)
+        h, c = cell(model, np.concatenate([x, h], axis=1), c)
         assert np.abs(h).max() < 1.0
 
 
@@ -446,20 +447,24 @@ def rescan_repeated_tail(tokens: list[int], n: int) -> bool:
 
 
 def check_row_against_rescan(tokens: list[int]) -> None:
-    """Push tokens[1:] into a row seeded with tokens[0]; after every push the
-    O(1) rules must stop and trim exactly where the rescans say."""
-    row = _Row(tokens[0])
-    for token in tokens[1:]:
-        full = row.ids + [token]
-        stopped = row.push(token)
-        assert row.run == rescan_run_length(full)
+    """Append tokens[1:] one at a time to a row seeded with tokens[0]; after
+    every append the array rules must stop and trim exactly where the
+    rescans say."""
+    ids = np.empty((1, len(tokens)), dtype=np.int64)
+    ids[0, 0] = tokens[0]
+    run = np.ones(1, dtype=np.int64)
+    for n in range(1, len(tokens)):
+        full = tokens[:n + 1]
+        run, length = _append(ids, n, run, np.array([tokens[n]]))
+        assert ids[0, :n + 1].tolist() == full
+        assert run.tolist() == [rescan_run_length(full)]
         if rescan_run_length(full) >= RUN_LIMIT:
-            assert stopped and row.ids == full[:-1]
+            assert length.tolist() == [len(full) - 1]
             return
         if rescan_repeated_tail(full, NGRAM_WINDOW):
-            assert stopped and row.ids == full[:-NGRAM_WINDOW]
+            assert length.tolist() == [len(full) - NGRAM_WINDOW]
             return
-        assert not stopped and row.ids == full
+        assert length.tolist() == [len(full)]
 
 
 def test_rescan_references_keep_the_old_examples() -> None:
@@ -514,7 +519,7 @@ def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool
         x = [emb[token_id][None, :]]
         if condition is not None:
             x.append(np.array([condition.bits], dtype=np.float64))
-        h, c, _ = _cell(model, np.concatenate(x + [h], axis=1), c)
+        h, c = cell(model, np.concatenate(x + [h], axis=1), c)
 
     feed(BOS_ID)
     feed(seed_id)
@@ -569,6 +574,76 @@ def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
         assert got == expected, f"batch size {batch}"
 
 
+@given(data=st.data())
+@settings(max_examples=30, deadline=None, derandomize=True)
+def test_one_chunk_of_staggered_stops_matches_the_reference(data) -> None:
+    """Many rows of one chunk stop at different steps by every rule (EOS,
+    a run, a repeated n-gram, max_len) and leave the batch as they stop;
+    each row keeps the tokens of the one-row reference loop."""
+    max_len = data.draw(st.integers(10, 14), label="max_len")
+    model = make_model(n_tokens=3, k=3, h=5, cond=5, max_len=max_len,
+                       seed=data.draw(st.integers(0, 2 ** 16), label="model_seed"))
+    # a lower end-marker bias lets the other rules fire too
+    model.out_b.value[0, EOS_ID] = data.draw(st.sampled_from([-1.5, -2.0, -2.5]), label="eos_bias")
+    n = data.draw(st.integers(100, DECODE_CHUNK), label="rows")
+    temperature = data.draw(st.sampled_from([0.9, 1.0, 1.2]), label="temperature")
+    stream_seed = data.draw(st.integers(0, 2 ** 16), label="stream_seed")
+    pool = ["w0", "w1", "w2"]
+    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
+    ref = [reference_decode(model, cond, pool, Rng(stream_seed).spawn(r), temperature, max_len)
+           for r, cond in enumerate(conditions)]
+    assert {reason for _, reason in ref} == {"eos", "run", "ngram", "max_len"}
+    assert len({len(ids) for ids, _ in ref}) > 2
+    got = generate(model, cond_row(*conditions), pool, streams_of(stream_seed, n),
+                   temperature=temperature, max_len=max_len)
+    assert got == [[model.vocab.token_of(i) for i in ids] for ids, _ in ref]
+
+
+def test_texts_do_not_depend_on_the_chunk_size(monkeypatch) -> None:
+    """At the real dimensions (k = 32, H = 128, V about 400) the logits of a
+    row change in their last bits with the live-row count of the output
+    GEMM, yet the texts of 330 rows at temperature 0.7 are the same in
+    chunks of 64 rows, of the default cap and of all rows at once."""
+    vocab = tiny_vocab(400)
+    config = LstmConfig(vocab_size=len(vocab), embed_dim=32, hidden_dim=128, cond_dim=5,
+                        max_len=40)
+    model = LstmModel.init(config, vocab, Rng(227))
+    model.out_w.value *= 3.0  # sharper than at init: rows stop at many steps, so the
+    # live-row count of the output GEMM keeps changing
+    n = 330
+    pool = [f"w{i}" for i in range(0, 400, 23)]
+    cond = cond_row(*(BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)))
+    texts = {}
+    for cap in (64, DECODE_CHUNK, n):
+        monkeypatch.setattr(traitgen.generator, "DECODE_CHUNK", cap)
+        texts[cap] = generate(model, cond, pool, streams_of(229, n), temperature=0.7)
+    assert texts[64] == texts[DECODE_CHUNK] == texts[n]
+    assert len({len(t) for t in texts[n]}) > 5
+
+
+def test_a_huge_max_len_costs_only_the_ids_decoded() -> None:
+    """Rows that stop at the end marker decode as under any max_len, and
+    the id array grows with the texts, not with max_len: at max_len 1e9 a
+    chunk's rows, some longer than ID_COLUMNS, take well under 4 MiB."""
+    model = make_model(n_tokens=200, k=4, h=8, cond=5, seed=233)
+    model.out_b.value[0, EOS_ID] = 1.6  # about one end marker in 40 draws
+    pool = ["w0", "w3", "w7", "w9"]
+    n, max_len = DECODE_CHUNK, 10 ** 9
+    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
+    ref = [reference_decode(model, cond, pool, Rng(239).spawn(r), 1.0, max_len)
+           for r, cond in enumerate(conditions)]
+    assert max(len(ids) for ids, _ in ref) > 2 * ID_COLUMNS
+    tracemalloc.start()
+    try:
+        got = generate(model, cond_row(*conditions), pool, streams_of(239, n),
+                       temperature=1.0, max_len=max_len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [[model.vocab.token_of(i) for i in ids] for ids, _ in ref]
+    assert peak < 4 * 2 ** 20
+
+
 def test_sampleable_ids_are_the_range_from_eos() -> None:
     """_decode_chunk samples the ids [EOS_ID, V): PAD, UNK and BOS come first."""
     assert (PAD_ID, UNK_ID, BOS_ID, EOS_ID) == (0, 1, 2, 3)
@@ -576,7 +651,7 @@ def test_sampleable_ids_are_the_range_from_eos() -> None:
     assert tiny_vocab(5).to_list()[:EOS_ID + 1] == list(SPECIAL_TOKENS)
 
 
-@pytest.mark.parametrize("n", [63, 64, 65, 129, 500])
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 500, 151, 301, 600])
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
 def test_two_thread_decoding_equals_the_serial_chunk_loop(n: int, temperature: float) -> None:
     """generate's texts are those of _decode_chunk called chunk by chunk on
