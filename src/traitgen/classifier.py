@@ -209,14 +209,9 @@ def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) 
     return float(total / len(TRAITS))
 
 
-def predict_labels(probs: np.ndarray) -> list[list[int]]:
-    """Binary polarities of (n, 5) probability rows; exactly 0.5 maps to 0."""
-    return (probs > 0.5).astype(int).tolist()
-
-
 def _accuracy_per_trait(model: CnnModel, ids: np.ndarray, lengths: np.ndarray,
                         labels: np.ndarray) -> dict[str, float]:
-    pred = np.array(predict_labels(_probs(model, ids, lengths)))
+    pred = _probs(model, ids, lengths) > 0.5
     correct = (pred == labels).sum(axis=0)
     n = max(1, len(ids))
     return {t: int(correct[i]) / n for i, t in enumerate(TRAITS)}
@@ -291,7 +286,8 @@ def train_classifier(docs: list[Document], config: CnnConfig,
 
 def label_corpus(docs: list[Document], model: CnnModel) -> list[Document]:
     """Attach predicted polarity labels to every document, order preserved."""
-    preds = predict_labels(classifier_forward([doc.tokens for doc in docs], model))
+    probs = classifier_forward([doc.tokens for doc in docs], model)
+    preds = (probs > 0.5).astype(int).tolist()  # exactly 0.5 maps to 0
     return [
         Document(
             raw_text=doc.raw_text,

@@ -30,14 +30,14 @@ from . import __version__
 from .checkpoint import load_model
 from .classifier import CnnConfig, train_classifier, label_corpus
 from .errors import TraitgenError
-from .generator import BfpCondition, LstmConfig, generate, train_generator
+from .generator import LstmConfig, generate, train_generator
 from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_generation,
                       render_table, synth_corpus)
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
                       save_lexicon, save_thresholds, score_tokens, scores_by_trait)
 from .numeric import Lockstep, Rng
 from .textproc import read_corpus, write_corpus, write_json, write_jsonl, write_lines
-from .traits import TRAITS
+from .traits import TRAITS, format_condition, parse_condition
 
 PROG = "traitgen"
 
@@ -271,20 +271,20 @@ def cmd_generate(o: dict[str, Any]) -> Path:
     condition = None
     if o["condition"]:
         try:
-            condition = BfpCondition.parse(o["condition"])
+            condition = parse_condition(o["condition"])
         except TraitgenError as exc:
             raise TraitgenError(
                 f"{exc} (valid syntax: \"E=1,A=0,C=1,N=0,O=1\", each trait exactly once)"
             ) from exc
     pool = _read_seed_pool(o["seed-pool"])
-    cond = None if condition is None else np.tile(condition.bits, (n, 1))
+    cond = None if condition is None else np.tile(condition, (n, 1))
     # text i draws from stream i: output independent of batching
     texts = generate(model, cond, pool, Lockstep.spawned(Rng(o["seed"]), 0, n),
                      temperature=o["temperature"], max_len=o["max-len"])
     out = _out_file(o["out"])
     write_jsonl(out, ({
         "text": " ".join(tokens),
-        "condition": condition.to_string() if condition else None,
+        "condition": None if condition is None else format_condition(condition),
         "seed_word": tokens[0],
     } for tokens in texts))
     print(f"generated {n} texts -> {out}")

@@ -68,51 +68,6 @@ _STREAM_INIT = 0
 _STREAM_EPOCHS = 1
 
 
-@dataclass(frozen=True)
-class BfpCondition:
-    """Binary polarity per trait, order E A C N O."""
-
-    e: int
-    a: int
-    c: int
-    n: int
-    o: int
-
-    def __post_init__(self) -> None:
-        for t, v in zip(TRAITS, self.bits):
-            if v not in (0, 1):
-                raise TraitgenError(f"trait {t} polarity must be 0 or 1, got {v!r}")
-
-    @property
-    def bits(self) -> tuple[int, int, int, int, int]:
-        return (self.e, self.a, self.c, self.n, self.o)
-
-    @classmethod
-    def parse(cls, text: str) -> "BfpCondition":
-        """Parse 'E=1,A=0,C=1,N=0,O=1'; every trait exactly once."""
-        seen: dict[str, int] = {}
-        for part in text.split(","):
-            part = part.strip()
-            if "=" not in part:
-                raise TraitgenError(f"bad condition component {part!r}, expected TRAIT=0|1")
-            name, _, value = part.partition("=")
-            name, value = name.strip(), value.strip()
-            if name not in TRAITS:
-                raise TraitgenError(f"unknown trait {name!r}, expected one of {TRAITS}")
-            if name in seen:
-                raise TraitgenError(f"trait {name} given twice")
-            if value not in ("0", "1"):
-                raise TraitgenError(f"trait {name} polarity must be 0 or 1, got {value!r}")
-            seen[name] = int(value)
-        if set(seen) != set(TRAITS):
-            missing = [t for t in TRAITS if t not in seen]
-            raise TraitgenError(f"condition missing traits {missing}")
-        return cls(*(seen[t] for t in TRAITS))
-
-    def to_string(self) -> str:
-        return ",".join(f"{t}={v}" for t, v in zip(TRAITS, self.bits))
-
-
 @dataclass
 class LstmConfig:
     vocab_size: int

@@ -27,13 +27,13 @@ level distribution next to a shared unconditional pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import TraitgenError
-from .generator import BfpCondition, LstmModel, generate
+from .generator import LstmModel, generate
 from .lexicon import (
     Category,
     LevelThresholds,
@@ -43,7 +43,7 @@ from .lexicon import (
 )
 from .numeric import Lockstep, Rng
 from .textproc import Document, config_from_payload, is_utf8, read_json, write_json
-from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS
+from .traits import HIGH, LEVELS, LOW, MEDIUM, TRAITS, format_condition
 
 # Neutral-chain shape: each neutral token has up to this many successors,
 # spaced by a fixed stride so small vocabularies still get a spread.
@@ -116,16 +116,6 @@ class SynthSpec:
                     )
                 seen[tok] = name
 
-    def as_dict(self) -> dict:
-        return {
-            "pi": self.pi,
-            "len_min": self.len_min,
-            "len_max": self.len_max,
-            "neutral_bigram_smoothing": self.neutral_bigram_smoothing,
-            "neutral_tokens": list(self.neutral_tokens),
-            "markers": {t: {k: list(v) for k, v in self.markers[t].items()} for t in TRAITS},
-        }
-
     @classmethod
     def from_dict(cls, payload: object) -> "SynthSpec":
         """Build and validate a spec: every key a field, every number of its JSON type."""
@@ -153,7 +143,7 @@ class SynthSpec:
                        neutral_bigram_smoothing=float(spec.neutral_bigram_smoothing))
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.as_dict())
+        write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthSpec":
@@ -409,7 +399,7 @@ def evaluate_generation(
                 counts[t][row][levels[t]] += 1
             records.append({
                 "dimension": trait,
-                "condition": None if text_bits is None else BfpCondition(*text_bits).to_string(),
+                "condition": None if text_bits is None else format_condition(text_bits),
                 "text": " ".join(tokens),
                 "levels": levels,
             })

@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -47,11 +48,10 @@ _CJK_RANGES = (
     (0xF900, 0xFAFF),    # CJK compatibility ideographs
     (0x20000, 0x2A6DF),  # CJK extension B
 )
-
-
-def _is_cjk(ch: str) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in _CJK_RANGES)
+_CJK_CLASS = "".join(rf"\U{lo:08x}-\U{hi:08x}" for lo, hi in _CJK_RANGES)
+# one token per CJK codepoint, or one maximal run of other non-whitespace;
+# ``\s`` matches exactly the codepoints for which str.isspace() holds
+_CJK_TOKEN = re.compile(rf"[{_CJK_CLASS}]|[^\s{_CJK_CLASS}]+")
 
 
 def tokenize(raw_text: str, mode: str = "whitespace") -> list[str]:
@@ -63,23 +63,7 @@ def tokenize(raw_text: str, mode: str = "whitespace") -> list[str]:
     if mode == "whitespace":
         return raw_text.split()
     if mode == "cjk_char":
-        tokens: list[str] = []
-        run: list[str] = []
-        for ch in raw_text:
-            if ch.isspace():
-                if run:
-                    tokens.append("".join(run))
-                    run = []
-            elif _is_cjk(ch):
-                if run:
-                    tokens.append("".join(run))
-                    run = []
-                tokens.append(ch)
-            else:
-                run.append(ch)
-        if run:
-            tokens.append("".join(run))
-        return tokens
+        return _CJK_TOKEN.findall(raw_text)
     raise TraitgenError(f"unknown tokenize mode {mode!r}")
 
 

@@ -29,7 +29,6 @@ from traitgen.checkpoint import load_model
 from traitgen.classifier import classifier_loss
 from traitgen.cli import main as cli_main
 from traitgen.generator import (
-    BfpCondition,
     LstmConfig,
     LstmModel,
     generate,
@@ -49,7 +48,8 @@ from traitgen.lexicon import (
     scores_by_trait,
     trait_scores,
 )
-from traitgen.numeric import Lockstep, Matrix, Rng, gradient_check, masked_cross_entropy
+from traitgen.numeric import Lockstep, Matrix, Rng, masked_cross_entropy
+from traitgen.numeric.gradcheck import gradient_check
 from traitgen.textproc import Vocabulary, encode, read_corpus
 from traitgen.traits import HIGH, LOW, TRAITS
 
@@ -290,10 +290,10 @@ def test_criterion_6_decoding_contract():
     pool = ["w0", "w1", "w2", "w3"]
     specials = {"<pad>", "<s>", "<unk>", "</s>"}
     max_len = 16
-    condition = BfpCondition(1, 0, 1, 0, 1)
+    condition = (1, 0, 1, 0, 1)
     violations = 0
     rng = Rng(606)
-    outs = generate(model, np.tile(condition.bits, (10000, 1)), pool,
+    outs = generate(model, np.tile(condition, (10000, 1)), pool,
                     Lockstep.spawned(rng, 0, 10000), temperature=1.0, max_len=max_len)
     for out in outs:
         if specials & set(out):
@@ -304,7 +304,7 @@ def test_criterion_6_decoding_contract():
             violations += 1
 
     greedy_runs = {
-        tuple(out) for out in generate(model, np.tile(condition.bits, (3, 1)), ["w7"],
+        tuple(out) for out in generate(model, np.tile(condition, (3, 1)), ["w7"],
                                        Lockstep.spawned(rng, 10000, 3), temperature=0.0,
                                        max_len=max_len)
     }
@@ -412,7 +412,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     lstm.save(lstm_path)
     lstm_loaded = load_model(lstm_path, "lstm")
     probe_ids, _ = encode([probe_tokens], lstm.vocab, lstm.config.max_len)
-    cond = np.array([BfpCondition(1, 1, 0, 0, 1).bits], dtype=np.float64)
+    cond = np.array([(1, 1, 0, 0, 1)], dtype=np.float64)
     lstm_logits = [_forward(m, probe_ids, cond, batch_workspace(m, probe_ids))
                    for m in (lstm, lstm_loaded)]
     lstm_same = (lstm_logits[0] == lstm_logits[1]).all()

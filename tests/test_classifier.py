@@ -12,13 +12,13 @@ from traitgen.classifier import (
     classifier_forward,
     classifier_loss,
     label_corpus,
-    predict_labels,
     train_classifier,
     _backward,
     _forward,
 )
 from traitgen.errors import TraitgenError
-from traitgen.numeric import Rng, gradient_check
+from traitgen.numeric import Rng
+from traitgen.numeric.gradcheck import gradient_check
 from traitgen.textproc import PAD_ID, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
@@ -172,9 +172,16 @@ def test_loss_rejects_bad_labels() -> None:
 # -------------------------------------------------------------- predictions
 
 
-def test_predict_labels_boundary_maps_to_zero() -> None:
-    probs = np.array([[0.9, 0.1, 0.6, 0.4, 0.5], [0.5000000000000001, 0.0, 1.0, 0.49, 0.51]])
-    assert predict_labels(probs) == [[1, 0, 1, 0, 0], [1, 0, 1, 0, 1]]
+def test_label_corpus_maps_probability_one_half_to_zero() -> None:
+    # all-zero weights: every logit is 0, so every probability is exactly 0.5
+    vocab = tiny_vocab(3)
+    model = CnnModel(CnnConfig(vocab_size=len(vocab), embed_dim=2, window=2, num_filters=1,
+                               max_len=8), vocab)
+    docs = [Document("w0 w1", ["w0", "w1"]), Document("w2", ["w2"])]
+    assert (classifier_forward([d.tokens for d in docs], model) == 0.5).all()
+    for doc in label_corpus(docs, model):
+        assert doc.labels == dict.fromkeys(TRAITS, 0)
+        assert all(type(v) is int for v in doc.labels.values())
 
 
 def test_prediction_agrees_with_logit_sign() -> None:
@@ -285,7 +292,7 @@ def test_label_corpus_matches_forward_predictions_and_preserves_order() -> None:
     labeled = label_corpus(docs, model)
     assert [d.raw_text for d in labeled] == [d.raw_text for d in docs]
     for src, out in zip(docs, labeled):
-        expected = predict_labels(classifier_forward([src.tokens], model))[0]
+        expected = [int(p > 0.5) for p in classifier_forward([src.tokens], model)[0]]
         assert [out.labels[t] for t in TRAITS] == expected
 
 

@@ -1254,7 +1254,7 @@ def test_manifest_keeps_the_hash_of_each_input_sharing_a_file_name(tmp_path, pip
 
 
 def _spec_with(path: tuple, value) -> bytes:
-    spec = default_synth_spec().as_dict()
+    spec = dataclasses.asdict(default_synth_spec())
     *parents, last = path
     node = spec
     for key in parents:
@@ -1312,7 +1312,8 @@ def test_spec_token_set_must_be_a_list(tmp_path, capsys, path, value) -> None:
         "unknown-key", "len-max-huge", "markers-list"])
 def test_spec_numbers_are_checked_not_coerced(tmp_path, capsys, patch, message) -> None:
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({**default_synth_spec().as_dict(), **patch}), encoding="utf-8")
+    spec.write_text(json.dumps({**dataclasses.asdict(default_synth_spec()), **patch}),
+                    encoding="utf-8")
     assert run("synth", "--spec", str(spec), "--n", "2", "--out", str(tmp_path / "out")) == 2
     assert capsys.readouterr().err.splitlines() == [f"traitgen: error: {message}"]
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
@@ -1320,7 +1321,7 @@ def test_spec_numbers_are_checked_not_coerced(tmp_path, capsys, patch, message) 
 
 def test_spec_len_max_cap_is_inclusive(tmp_path) -> None:
     spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({**default_synth_spec().as_dict(), "pi": 1,
+    spec.write_text(json.dumps({**dataclasses.asdict(default_synth_spec()), "pi": 1,
                                 "len_min": MAX_DOC_TOKENS, "len_max": MAX_DOC_TOKENS}),
                     encoding="utf-8")
     assert run("synth", "--spec", str(spec), "--n", "1", "--out", str(tmp_path / "out")) == 0
@@ -1417,7 +1418,7 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--thresholds", b"[1, 2"),
     ("--thresholds", json.dumps({t: {"low_cut": "x", "high_cut": 1} for t in TRAITS}).encode()),
     ("--spec", b"\n\n}"),
-    ("--spec", json.dumps({**default_synth_spec().as_dict(), "len_min": "x"}).encode()),
+    ("--spec", json.dumps({**dataclasses.asdict(default_synth_spec()), "len_min": "x"}).encode()),
     ("--seed-pool", b"w000\n\xff\n"),
     ("--model", b"\xff{}"),
     ("--corpus", json.dumps({"text": "a b", "labels": "EACNO"}).encode()),

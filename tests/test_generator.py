@@ -19,7 +19,6 @@ from traitgen.generator import (
     ID_COLUMNS,
     NGRAM_WINDOW,
     RUN_LIMIT,
-    BfpCondition,
     LstmConfig,
     LstmModel,
     generate,
@@ -30,7 +29,8 @@ from traitgen.generator import (
     _forward,
     _train_batch,
 )
-from traitgen.numeric import Lockstep, Matrix, Rng, gradient_check, masked_cross_entropy, zero_grads
+from traitgen.numeric import Lockstep, Matrix, Rng, masked_cross_entropy, zero_grads
+from traitgen.numeric.gradcheck import gradient_check
 from traitgen.textproc import (
     BOS_ID,
     EOS_ID,
@@ -41,7 +41,7 @@ from traitgen.textproc import (
     Vocabulary,
     encode,
 )
-from traitgen.traits import TRAITS
+from traitgen.traits import TRAITS, format_condition, parse_condition
 
 from lstm_helpers import batch_workspace, cell
 
@@ -57,8 +57,13 @@ def make_model(n_tokens=4, k=3, h=3, cond=5, max_len=10, seed=2) -> LstmModel:
     return LstmModel.init(config, vocab, Rng(seed))
 
 
-def all_high() -> BfpCondition:
-    return BfpCondition(1, 1, 1, 1, 1)
+def all_high() -> tuple[int, ...]:
+    return (1, 1, 1, 1, 1)
+
+
+def bits_of(r: int) -> tuple[int, ...]:
+    """The five low bits of ``r``, E first."""
+    return tuple((r >> b) & 1 for b in range(5))
 
 
 def streams_of(seed: int, n: int) -> Lockstep:
@@ -66,9 +71,9 @@ def streams_of(seed: int, n: int) -> Lockstep:
     return Lockstep.spawned(Rng(seed), 0, n)
 
 
-def cond_row(*conditions: BfpCondition) -> np.ndarray:
+def cond_row(*conditions: tuple[int, ...]) -> np.ndarray:
     """The (n, 5) condition input of n texts, one row per condition."""
-    return np.array([c.bits for c in conditions], dtype=np.float64)
+    return np.array(conditions, dtype=np.float64)
 
 
 def forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.ndarray:
@@ -97,9 +102,11 @@ def random_labeled_docs(n: int, tokens: list[str], rng: Rng, length=5) -> list[D
 
 
 def test_condition_bits_and_string_roundtrip() -> None:
-    cond = BfpCondition.parse("E=1,A=0,C=1,N=0,O=1")
-    assert cond.bits == (1, 0, 1, 0, 1)
-    assert BfpCondition.parse(cond.to_string()) == cond
+    cond = parse_condition("E=1,A=0,C=1,N=0,O=1")
+    assert cond == (1, 0, 1, 0, 1)
+    assert format_condition(cond) == "E=1,A=0,C=1,N=0,O=1"
+    for r in range(32):
+        assert parse_condition(format_condition(bits_of(r))) == bits_of(r)
 
 
 def test_condition_parse_rejects_malformed() -> None:
@@ -109,12 +116,7 @@ def test_condition_parse_rejects_malformed() -> None:
                          ("X=1,A=0,C=1,N=0,O=1", "unknown trait 'X'"),
                          ("E:1,A=0,C=1,N=0,O=1", "bad condition component")):
         with pytest.raises(TraitgenError, match=message):
-            BfpCondition.parse(bad)
-
-
-def test_condition_rejects_non_binary() -> None:
-    with pytest.raises(TraitgenError, match="polarity must be 0 or 1, got 2"):
-        BfpCondition(2, 0, 0, 0, 0)
+            parse_condition(bad)
 
 
 # ----------------------------------------------------------------------- cell
@@ -205,11 +207,11 @@ def test_forward_condition_arity_enforced() -> None:
 def test_forward_matches_hand_unrolled_steps() -> None:
     model = make_model(n_tokens=4, k=3, h=3, cond=5, max_len=4, seed=41)
     ids, _ = encode([["w0", "w2"]], model.vocab, 4)  # BOS w0 w2 EOS
-    cond = BfpCondition(1, 0, 1, 0, 1)
+    cond = (1, 0, 1, 0, 1)
     logits = forward(model, ids, cond_row(cond))
     assert logits.shape == (3, model.config.vocab_size)
 
-    bits = list(map(float, cond.bits))
+    bits = list(map(float, cond))
     w_o, b_o = model.out_w.value, model.out_b.value[0]
     h, c = [0.0] * 3, [0.0] * 3
     for t in range(3):
@@ -227,8 +229,7 @@ def test_zeroed_condition_rows_make_all_conditions_identical() -> None:
     ids, _ = encode([["w1", "w3"]], model.vocab, 6)
     reference = None
     for bits in range(32):
-        cond = BfpCondition(*( (bits >> i) & 1 for i in range(5) ))
-        logits = forward(model, ids, cond_row(cond))
+        logits = forward(model, ids, cond_row(bits_of(bits)))
         if reference is None:
             reference = logits
         else:
@@ -500,7 +501,7 @@ def test_trailing_run_length(tokens: list[int]) -> None:
     check_row_against_rescan(tokens)
 
 
-def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool: list[str],
+def reference_decode(model: LstmModel, condition: tuple[int, ...] | None, seed_pool: list[str],
                      rng: Rng, temperature: float, max_len: int) -> tuple[list[int], str]:
     """The one-row decoding loop: (token ids, stop reason).
 
@@ -518,7 +519,7 @@ def reference_decode(model: LstmModel, condition: BfpCondition | None, seed_pool
         nonlocal h, c
         x = [emb[token_id][None, :]]
         if condition is not None:
-            x.append(np.array([condition.bits], dtype=np.float64))
+            x.append(np.array([condition], dtype=np.float64))
         h, c = cell(model, np.concatenate(x + [h], axis=1), c)
 
     feed(BOS_ID)
@@ -556,8 +557,7 @@ def test_batched_decoding_matches_scalar_reference_at_any_batch_size(
     model = make_model(n_tokens=10, k=4, h=6, cond=cond_dim, max_len=16, seed=211 + cond_dim)
     pool = ["w0", "w3", "w7", "w9"]
     n = 500
-    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) if cond_dim else None
-                  for r in range(n)]
+    conditions = [bits_of(r) if cond_dim else None for r in range(n)]
     ref = [reference_decode(model, cond, pool, Rng(977).spawn(r), temperature, max_len)
            for r, cond in enumerate(conditions)]
     expected = [[model.vocab.token_of(i) for i in ids] for ids, _ in ref]
@@ -589,7 +589,7 @@ def test_one_chunk_of_staggered_stops_matches_the_reference(data) -> None:
     temperature = data.draw(st.sampled_from([0.9, 1.0, 1.2]), label="temperature")
     stream_seed = data.draw(st.integers(0, 2 ** 16), label="stream_seed")
     pool = ["w0", "w1", "w2"]
-    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
+    conditions = [bits_of(r) for r in range(n)]
     ref = [reference_decode(model, cond, pool, Rng(stream_seed).spawn(r), temperature, max_len)
            for r, cond in enumerate(conditions)]
     assert {reason for _, reason in ref} == {"eos", "run", "ngram", "max_len"}
@@ -612,7 +612,7 @@ def test_texts_do_not_depend_on_the_chunk_size(monkeypatch) -> None:
     # live-row count of the output GEMM keeps changing
     n = 330
     pool = [f"w{i}" for i in range(0, 400, 23)]
-    cond = cond_row(*(BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)))
+    cond = cond_row(*map(bits_of, range(n)))
     texts = {}
     for cap in (64, DECODE_CHUNK, n):
         monkeypatch.setattr(traitgen.generator, "DECODE_CHUNK", cap)
@@ -629,7 +629,7 @@ def test_a_huge_max_len_costs_only_the_ids_decoded() -> None:
     model.out_b.value[0, EOS_ID] = 1.6  # about one end marker in 40 draws
     pool = ["w0", "w3", "w7", "w9"]
     n, max_len = DECODE_CHUNK, 10 ** 9
-    conditions = [BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)]
+    conditions = [bits_of(r) for r in range(n)]
     ref = [reference_decode(model, cond, pool, Rng(239).spawn(r), 1.0, max_len)
            for r, cond in enumerate(conditions)]
     assert max(len(ids) for ids, _ in ref) > 2 * ID_COLUMNS
@@ -658,7 +658,7 @@ def test_two_thread_decoding_equals_the_serial_chunk_loop(n: int, temperature: f
     one thread, however the threads interleave."""
     model = make_model(n_tokens=30, k=8, h=32, cond=5, max_len=16, seed=223)
     pool = ["w0", "w3", "w7", "w9"]
-    cond = cond_row(*(BfpCondition(*((r >> b) & 1 for b in range(5))) for r in range(n)))
+    cond = cond_row(*map(bits_of, range(n)))
     serial = streams_of(991, n)
     seed_ids = [model.vocab.id_of(pool[i]) for i in serial.randint(len(pool)).tolist()]
     expected = []
@@ -766,7 +766,7 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
         model = make_model(n_tokens=12, k=4, h=8, cond=5, max_len=16, seed=model_seed)
         sampleable = np.array([i for i in range(model.config.vocab_size)
                                if i not in (PAD_ID, UNK_ID, BOS_ID)])
-        cond = BfpCondition(*((model_seed >> i) & 1 for i in range(5)))
+        cond = bits_of(model_seed)
         for seed_word in ("w0", "w5", "w11"):
             out = generate(model, cond_row(cond), [seed_word], streams_of(model_seed, 1),
                            temperature=0.0)[0]

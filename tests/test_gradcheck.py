@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from traitgen.numeric import Matrix, Parameter, Rng, affine, gradient_check
+from traitgen.numeric import Matrix, Parameter, Rng, affine
+from traitgen.numeric.gradcheck import gradient_check
 
 
 def test_affine_mse_toy_passes_tightly() -> None:

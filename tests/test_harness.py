@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from traitgen.errors import TraitgenError
-from traitgen.generator import BfpCondition, LstmConfig, LstmModel
+from traitgen.generator import LstmConfig, LstmModel
 from traitgen.harness import (
     MAX_MARKER_SET,
     SynthSpec,
@@ -28,12 +28,13 @@ from traitgen.harness import (
 from traitgen.lexicon import (
     assign_levels,
     calibrate_thresholds,
+    save_lexicon,
     score_tokens,
     scores_by_trait,
 )
 from traitgen.numeric import Rng
 from traitgen.textproc import Document, Vocabulary, write_corpus, write_json
-from traitgen.traits import HIGH, LOW, MEDIUM, TRAITS
+from traitgen.traits import HIGH, LOW, MEDIUM, TRAITS, parse_condition
 
 
 def small_spec(pi=0.3, len_min=8, len_max=14, n_neutral=30) -> SynthSpec:
@@ -100,7 +101,7 @@ def test_spec_file_roundtrip(tmp_path) -> None:
     path = tmp_path / "spec.json"
     spec.save(path)
     loaded = SynthSpec.load(path)
-    assert loaded.as_dict() == spec.as_dict()
+    assert loaded == spec
 
 
 # --------------------------------------------------------------------- corpus
@@ -142,6 +143,22 @@ def test_frozen_corpus_bytes(n, seed, digest) -> None:
     # pins the generator: a reordered draw changes these bytes
     docs, _ = synth_corpus(default_synth_spec(), n, Rng(seed))
     assert corpus_sha256(docs) == digest
+
+
+@pytest.mark.parametrize("make_spec, spec_digest, lexicon_digest", [
+    (small_spec, "965b6d3e6077075aa205d17acfbf275f704aa4318f16e681cf830cfe349c3213",
+     "b8daccb0a12bdadf1a2d7ed5615022c92d4dcaa690032505c1b72eda75d6adb3"),
+    (default_synth_spec, "81f9cd28be3e3f94548a1b416ebce04e64ec8a365093c503976612528e66a7c4",
+     "fe2b843b7f26ff45fbd1ca3dfd82d18fa4d4216982274af73b66f6dfe2bd8a6e"),
+])
+def test_frozen_spec_and_lexicon_bytes(tmp_path, make_spec, spec_digest, lexicon_digest) -> None:
+    # synth's other two outputs: spec.json's key set and order, and the matched lexicon
+    spec = make_spec()
+    _, lexicon = synth_corpus(spec, 0, Rng(1))
+    spec.save(tmp_path / "spec.json")
+    save_lexicon(lexicon, tmp_path / "lexicon.json")
+    assert hashlib.sha256((tmp_path / "spec.json").read_bytes()).hexdigest() == spec_digest
+    assert hashlib.sha256((tmp_path / "lexicon.json").read_bytes()).hexdigest() == lexicon_digest
 
 
 def test_doc_lengths_respect_bounds_and_labels_present() -> None:
@@ -392,7 +409,7 @@ def test_evaluation_collects_per_text_records() -> None:
     for t in TRAITS:
         dim = report["dimensions"][t]
         ours = [r for r in conditional if r["dimension"] == t]
-        pinned = [BfpCondition.parse(r["condition"]).bits[TRAITS.index(t)] for r in ours]
+        pinned = [parse_condition(r["condition"])[TRAITS.index(t)] for r in ours]
         hits = sum(r["levels"][t] == (HIGH if p else LOW) for r, p in zip(ours, pinned))
         assert dim["accuracy"] == hits / 4
         for level in (LOW, MEDIUM, HIGH):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import string
 from collections import Counter
 from unittest import mock
 
@@ -52,6 +53,46 @@ def test_cjk_char_mode_splits_ideographs_and_groups_latin() -> None:
 
 def test_cjk_char_mode_keeps_emoticons_as_tokens() -> None:
     assert tokenize("好开心😊", mode="cjk_char") == ["好", "开", "心", "😊"]
+
+
+# the CJK blocks of the cjk_char mode, written out independently of textproc
+REFERENCE_CJK_RANGES = ((0x3400, 0x4DBF), (0x4E00, 0x9FFF), (0xF900, 0xFAFF), (0x20000, 0x2A6DF))
+
+
+def reference_cjk_tokens(text: str) -> list[str]:
+    """The cjk_char mode as a per-character loop: each CJK codepoint is a
+    token, and each maximal run of other non-whitespace characters is one."""
+    tokens: list[str] = []
+    run: list[str] = []
+    for ch in text:
+        if ch.isspace():
+            if run:
+                tokens.append("".join(run))
+                run = []
+        elif any(lo <= ord(ch) <= hi for lo, hi in REFERENCE_CJK_RANGES):
+            if run:
+                tokens.append("".join(run))
+                run = []
+            tokens.append(ch)
+        else:
+            run.append(ch)
+    if run:
+        tokens.append("".join(run))
+    return tokens
+
+
+CJK_ALPHABET = sorted(
+    {chr(c) for c in range(0x110000) if chr(c).isspace()}
+    | {chr(c) for lo, hi in REFERENCE_CJK_RANGES for c in (lo - 1, lo, hi, hi + 1)}
+    | set(string.ascii_letters) | {"😊"}
+    | set("]\\-^")  # special inside a regular expression's character class
+)
+
+
+@given(st.text(alphabet=st.sampled_from(CJK_ALPHABET), max_size=40))
+@settings(max_examples=1000, deadline=None, derandomize=True)
+def test_cjk_char_mode_equals_the_per_character_loop(text: str) -> None:
+    assert tokenize(text, mode="cjk_char") == reference_cjk_tokens(text)
 
 
 def test_unknown_mode_rejected() -> None:
