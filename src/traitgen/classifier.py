@@ -21,7 +21,6 @@ import numpy as np
 from .checkpoint import write_checkpoint
 from .errors import TraitgenError
 from .numeric import (
-    Matrix,
     Parameter,
     Rng,
     adam_step,
@@ -137,18 +136,15 @@ def _forward(model: CnnModel, ids: np.ndarray, lengths: np.ndarray):
     p = t - m + 1
     win_ids = ids[:, np.arange(p)[:, None] + np.arange(m)].transpose(1, 0, 2)  # (P, B, m)
     windows = model.embedding.value[win_ids].reshape(p * b, -1)
-    conv_t = Matrix._wrap(model.conv_w.value.T)  # stored F x (m*k), used transposed
-    pre, back_conv = affine(Matrix._wrap(windows), conv_t, Matrix._wrap(model.conv_b.value))
+    # conv_w is stored F x (m*k) and used transposed
+    pre, back_conv = affine(windows, model.conv_w.value.T, model.conv_b.value)
     act, back_relu = elementwise_activation(pre)
     valid = np.arange(p)[:, None] <= np.maximum(lengths - m, 0)  # (P, B)
-    feats = act.a.reshape(p, b, f)
+    feats = act.reshape(p, b, f)
     feats *= valid[:, :, None]
-    pooled, back_pool = max_over_time(Matrix._wrap(feats.reshape(p, b * f)))
-    pooled = Matrix._wrap(pooled.a.reshape(b, f))
-    logits, back_head = affine(pooled, Matrix._wrap(model.head_w.value),
-                               Matrix._wrap(model.head_b.value))
-    cache = (win_ids, back_conv, back_relu, pooled, back_pool, back_head)
-    return _sigmoid(logits.a), cache
+    pooled, back_pool = max_over_time(feats.reshape(p, b * f))
+    logits, back_head = affine(pooled.reshape(b, f), model.head_w.value, model.head_b.value)
+    return _sigmoid(logits), (win_ids, back_conv, back_relu, back_pool, back_head)
 
 
 def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
@@ -158,18 +154,18 @@ def _backward(model: CnnModel, probs: np.ndarray, cache, labels: np.ndarray,
     Uses the fused sigmoid + binary cross-entropy gradient (p - y) at each
     head logit.
     """
-    win_ids, back_conv, back_relu, pooled, back_pool, back_head = cache
+    win_ids, back_conv, back_relu, back_pool, back_head = cache
     d_logits = (probs - labels) * (scale / len(TRAITS))
-    d_pooled, d_head_w, d_head_b = back_head(Matrix._wrap(d_logits))
-    model.head_w.grad += d_head_w.a
-    model.head_b.grad += d_head_b.a
-    d_act = back_pool(Matrix._wrap(d_pooled.a.reshape(1, -1)))
-    d_pre = back_relu(Matrix._wrap(d_act.a.reshape(-1, model.config.num_filters)))
+    d_pooled, d_head_w, d_head_b = back_head(d_logits)
+    model.head_w.grad += d_head_w
+    model.head_b.grad += d_head_b
+    d_act = back_pool(d_pooled.reshape(1, -1))
+    d_pre = back_relu(d_act.reshape(-1, model.config.num_filters))
     d_win, d_conv_t, d_conv_b = back_conv(d_pre)
-    model.conv_w.grad += d_conv_t.a.T
-    model.conv_b.grad += d_conv_b.a
+    model.conv_w.grad += d_conv_t.T
+    model.conv_b.grad += d_conv_b
     k = model.config.embed_dim
-    add_rows_at(model.embedding.grad, win_ids.reshape(-1), d_win.a.reshape(-1, k))
+    add_rows_at(model.embedding.grad, win_ids.reshape(-1), d_win.reshape(-1, k))
 
 
 def _probs(model: CnnModel, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -193,10 +189,8 @@ def classifier_forward(texts: Sequence[Sequence[str]], model: CnnModel) -> np.nd
     return _probs(model, *encode(texts, model.vocab, model.config.max_len))
 
 
-def classifier_loss(probs: Sequence[float], labels: dict[str, int] | list[int]) -> float:
+def classifier_loss(probs: Sequence[float], labels: Sequence[int]) -> float:
     """Mean binary cross-entropy over the five traits, probabilities clamped."""
-    if isinstance(labels, dict):
-        labels = [labels[t] for t in TRAITS]
     if len(probs) != len(TRAITS) or len(labels) != len(TRAITS):
         raise TraitgenError("need exactly five probabilities and five labels")
     eps = 1e-12

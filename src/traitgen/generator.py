@@ -274,8 +274,7 @@ def _train_batch(model: LstmModel, ids: np.ndarray, lengths: np.ndarray,
     xh_all, h_all, dz_all, c, tanh_c = ws.xh[:n], ws.h[:n], ws.gates[:n], ws.c[:n], ws.tanh_c[:n]
     targets = ids[:, 1:].T.reshape(-1)
     mask = (np.arange(1, t_len)[:, None] < lengths).reshape(-1)  # time-major, as the logits
-    loss, back_ce = masked_cross_entropy(Matrix._wrap(logits), targets, mask)
-    dlogits = back_ce().a
+    loss, dlogits = masked_cross_entropy(Matrix(logits), targets, mask)
 
     model.out_w.grad += h_all.T @ dlogits
     model.out_b.grad += dlogits.sum(axis=0, keepdims=True)

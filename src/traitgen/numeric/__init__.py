@@ -1,4 +1,4 @@
-"""Numeric core: matrices, differentiable ops, optimizer, gradient checks.
+"""Numeric core: differentiable ops on plain float64 arrays, optimizer, RNG, gradient checks.
 
 Importing it pins OpenBLAS to one thread (see :mod:`.blas`).
 """

@@ -172,7 +172,7 @@ def test_criterion_1_gradient_integrity():
     def lstm_loss() -> float:
         logits = _forward(lstm, ids, cond, batch_workspace(lstm, ids))
         loss, _ = masked_cross_entropy(
-            Matrix._wrap(logits), ids[:, 1:].T.reshape(-1), mask[:, 1:].T.reshape(-1)
+            Matrix(logits), ids[:, 1:].T.reshape(-1), mask[:, 1:].T.reshape(-1)
         )
         return loss
 
@@ -267,7 +267,7 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
     cond = np.array([[doc.labels[t] for t in TRAITS] for doc in sample], dtype=np.float64)
     mask = np.arange(1, ids.shape[1])[:, None] < lengths  # time-major, as the logits
     logits = _forward(untrained, ids, cond, batch_workspace(untrained, ids))
-    mean_ce, _ = masked_cross_entropy(Matrix._wrap(logits),
+    mean_ce, _ = masked_cross_entropy(Matrix(logits),
                                       ids[:, 1:].T.reshape(-1), mask.reshape(-1))
     ln_v = math.log(len(vocab))
     ok_untrained = abs(mean_ce - ln_v) / ln_v < 0.02

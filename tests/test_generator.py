@@ -84,7 +84,7 @@ def forward(model: LstmModel, ids: np.ndarray, cond: np.ndarray | None) -> np.nd
 def next_token_loss(logits: np.ndarray, ids: np.ndarray, lengths: np.ndarray) -> float:
     """masked_cross_entropy of _forward's time-major logits against the next ids."""
     mask = np.arange(1, ids.shape[1])[:, None] < lengths
-    loss, _ = masked_cross_entropy(Matrix._wrap(logits), ids[:, 1:].T.reshape(-1),
+    loss, _ = masked_cross_entropy(Matrix(logits), ids[:, 1:].T.reshape(-1),
                                    mask.reshape(-1))
     return loss
 
@@ -300,7 +300,7 @@ def test_gradient_check_three_timesteps() -> None:
         logits = forward(model, ids, cond)
         targets = ids[:, 1:].T.reshape(-1)
         mask_flat = mask[:, 1:].T.reshape(-1)
-        loss, _ = masked_cross_entropy(Matrix._wrap(logits), targets, mask_flat)
+        loss, _ = masked_cross_entropy(Matrix(logits), targets, mask_flat)
         return loss
 
     def grad_fn() -> float:

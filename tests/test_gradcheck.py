@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from traitgen.numeric import Matrix, Parameter, Rng, affine
+from traitgen.numeric import Parameter, Rng, affine
 from traitgen.numeric.gradcheck import gradient_check
 
 
@@ -11,20 +11,19 @@ def test_affine_mse_toy_passes_tightly() -> None:
     rng = Rng(31)
     w = Parameter("w", [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(3)])
     b = Parameter("b", [[2.0 * rng.random() - 1.0 for _ in range(2)]])
-    x = Matrix([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(4)])
+    x = np.array([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(4)])
     y = np.array([[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(4)])
 
     def loss_fn() -> float:
-        out, _ = affine(x, Matrix(w.value), Matrix(b.value))
-        return float(((out.a - y) ** 2).mean())
+        out, _ = affine(x, w.value, b.value)
+        return float(((out - y) ** 2).mean())
 
     def grad_fn() -> float:
-        out, back = affine(x, Matrix(w.value), Matrix(b.value))
-        diff = out.a - y
-        d = Matrix(2.0 * diff / diff.size)
-        _, dw, db = back(d)
-        w.grad += dw.a
-        b.grad += db.a
+        out, back = affine(x, w.value, b.value)
+        diff = out - y
+        _, dw, db = back(2.0 * diff / diff.size)
+        w.grad += dw
+        b.grad += db
         return float((diff ** 2).mean())
 
     errors = gradient_check(loss_fn, grad_fn, [w, b], h=1e-5)
