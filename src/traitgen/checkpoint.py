@@ -10,6 +10,7 @@ A checkpoint of any other format version must be retrained.
 from __future__ import annotations
 
 import base64
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +22,34 @@ from .textproc import Vocabulary, config_from_payload, is_int, read_json, write_
 FORMAT_VERSION = 2
 
 
-def params_to_payload(params: list[Parameter]) -> dict:
-    return {
-        p.name: {
-            "shape": list(p.value.shape),
-            "data": base64.b64encode(p.value.astype("<f8").tobytes()).decode("ascii"),
-        }
-        for p in params
-    }
+class Model:
+    """Parameters of one network, each named and shaped by ``shapes``.
+
+    A subclass sets ``kind`` and defines ``shapes(config)``, the
+    ``{name: (rows, cols)}`` of its parameters in checkpoint order. A new
+    model holds one zero :class:`Parameter` per entry, as the attribute of
+    its name.
+    """
+
+    kind: str
+
+    @staticmethod
+    def check(config, vocab: Vocabulary) -> None:
+        config.validate()
+        if len(vocab) != config.vocab_size:
+            raise TraitgenError(
+                f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
+            )
+
+    def __init__(self, config, vocab: Vocabulary):
+        self.check(config, vocab)
+        self.config = config
+        self.vocab = vocab
+        for name, shape in self.shapes(config).items():
+            setattr(self, name, Parameter(name, np.zeros(shape)))
+
+    def params(self) -> list[Parameter]:
+        return [getattr(self, name) for name in self.shapes(self.config)]
 
 
 def _decode(data: object, size: int) -> np.ndarray | None:
@@ -40,39 +61,46 @@ def _decode(data: object, size: int) -> np.ndarray | None:
     return values if values.size == size and np.isfinite(values).all() else None
 
 
-def params_from_payload(payload: dict, params: list[Parameter]) -> None:
-    """Load values into existing parameters, checking names, shapes and data."""
+def params_from_payload(payload: dict,
+                        shapes: dict[str, tuple[int, int]]) -> dict[str, np.ndarray]:
+    """Each parameter's values, its name, shape and data checked against ``shapes``."""
     if not isinstance(payload, dict):
         raise TraitgenError(f"'params' must be an object, got {type(payload).__name__}")
-    names = {p.name for p in params}
-    if set(payload) != names:
+    if set(payload) != set(shapes):
         raise TraitgenError(
-            f"checkpoint parameters {sorted(payload)} do not match model {sorted(names)}"
+            f"checkpoint parameters {sorted(payload)} do not match model {sorted(shapes)}"
         )
-    for p in params:
-        entry = payload[p.name]
+    arrays = {}
+    for name, want in shapes.items():
+        entry = payload[name]
         shape = entry.get("shape") if isinstance(entry, dict) else None
         if not (isinstance(shape, list) and len(shape) == 2 and all(map(is_int, shape))):
-            raise TraitgenError(f"params.{p.name}.shape must be a pair of integers")
-        if tuple(shape) != p.value.shape:
+            raise TraitgenError(f"params.{name}.shape must be a pair of integers")
+        if tuple(shape) != want:
             raise TraitgenError(
-                f"parameter {p.name!r}: checkpoint shape {tuple(shape)} != model {p.value.shape}"
+                f"parameter {name!r}: checkpoint shape {tuple(shape)} != model {want}"
             )
-        values = _decode(entry.get("data"), p.value.size)
+        values = _decode(entry.get("data"), want[0] * want[1])
         if values is None:
-            raise TraitgenError(f"params.{p.name}.data must be the base64 of "
-                                f"{p.value.size} finite little-endian float64s")
-        p.value[...] = values.reshape(p.value.shape)
+            raise TraitgenError(f"params.{name}.data must be the base64 of "
+                                f"{want[0] * want[1]} finite little-endian float64s")
+        arrays[name] = values.reshape(want)
+    return arrays
 
 
-def write_checkpoint(path: str | Path, kind: str, config: dict, vocab: list[str],
-                     params: list[Parameter]) -> None:
+def write_checkpoint(path: str | Path, model: Model) -> None:
     write_json(path, {
         "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "config": config,
-        "vocab": vocab,
-        "params": params_to_payload(params),
+        "kind": model.kind,
+        "config": asdict(model.config),
+        "vocab": model.vocab.to_list(),
+        "params": {
+            p.name: {
+                "shape": list(p.value.shape),
+                "data": base64.b64encode(p.value.astype("<f8").tobytes()).decode("ascii"),
+            }
+            for p in model.params()
+        },
     }, indent=None)
 
 
@@ -80,9 +108,9 @@ def load_model(path: str | Path, kind: str):
     """Build the ``kind`` ("cnn" or "lstm") model a checkpoint holds.
 
     The format version and kind are checked first, then the config and
-    vocabulary before the model is built, and each parameter before it is
-    assigned; a malformed field raises :class:`TraitgenError` naming the
-    path and the field.
+    vocabulary, then each parameter against the model's ``shapes``, all
+    before any parameter is allocated; a malformed field raises
+    :class:`TraitgenError` naming the path and the field.
     """
     payload = read_json(path)
     found = payload.get("format_version") if isinstance(payload, dict) else None
@@ -104,8 +132,12 @@ def load_model(path: str | Path, kind: str):
         vocab = payload["vocab"]
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
             raise TraitgenError("'vocab' must be a list of strings")
-        model = model_cls(config, Vocabulary(vocab))
-        params_from_payload(payload["params"], model.params())
+        vocab = Vocabulary(vocab)
+        model_cls.check(config, vocab)
+        arrays = params_from_payload(payload["params"], model_cls.shapes(config))
     except TraitgenError as exc:
         raise TraitgenError(f"{path}: {exc}") from exc
+    model = model_cls(config, vocab)
+    for p in model.params():
+        p.value[...] = arrays[p.name]
     return model

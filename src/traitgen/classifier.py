@@ -12,16 +12,15 @@ are kept.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import write_checkpoint
+from .checkpoint import Model, write_checkpoint
 from .errors import TraitgenError
 from .numeric import (
-    Parameter,
     Rng,
     adam_step,
     add_rows_at,
@@ -72,25 +71,16 @@ class CnnConfig:
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
 
 
-class CnnModel:
+class CnnModel(Model):
     """Parameter collection for the classifier. Immutable once trained."""
 
     kind = "cnn"
 
-    def __init__(self, config: CnnConfig, vocab: Vocabulary):
-        config.validate()
-        if len(vocab) != config.vocab_size:
-            raise TraitgenError(
-                f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
-            )
-        self.config = config
-        self.vocab = vocab
+    @staticmethod
+    def shapes(config: CnnConfig) -> dict[str, tuple[int, int]]:
         k, m, f = config.embed_dim, config.window, config.num_filters
-        self.embedding = Parameter("embedding", np.zeros((config.vocab_size, k)))
-        self.conv_w = Parameter("conv_w", np.zeros((f, m * k)))
-        self.conv_b = Parameter("conv_b", np.zeros((1, f)))
-        self.head_w = Parameter("head_w", np.zeros((f, len(TRAITS))))
-        self.head_b = Parameter("head_b", np.zeros((1, len(TRAITS))))
+        return {"embedding": (config.vocab_size, k), "conv_w": (f, m * k), "conv_b": (1, f),
+                "head_w": (f, len(TRAITS)), "head_b": (1, len(TRAITS))}
 
     @classmethod
     def init(cls, config: CnnConfig, vocab: Vocabulary, rng: Rng) -> "CnnModel":
@@ -99,18 +89,14 @@ class CnnModel:
         The head is drawn one f x 1 column per trait, in trait order.
         """
         model = cls(config, vocab)
-        k, m, f = config.embed_dim, config.window, config.num_filters
-        model.embedding.value[...] = xavier_init(config.vocab_size, k, rng)
-        model.conv_w.value[...] = xavier_init(f, m * k, rng)
+        for p in (model.embedding, model.conv_w):
+            p.value[...] = xavier_init(*p.value.shape, rng)
+        f = config.num_filters
         model.head_w.value[...] = np.concatenate([xavier_init(f, 1, rng) for _ in TRAITS], axis=1)
         return model
 
-    def params(self) -> list[Parameter]:
-        return [self.embedding, self.conv_w, self.conv_b, self.head_w, self.head_b]
-
     def save(self, path: str | Path) -> None:
-        write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
-                         self.params())
+        write_checkpoint(path, self)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -282,12 +268,4 @@ def label_corpus(docs: list[Document], model: CnnModel) -> list[Document]:
     """Attach predicted polarity labels to every document, order preserved."""
     probs = classifier_forward([doc.tokens for doc in docs], model)
     preds = (probs > 0.5).astype(int).tolist()  # exactly 0.5 maps to 0
-    return [
-        Document(
-            raw_text=doc.raw_text,
-            tokens=list(doc.tokens),
-            labels=dict(zip(TRAITS, pred)),
-            levels=doc.levels,
-        )
-        for doc, pred in zip(docs, preds)
-    ]
+    return [replace(doc, labels=dict(zip(TRAITS, pred))) for doc, pred in zip(docs, preds)]

@@ -31,17 +31,16 @@ chunk size; the tests compare chunk sizes at the real dimensions.
 from __future__ import annotations
 
 import threading
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import write_checkpoint
+from .checkpoint import Model, write_checkpoint
 from .errors import TraitgenError
 from .numeric import (
     Lockstep,
     Matrix,
-    Parameter,
     Rng,
     adam_step,
     add_rows_at,
@@ -94,45 +93,28 @@ class LstmConfig:
             raise TraitgenError(f"temperature must be finite, got {self.temperature}")
 
 
-class LstmModel:
+class LstmModel(Model):
     """Embedding, fused gate weights (order i f g o), and output projection."""
 
     kind = "lstm"
 
-    def __init__(self, config: LstmConfig, vocab: Vocabulary):
-        config.validate()
-        if len(vocab) != config.vocab_size:
-            raise TraitgenError(
-                f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
-            )
-        self.config = config
-        self.vocab = vocab
+    @staticmethod
+    def shapes(config: LstmConfig) -> dict[str, tuple[int, int]]:
         k, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
-        din = k + config.cond_dim + h
-        self.embedding = Parameter("embedding", np.zeros((v, k)))
-        self.gates_w = Parameter("gates_w", np.zeros((din, 4 * h)))
-        self.gates_b = Parameter("gates_b", np.zeros((1, 4 * h)))
-        self.out_w = Parameter("out_w", np.zeros((h, v)))
-        self.out_b = Parameter("out_b", np.zeros((1, v)))
+        return {"embedding": (v, k), "gates_w": (k + config.cond_dim + h, 4 * h),
+                "gates_b": (1, 4 * h), "out_w": (h, v), "out_b": (1, v)}
 
     @classmethod
     def init(cls, config: LstmConfig, vocab: Vocabulary, rng: Rng) -> "LstmModel":
         """Xavier weights, zero biases, forget-gate bias slice set to 1."""
         model = cls(config, vocab)
-        k, h = config.embed_dim, config.hidden_dim
-        din = k + config.cond_dim + h
-        model.embedding.value[...] = xavier_init(config.vocab_size, k, rng)
-        model.gates_w.value[...] = xavier_init(din, 4 * h, rng)
-        model.gates_b.value[0, h:2 * h] = 1.0
-        model.out_w.value[...] = xavier_init(h, config.vocab_size, rng)
+        for p in (model.embedding, model.gates_w, model.out_w):
+            p.value[...] = xavier_init(*p.value.shape, rng)
+        model.gates_b.value[0, config.hidden_dim:2 * config.hidden_dim] = 1.0
         return model
 
-    def params(self) -> list[Parameter]:
-        return [self.embedding, self.gates_w, self.gates_b, self.out_w, self.out_b]
-
     def save(self, path: str | Path) -> None:
-        write_checkpoint(path, self.kind, asdict(self.config), self.vocab.to_list(),
-                         self.params())
+        write_checkpoint(path, self)
 
 
 # ------------------------------------------------------------------ cell math

@@ -169,12 +169,8 @@ def default_synth_spec() -> SynthSpec:
 
 def _chain_successors(idx: int, n: int) -> list[int]:
     """Fixed successor set for neutral token idx; deduplicated, order stable."""
-    seen: list[int] = []
-    for j in range(NEUTRAL_CHAIN_FANOUT):
-        s = (idx + 1 + _CHAIN_STRIDE * j) % n
-        if s not in seen:
-            seen.append(s)
-    return seen
+    return list(dict.fromkeys((idx + 1 + _CHAIN_STRIDE * j) % n
+                              for j in range(NEUTRAL_CHAIN_FANOUT)))
 
 
 def matched_lexicon(spec: SynthSpec) -> Lexicon:

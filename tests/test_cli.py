@@ -442,10 +442,11 @@ def _non_finite_data(payload: dict) -> None:
     ("baseline", _set(["params", "out_b", "data"], "not base64!")),
     ("baseline", _non_finite_data),
     ("classifier", _per_trait_head),
+    ("classifier", _set(["config", "num_filters"], 10 ** 12)),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
         "vocab-not-list", "non-canonical-vocab-token", "lone-surrogate-vocab-token",
         "shape-not-pair", "non-numeric-data",
-        "non-finite-data", "per-trait-classifier-head"])
+        "non-finite-data", "per-trait-classifier-head", "oversized-num-filters"])
 def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
                                                mutate) -> None:
     payload = json.loads(pipeline[checkpoint].read_text(encoding="utf-8"))
@@ -523,6 +524,9 @@ def _edit_data(data: str, edit: tuple):
 @example(edit=(("params", "gates_w", "data"), ("insert", 4, "\n")))
 @example(edit=(("config", "temperature"), 10 ** 400))
 @example(edit=(("config", "learning_rate"), float("inf")))
+@example(edit=(("config", "hidden_dim"), 10 ** 12))  # shapes no parameter could hold
+@example(edit=(("config", "embed_dim"), 10 ** 6))
+@example(edit=(("config", "vocab_size"), 10 ** 13))
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
     """generate on a mutated checkpoint either succeeds or is one clean user error."""
