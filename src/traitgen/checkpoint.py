@@ -16,19 +16,19 @@ from pathlib import Path
 import numpy as np
 
 from .errors import TraitgenError
-from .numeric import Parameter
+from .numeric import Parameters
 from .textproc import Vocabulary, config_from_payload, is_int, read_json, write_json
 
 FORMAT_VERSION = 2
 
 
-class Model:
+class Model(Parameters):
     """Parameters of one network, each named and shaped by ``shapes``.
 
     A subclass sets ``kind`` and defines ``shapes(config)``, the
     ``{name: (rows, cols)}`` of its parameters in checkpoint order. A new
-    model holds one zero :class:`Parameter` per entry, as the attribute of
-    its name.
+    model holds zeros, each :class:`Parameter` of ``params`` also the
+    attribute of its name.
     """
 
     kind: str
@@ -45,11 +45,8 @@ class Model:
         self.check(config, vocab)
         self.config = config
         self.vocab = vocab
-        for name, shape in self.shapes(config).items():
-            setattr(self, name, Parameter(name, np.zeros(shape)))
-
-    def params(self) -> list[Parameter]:
-        return [getattr(self, name) for name in self.shapes(self.config)]
+        super().__init__(self.shapes(config))
+        vars(self).update((p.name, p) for p in self.params)
 
 
 def _decode(data: object, size: int) -> np.ndarray | None:
@@ -99,7 +96,7 @@ def write_checkpoint(path: str | Path, model: Model) -> None:
                 "shape": list(p.value.shape),
                 "data": base64.b64encode(p.value.astype("<f8").tobytes()).decode("ascii"),
             }
-            for p in model.params()
+            for p in model.params
         },
     }, indent=None)
 
@@ -138,6 +135,6 @@ def load_model(path: str | Path, kind: str):
     except TraitgenError as exc:
         raise TraitgenError(f"{path}: {exc}") from exc
     model = model_cls(config, vocab)
-    for p in model.params():
+    for p in model.params:
         p.value[...] = arrays[p.name]
     return model

@@ -33,7 +33,7 @@ from .numeric import (
     xavier_init,
     zero_grads,
 )
-from .textproc import Document, Vocabulary, encode
+from .textproc import MAX_LEN, Document, Vocabulary, encode
 from .traits import TRAITS
 
 # texts per forward/backward call; the window matrix, and with it the
@@ -62,10 +62,9 @@ class CnnConfig:
             raise TraitgenError(f"window must be >= 1, got {self.window}")
         if self.embed_dim < 1 or self.num_filters < 1:
             raise TraitgenError("embed_dim and num_filters must be >= 1")
-        if self.max_len < self.window + 2:
-            raise TraitgenError(
-                f"max_len {self.max_len} must be at least window + 2 = {self.window + 2}"
-            )
+        if not self.window + 2 <= self.max_len <= MAX_LEN:
+            raise TraitgenError(f"max_len {self.max_len} must be from window + 2 = "
+                                f"{self.window + 2} to {MAX_LEN}")
         if self.vocab_size < 5:
             raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
@@ -234,32 +233,29 @@ def train_classifier(docs: list[Document], config: CnnConfig,
         return model, {"best_epoch": 0, "best_accuracy": acc, "per_epoch_accuracy": [acc]}
 
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
-    params = model.params()
     history = []
     best_mean = -1.0  # any accuracy beats it, so epoch 1 always takes the snapshot
     for epoch in range(1, config.epochs + 1):
         epoch_rng.shuffle(train_idx)
         for start in range(0, len(train_idx), config.batch_size):
             batch = train_idx[start:start + config.batch_size]
-            zero_grads(params)
+            zero_grads(model)
             scale = 1.0 / len(batch)
             for c in range(0, len(batch), CHUNK):
                 rows = batch[c:c + CHUNK]
                 probs, cache = _forward(model, ids[rows], lengths[rows])
                 _backward(model, probs, cache, labels[rows], scale)
-            clip_global_norm(params)
-            for p in params:
-                adam_step(p, config.learning_rate)
-        check_finite(params)
+            clip_global_norm(model)
+            adam_step(model, config.learning_rate)
+        check_finite(model)
         acc = _accuracy_per_trait(model, *val)
         history.append(acc)
         mean_acc = sum(acc.values()) / len(acc)
         if mean_acc > best_mean:
             best_mean = mean_acc
-            best_snapshot = {p.name: p.value.copy() for p in params}
+            best_value = model.value.copy()
             best_epoch, best_accuracy = epoch, acc
-    for p in params:
-        p.value[...] = best_snapshot[p.name]
+    model.value[...] = best_value
     return model, {"best_epoch": best_epoch, "best_accuracy": best_accuracy,
                    "per_epoch_accuracy": history}
 

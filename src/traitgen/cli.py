@@ -31,8 +31,8 @@ from .checkpoint import load_model
 from .classifier import CnnConfig, train_classifier, label_corpus
 from .errors import TraitgenError
 from .generator import LstmConfig, generate, train_generator
-from .harness import (EVAL_TEMPERATURE, SynthSpec, default_synth_spec, evaluate_generation,
-                      render_table, synth_corpus)
+from .harness import (EVAL_TEMPERATURE, MAX_TEXTS, SynthSpec, default_synth_spec,
+                      evaluate_generation, render_table, synth_corpus)
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
                       save_lexicon, save_thresholds, score_tokens, scores_by_trait)
 from .numeric import Lockstep, Rng
@@ -267,6 +267,8 @@ def cmd_generate(o: dict[str, Any]) -> Path:
     n = o["n"]
     if n < 0:
         raise TraitgenError(f"--n must be >= 0, got {n}")
+    if n > MAX_TEXTS:
+        raise TraitgenError(f"--n must be at most {MAX_TEXTS}, got {n}")
     model = load_model(o["model"], "lstm")
     condition = None
     if o["condition"]:

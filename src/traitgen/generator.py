@@ -51,7 +51,7 @@ from .numeric import (
     xavier_init,
     zero_grads,
 )
-from .textproc import BOS_ID, EOS_ID, Document, Vocabulary, encode
+from .textproc import BOS_ID, EOS_ID, MAX_LEN, Document, Vocabulary, encode
 from .traits import TRAITS
 
 GREEDY_TEMPERATURE = 1e-6  # below this, decoding is argmax
@@ -84,8 +84,8 @@ class LstmConfig:
             raise TraitgenError(f"cond_dim must be 0 or 5, got {self.cond_dim}")
         if self.embed_dim < 1 or self.hidden_dim < 1:
             raise TraitgenError("embed_dim and hidden_dim must be >= 1")
-        if self.max_len < 2:
-            raise TraitgenError(f"max_len must be at least 2, got {self.max_len}")
+        if not 2 <= self.max_len <= MAX_LEN:
+            raise TraitgenError(f"max_len must be from 2 to {MAX_LEN}, got {self.max_len}")
         if self.vocab_size < 5:
             raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
@@ -316,7 +316,6 @@ def train_generator(docs: list[Document], config: LstmConfig,
         cond_all = np.array([[d.labels[t] for t in TRAITS] for d in docs], dtype=np.float64)
 
     losses = []
-    params = model.params()
     # one set of step buffers for every batch, as long as the longest encoded text
     ws = _Workspace(config, (int(lengths.max()) - 1) * min(config.batch_size, len(docs)))
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
@@ -336,16 +335,15 @@ def train_generator(docs: list[Document], config: LstmConfig,
             t_max = int(lengths[batch].max())
             ids_b = ids[batch][:, :t_max]
             cond_b = cond_all[batch] if cond_all is not None else None
-            zero_grads(params)
+            zero_grads(model)
             loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
             if not np.isfinite(loss):
                 raise TraitgenError(f"non-finite training loss {loss} in epoch {epoch}")
-            clip_global_norm(params)
-            for p in params:
-                adam_step(p, config.learning_rate)
+            clip_global_norm(model)
+            adam_step(model, config.learning_rate)
             loss_sum += loss * n_tokens
             token_sum += n_tokens
-        check_finite(params)
+        check_finite(model)
         losses.append(loss_sum / token_sum)
     return model, losses
 

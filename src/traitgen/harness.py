@@ -58,6 +58,8 @@ EVAL_TEMPERATURE = 0.7
 
 # Longest document a spec may ask for; synth's time and memory grow with len_max.
 MAX_DOC_TOKENS = 10_000
+# Most texts a generate call, or evaluate per condition, decodes.
+MAX_TEXTS = 10 ** 6
 # Largest marker set: its halving-weight draw takes a bound of 2**size - 1,
 # which must fit in 64 bits.
 MAX_MARKER_SET = 64
@@ -378,8 +380,9 @@ def evaluate_generation(
         raise TraitgenError("evaluation needs a conditional model (cond_dim 5)")
     if baseline.config.cond_dim != 0:
         raise TraitgenError("baseline model must be unconditional (cond_dim 0)")
-    if n_per_condition < 1:
-        raise TraitgenError(f"n_per_condition must be positive, got {n_per_condition}")
+    if not 1 <= n_per_condition <= MAX_TEXTS:
+        raise TraitgenError(f"n_per_condition must be positive and at most {MAX_TEXTS}, "
+                            f"got {n_per_condition}")
 
     counts = {t: {row: dict.fromkeys(LEVELS, 0) for row in _ROWS} for t in TRAITS}
     records: list[dict] = []

@@ -13,7 +13,7 @@ from .matrix import (
     xavier_init,
 )
 from .optim import (
-    Parameter,
+    Parameters,
     adam_step,
     add_rows_at,
     check_finite,

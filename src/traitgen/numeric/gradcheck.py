@@ -8,16 +8,16 @@ model, and each caller holds the errors to its own tolerance.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
-from .optim import Parameter, zero_grads
+from .optim import Parameters, zero_grads
 from .rng import Rng
 
 
 def gradient_check(
     loss_fn: Callable[[], float],
     grad_fn: Callable[[], float],
-    params: Sequence[Parameter],
+    model: Parameters,
     *,
     h: float = 1e-5,
     rng: Rng | None = None,
@@ -26,19 +26,18 @@ def gradient_check(
     """Each parameter's largest relative error against central differences.
 
     ``loss_fn`` runs the forward pass only; ``grad_fn`` runs forward plus
-    backward, accumulating into each parameter's ``grad``. Both must be
-    deterministic functions of the parameter values. When
+    backward, accumulating into the gradients of ``model``. Both must be
+    deterministic functions of its parameter values. When
     ``max_coords_per_param`` is given, that many coordinates are sampled per
     parameter using ``rng``; otherwise every coordinate is checked.
     """
-    params = list(params)
-    zero_grads(params)
+    zero_grads(model)
     grad_fn()
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = {p.name: p.grad.copy() for p in model.params}
 
     errors = {}
-    for p in params:
-        flat_value = p.value.reshape(-1)  # a view: Parameter arrays are C-contiguous
+    for p in model.params:
+        flat_value = p.value.reshape(-1)  # a view of the model's flat buffer
         n = flat_value.size
         if max_coords_per_param is None or max_coords_per_param >= n:
             coords = range(n)
@@ -57,8 +56,6 @@ def gradient_check(
             flat_value[idx] = original
             numeric = (plus - minus) / (2.0 * h)
             a = flat_analytic[idx]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if rel > worst:
-                worst = rel
+            worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-8))
         errors[p.name] = worst
     return errors

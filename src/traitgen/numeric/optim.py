@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+from dataclasses import make_dataclass
 
 import numpy as np
 
@@ -13,40 +13,37 @@ CLIP_NORM = 5.0
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# most weights one model may hold: far above any real configuration (the CLI
+# defaults at the largest vocabulary hold about 3.3 million)
+MAX_WEIGHTS = 10 ** 8
 
 
-class Parameter:
-    """A weight matrix with its gradient and Adam state.
+# one named weight matrix: (rows, cols) views of its store's value and grad
+Parameter = make_dataclass("Parameter", ["name", "value", "grad"], slots=True)
 
-    ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 2-D, C-contiguous
-    float64 arrays of one shape, owned by the parameter and only ever
-    written in place, so a view of any of them stays live. ``grad``,
-    ``opt_m`` and ``opt_v`` come from ``np.zeros``, which asks the
-    allocator for zeroed memory and, at the sizes of weight matrices, gets
-    fresh pages that stay unfaulted until written, so a model that is only
-    loaded never makes them resident. ``scratch`` holds two more arrays
-    of that shape in which :func:`adam_step` works; the first update
-    allocates it. Updates require exclusive access; everything else is
-    read-only safe.
+
+class Parameters:
+    """The weights of a ``{name: (rows, cols)}`` table, back to back in flat buffers.
+
+    ``value``, ``grad``, ``opt_m`` and ``opt_v`` are 1-D float64 buffers
+    in table order, each one ``np.zeros``: at model sizes that is fresh
+    pages, unfaulted until written, so a model that is only loaded never
+    makes its gradient and moments resident. ``params`` holds one
+    :class:`Parameter` per entry. Buffers are only written in place, so
+    the views stay live; updates need exclusive access.
     """
 
-    __slots__ = ("name", "value", "grad", "opt_m", "opt_v", "scratch", "step_count")
-
-    def __init__(self, name: str, value: np.typing.ArrayLike) -> None:
-        a = np.array(value, dtype=np.float64, order="C")  # always a copy
-        if a.ndim != 2 or a.shape[0] < 1 or a.shape[1] < 1:
-            raise TraitgenError(f"parameter {name!r} must be a 2-D array of at least 1x1, "
-                                f"got shape {a.shape}")
-        self.name = name
-        self.value = a
-        self.grad = np.zeros(a.shape)
-        self.opt_m = np.zeros(a.shape)
-        self.opt_v = np.zeros(a.shape)
-        self.scratch = None
+    def __init__(self, shapes: dict[str, tuple[int, int]]) -> None:
+        sizes = [rows * cols for rows, cols in shapes.values()]
+        if sum(sizes) > MAX_WEIGHTS:
+            raise TraitgenError(f"model has {sum(sizes)} weights, more than {MAX_WEIGHTS}")
+        self.value, self.grad, self.opt_m, self.opt_v = (np.zeros(sum(sizes)) for _ in range(4))
+        self.scratch = np.empty((2, sum(sizes)))  # for adam_step
         self.step_count = 0
-
-    def __repr__(self) -> str:
-        return f"Parameter({self.name!r}, {self.value.shape[0]}x{self.value.shape[1]})"
+        cuts = np.cumsum(sizes)[:-1]
+        views = zip(np.split(self.value, cuts), np.split(self.grad, cuts))
+        self.params = [Parameter(name, value.reshape(shape), grad.reshape(shape))
+                       for (name, shape), (value, grad) in zip(shapes.items(), views)]
 
 
 def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
@@ -59,36 +56,36 @@ def check_schedule(epochs: int, batch_size: int, learning_rate: float) -> None:
         raise TraitgenError(f"learning_rate must be a finite number > 0, got {learning_rate}")
 
 
-def zero_grads(params: Iterable[Parameter]) -> None:
-    for p in params:
-        p.grad.fill(0.0)
+def zero_grads(model: Parameters) -> None:
+    model.grad.fill(0.0)
 
 
-def check_finite(params: Iterable[Parameter]) -> None:
+def _require_finite(model: Parameters, field: str, what: str) -> None:
+    """Raise naming the first parameter, in table order, whose ``field`` is not all finite."""
+    if not np.isfinite(getattr(model, field)).all():
+        name = next(p.name for p in model.params if not np.isfinite(getattr(p, field)).all())
+        raise TraitgenError(f"non-finite {what} in parameter {name!r}")
+
+
+def check_finite(model: Parameters) -> None:
     """Raise :class:`TraitgenError` naming the first parameter with a non-finite value."""
-    for p in params:
-        if not np.isfinite(p.value).all():
-            raise TraitgenError(f"non-finite value in parameter {p.name!r}")
+    _require_finite(model, "value", "value")
 
 
-def adam_step(param: Parameter, lr: float) -> None:
-    """One Adam update with bias correction.
+def adam_step(model: Parameters, lr: float) -> None:
+    """One Adam update with bias correction, over every weight of ``model`` at once.
 
     Increments ``step_count`` and updates ``value`` in place; the gradient
     buffer is left intact until :func:`zero_grads` clears it. Evaluates
     ``value -= lr * m_hat / (sqrt(v_hat) + eps)`` operation by operation
-    in ``param.scratch``, so the bits are those of the textbook expression
+    in ``model.scratch``, so the bits are those of the textbook expression
     without its temporaries.
     """
-    g = param.grad
-    if not np.isfinite(g).all():
-        raise TraitgenError(f"non-finite gradient in parameter {param.name!r}")
-    param.step_count += 1
-    t = param.step_count
-    m, v = param.opt_m, param.opt_v
-    if param.scratch is None:
-        param.scratch = np.empty((2,) + g.shape)
-    a, b = param.scratch
+    _require_finite(model, "grad", "gradient")
+    model.step_count += 1
+    t = model.step_count
+    g, m, v = model.grad, model.opt_m, model.opt_v
+    a, b = model.scratch
     m *= ADAM_BETA1
     m += np.multiply(g, 1.0 - ADAM_BETA1, out=a)
     v *= ADAM_BETA2
@@ -100,7 +97,7 @@ def adam_step(param: Parameter, lr: float) -> None:
     np.sqrt(b, out=b)
     b += ADAM_EPS
     a /= b
-    param.value -= a
+    model.value -= a
 
 
 def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -115,20 +112,17 @@ def add_rows_at(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
     np.add.at(out.reshape(-1), (ids[:, None] * k + np.arange(k)).reshape(-1), rows.reshape(-1))
 
 
-def clip_global_norm(params: Iterable[Parameter]) -> float:
+def clip_global_norm(model: Parameters) -> float:
     """Scale all gradients so their joint L2 norm is at most :data:`CLIP_NORM`.
 
     Returns the scale that was applied (1.0 when no clipping happened).
     """
-    params = list(params)
     total = 0.0
-    for p in params:
-        g = p.grad
-        total += float((g * g).sum())
+    for p in model.params:  # each parameter's own sum, added in table order
+        total += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(total))
-    if norm <= CLIP_NORM or norm == 0.0:
+    if norm <= CLIP_NORM:
         return 1.0
     scale = CLIP_NORM / norm
-    for p in params:
-        p.grad *= scale
+    model.grad *= scale
     return scale

@@ -41,6 +41,8 @@ _SENTINEL = "\x1f"
 # MAX_VOCAB ids in all (specials included).
 MIN_COUNT = 2
 MAX_VOCAB = 20000
+# Longest encoded row (BOS and EOS included) a model config may ask for.
+MAX_LEN = 10_000
 
 _CJK_RANGES = (
     (0x3400, 0x4DBF),    # CJK extension A

@@ -158,7 +158,7 @@ def test_criterion_1_gradient_integrity():
         cnn_backward(cnn, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(docs))
         return cnn_loss()
 
-    cnn_worst = max(gradient_check(cnn_loss, cnn_grad, cnn.params(), h=1e-5).values())
+    cnn_worst = max(gradient_check(cnn_loss, cnn_grad, cnn, h=1e-5).values())
 
     lstm = LstmModel.init(
         LstmConfig(vocab_size=20, embed_dim=4, hidden_dim=5, cond_dim=5, max_len=4),
@@ -180,7 +180,7 @@ def test_criterion_1_gradient_integrity():
         loss, _ = _train_batch(lstm, ids, lengths, cond, batch_workspace(lstm, ids))
         return loss
 
-    lstm_worst = max(gradient_check(lstm_loss, lstm_grad, lstm.params(), h=1e-5).values())
+    lstm_worst = max(gradient_check(lstm_loss, lstm_grad, lstm, h=1e-5).values())
 
     elapsed = time.perf_counter() - start
     worst = max(cnn_worst, lstm_worst)

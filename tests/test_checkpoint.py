@@ -40,10 +40,10 @@ def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
     values = [0.1, 1.0 / 3.0, -0.0, 1e-300, 1e300, -7.234567890123456e-05,
               5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
     model = _tiny_lstm()
-    for p in model.params():
+    for p in model.params:
         p.value[...] = np.resize(values, p.value.shape)
     loaded = _roundtrip(model, tmp_path)
-    for p in model.params():
+    for p in model.params:
         q = loaded[p.name]
         assert q.tobytes() == p.value.tobytes()
         assert q.ravel().tolist() == p.value.ravel().tolist()
@@ -53,10 +53,10 @@ def test_awkward_floats_roundtrip_bit_exact(tmp_path) -> None:
 def test_random_values_roundtrip_bit_exact(tmp_path) -> None:
     rng = Rng(101)
     model = _tiny_cnn()
-    for p in model.params():
+    for p in model.params:
         p.value[...] = [[20.0 * rng.random() - 10.0 for _ in row] for row in p.value]
     loaded = _roundtrip(model, tmp_path)
-    for p in model.params():
+    for p in model.params:
         assert loaded[p.name].ravel().tolist() == p.value.ravel().tolist()
 
 

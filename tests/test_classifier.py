@@ -197,7 +197,6 @@ def test_gradient_check_at_toy_dims() -> None:
     ]
     ids, lengths = encode(tokens_per_doc, model.vocab, model.config.max_len)
     labels = [[rng.coin() for _ in range(5)] for _ in range(4)]
-    params = model.params()
 
     def loss_fn() -> float:
         probs = classifier_forward(tokens_per_doc, model)
@@ -208,7 +207,7 @@ def test_gradient_check_at_toy_dims() -> None:
         _backward(model, probs, cache, np.array(labels, dtype=np.float64), 1.0 / len(labels))
         return loss_fn()
 
-    errors = gradient_check(loss_fn, grad_fn, params, h=1e-5)
+    errors = gradient_check(loss_fn, grad_fn, model, h=1e-5)
     assert max(errors.values()) < 1e-4, errors
 
 
@@ -248,7 +247,7 @@ def test_training_is_deterministic() -> None:
 
     def run():
         model, metrics = train_classifier(docs, config, Rng(7))
-        return [p.value.ravel().tolist() for p in model.params()], metrics
+        return [p.value.ravel().tolist() for p in model.params], metrics
 
     assert run() == run()
 
@@ -296,7 +295,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     path = tmp_path / "cnn.json"
     model.save(path)
     loaded = load_model(path, "cnn")
-    for p, q in zip(model.params(), loaded.params()):
+    for p, q in zip(model.params, loaded.params):
         assert p.value.ravel().tolist() == q.value.ravel().tolist()
     tokens = ["w0", "w3", "w5"]
     probs = classifier_forward([tokens], model).tolist()

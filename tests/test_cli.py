@@ -193,6 +193,31 @@ def test_trainer_schedule_is_validated(tmp_path, pipeline, command, flags, code)
     assert checkpoint.exists() == (code == 0)  # a rejected run writes nothing
 
 
+_HUGE = "1000000000000"  # 10**12
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train-generator", ["--hidden-dim", _HUGE], "weights, more than 100000000"),
+    ("train-generator", ["--embed-dim", _HUGE], "weights, more than 100000000"),
+    ("train-classifier", ["--num-filters", _HUGE], "weights, more than 100000000"),
+    ("train-classifier", ["--embed-dim", _HUGE], "weights, more than 100000000"),
+    ("train-generator", ["--max-len", "100000000000"],
+     "max_len must be from 2 to 10000, got 100000000000"),
+    ("train-classifier", ["--max-len", "100000000000"],
+     "max_len 100000000000 must be from window + 2 = 5 to 10000"),
+], ids=["generator-hidden-dim", "generator-embed-dim", "classifier-num-filters",
+        "classifier-embed-dim", "generator-max-len", "classifier-max-len"])
+def test_absurd_size_flags_exit_2_without_checkpoint(tmp_path, pipeline, capsys, command, flags,
+                                                     message) -> None:
+    """Sizes past the model limits are one user error, raised before any allocation."""
+    out = tmp_path / "out"
+    assert run(command, "--corpus", str(pipeline["corpus"]), "--out", str(out), *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("traitgen: error: ") and message in err, err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def _nan_loss(monkeypatch) -> None:
     real = traitgen.generator._train_batch
 
@@ -207,9 +232,9 @@ def _infinite_parameter(trainer):
     def inject(monkeypatch) -> None:
         real = trainer.adam_step
 
-        def poisoned(param, lr):
-            real(param, lr)
-            param.value[0, 0] = float("inf")
+        def poisoned(model, lr):
+            real(model, lr)
+            model.value[0] = float("inf")
 
         monkeypatch.setattr(trainer, "adam_step", poisoned)
 
@@ -383,6 +408,21 @@ def test_generate_count_must_not_be_negative(tmp_path, pipeline, capsys, n, code
         assert out.read_text() == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (lambda pipeline: ["generate", "--model", str(pipeline["generator"]),
+                       "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "100000000000",
+                       "--seed-pool", str(pipeline["pool"])],
+     "--n must be at most 1000000, got 100000000000"),
+    (lambda pipeline: [*_evaluate(pipeline), "--n-per-condition", "100000000000"],
+     "n_per_condition must be positive and at most 1000000, got 100000000000"),
+], ids=["generate-n", "evaluate-n-per-condition"])
+def test_text_counts_are_bounded(tmp_path, pipeline, capsys, argv, message) -> None:
+    out = tmp_path / "out"
+    assert run(*argv(pipeline), "--out", str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"traitgen: error: {message}"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_condition_against_unconditional_model_exits_2(tmp_path, pipeline) -> None:
     assert run("generate", "--model", str(pipeline["baseline"]),
                "--condition", "E=1,A=0,C=1,N=0,O=1", "--n", "1",
@@ -443,10 +483,12 @@ def _non_finite_data(payload: dict) -> None:
     ("baseline", _non_finite_data),
     ("classifier", _per_trait_head),
     ("classifier", _set(["config", "num_filters"], 10 ** 12)),
+    ("classifier", _set(["config", "max_len"], 10 ** 11)),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
         "vocab-not-list", "non-canonical-vocab-token", "lone-surrogate-vocab-token",
         "shape-not-pair", "non-numeric-data",
-        "non-finite-data", "per-trait-classifier-head", "oversized-num-filters"])
+        "non-finite-data", "per-trait-classifier-head", "oversized-num-filters",
+        "oversized-max-len"])
 def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
                                                mutate) -> None:
     payload = json.loads(pipeline[checkpoint].read_text(encoding="utf-8"))
@@ -527,6 +569,7 @@ def _edit_data(data: str, edit: tuple):
 @example(edit=(("config", "hidden_dim"), 10 ** 12))  # shapes no parameter could hold
 @example(edit=(("config", "embed_dim"), 10 ** 6))
 @example(edit=(("config", "vocab_size"), 10 ** 13))
+@example(edit=(("config", "max_len"), 10 ** 11))  # a setting, not a shape
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_checkpoint_with_one_field_changed_exits_0_or_2(edit) -> None:
     """generate on a mutated checkpoint either succeeds or is one clean user error."""

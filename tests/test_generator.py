@@ -294,7 +294,6 @@ def test_gradient_check_three_timesteps() -> None:
     mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
     lengths = np.array([4, 3])
     cond = np.array([[1, 0, 1, 0, 1], [0, 1, 0, 1, 0]], dtype=np.float64)
-    params = model.params()
 
     def loss_fn() -> float:
         logits = forward(model, ids, cond)
@@ -307,7 +306,7 @@ def test_gradient_check_three_timesteps() -> None:
         loss, _ = _train_batch(model, ids, lengths, cond, batch_workspace(model, ids))
         return loss
 
-    errors = gradient_check(loss_fn, grad_fn, params, h=1e-5)
+    errors = gradient_check(loss_fn, grad_fn, model, h=1e-5)
     assert max(errors.values()) < 1e-4, errors
 
 
@@ -349,12 +348,12 @@ def test_reused_workspace_matches_a_fresh_one_batch_by_batch(data, cond_dim) -> 
               *data.draw(st.lists(st.tuples(st.integers(1, batch_size), st.integers(2, max_t)),
                                   max_size=3)),
               (data.draw(st.integers(1, batch_size - 1)), data.draw(st.integers(2, max_t)))]
-    params = model.params()
+    params = model.params
     for b, t_len in shapes:
         ids, lengths, cond = _batch(data.draw, b, t_len, len(model.vocab), cond_dim)
         results = []
         for workspace in (ws, batch_workspace(model, ids)):
-            zero_grads(params)
+            zero_grads(model)
             loss, n_tokens = _train_batch(model, ids, lengths, cond, workspace)
             results.append((loss, n_tokens, [p.grad.tobytes() for p in params]))
         assert results[0] == results[1], (b, t_len)

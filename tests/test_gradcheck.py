@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from traitgen.numeric import Parameter, Rng, affine
+from traitgen.numeric import Parameters, Rng, affine
 from traitgen.numeric.gradcheck import gradient_check
 
 
 def test_affine_mse_toy_passes_tightly() -> None:
     # linear model + squared error: central differences are exact up to rounding
     rng = Rng(31)
-    w = Parameter("w", [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(3)])
-    b = Parameter("b", [[2.0 * rng.random() - 1.0 for _ in range(2)]])
+    model = Parameters({"w": (3, 2), "b": (1, 2)})
+    w, b = model.params
+    w.value[...] = [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(3)]
+    b.value[...] = [[2.0 * rng.random() - 1.0 for _ in range(2)]]
     x = np.array([[2.0 * rng.random() - 1.0 for _ in range(3)] for _ in range(4)])
     y = np.array([[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(4)])
 
@@ -26,12 +28,14 @@ def test_affine_mse_toy_passes_tightly() -> None:
         b.grad += db
         return float((diff ** 2).mean())
 
-    errors = gradient_check(loss_fn, grad_fn, [w, b], h=1e-5)
+    errors = gradient_check(loss_fn, grad_fn, model, h=1e-5)
     assert max(errors.values()) < 1e-7, errors
 
 
 def test_errors_name_every_parameter() -> None:
-    p = Parameter("solo", [[0.5]])
+    model = Parameters({"solo": (1, 1)})
+    p = model.params[0]
+    p.value[0, 0] = 0.5
 
     def loss_fn() -> float:
         return float(p.value[0, 0] ** 2)
@@ -40,14 +44,16 @@ def test_errors_name_every_parameter() -> None:
         p.grad[0, 0] += 2.0 * p.value[0, 0]
         return loss_fn()
 
-    errors = gradient_check(loss_fn, grad_fn, [p])
+    errors = gradient_check(loss_fn, grad_fn, model)
     assert list(errors) == ["solo"]
     assert errors["solo"] < 1e-6
 
 
 def test_sampling_subset_of_coordinates() -> None:
     rng = Rng(33)
-    p = Parameter("wide", [[2.0 * rng.random() - 1.0 for _ in range(50)]])
+    model = Parameters({"wide": (1, 50)})
+    p = model.params[0]
+    p.value[...] = [[2.0 * rng.random() - 1.0 for _ in range(50)]]
 
     def loss_fn() -> float:
         return float((p.value ** 2).sum())
@@ -56,12 +62,14 @@ def test_sampling_subset_of_coordinates() -> None:
         p.grad += 2.0 * p.value
         return loss_fn()
 
-    errors = gradient_check(loss_fn, grad_fn, [p], rng=Rng(7), max_coords_per_param=5)
+    errors = gradient_check(loss_fn, grad_fn, model, rng=Rng(7), max_coords_per_param=5)
     assert max(errors.values()) < 1e-6, errors
 
 
 def test_failure_is_reported_not_raised() -> None:
-    p = Parameter("bad", [[1.0]])
+    model = Parameters({"bad": (1, 1)})
+    p = model.params[0]
+    p.value[0, 0] = 1.0
 
     def loss_fn() -> float:
         return float(p.value[0, 0] ** 2)
@@ -70,5 +78,5 @@ def test_failure_is_reported_not_raised() -> None:
         p.grad[0, 0] += 100.0  # wrong on purpose
         return loss_fn()
 
-    errors = gradient_check(loss_fn, grad_fn, [p])
+    errors = gradient_check(loss_fn, grad_fn, model)
     assert not max(errors.values()) < 1e-4

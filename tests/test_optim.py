@@ -13,9 +13,9 @@ from traitgen.classifier import CnnConfig, CnnModel, train_classifier
 from traitgen.classifier import _backward as cnn_backward
 from traitgen.classifier import _forward as cnn_forward
 from traitgen.errors import TraitgenError
-from traitgen.generator import LstmConfig, LstmModel, _train_batch
+from traitgen.generator import LstmConfig, LstmModel, _train_batch, train_generator
 from traitgen.numeric import (
-    Parameter,
+    Parameters,
     Rng,
     adam_step,
     add_rows_at,
@@ -23,53 +23,72 @@ from traitgen.numeric import (
     clip_global_norm,
     zero_grads,
 )
-from traitgen.numeric.optim import CLIP_NORM
-from traitgen.textproc import Document, Vocabulary, encode
+from traitgen.numeric import optim
+from traitgen.numeric.optim import CLIP_NORM, MAX_WEIGHTS
+from traitgen.textproc import MAX_VOCAB, Document, Vocabulary, encode
 from traitgen.traits import TRAITS
 
 from lstm_helpers import batch_workspace
 
 
-def make_param(values, name="p") -> Parameter:
-    return Parameter(name, values)
+def make_store(**values) -> Parameters:
+    """A store of one parameter per keyword, in keyword order, holding those values."""
+    arrays = {name: np.array(v, dtype=np.float64) for name, v in values.items()}
+    store = Parameters({name: a.shape for name, a in arrays.items()})
+    for p in store.params:
+        p.value[...] = arrays[p.name]
+    return store
 
 
 def test_parameter_starts_with_zero_state() -> None:
-    p = make_param(np.asfortranarray([[1, 2, 3], [4, 5, 6]]))
-    for state in (p.grad, p.opt_m, p.opt_v):
-        assert state.tolist() == [[0.0] * 3] * 2
-        assert state.dtype == np.float64 and state.shape == p.value.shape
+    store = Parameters({"a": (2, 3), "b": (1, 4)})
+    assert [(p.name, p.value.shape, p.grad.shape) for p in store.params] == [
+        ("a", (2, 3), (2, 3)), ("b", (1, 4), (1, 4))]
+    for state in (store.value, store.grad, store.opt_m, store.opt_v):
+        assert state.tolist() == [0.0] * 10
+        assert state.dtype == np.float64 and state.shape == (10,)
         assert state.flags.c_contiguous and state.flags.owndata
-        assert not np.shares_memory(state, p.value)
-    assert p.step_count == 0
+    for state in (store.grad, store.opt_m, store.opt_v):
+        assert not np.shares_memory(state, store.value)
+    assert store.step_count == 0
+
+
+def test_a_store_past_the_weight_limit_is_refused_before_allocation(monkeypatch) -> None:
+    with pytest.raises(TraitgenError, match=f"^model has {MAX_WEIGHTS + 1} weights, "
+                                            f"more than {MAX_WEIGHTS}$"):
+        Parameters({"a": (MAX_WEIGHTS // 2, 2), "b": (1, 1)})
+    monkeypatch.setattr(optim, "MAX_WEIGHTS", 10)  # the limit itself is allowed
+    assert Parameters({"a": (2, 4), "b": (1, 2)}).value.size == 10
+    with pytest.raises(TraitgenError, match="^model has 11 weights, more than 10$"):
+        Parameters({"a": (2, 4), "b": (1, 3)})
+    # the default models of the CLI at the largest vocabulary stay far below it
+    for shapes in (LstmModel.shapes(LstmConfig(vocab_size=MAX_VOCAB)),
+                   CnnModel.shapes(CnnConfig(vocab_size=MAX_VOCAB))):
+        assert 10 * sum(rows * cols for rows, cols in shapes.values()) < MAX_WEIGHTS
 
 
 def test_zero_grad_clears_gradient() -> None:
-    p = make_param([[1.0]])
-    p.grad[0, 0] = 3.0
-    zero_grads([p])
-    assert p.grad[0, 0] == 0.0
-
-
-def test_parameter_requires_nonempty_2d() -> None:
-    for bad in ([1.0, 2.0], [[[1.0]]], np.zeros((0, 3)), np.zeros((3, 0))):
-        with pytest.raises(TraitgenError, match="must be a 2-D array of at least 1x1"):
-            make_param(bad)
+    store = make_store(p=[[1.0]], q=[[2.0, 3.0]])
+    store.params[0].grad[0, 0] = 3.0
+    store.params[1].grad[0, 1] = -1.0
+    zero_grads(store)
+    assert store.grad.tolist() == [0.0] * 3
 
 
 def test_adam_zero_gradient_leaves_value_unchanged() -> None:
-    p = make_param([[1.5, -2.5]])
-    adam_step(p, lr=1e-3)
-    assert p.value.tolist() == [[1.5, -2.5]]
-    assert p.step_count == 1
+    store = make_store(p=[[1.5, -2.5]])
+    adam_step(store, lr=1e-3)
+    assert store.params[0].value.tolist() == [[1.5, -2.5]]
+    assert store.step_count == 1
 
 
 def test_adam_first_step_matches_hand_formula() -> None:
     # first step with grad 1: bias-corrected m_hat = 1, v_hat = 1,
     # delta = -lr / (1 + eps)
-    p = make_param([[0.0]])
+    store = make_store(p=[[0.0]])
+    p = store.params[0]
     p.grad[0, 0] = 1.0
-    adam_step(p, lr=1e-3)
+    adam_step(store, lr=1e-3)
     expected = -1e-3 / (1.0 + 1e-8)
     assert p.value[0, 0] == pytest.approx(expected, abs=1e-15)
     assert p.value[0, 0] == pytest.approx(-9.99999e-4, abs=1e-9)
@@ -78,91 +97,122 @@ def test_adam_first_step_matches_hand_formula() -> None:
 
 
 def test_adam_is_deterministic_across_identical_states() -> None:
-    def run() -> list[list[float]]:
-        p = make_param([[0.3, -0.7], [0.1, 0.9]])
+    def run() -> list[float]:
+        store = make_store(p=[[0.3, -0.7], [0.1, 0.9]], q=[[0.5]])
         rng = Rng(21)
         for _ in range(25):
-            p.grad[:] = [[2.0 * rng.random() - 1.0 for _ in range(2)] for _ in range(2)]
-            adam_step(p, lr=3e-3)
-        return p.value.tolist()
+            store.grad[:] = [2.0 * rng.random() - 1.0 for _ in range(5)]
+            adam_step(store, lr=3e-3)
+        return store.value.tolist()
 
     assert run() == run()
 
 
 def test_adam_rejects_nonfinite_gradient() -> None:
-    p = make_param([[0.0]])
-    p.grad[0, 0] = float("inf")
-    with pytest.raises(TraitgenError, match="non-finite gradient"):
-        adam_step(p, lr=1e-3)
+    for value in (float("nan"), float("inf"), float("-inf")):
+        store = make_store(good=[[0.0]], bad=[[0.0, 0.0]], worse=[[0.0]])
+        store.params[2].grad[0, 0] = value
+        store.params[1].grad[0, 1] = value
+        with pytest.raises(TraitgenError, match="^non-finite gradient in parameter 'bad'$"):
+            adam_step(store, lr=1e-3)
+        assert store.step_count == 0 and store.value.tolist() == [0.0] * 4
 
 
 def test_check_finite_names_the_first_bad_parameter() -> None:
-    good, bad = make_param([[1.0, 2.0]], "good"), make_param([[0.0, 0.0]], "bad")
-    check_finite([good, bad])
+    store = make_store(good=[[1.0, 2.0]], bad=[[0.0, 0.0]], worse=[[0.0]])
+    check_finite(store)
     for value in (float("nan"), float("inf"), float("-inf")):
-        bad.value[0, 1] = value
-        with pytest.raises(TraitgenError, match="'bad'"):
-            check_finite([good, bad])
+        store.params[2].value[0, 0] = value
+        store.params[1].value[0, 1] = value
+        with pytest.raises(TraitgenError, match="^non-finite value in parameter 'bad'$"):
+            check_finite(store)
 
 
 def test_clip_below_threshold_is_identity() -> None:
-    p = make_param([[1.0, 1.0]])
-    p.grad[:] = [[0.06 * CLIP_NORM, 0.08 * CLIP_NORM]]  # norm CLIP_NORM / 10
-    scale = clip_global_norm([p])
+    store = make_store(p=[[1.0, 1.0]])
+    store.grad[:] = [0.06 * CLIP_NORM, 0.08 * CLIP_NORM]  # norm CLIP_NORM / 10
+    scale = clip_global_norm(store)
     assert scale == 1.0
-    assert p.grad.tolist() == [[0.06 * CLIP_NORM, 0.08 * CLIP_NORM]]
+    assert store.grad.tolist() == [0.06 * CLIP_NORM, 0.08 * CLIP_NORM]
 
 
 def test_clip_scales_to_max_norm() -> None:
-    p = make_param([[0.0, 0.0]])
-    p.grad[:] = [[1.2 * CLIP_NORM, 1.6 * CLIP_NORM]]  # norm 2 * CLIP_NORM
-    scale = clip_global_norm([p])
+    store = make_store(p=[[0.0, 0.0]])
+    store.grad[:] = [1.2 * CLIP_NORM, 1.6 * CLIP_NORM]  # norm 2 * CLIP_NORM
+    scale = clip_global_norm(store)
     assert scale == pytest.approx(0.5)
-    assert p.grad.tolist() == [[0.6 * CLIP_NORM, 0.8 * CLIP_NORM]]
+    assert store.grad.tolist() == [0.6 * CLIP_NORM, 0.8 * CLIP_NORM]
 
 
 def test_clip_post_norm_equals_min_of_norm_and_max() -> None:
     rng = Rng(22)
     for factor in (0.1, 0.4, 20.0):  # gradient norms from far below to far above the cut
-        params = [make_param([[2.0 * rng.random() - 1.0 for _ in range(3)]], name=f"p{i}")
-                  for i in range(4)]
-        for p in params:
-            p.grad[:] = [[factor * CLIP_NORM * (4.0 * rng.random() - 2.0) for _ in range(3)]]
-        before = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
-        clip_global_norm(params)
-        after = math.sqrt(sum(float((p.grad ** 2).sum()) for p in params))
+        store = make_store(**{f"p{i}": [[2.0 * rng.random() - 1.0 for _ in range(3)]]
+                              for i in range(4)})
+        store.grad[:] = [factor * CLIP_NORM * (4.0 * rng.random() - 2.0) for _ in range(12)]
+        before = math.sqrt(sum(float((p.grad ** 2).sum()) for p in store.params))
+        clip_global_norm(store)
+        after = math.sqrt(sum(float((p.grad ** 2).sum()) for p in store.params))
         assert after == pytest.approx(min(before, CLIP_NORM), abs=1e-9)
         assert after <= before + 1e-12
 
 
 def test_clip_handles_all_zero_gradients() -> None:
-    p = make_param([[1.0]])
-    assert clip_global_norm([p]) == 1.0
-    assert p.grad[0, 0] == 0.0
+    store = make_store(p=[[1.0]])
+    assert clip_global_norm(store) == 1.0
+    assert store.grad[0] == 0.0
+
+
+def test_clip_norm_adds_the_per_parameter_sums_in_table_order() -> None:
+    """The scale is CLIP_NORM over the root of each parameter's own sum of
+    squares, added in table order, bit for bit. Here each 1.0 after the
+    leading 1e16 rounds away in table order; added in reverse, or summed
+    over the flat buffer in one go, the ones count and the scale differs."""
+    store = Parameters({"big": (1, 1), **{f"one{i}": (1, 1) for i in range(8)}, "w": (7, 13)})
+    store.grad[:9] = [1e8] + [1.0] * 8
+    store.grad[9:] = np.random.default_rng(0).normal(size=91)
+    grads = store.grad.copy()
+    total = 0.0
+    for p in store.params:
+        total += float((p.grad * p.grad).sum())
+    expected = CLIP_NORM / float(np.sqrt(total))
+    scale = clip_global_norm(store)
+    assert expected < 1.0 and scale.hex() == expected.hex()
+    assert store.grad.tobytes() == (grads * expected).tobytes()
 
 
 # ------------------------------------------------------- parameter contract
 
-_ARRAYS = ("value", "grad", "opt_m", "opt_v")
+_BUFFERS = ("value", "grad", "opt_m", "opt_v", "scratch")
 
 
 def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) -> None:
-    built: dict[Parameter, list[np.ndarray]] = {}
-    construct = Parameter.__init__
+    built: dict[int, tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]] = {}
+    construct = Parameters.__init__
 
-    def recording_init(self, name, value) -> None:
-        construct(self, name, value)
-        built[self] = [getattr(self, attr) for attr in _ARRAYS]
+    def recording_init(self, shapes) -> None:
+        construct(self, shapes)
+        built[id(self)] = ([getattr(self, attr) for attr in _BUFFERS],
+                           [(p.value, p.grad) for p in self.params])
 
-    monkeypatch.setattr(Parameter, "__init__", recording_init)
+    monkeypatch.setattr(Parameters, "__init__", recording_init)
 
     def check(model) -> None:
-        for p in model.params():
-            for attr, original in zip(_ARRAYS, built[p]):
-                a = getattr(p, attr)
-                assert a is original, (p.name, attr)
-                assert type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 2
-                assert a.flags.c_contiguous and a.flags.owndata, (p.name, attr)
+        buffers, views = built[id(model)]
+        for attr, original in zip(_BUFFERS, buffers):
+            a = getattr(model, attr)
+            assert a is original, attr
+            assert type(a) is np.ndarray and a.dtype == np.float64
+            assert a.flags.c_contiguous and a.flags.owndata, attr
+        offset = 0
+        for p, (value, grad) in zip(model.params, views, strict=True):
+            assert p.value is value and p.grad is grad, p.name
+            assert getattr(model, p.name) is p
+            for view, flat in ((p.value, model.value), (p.grad, model.grad)):
+                assert view.base is flat and view.ndim == 2 and view.flags.c_contiguous
+                assert view.ctypes.data == flat.ctypes.data + 8 * offset, p.name
+            offset += p.value.size
+        assert offset == model.value.size
 
     rng = Rng(61)
     words = ["a", "b", "c", "d"]
@@ -179,45 +229,58 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
         check(model)
         path = tmp_path / f"{model.kind}.json"
         model.save(path)
+        check(model)
         check(load_model(path, model.kind))
 
     ids, lengths = encode([d.tokens for d in docs[:4]], vocab, 8)
     labels = np.array([[d.labels[t] for t in TRAITS] for d in docs[:4]], dtype=np.float64)
-    zero_grads(cnn.params())
+    zero_grads(cnn)
     probs, cache = cnn_forward(cnn, ids, lengths)
     cnn_backward(cnn, probs, cache, labels, 0.25)
-    zero_grads(lstm.params())
+    zero_grads(lstm)
     _train_batch(lstm, ids, lengths, labels, batch_workspace(lstm, ids))
     for model in (cnn, lstm):
-        for p in model.params():  # puts the joint norm well past the cut
-            p.grad += CLIP_NORM
-        assert clip_global_norm(model.params()) < 1.0
-        for p in model.params():
-            adam_step(p, lr=1e-2)
+        model.grad += CLIP_NORM  # puts the joint norm well past the cut
+        assert clip_global_norm(model) < 1.0
+        adam_step(model, lr=1e-2)
         check(model)
 
     config = CnnConfig(vocab_size=0, embed_dim=3, window=2, num_filters=2, max_len=8,
                        epochs=2, batch_size=4)
     check(train_classifier(docs, config, Rng(3))[0])
+    config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=4, max_len=8, epochs=2,
+                        batch_size=4)
+    check(train_generator(docs, config, Rng(4))[0])
 
 
 def test_adam_is_bit_equal_to_the_textbook_expression_over_several_steps() -> None:
     rng = np.random.default_rng(11)
-    p = make_param(rng.normal(size=(6, 9)))
-    value, m, v = p.value.copy(), np.zeros((6, 9)), np.zeros((6, 9))
+    shapes = {"w": (6, 9), "b": (1, 9), "e": (4, 3)}
+    store = Parameters(shapes)
+    store.value[:] = rng.normal(size=store.value.size)
+    value = {p.name: p.value.copy() for p in store.params}
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
     lr, beta1, beta2, eps = 3e-3, 0.9, 0.999, 1e-8
     for t in range(1, 7):
-        g = rng.normal(scale=10.0 ** rng.integers(-6, 2), size=(6, 9))
-        p.grad[...] = g
-        adam_step(p, lr)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * (g * g)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        value = value - lr * m_hat / (np.sqrt(v_hat) + eps)
-        assert p.value.tobytes() == value.tobytes()
-        assert p.opt_m.tobytes() == m.tobytes() and p.opt_v.tobytes() == v.tobytes()
-        assert p.grad.tobytes() == g.tobytes()
+        g = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=shape)
+             for name, shape in shapes.items()}
+        for p in store.params:
+            p.grad[...] = g[p.name]
+        adam_step(store, lr)
+        offset = 0
+        for p in store.params:
+            name, n = p.name, p.value.size
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g[name]
+            v[name] = beta2 * v[name] + (1.0 - beta2) * (g[name] * g[name])
+            m_hat = m[name] / (1.0 - beta1 ** t)
+            v_hat = v[name] / (1.0 - beta2 ** t)
+            value[name] = value[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert p.value.tobytes() == value[name].tobytes(), (t, name)
+            assert store.opt_m[offset:offset + n].tobytes() == m[name].tobytes(), (t, name)
+            assert store.opt_v[offset:offset + n].tobytes() == v[name].tobytes(), (t, name)
+            assert p.grad.tobytes() == g[name].tobytes()
+            offset += n
 
 
 _FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False, width=64)
