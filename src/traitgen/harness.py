@@ -27,7 +27,7 @@ level distribution next to a shared unconditional pool.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,7 +80,15 @@ class SynthSpec:
     len_max: int = 50
     neutral_bigram_smoothing: float = 0.55  # weight of the uniform mixture component
 
+    def marker_sets(self) -> list[tuple[str, list[str]]]:
+        """The ten ``(name, tokens)`` marker sets, trait by trait, high before low.
+
+        Set ``2 * trait + 1 - bit`` holds a trait's markers under latent bit ``bit``.
+        """
+        return [(f"{t}_{k}", self.markers[t][k]) for t in TRAITS for k in ("high", "low")]
+
     def validate(self) -> None:
+        """Check every rule of a spec, the JSON types of its token sets included."""
         if not 0.0 < self.pi <= 1.0:
             raise TraitgenError(f"pi must be in (0, 1], got {self.pi}")
         if self.len_min < 4:
@@ -91,17 +99,21 @@ class SynthSpec:
             raise TraitgenError(f"len_max must be at most {MAX_DOC_TOKENS}, got {self.len_max}")
         if not 0.0 <= self.neutral_bigram_smoothing <= 1.0:
             raise TraitgenError("neutral_bigram_smoothing must lie in [0, 1]")
+        if not isinstance(self.markers, dict):
+            raise TraitgenError(f"markers must be a JSON object, got {type(self.markers).__name__}")
         if set(self.markers) != set(TRAITS):
             raise TraitgenError(f"markers must cover exactly the traits {TRAITS}")
-        sets = [("neutral", self.neutral_tokens)]
-        for t in TRAITS:
-            per_trait = self.markers[t]
+        for t, per_trait in self.markers.items():
+            if not isinstance(per_trait, dict):
+                raise TraitgenError(
+                    f"markers.{t} must be a JSON object, got {type(per_trait).__name__}")
             if set(per_trait) != {"high", "low"}:
                 raise TraitgenError(f"markers for trait {t} need 'high' and 'low' sets")
-            sets.append((f"{t}_high", per_trait["high"]))
-            sets.append((f"{t}_low", per_trait["low"]))
         seen: dict[str, str] = {}
-        for name, tokens in sets:
+        for name, tokens in [("neutral", self.neutral_tokens), *self.marker_sets()]:
+            if not isinstance(tokens, list):  # a string would pass as a set of characters
+                raise TraitgenError(
+                    f"token set {name} must be a JSON list, got {type(tokens).__name__}")
             if not tokens:
                 raise TraitgenError(f"token set {name} is empty")
             if name != "neutral" and len(tokens) > MAX_MARKER_SET:
@@ -113,43 +125,18 @@ class SynthSpec:
                 if not isinstance(tok, str) or tok.split() != [tok] or not is_utf8(tok):
                     raise TraitgenError(f"token set {name} contains invalid token {tok!r}")
                 if tok in seen:
-                    raise TraitgenError(
-                        f"token {tok!r} appears in both {seen[tok]} and {name}"
-                    )
+                    raise TraitgenError(f"token {tok!r} appears in both {seen[tok]} and {name}")
                 seen[tok] = name
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "SynthSpec":
-        """Build and validate a spec: every key a field, every number of its JSON type."""
-        def token_list(value, name: str) -> list:
-            if not isinstance(value, list):  # list() would split a string into characters
-                raise TraitgenError(
-                    f"token set {name} must be a JSON list, got {type(value).__name__}")
-            return list(value)
-
-        def json_object(value, name: str) -> dict:
-            if not isinstance(value, dict):
-                raise TraitgenError(f"{name} must be a JSON object, got {type(value).__name__}")
-            return value
-
-        spec = config_from_payload(cls, payload, "spec")
-        spec = replace(
-            spec,
-            neutral_tokens=token_list(spec.neutral_tokens, "neutral"),
-            markers={t: {k: token_list(v, f"{t}_{k}")
-                         for k, v in json_object(per_trait, f"markers.{t}").items()}
-                     for t, per_trait in json_object(spec.markers, "markers").items()},
-        )
-        spec.validate()
-        return replace(spec, pi=float(spec.pi),
-                       neutral_bigram_smoothing=float(spec.neutral_bigram_smoothing))
 
     def save(self, path: str | Path) -> None:
         write_json(path, asdict(self))
 
     @classmethod
     def load(cls, path: str | Path) -> "SynthSpec":
-        return cls.from_dict(read_json(path))
+        """Read and validate a spec file: every key a field, every number of its JSON type."""
+        spec = config_from_payload(cls, read_json(path), "spec")
+        spec.validate()
+        return spec
 
 
 def default_synth_spec() -> SynthSpec:
@@ -176,34 +163,24 @@ def _chain_successors(idx: int, n: int) -> list[int]:
 
 
 def matched_lexicon(spec: SynthSpec) -> Lexicon:
-    """One category per marker set, +1 / -1 weight on its own trait."""
-    categories = []
-    weights = []
-    for ti, t in enumerate(TRAITS):
-        for polarity, value in (("high", 1.0), ("low", -1.0)):
-            categories.append(
-                Category(
-                    name=f"{t}_{polarity}",
-                    literals=frozenset(spec.markers[t][polarity]),
-                    prefixes=(),
-                )
-            )
-            row = [0.0] * len(TRAITS)
-            row[ti] = value
-            weights.append(row)
-    return Lexicon(categories, weights)
+    """One category per marker set; set i weighs +1 (i even, high) or -1 on trait i // 2."""
+    sets = spec.marker_sets()
+    weights = [[0.0] * len(TRAITS) for _ in sets]
+    for i, row in enumerate(weights):
+        row[i // 2] = -1.0 if i % 2 else 1.0
+    return Lexicon([Category(name=name, literals=frozenset(tokens), prefixes=())
+                    for name, tokens in sets], weights)
 
 
 class _Layout:
-    """A spec's token ids: the neutral tokens, then each marker set, trait by trait, high first.
+    """A spec's token ids: the neutral tokens, then each of :meth:`SynthSpec.marker_sets`.
 
-    Set ``2 * trait + 1 - bit`` holds a trait's markers under latent bit
-    ``bit``; its members draw with halving weights via the bound
+    A marker set's members draw with halving weights via the bound
     ``2**size - 1`` (at most 2**64 - 1, since a set has at most 64 tokens).
     """
 
     def __init__(self, spec: SynthSpec):
-        sets = [spec.markers[t][k] for t in TRAITS for k in ("high", "low")]
+        sets = [tokens for _, tokens in spec.marker_sets()]
         n_neutral = len(spec.neutral_tokens)
         self.tokens = np.array(spec.neutral_tokens + [tok for pool in sets for tok in pool],
                                dtype=object)

@@ -11,7 +11,7 @@ thresholds calibrated as nearest-rank percentiles over a reference corpus.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -190,22 +190,6 @@ class LevelThresholds:
             if not (lo <= hi):
                 raise TraitgenError(f"trait {t}: low_cut {lo} exceeds high_cut {hi}")
 
-    def as_dict(self) -> dict:
-        return {
-            t: {"low_cut": self.cuts[t][0], "high_cut": self.cuts[t][1]} for t in TRAITS
-        }
-
-    @classmethod
-    def from_dict(cls, payload: object) -> "LevelThresholds":
-        """Validate a thresholds document: per trait exactly two finite JSON numbers."""
-        if not isinstance(payload, dict) or set(payload) != set(TRAITS):
-            raise TraitgenError(f"thresholds must be an object keyed by exactly {TRAITS}")
-        cuts = {}
-        for t in TRAITS:
-            pair = config_from_payload(_Cuts, payload[t], f"thresholds.{t}")
-            cuts[t] = (float(pair.low_cut), float(pair.high_cut))
-        return cls(cuts)
-
 
 @dataclass
 class _Cuts:  # one trait's entry of a thresholds document
@@ -214,11 +198,17 @@ class _Cuts:  # one trait's entry of a thresholds document
 
 
 def save_thresholds(thresholds: LevelThresholds, path: str | Path) -> None:
-    write_json(path, thresholds.as_dict())
+    write_json(path, {t: {"low_cut": lo, "high_cut": hi}
+                      for t, (lo, hi) in thresholds.cuts.items()})
 
 
 def load_thresholds(path: str | Path) -> LevelThresholds:
-    return LevelThresholds.from_dict(read_json(path))
+    """Read a thresholds file: per trait exactly two finite JSON numbers."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or set(payload) != set(TRAITS):
+        raise TraitgenError(f"thresholds must be an object keyed by exactly {TRAITS}")
+    return LevelThresholds({t: astuple(config_from_payload(_Cuts, payload[t], f"thresholds.{t}"))
+                            for t in TRAITS})
 
 
 def _nearest_rank(sorted_scores: list[float], p: float) -> float:

@@ -199,7 +199,8 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
 
     Unknown and missing keys are errors. An ``int`` field takes only a JSON
     integer and a ``float`` field any finite JSON number, never a bool or a
-    string. ``name`` names the object in the messages.
+    string; a ``float`` field comes back as a Python float, an integer
+    given for it included. ``name`` names the object in the messages.
     """
     if not isinstance(config, dict):
         raise TraitgenError(f"'{name}' must be an object, got {type(config).__name__}")
@@ -216,7 +217,8 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
     for key, f in fields.items():
         if f.default is dataclasses.MISSING and key not in config:
             raise TraitgenError(f"{name} is missing {key!r}")
-    return config_cls(**config)
+    return config_cls(**{key: float(value) if fields[key].type == "float" else value
+                         for key, value in config.items()})
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:

@@ -153,3 +153,14 @@ def test_shapes_are_checked_before_any_parameter_is_allocated(tmp_path) -> None:
         load_model(oversized, "lstm")
     load_model(valid, "lstm")  # untraced, so neither traced load pays first-call costs
     assert _traced_peak(oversized) < _traced_peak(valid)
+
+
+def test_integer_float_fields_load_as_floats(tmp_path) -> None:
+    path = tmp_path / "ckpt.json"
+    _tiny_lstm().save(path)
+    payload = read_json(path)
+    payload["config"].update(temperature=1, learning_rate=1)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    config = load_model(path, "lstm").config
+    assert (config.temperature, config.learning_rate) == (1.0, 1.0)
+    assert type(config.temperature) is float and type(config.learning_rate) is float

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import traitgen
 import traitgen.classifier
 import traitgen.generator
-from traitgen.checkpoint import FORMAT_VERSION
+from traitgen.checkpoint import FORMAT_VERSION, load_model
 from traitgen.cli import COMMANDS, _resolve, build_parser, main
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.harness import MAX_DOC_TOKENS, SynthSpec, default_synth_spec
@@ -205,8 +205,12 @@ _HUGE = "1000000000000"  # 10**12
      "max_len must be from 2 to 10000, got 100000000000"),
     ("train-classifier", ["--max-len", "100000000000"],
      "max_len 100000000000 must be from window + 2 = 5 to 10000"),
+    ("train-classifier", ["--window", "0"], "window must be >= 1, got 0"),
+    ("train-classifier", ["--num-filters", "0"], "embed_dim and num_filters must be >= 1"),
+    ("train-generator", ["--embed-dim", "0"], "embed_dim and hidden_dim must be >= 1"),
 ], ids=["generator-hidden-dim", "generator-embed-dim", "classifier-num-filters",
-        "classifier-embed-dim", "generator-max-len", "classifier-max-len"])
+        "classifier-embed-dim", "generator-max-len", "classifier-max-len", "classifier-window-0",
+        "classifier-num-filters-0", "generator-embed-dim-0"])
 def test_absurd_size_flags_exit_2_without_checkpoint(tmp_path, pipeline, capsys, command, flags,
                                                      message) -> None:
     """Sizes past the model limits are one user error, raised before any allocation."""
@@ -282,6 +286,17 @@ def _evaluate(pipeline, pool=None) -> list[str]:
             "--seed-pool", str(pool or pipeline["pool"])]
 
 
+def _overflowing_scores(pipeline, tmp_path) -> list[str]:
+    """Two categories that both match w000, each weighing 1.7e308 on E."""
+    lexicon, corpus = tmp_path / "lexicon.json", tmp_path / "corpus.jsonl"
+    lexicon.write_text(json.dumps({
+        "trait_order": list(TRAITS),
+        "categories": [{"name": "a", "entries": ["w000"]}, {"name": "b", "entries": ["w000"]}],
+        "weights": [[1.7e308, 0, 0, 0, 0]] * 2}), encoding="utf-8")
+    corpus.write_text(json.dumps({"text": "w000 w000"}) + "\n", encoding="utf-8")
+    return ["score", "--lexicon", str(lexicon), "--in", str(corpus)]
+
+
 def _missing_seed_token(pipeline, tmp_path) -> list[str]:
     pool = tmp_path / "pool.txt"
     pool.write_text("w000\nnot-in-vocab\n", encoding="utf-8")
@@ -301,8 +316,11 @@ def _missing_seed_token(pipeline, tmp_path) -> list[str]:
     (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--temperature", "nan"],
      "temperature must be finite"),
     (_missing_seed_token, "seed tokens not in vocabulary"),
+    (lambda pipeline, tmp_path: ["synth", "--n", "-1"], "n_docs must be non-negative, got -1"),
+    (_overflowing_scores, "trait scores are not finite"),
 ], ids=["generator-unlabeled-corpus", "classifier-two-documents", "evaluate-max-len-0",
-        "evaluate-temperature-nan", "evaluate-seed-token-not-in-vocabulary"])
+        "evaluate-temperature-nan", "evaluate-seed-token-not-in-vocabulary", "synth-n-negative",
+        "score-not-finite"])
 def test_failed_run_leaves_no_out_dir(tmp_path, pipeline, capsys, argv, message) -> None:
     out = tmp_path / "out"
     assert run(*argv(pipeline, tmp_path), "--out", str(out)) == 2
@@ -335,6 +353,20 @@ def test_label_idempotent_and_order_preserving(tmp_path, pipeline) -> None:
     texts_in = [d.raw_text for d in read_corpus(pipeline["corpus"])]
     texts_out = [d.raw_text for d in read_corpus(out1)]
     assert texts_in == texts_out
+
+
+def test_label_warns_once_when_some_corpus_tokens_are_unknown(tmp_path, pipeline,
+                                                             capsys) -> None:
+    known = list(load_model(pipeline["classifier"], "cnn").vocab)[:7]
+    corpus, out = tmp_path / "part.jsonl", tmp_path / "labeled.jsonl"
+    corpus.write_text(json.dumps({"text": " ".join(known + ["zzz", "qqq", "xxx"])}) + "\n",
+                      encoding="utf-8")
+    assert run("label", "--model", str(pipeline["classifier"]), "--in", str(corpus),
+               "--out", str(out)) == 0
+    assert capsys.readouterr().err == (
+        "traitgen: warning: 30% of corpus tokens are unknown to the model\n")
+    [doc] = read_corpus(out)
+    assert set(doc.labels) == set(TRAITS)
 
 
 def test_label_vocabulary_mismatch_is_hard_error(tmp_path, pipeline) -> None:
@@ -484,11 +516,12 @@ def _non_finite_data(payload: dict) -> None:
     ("classifier", _per_trait_head),
     ("classifier", _set(["config", "num_filters"], 10 ** 12)),
     ("classifier", _set(["config", "max_len"], 10 ** 11)),
+    ("baseline", _set(["params"], [])),
 ], ids=["unknown-config-key", "config-not-object", "string-hidden-dim",
         "vocab-not-list", "non-canonical-vocab-token", "lone-surrogate-vocab-token",
         "shape-not-pair", "non-numeric-data",
         "non-finite-data", "per-trait-classifier-head", "oversized-num-filters",
-        "oversized-max-len"])
+        "oversized-max-len", "params-not-object"])
 def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, checkpoint,
                                                mutate) -> None:
     payload = json.loads(pipeline[checkpoint].read_text(encoding="utf-8"))
@@ -1355,8 +1388,14 @@ def test_spec_token_set_must_be_a_list(tmp_path, capsys, path, value) -> None:
     ({"len_mx": 60}, "spec has unknown key 'len_mx'"),
     ({"len_max": 1_000_000_000}, f"len_max must be at most {MAX_DOC_TOKENS}, got 1000000000"),
     ({"markers": []}, "markers must be a JSON object, got list"),
+    ({"neutral_bigram_smoothing": 1.5}, "neutral_bigram_smoothing must lie in [0, 1]"),
+    ({"markers": {t: v for t, v in default_synth_spec().markers.items() if t != "O"}},
+     f"markers must cover exactly the traits {TRAITS}"),
+    ({"markers": {**default_synth_spec().markers, "E": {"high": ["ehi0"]}}},
+     "markers for trait E need 'high' and 'low' sets"),
 ], ids=["pi-string", "pi-bool", "len-min-string", "len-min-float", "smoothing-null",
-        "unknown-key", "len-max-huge", "markers-list"])
+        "unknown-key", "len-max-huge", "markers-list", "smoothing-past-1", "markers-without-O",
+        "trait-markers-without-low"])
 def test_spec_numbers_are_checked_not_coerced(tmp_path, capsys, patch, message) -> None:
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({**dataclasses.asdict(default_synth_spec()), **patch}),
@@ -1462,6 +1501,11 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
     ("--lexicon", _lexicon_with([0, 0, float("inf"), 0, 0])),
     ("--lexicon", _lexicon_with([0, 0, 0, float("-inf"), 0])),
     ("--lexicon", _lexicon_with([0, 0, 0, 0, True])),
+    ("--lexicon", b"[]"),
+    ("--lexicon", json.dumps({"trait_order": list(TRAITS), "categories": [],
+                              "weights": []}).encode()),
+    ("--lexicon", json.dumps({"trait_order": list(TRAITS),
+                              "categories": [{"name": "x", "entries": ["w000"]}]}).encode()),
     ("--thresholds", b"[1, 2"),
     ("--thresholds", json.dumps({t: {"low_cut": "x", "high_cut": 1} for t in TRAITS}).encode()),
     ("--spec", b"\n\n}"),
@@ -1478,6 +1522,7 @@ def _lexicon_with(weights, entries=("w000",)) -> bytes:
 ], ids=["lexicon-not-json", "lexicon-scalar-weight-row", "lexicon-string-weight",
         "lexicon-entries-not-list", "lexicon-weight-past-float-range", "lexicon-nan-weight",
         "lexicon-inf-weight", "lexicon-negative-inf-weight", "lexicon-boolean-weight",
+        "lexicon-list", "lexicon-no-categories", "lexicon-no-weights",
         "thresholds-not-json", "thresholds-string-cut",
         "spec-not-json", "spec-string-length", "seed-pool-not-utf8", "checkpoint-not-utf8",
         "corpus-labels-not-object", "corpus-levels-not-object", "checkpoint-integer-too-long",

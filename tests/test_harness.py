@@ -104,6 +104,36 @@ def test_spec_file_roundtrip(tmp_path) -> None:
     assert loaded == spec
 
 
+def test_spec_file_integer_pi_loads_and_saves_as_a_float(tmp_path) -> None:
+    path = tmp_path / "spec.json"
+    small_spec(pi=1).save(path)
+    assert json.loads(path.read_text(encoding="utf-8"))["pi"] == 1  # written as an integer
+    loaded = SynthSpec.load(path)
+    assert loaded.pi == 1.0 and type(loaded.pi) is float
+    loaded.save(path)
+    assert type(json.loads(path.read_text(encoding="utf-8"))["pi"]) is float  # written as 1.0
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("neutral_tokens",), "abcdef", "token set neutral must be a JSON list, got str"),
+    (("markers", "E", "high"), "xyz", "token set E_high must be a JSON list, got str"),
+    (("markers",), [["ehi0"], ["elo0"]], "markers must be a JSON object, got list"),
+    (("markers", "E"), [["ehi0"], ["elo0"]], "markers.E must be a JSON object, got list"),
+], ids=["neutral-string", "marker-string", "markers-list", "trait-markers-list"])
+def test_spec_rejects_token_sets_and_marker_maps_of_the_wrong_json_type(path, value,
+                                                                        message) -> None:
+    """A string token set once passed as a set of its characters."""
+    spec = small_spec()
+    node = vars(spec)
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    for call in (spec.validate, lambda: synth_corpus(spec, 3, Rng(1))):
+        with pytest.raises(TraitgenError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 # --------------------------------------------------------------------- corpus
 
 
