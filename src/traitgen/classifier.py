@@ -121,8 +121,10 @@ def _forward(model: CnnModel, ids: np.ndarray, lengths: np.ndarray):
     p = t - m + 1
     win_ids = ids[:, np.arange(p)[:, None] + np.arange(m)].transpose(1, 0, 2)  # (P, B, m)
     windows = model.embedding.value[win_ids].reshape(p * b, -1)
-    # conv_w is stored F x (m*k) and used transposed
-    pre, back_conv = affine(windows, model.conv_w.value.T, model.conv_b.value)
+    # conv_w is stored F x (m*k) and used transposed; an overflow is left to
+    # the activation's non-finite check, which reports it as one error
+    with np.errstate(over="ignore"):
+        pre, back_conv = affine(windows, model.conv_w.value.T, model.conv_b.value)
     act, back_relu = elementwise_activation(pre)
     valid = np.arange(p)[:, None] <= np.maximum(lengths - m, 0)  # (P, B)
     feats = act.reshape(p, b, f)

@@ -62,9 +62,9 @@ class Opt:
 
 @dataclasses.dataclass(frozen=True)
 class Command:
-    """A subcommand; ``func`` takes the resolved options and returns its manifest path."""
+    """A subcommand; ``func`` takes the resolved options and writes its outputs."""
 
-    func: Callable[[dict[str, Any]], Path]
+    func: Callable[[dict[str, Any]], None]
     help: str
     opts: tuple[Opt, ...]
 
@@ -169,23 +169,6 @@ def _write_manifest(target: Path, command: str, resolved: dict[str, Any]) -> Non
     write_json(target, manifest)
 
 
-def _out_dir(value: str) -> Path:
-    out = Path(value)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _out_file(value: str) -> Path:
-    path = Path(value)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _beside(out: Path) -> Path:
-    """The manifest path for a single-file output."""
-    return out.with_name(out.name + ".manifest.json")
-
-
 def _model_config(cls, o: dict[str, Any], **fixed):
     """A model config from the options named like its fields (``embed-dim`` -> ``embed_dim``)."""
     names = {f.name for f in dataclasses.fields(cls)}
@@ -211,30 +194,28 @@ def _unk_rate(docs, vocab) -> float:
 # ------------------------------------------------------------------- commands
 
 
-def cmd_synth(o: dict[str, Any]) -> Path:
+def cmd_synth(o: dict[str, Any]) -> None:
     spec = SynthSpec.load(o["spec"]) if o["spec"] else default_synth_spec()
     docs, lexicon = synth_corpus(spec, o["n"], Rng(o["seed"]))
-    out = _out_dir(o["out"])
+    out = Path(o["out"])
     write_corpus(out / "corpus.jsonl", docs)
     save_lexicon(lexicon, out / "lexicon.json")
     spec.save(out / "spec.json")
     print(f"wrote {o['n']} documents to {out / 'corpus.jsonl'}")
-    return out / "manifest.json"
 
 
-def cmd_train_classifier(o: dict[str, Any]) -> Path:
+def cmd_train_classifier(o: dict[str, Any]) -> None:
     config = _model_config(CnnConfig, o, vocab_size=0)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
     model, metrics = train_classifier(docs, config, Rng(o["seed"]))
-    out = _out_dir(o["out"])
+    out = Path(o["out"])
     model.save(out / "classifier.json")
     write_json(out / "metrics.json", metrics)
     print(f"best epoch {metrics['best_epoch']}: "
           + " ".join(f"{t}={metrics['best_accuracy'][t]:.4f}" for t in TRAITS))
-    return out / "manifest.json"
 
 
-def cmd_label(o: dict[str, Any]) -> Path:
+def cmd_label(o: dict[str, Any]) -> None:
     model = load_model(o["model"], "cnn")
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     rate = _unk_rate(docs, model.vocab)
@@ -245,25 +226,23 @@ def cmd_label(o: dict[str, Any]) -> Path:
     if rate > 0.1:
         print(f"{PROG}: warning: {rate:.0%} of corpus tokens are unknown to the model",
               file=sys.stderr)
-    out = _out_file(o["out"])
+    out = Path(o["out"])
     write_corpus(out, label_corpus(docs, model))
     print(f"labeled {len(docs)} documents -> {out}")
-    return _beside(out)
 
 
-def cmd_train_generator(o: dict[str, Any]) -> Path:
+def cmd_train_generator(o: dict[str, Any]) -> None:
     config = _model_config(LstmConfig, o, vocab_size=0, cond_dim=0 if o["unconditional"] else 5)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
     model, losses = train_generator(docs, config, Rng(o["seed"]))
-    out = _out_dir(o["out"])
+    out = Path(o["out"])
     model.save(out / "generator.json")
     write_json(out / "losses.json", {"epoch_mean_losses": losses})
     trend = f"; loss {losses[0]:.4f} -> {losses[-1]:.4f}" if losses else ""
     print(f"trained {config.epochs} epochs{trend}")
-    return out / "manifest.json"
 
 
-def cmd_generate(o: dict[str, Any]) -> Path:
+def cmd_generate(o: dict[str, Any]) -> None:
     n = o["n"]
     if n < 0:
         raise TraitgenError(f"--n must be >= 0, got {n}")
@@ -283,17 +262,16 @@ def cmd_generate(o: dict[str, Any]) -> Path:
     # text i draws from stream i: output independent of batching
     texts = generate(model, cond, pool, Lockstep.spawned(Rng(o["seed"]), 0, n),
                      temperature=o["temperature"], max_len=o["max-len"])
-    out = _out_file(o["out"])
+    out = Path(o["out"])
     write_jsonl(out, ({
         "text": " ".join(tokens),
         "condition": None if condition is None else format_condition(condition),
         "seed_word": tokens[0],
     } for tokens in texts))
     print(f"generated {n} texts -> {out}")
-    return _beside(out)
 
 
-def cmd_score(o: dict[str, Any]) -> Path:
+def cmd_score(o: dict[str, Any]) -> None:
     if o["levels"] and not o["thresholds"]:
         raise TraitgenError("--levels requires --thresholds")
     lexicon = load_lexicon(o["lexicon"])
@@ -305,25 +283,24 @@ def cmd_score(o: dict[str, Any]) -> Path:
         levels = {} if thresholds is None else {"levels": assign_levels(scores, thresholds)}
         return {"text": doc.raw_text, "scores": scores, **levels}
 
-    out = _out_file(o["out"])
-    write_jsonl(out, map(record, docs))
+    records = [record(doc) for doc in docs]  # a scoring error must come before any write
+    out = Path(o["out"])
+    write_jsonl(out, records)
     print(f"scored {len(docs)} documents -> {out}")
-    return _beside(out)
 
 
-def cmd_calibrate(o: dict[str, Any]) -> Path:
+def cmd_calibrate(o: dict[str, Any]) -> None:
     lexicon = load_lexicon(o["lexicon"])
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     thresholds = calibrate_thresholds(
         scores_by_trait((d.tokens for d in docs), lexicon), p_low=o["p-low"], p_high=o["p-high"]
     )
-    out = _out_file(o["out"])
+    out = Path(o["out"])
     save_thresholds(thresholds, out)
     print(f"calibrated thresholds -> {out}")
-    return _beside(out)
 
 
-def cmd_evaluate(o: dict[str, Any]) -> Path:
+def cmd_evaluate(o: dict[str, Any]) -> None:
     model = load_model(o["model"], "lstm")
     baseline = load_model(o["baseline"], "lstm")
     lexicon = load_lexicon(o["lexicon"])
@@ -335,13 +312,12 @@ def cmd_evaluate(o: dict[str, Any]) -> Path:
         model, baseline, lexicon, thresholds, o["n-per-condition"], pool, Rng(o["seed"]),
         temperature=o["temperature"], max_len=o["max-len"],
     )
-    out = _out_dir(o["out"])
+    out = Path(o["out"])
     table = render_table(report)
     write_json(out / "report.json", report)
     write_lines(out / "table.txt", [table])
     write_jsonl(out / "generations.jsonl", records)
     print(table)
-    return out / "manifest.json"
 
 
 # ---------------------------------------------------------------------- table
@@ -467,9 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         resolved = _resolve(args, args.command)
-        _write_manifest(COMMANDS[args.command].func(resolved), args.command, resolved)
+        command.func(resolved)
+        out = Path(resolved["out"])  # beside a file output, inside a directory output
+        manifest = (out / "manifest.json" if _OUT_DIR in command.opts
+                    else out.with_name(out.name + ".manifest.json"))
+        _write_manifest(manifest, args.command, resolved)
         return 0
     except (TraitgenError, OSError) as exc:  # every path a command touches comes from the user
         print(f"{PROG}: error: {exc}", file=sys.stderr)

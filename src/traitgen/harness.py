@@ -88,7 +88,8 @@ class SynthSpec:
         return [(f"{t}_{k}", self.markers[t][k]) for t in TRAITS for k in ("high", "low")]
 
     def validate(self) -> None:
-        """Check every rule of a spec, the JSON types of its token sets included."""
+        """Check every rule of a spec, the JSON type of every field included."""
+        config_from_payload(SynthSpec, vars(self), "spec")  # each number's JSON type
         if not 0.0 < self.pi <= 1.0:
             raise TraitgenError(f"pi must be in (0, 1], got {self.pi}")
         if self.len_min < 4:

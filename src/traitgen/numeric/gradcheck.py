@@ -1,6 +1,6 @@
 """Finite-difference verification of analytic gradients.
 
-Compares each sampled parameter coordinate's analytic gradient against a
+Compares every parameter coordinate's analytic gradient against a
 central difference of the loss. The check returns each parameter's largest
 relative error and passes no verdict: one pass covers every parameter of a
 model, and each caller holds the errors to its own tolerance.
@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .optim import Parameters, zero_grads
-from .rng import Rng
 
 
 def gradient_check(
@@ -20,16 +19,12 @@ def gradient_check(
     model: Parameters,
     *,
     h: float = 1e-5,
-    rng: Rng | None = None,
-    max_coords_per_param: int | None = None,
 ) -> dict[str, float]:
     """Each parameter's largest relative error against central differences.
 
     ``loss_fn`` runs the forward pass only; ``grad_fn`` runs forward plus
     backward, accumulating into the gradients of ``model``. Both must be
-    deterministic functions of its parameter values. When
-    ``max_coords_per_param`` is given, that many coordinates are sampled per
-    parameter using ``rng``; otherwise every coordinate is checked.
+    deterministic functions of its parameter values.
     """
     zero_grads(model)
     grad_fn()
@@ -38,16 +33,9 @@ def gradient_check(
     errors = {}
     for p in model.params:
         flat_value = p.value.reshape(-1)  # a view of the model's flat buffer
-        n = flat_value.size
-        if max_coords_per_param is None or max_coords_per_param >= n:
-            coords = range(n)
-        else:
-            if rng is None:
-                raise ValueError("sampling coordinates requires an rng")
-            coords = sorted({rng.randint(n) for _ in range(max_coords_per_param)})
         worst = 0.0
         flat_analytic = analytic[p.name].reshape(-1)
-        for idx in coords:
+        for idx in range(flat_value.size):
             original = flat_value[idx]
             flat_value[idx] = original + h
             plus = loss_fn()

@@ -7,8 +7,8 @@ Word segmentation proper is out of scope; corpora are expected to arrive
 pre-segmented or be processed character-level.
 
 Every artifact the pipeline writes goes through :func:`write_lines`
-(via :func:`write_json` or :func:`write_jsonl`), which replaces the
-file whole.
+(via :func:`write_json` or :func:`write_jsonl`), which makes the file's
+directory and replaces the file whole.
 """
 
 from __future__ import annotations
@@ -224,13 +224,15 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line and a newline as UTF-8, replacing ``path`` whole.
 
-    The text goes to ``.<name>.tmp`` in the same directory, which is then
-    renamed over ``path``; on any exception the temp file is removed, so
-    a failure part-way leaves the old file (or none). Nothing is fsynced:
-    this survives a failing process, not a power loss.
+    Missing parent directories are made first. The text goes to
+    ``.<name>.tmp`` in the same directory, which is then renamed over
+    ``path``; on any exception the temp file is removed, so a failure
+    part-way leaves the old file (or none). Nothing is fsynced: this
+    survives a failing process, not a power loss.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
+    path.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)
@@ -253,12 +255,13 @@ def write_jsonl(path: str | Path, records: Iterable[Any]) -> None:
 def read_corpus(path: str | Path, mode: str = "whitespace") -> list[Document]:
     """Read a JSONL corpus: one {"text": ..., "labels"?, "levels"?} per line.
 
-    Unknown fields are ignored; malformed lines are rejected with their
-    line number.
+    Records end at a line feed only: a raw U+2028, U+2029 or U+0085, which
+    :func:`write_jsonl` leaves unescaped, stays inside its string. Unknown
+    fields are ignored; malformed lines are rejected with their line number.
     """
     docs: list[Document] = []
     try:
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
+        raw_lines = Path(path).read_text(encoding="utf-8").split("\n")
     except UnicodeDecodeError as exc:
         raise TraitgenError(f"{path}: not valid UTF-8: {exc}") from exc
     for lineno, line in enumerate(raw_lines, start=1):

@@ -297,33 +297,46 @@ def _overflowing_scores(pipeline, tmp_path) -> list[str]:
     return ["score", "--lexicon", str(lexicon), "--in", str(corpus)]
 
 
+def _huge_classifier(pipeline, tmp_path) -> list[str]:
+    """A finite classifier whose convolution overflows: embedding and conv_w all 1e300."""
+    model = load_model(pipeline["classifier"], "cnn")
+    model.embedding.value[...] = 1e300
+    model.conv_w.value[...] = 1e300
+    model.save(tmp_path / "huge.json")
+    return ["label", "--model", str(tmp_path / "huge.json"), "--in", str(pipeline["corpus"])]
+
+
 def _missing_seed_token(pipeline, tmp_path) -> list[str]:
     pool = tmp_path / "pool.txt"
     pool.write_text("w000\nnot-in-vocab\n", encoding="utf-8")
     return _evaluate(pipeline, pool)
 
 
-@pytest.mark.parametrize("argv, message", [
+@pytest.mark.parametrize("argv, out_file, message", [
     (lambda pipeline, tmp_path: [
         "train-generator", "--corpus", str(_unlabeled(tmp_path / "unlabeled.jsonl")),
-        "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"], "no trait labels"),
+        "--epochs", "1", "--embed-dim", "4", "--hidden-dim", "4"], None, "no trait labels"),
     (lambda pipeline, tmp_path: [
         "train-classifier", "--corpus", str(_first_lines(pipeline["corpus"], 2,
                                                          tmp_path / "two.jsonl")),
-        "--epochs", "1"], "need at least 10 documents"),
-    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--max-len", "0"],
+        "--epochs", "1"], None, "need at least 10 documents"),
+    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--max-len", "0"], None,
      "max_len must be >= 1"),
-    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--temperature", "nan"],
+    (lambda pipeline, tmp_path: [*_evaluate(pipeline), "--temperature", "nan"], None,
      "temperature must be finite"),
-    (_missing_seed_token, "seed tokens not in vocabulary"),
-    (lambda pipeline, tmp_path: ["synth", "--n", "-1"], "n_docs must be non-negative, got -1"),
-    (_overflowing_scores, "trait scores are not finite"),
+    (_missing_seed_token, None, "seed tokens not in vocabulary"),
+    (lambda pipeline, tmp_path: ["synth", "--n", "-1"], None,
+     "n_docs must be non-negative, got -1"),
+    (_overflowing_scores, "scored.jsonl", "trait scores are not finite"),
+    (_huge_classifier, "labeled.jsonl", "activation input contains non-finite entries"),
 ], ids=["generator-unlabeled-corpus", "classifier-two-documents", "evaluate-max-len-0",
         "evaluate-temperature-nan", "evaluate-seed-token-not-in-vocabulary", "synth-n-negative",
-        "score-not-finite"])
-def test_failed_run_leaves_no_out_dir(tmp_path, pipeline, capsys, argv, message) -> None:
+        "score-not-finite", "label-not-finite"])
+def test_failed_run_leaves_no_out_dir(tmp_path, pipeline, capsys, argv, out_file,
+                                      message) -> None:
+    """``out`` is the output directory, or the directory a single output file would need."""
     out = tmp_path / "out"
-    assert run(*argv(pipeline, tmp_path), "--out", str(out)) == 2
+    assert run(*argv(pipeline, tmp_path), "--out", str(out / out_file if out_file else out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("traitgen: error: ") and message in err
     assert err.count("\n") == 1
@@ -899,6 +912,37 @@ def test_single_file_out_that_is_a_directory_exits_2(tmp_path, pipeline, capsys,
     assert err.startswith("traitgen: error: ") and err.count("\n") == 1
     assert out.is_dir() and not any(out.iterdir())
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
+
+
+def test_label_overflow_prints_one_error_line(tmp_path, pipeline) -> None:
+    """numpy's overflow warning once came before the error; a subprocess shows
+    it, since pytest captures warnings raised in-process."""
+    src = str(Path(traitgen.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = tmp_path / "new" / "sub" / "labeled.jsonl"
+    done = subprocess.run([sys.executable, "-m", "traitgen", *_huge_classifier(pipeline, tmp_path),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr == "traitgen: error: activation input contains non-finite entries\n"
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_manifest_lands_inside_a_directory_out_and_beside_a_file_out(tmp_path, pipeline,
+                                                                     command) -> None:
+    config, out = tmp_path / "run.ini", tmp_path / "out"
+    config.write_text("\n".join([f"[{command}]", *(f"{key} = {value}" for key, value
+                                                   in _valid_config(pipeline, command).items())]),
+                      encoding="utf-8")
+    assert run(command, *_BOUNDING_FLAGS[command], "--config", str(config),
+               "--out", str(out)) == 0
+    if command in ("synth", "train-classifier", "train-generator", "evaluate"):
+        manifest = out / "manifest.json"
+    else:
+        manifest = tmp_path / "out.manifest.json"
+        assert out.is_file()
+    assert json.loads(manifest.read_text(encoding="utf-8"))["command"] == command
 
 
 def test_synth_into_a_non_ascii_directory_records_its_path(tmp_path, small_spec_path) -> None:

@@ -49,23 +49,6 @@ def test_errors_name_every_parameter() -> None:
     assert errors["solo"] < 1e-6
 
 
-def test_sampling_subset_of_coordinates() -> None:
-    rng = Rng(33)
-    model = Parameters({"wide": (1, 50)})
-    p = model.params[0]
-    p.value[...] = [[2.0 * rng.random() - 1.0 for _ in range(50)]]
-
-    def loss_fn() -> float:
-        return float((p.value ** 2).sum())
-
-    def grad_fn() -> float:
-        p.grad += 2.0 * p.value
-        return loss_fn()
-
-    errors = gradient_check(loss_fn, grad_fn, model, rng=Rng(7), max_coords_per_param=5)
-    assert max(errors.values()) < 1e-6, errors
-
-
 def test_failure_is_reported_not_raised() -> None:
     model = Parameters({"bad": (1, 1)})
     p = model.params[0]

@@ -134,6 +134,27 @@ def test_spec_rejects_token_sets_and_marker_maps_of_the_wrong_json_type(path, va
         assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("pi", "0.5", "spec.pi must be a number, got str"),
+    ("pi", math.nan, "spec.pi must be a finite number"),
+    ("len_min", 8.0, "spec.len_min must be an integer, got float"),
+    ("len_max", True, "spec.len_max must be an integer, got bool"),
+    ("neutral_bigram_smoothing", None,
+     "spec.neutral_bigram_smoothing must be a number, got NoneType"),
+], ids=["pi-string", "pi-nan", "len-min-float", "len-max-bool", "smoothing-null"])
+def test_spec_rejects_numbers_of_the_wrong_json_type(tmp_path, field, value, message) -> None:
+    """The library path once raised TypeError here; it now gives a spec file's message."""
+    spec = small_spec()
+    setattr(spec, field, value)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(vars(spec)), encoding="utf-8")
+    for call in (spec.validate, lambda: synth_corpus(spec, 3, Rng(1)),
+                 lambda: SynthSpec.load(path)):
+        with pytest.raises(TraitgenError) as raised:
+            call()
+        assert str(raised.value) == message
+
+
 # --------------------------------------------------------------------- corpus
 
 

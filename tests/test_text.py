@@ -305,6 +305,17 @@ def test_corpus_roundtrip(tmp_path) -> None:
     assert loaded[0].tokens == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+def test_corpus_records_end_at_line_feeds_only(tmp_path, separator) -> None:
+    """write_jsonl leaves these characters raw; str.splitlines once split a record at them."""
+    text = f"a{separator}b"
+    path = tmp_path / "corpus.jsonl"
+    write_corpus(path, [Document(text, tokenize(text)), Document("c", ["c"])])
+    assert [d.raw_text for d in read_corpus(path)] == [text, "c"]
+    path.write_bytes(b'{"text": "a"}\r\n\r\n{"text": "b"}\r\n')  # CRLF still reads
+    assert [d.raw_text for d in read_corpus(path)] == ["a", "b"]
+
+
 def test_corpus_write_is_byte_deterministic(tmp_path) -> None:
     docs = [Document("x y", ["x", "y"], labels={"E": 0, "A": 1, "C": 0, "N": 1, "O": 0})]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
