@@ -1,8 +1,8 @@
 """Shared JSON checkpoint format for both neural models.
 
-Layout: {"format_version": 2, "kind": "cnn"|"lstm", "config": {...},
-"vocab": [stored tokens...], "params": {name: {"shape": [r, c],
-"data": str}}}. ``data`` is the standard base64 of the parameter's
+Layout: {"format_version": 2, "kind": "cnn"|"lstm", "config": {...,
+"vocab_size": V}, "vocab": [V stored tokens], "params": {name: {"shape":
+[r, c], "data": str}}}. ``data`` is the standard base64 of the parameter's
 row-major little-endian float64 bytes, so a reload reproduces every bit.
 A checkpoint of any other format version must be retrained.
 """
@@ -25,27 +25,26 @@ FORMAT_VERSION = 2
 class Model(Parameters):
     """Parameters of one network, each named and shaped by ``shapes``.
 
-    A subclass sets ``kind`` and defines ``shapes(config)``, the
-    ``{name: (rows, cols)}`` of its parameters in checkpoint order. A new
-    model holds zeros, each :class:`Parameter` of ``params`` also the
-    attribute of its name.
+    A subclass sets ``kind`` and ``config_type`` and defines
+    ``shapes(config, vocab_size)``, the ``{name: (rows, cols)}`` of its
+    parameters in checkpoint order. A new model holds zeros, each
+    :class:`Parameter` of ``params`` also the attribute of its name.
     """
 
     kind: str
+    config_type: type
 
     @staticmethod
     def check(config, vocab: Vocabulary) -> None:
         config.validate()
-        if len(vocab) != config.vocab_size:
-            raise TraitgenError(
-                f"vocabulary size {len(vocab)} != config vocab_size {config.vocab_size}"
-            )
+        if len(vocab) < 5:
+            raise TraitgenError(f"vocab_size must include the specials, got {len(vocab)}")
 
     def __init__(self, config, vocab: Vocabulary):
         self.check(config, vocab)
         self.config = config
         self.vocab = vocab
-        super().__init__(self.shapes(config))
+        super().__init__(self.shapes(config, len(vocab)))
         vars(self).update((p.name, p) for p in self.params)
 
 
@@ -89,7 +88,7 @@ def write_checkpoint(path: str | Path, model: Model) -> None:
     write_json(path, {
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
-        "config": asdict(model.config),
+        "config": {**asdict(model.config), "vocab_size": len(model.vocab)},
         "vocab": model.vocab.to_list(),
         "params": {
             p.name: {
@@ -101,13 +100,14 @@ def write_checkpoint(path: str | Path, model: Model) -> None:
     }, indent=None)
 
 
-def load_model(path: str | Path, kind: str):
-    """Build the ``kind`` ("cnn" or "lstm") model a checkpoint holds.
+def load_model(path: str | Path, model_cls: type[Model]) -> Model:
+    """Build the ``model_cls`` model (a ``Model`` subclass) a checkpoint holds.
 
     The format version and kind are checked first, then the config and
     vocabulary, then each parameter against the model's ``shapes``, all
     before any parameter is allocated; a malformed field raises
-    :class:`TraitgenError` naming the path and the field.
+    :class:`TraitgenError` naming the path and the field. The config's
+    ``vocab_size`` must be a JSON integer equal to the vocabulary's size.
     """
     payload = read_json(path)
     found = payload.get("format_version") if isinstance(payload, dict) else None
@@ -115,23 +115,23 @@ def load_model(path: str | Path, kind: str):
         raise TraitgenError(f"{path}: checkpoint format_version is {found!r}, expected "
                             f"{FORMAT_VERSION}; retrain the model to write this format")
     found = payload.get("kind")
-    if found != kind:
-        raise TraitgenError(f"{path}: expected a {kind!r} checkpoint, found {found!r}")
+    if found != model_cls.kind:
+        raise TraitgenError(f"{path}: expected a {model_cls.kind!r} checkpoint, found {found!r}")
     for key in ("config", "vocab", "params"):
         if key not in payload:
             raise TraitgenError(f"{path}: checkpoint is missing {key!r}")
-    if kind == "cnn":
-        from .classifier import CnnConfig as config_cls, CnnModel as model_cls
-    else:
-        from .generator import LstmConfig as config_cls, LstmModel as model_cls
     try:
-        config = config_from_payload(config_cls, payload["config"])
+        config = payload["config"]
+        size = config.pop("vocab_size", None) if isinstance(config, dict) else None
+        config = config_from_payload(model_cls.config_type, config)
         vocab = payload["vocab"]
         if not (isinstance(vocab, list) and all(isinstance(t, str) for t in vocab)):
             raise TraitgenError("'vocab' must be a list of strings")
         vocab = Vocabulary(vocab)
+        if not is_int(size) or size != len(vocab):
+            raise TraitgenError(f"vocabulary size {len(vocab)} != config vocab_size {size!r}")
         model_cls.check(config, vocab)
-        arrays = params_from_payload(payload["params"], model_cls.shapes(config))
+        arrays = params_from_payload(payload["params"], model_cls.shapes(config, len(vocab)))
     except TraitgenError as exc:
         raise TraitgenError(f"{path}: {exc}") from exc
     model = model_cls(config, vocab)

@@ -48,7 +48,6 @@ _STREAM_EPOCHS = 2
 
 @dataclass
 class CnnConfig:
-    vocab_size: int
     embed_dim: int = 32
     window: int = 3
     num_filters: int = 64
@@ -65,8 +64,6 @@ class CnnConfig:
         if not self.window + 2 <= self.max_len <= MAX_LEN:
             raise TraitgenError(f"max_len {self.max_len} must be from window + 2 = "
                                 f"{self.window + 2} to {MAX_LEN}")
-        if self.vocab_size < 5:
-            raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
 
 
@@ -74,11 +71,12 @@ class CnnModel(Model):
     """Parameter collection for the classifier. Immutable once trained."""
 
     kind = "cnn"
+    config_type = CnnConfig
 
     @staticmethod
-    def shapes(config: CnnConfig) -> dict[str, tuple[int, int]]:
+    def shapes(config: CnnConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
         k, m, f = config.embed_dim, config.window, config.num_filters
-        return {"embedding": (config.vocab_size, k), "conv_w": (f, m * k), "conv_b": (1, f),
+        return {"embedding": (vocab_size, k), "conv_w": (f, m * k), "conv_b": (1, f),
                 "head_w": (f, len(TRAITS)), "head_b": (1, len(TRAITS))}
 
     @classmethod
@@ -218,7 +216,6 @@ def train_classifier(docs: list[Document], config: CnnConfig,
         if doc.labels is None:
             raise TraitgenError(f"document {i} has no trait labels")
     vocab = Vocabulary.build([d.tokens for d in docs])
-    config = replace(config, vocab_size=len(vocab))
     model = CnnModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
     ids, lengths = encode([d.tokens for d in docs], vocab, config.max_len)

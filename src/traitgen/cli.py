@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .checkpoint import load_model
-from .classifier import CnnConfig, train_classifier, label_corpus
+from .classifier import CnnConfig, CnnModel, train_classifier, label_corpus
 from .errors import TraitgenError
-from .generator import LstmConfig, generate, train_generator
+from .generator import LstmConfig, LstmModel, generate, train_generator
 from .harness import (EVAL_TEMPERATURE, MAX_TEXTS, SynthSpec, default_synth_spec,
                       evaluate_generation, render_table, synth_corpus)
 from .lexicon import (assign_levels, calibrate_thresholds, load_lexicon, load_thresholds,
@@ -205,7 +205,7 @@ def cmd_synth(o: dict[str, Any]) -> None:
 
 
 def cmd_train_classifier(o: dict[str, Any]) -> None:
-    config = _model_config(CnnConfig, o, vocab_size=0)
+    config = _model_config(CnnConfig, o)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
     model, metrics = train_classifier(docs, config, Rng(o["seed"]))
     out = Path(o["out"])
@@ -216,7 +216,7 @@ def cmd_train_classifier(o: dict[str, Any]) -> None:
 
 
 def cmd_label(o: dict[str, Any]) -> None:
-    model = load_model(o["model"], "cnn")
+    model = load_model(o["model"], CnnModel)
     docs = read_corpus(o["in"], mode=o["tokenize-mode"])
     rate = _unk_rate(docs, model.vocab)
     if rate > 0.5:
@@ -232,7 +232,7 @@ def cmd_label(o: dict[str, Any]) -> None:
 
 
 def cmd_train_generator(o: dict[str, Any]) -> None:
-    config = _model_config(LstmConfig, o, vocab_size=0, cond_dim=0 if o["unconditional"] else 5)
+    config = _model_config(LstmConfig, o, cond_dim=0 if o["unconditional"] else 5)
     docs = read_corpus(o["corpus"], mode=o["tokenize-mode"])
     model, losses = train_generator(docs, config, Rng(o["seed"]))
     out = Path(o["out"])
@@ -248,7 +248,7 @@ def cmd_generate(o: dict[str, Any]) -> None:
         raise TraitgenError(f"--n must be >= 0, got {n}")
     if n > MAX_TEXTS:
         raise TraitgenError(f"--n must be at most {MAX_TEXTS}, got {n}")
-    model = load_model(o["model"], "lstm")
+    model = load_model(o["model"], LstmModel)
     condition = None
     if o["condition"]:
         try:
@@ -301,8 +301,8 @@ def cmd_calibrate(o: dict[str, Any]) -> None:
 
 
 def cmd_evaluate(o: dict[str, Any]) -> None:
-    model = load_model(o["model"], "lstm")
-    baseline = load_model(o["baseline"], "lstm")
+    model = load_model(o["model"], LstmModel)
+    baseline = load_model(o["baseline"], LstmModel)
     lexicon = load_lexicon(o["lexicon"])
     thresholds = load_thresholds(o["thresholds"])
     if not any(map(lexicon.hits, model.vocab)):

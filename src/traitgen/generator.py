@@ -31,7 +31,7 @@ chunk size; the tests compare chunk sizes at the real dimensions.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,6 @@ _STREAM_EPOCHS = 1
 
 @dataclass
 class LstmConfig:
-    vocab_size: int
     embed_dim: int = 32
     hidden_dim: int = 128
     cond_dim: int = 5
@@ -86,8 +85,6 @@ class LstmConfig:
             raise TraitgenError("embed_dim and hidden_dim must be >= 1")
         if not 2 <= self.max_len <= MAX_LEN:
             raise TraitgenError(f"max_len must be from 2 to {MAX_LEN}, got {self.max_len}")
-        if self.vocab_size < 5:
-            raise TraitgenError(f"vocab_size must include the specials, got {self.vocab_size}")
         check_schedule(self.epochs, self.batch_size, self.learning_rate)
         if not np.isfinite(self.temperature):
             raise TraitgenError(f"temperature must be finite, got {self.temperature}")
@@ -97,10 +94,11 @@ class LstmModel(Model):
     """Embedding, fused gate weights (order i f g o), and output projection."""
 
     kind = "lstm"
+    config_type = LstmConfig
 
     @staticmethod
-    def shapes(config: LstmConfig) -> dict[str, tuple[int, int]]:
-        k, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
+    def shapes(config: LstmConfig, vocab_size: int) -> dict[str, tuple[int, int]]:
+        k, h, v = config.embed_dim, config.hidden_dim, vocab_size
         return {"embedding": (v, k), "gates_w": (k + config.cond_dim + h, 4 * h),
                 "gates_b": (1, 4 * h), "out_w": (h, v), "out_b": (1, v)}
 
@@ -138,14 +136,14 @@ class _Workspace:
 
     __slots__ = ("xh", "h", "gates", "c", "tanh_c", "logits")
 
-    def __init__(self, config: LstmConfig, rows: int):
-        hdim = config.hidden_dim
+    def __init__(self, model: LstmModel, rows: int):
+        config, hdim = model.config, model.config.hidden_dim
         self.xh = np.empty((rows, config.embed_dim + config.cond_dim + hdim))
         self.h = np.empty((rows, hdim))
         self.gates = np.empty((rows, 4 * hdim))
         self.c = np.empty((rows, hdim))
         self.tanh_c = np.empty((rows, hdim))
-        self.logits = np.empty((rows, config.vocab_size))
+        self.logits = np.empty((rows, len(model.vocab)))
 
 
 def _sigmoid_inplace(z: np.ndarray) -> None:
@@ -296,8 +294,9 @@ def train_generator(docs: list[Document], config: LstmConfig,
 
     Returns the model and each epoch's mean training loss (token-weighted).
     Deterministic given (docs, config, rng seed). Raises
-    :class:`TraitgenError` on a non-finite batch loss, or when a
-    parameter holds a non-finite value at the end of an epoch.
+    :class:`TraitgenError` when a training step overflows or computes an
+    invalid value, on a non-finite batch loss, or when a parameter holds a
+    non-finite value at the end of an epoch.
     """
     if not docs:
         raise TraitgenError("cannot train a generator on an empty corpus")
@@ -307,7 +306,6 @@ def train_generator(docs: list[Document], config: LstmConfig,
             if doc.labels is None:
                 raise TraitgenError(f"document {i} has no trait labels")
     vocab = Vocabulary.build([d.tokens for d in docs])
-    config = replace(config, vocab_size=len(vocab))
     model = LstmModel.init(config, vocab, rng.spawn(_STREAM_INIT))
 
     ids, lengths = encode([d.tokens for d in docs], vocab, config.max_len)
@@ -317,7 +315,7 @@ def train_generator(docs: list[Document], config: LstmConfig,
 
     losses = []
     # one set of step buffers for every batch, as long as the longest encoded text
-    ws = _Workspace(config, (int(lengths.max()) - 1) * min(config.batch_size, len(docs)))
+    ws = _Workspace(model, (int(lengths.max()) - 1) * min(config.batch_size, len(docs)))
     epoch_rng = rng.spawn(_STREAM_EPOCHS)
     order = list(range(len(docs)))
     for epoch in range(1, config.epochs + 1):
@@ -336,11 +334,15 @@ def train_generator(docs: list[Document], config: LstmConfig,
             ids_b = ids[batch][:, :t_max]
             cond_b = cond_all[batch] if cond_all is not None else None
             zero_grads(model)
-            loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
-            if not np.isfinite(loss):
-                raise TraitgenError(f"non-finite training loss {loss} in epoch {epoch}")
-            clip_global_norm(model)
-            adam_step(model, config.learning_rate)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    loss, n_tokens = _train_batch(model, ids_b, lengths[batch], cond_b, ws)
+                    if not np.isfinite(loss):
+                        raise TraitgenError(f"non-finite training loss {loss} in epoch {epoch}")
+                    clip_global_norm(model)
+                    adam_step(model, config.learning_rate)
+            except FloatingPointError as exc:
+                raise TraitgenError(f"training diverged in epoch {epoch}: {exc}") from exc
             loss_sum += loss * n_tokens
             token_sum += n_tokens
         check_finite(model)
@@ -391,7 +393,8 @@ def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
     do not depend on the other rows (up to the rounding the module
     docstring describes). With two or more chunks, this thread and one helper
     thread, which lives for this call only, each decode the next undone
-    chunk until none is left; an exception in either is raised here.
+    chunk until none is left; an exception in either is raised here, and
+    an overflow or invalid value in decoding is a :class:`TraitgenError`.
     Temperatures below 1e-6 switch to argmax decoding, which draws nothing
     after the seed word and is deterministic per seed word. The streams'
     state after the call is unspecified.
@@ -431,9 +434,13 @@ def generate(model: LstmModel, cond: np.ndarray | None, seed_pool: list[str],
             if j is None:
                 return
             chunk = slice(j * DECODE_CHUNK, (j + 1) * DECODE_CHUNK)
-            decoded[j] = _decode_chunk(model, None if cond is None else cond[chunk],
-                                       seed_ids[chunk], Lockstep(streams.state[:, chunk].copy()),
-                                       temperature, max_len)
+            try:  # numpy's error state is per thread, so each thread sets its own
+                with np.errstate(over="raise", invalid="raise"):
+                    decoded[j] = _decode_chunk(
+                        model, None if cond is None else cond[chunk], seed_ids[chunk],
+                        Lockstep(streams.state[:, chunk].copy()), temperature, max_len)
+            except FloatingPointError as exc:
+                raise TraitgenError(f"decoding failed: {exc}") from exc
 
     if n_chunks > 1:
         # imported here: concurrent.futures loads logging, about half a MiB
@@ -469,9 +476,9 @@ def _decode_chunk(model: LstmModel, cond: np.ndarray | None, seed_ids: list[int]
     out_w, out_b = model.out_w.value, model.out_b.value
     # EOS and every real token are sampleable, PAD/UNK/BOS never are; the
     # specials are ids 0-3, EOS last, so the sampleable ids are [EOS_ID, V)
-    n_allowed = cfg.vocab_size - EOS_ID
+    n_allowed = len(model.vocab) - EOS_ID
     greedy = temperature < GREEDY_TEMPERATURE
-    ws = _Workspace(cfg, m)
+    ws = _Workspace(model, m)
     xh, c = ws.xh, ws.c
     ids = np.empty((m, min(max_len, ID_COLUMNS)), dtype=np.int64)
     ids[:, 0] = seed_ids

@@ -224,13 +224,16 @@ def config_from_payload(config_cls, config: object, name: str = "config"):
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line and a newline as UTF-8, replacing ``path`` whole.
 
-    Missing parent directories are made first. The text goes to
-    ``.<name>.tmp`` in the same directory, which is then renamed over
-    ``path``; on any exception the temp file is removed, so a failure
+    A path with no file name (``.``, ``/``, ``sub/..``) is refused before
+    anything is made; missing parent directories are made first. The text
+    goes to ``.<name>.tmp`` in the same directory, which is then renamed
+    over ``path``; on any exception the temp file is removed, so a failure
     part-way leaves the old file (or none). Nothing is fsynced: this
     survives a failing process, not a power loss.
     """
     path = Path(path)
+    if path.name in ("", ".."):  # pathlib drops "." parts: "." and "/" have no name
+        raise TraitgenError(f"output path {str(path)!r} has no file name")
     tmp = path.with_name(f".{path.name}.tmp")
     path.parent.mkdir(parents=True, exist_ok=True)
     try:

@@ -9,7 +9,7 @@ from traitgen.generator import LstmModel, _Workspace, _cell
 
 def batch_workspace(model: LstmModel, ids: np.ndarray) -> _Workspace:
     """A generator workspace of exactly the rows a (B, T) batch uses."""
-    return _Workspace(model.config, (ids.shape[1] - 1) * len(ids))
+    return _Workspace(model, (ids.shape[1] - 1) * len(ids))
 
 
 def cell(model: LstmModel, xh: np.ndarray, c_prev: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -93,7 +93,7 @@ def classifier_corpus(spec):
 @pytest.fixture(scope="session")
 def trained_classifier(classifier_corpus) -> Timed:
     docs, _ = classifier_corpus
-    return timed(lambda: train_classifier(docs, CnnConfig(vocab_size=0), Rng(42)))
+    return timed(lambda: train_classifier(docs, CnnConfig(), Rng(42)))
 
 
 @pytest.fixture(scope="session")
@@ -105,13 +105,13 @@ def generator_corpus(spec):
 @pytest.fixture(scope="session")
 def trained_conditional(generator_corpus) -> Timed:
     docs, _ = generator_corpus
-    return timed(lambda: train_generator(docs, LstmConfig(vocab_size=0, cond_dim=5), Rng(44)))
+    return timed(lambda: train_generator(docs, LstmConfig(cond_dim=5), Rng(44)))
 
 
 @pytest.fixture(scope="session")
 def trained_baseline(generator_corpus) -> Timed:
     docs, _ = generator_corpus
-    return timed(lambda: train_generator(docs, LstmConfig(vocab_size=0, cond_dim=0), Rng(45)))
+    return timed(lambda: train_generator(docs, LstmConfig(cond_dim=0), Rng(45)))
 
 
 @pytest.fixture(scope="session")
@@ -141,8 +141,7 @@ def test_criterion_1_gradient_integrity():
     assert len(vocab) == 20
 
     cnn = CnnModel.init(
-        CnnConfig(vocab_size=20, embed_dim=4, window=3, num_filters=3, max_len=12),
-        vocab, Rng(7),
+        CnnConfig(embed_dim=4, window=3, num_filters=3, max_len=12), vocab, Rng(7),
     )
     rng = Rng(8)
     docs = [[f"w{rng.randint(16)}" for _ in range(rng.randint(6) + 4)] for _ in range(3)]
@@ -161,8 +160,7 @@ def test_criterion_1_gradient_integrity():
     cnn_worst = max(gradient_check(cnn_loss, cnn_grad, cnn, h=1e-5).values())
 
     lstm = LstmModel.init(
-        LstmConfig(vocab_size=20, embed_dim=4, hidden_dim=5, cond_dim=5, max_len=4),
-        vocab, Rng(9),
+        LstmConfig(embed_dim=4, hidden_dim=5, cond_dim=5, max_len=4), vocab, Rng(9),
     )
     ids = np.array([[2, 5, 9, 3], [2, 11, 3, 0]], dtype=np.int64)  # 3 timesteps
     mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]], dtype=np.float64)
@@ -260,7 +258,7 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
     sample = docs[:200]
     vocab = model.vocab
     untrained = LstmModel.init(
-        LstmConfig(vocab_size=len(vocab), cond_dim=5), vocab, Rng(777)
+        LstmConfig(cond_dim=5), vocab, Rng(777)
     )
     ids, lengths = encode([doc.tokens for doc in sample], vocab, untrained.config.max_len)
     ids = ids[:, :lengths.max()]
@@ -283,8 +281,7 @@ def test_criterion_5_training_dynamics(generator_corpus, trained_conditional):
 def test_criterion_6_decoding_contract():
     vocab = Vocabulary.build([[f"w{i}" for i in range(30)]] * 2)
     model = LstmModel.init(
-        LstmConfig(vocab_size=len(vocab), embed_dim=6, hidden_dim=8, cond_dim=5,
-                   max_len=16),
+        LstmConfig(embed_dim=6, hidden_dim=8, cond_dim=5, max_len=16),
         vocab, Rng(505),
     )
     pool = ["w0", "w1", "w2", "w3"]
@@ -402,7 +399,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     cnn = trained_classifier.value[0]
     cnn_path = tmp_path / "cnn.json"
     cnn.save(cnn_path)
-    cnn_loaded = load_model(cnn_path, "cnn")
+    cnn_loaded = load_model(cnn_path, CnnModel)
     probe_tokens = [spec.neutral_tokens[i] for i in range(8)]
     cnn_probs = classifier_forward([probe_tokens], cnn).tolist()
     cnn_same = cnn_probs == classifier_forward([probe_tokens], cnn_loaded).tolist()
@@ -410,7 +407,7 @@ def test_criterion_7_determinism_and_persistence(tmp_path, spec, trained_classif
     lstm = trained_conditional.value[0]
     lstm_path = tmp_path / "lstm.json"
     lstm.save(lstm_path)
-    lstm_loaded = load_model(lstm_path, "lstm")
+    lstm_loaded = load_model(lstm_path, LstmModel)
     probe_ids, _ = encode([probe_tokens], lstm.vocab, lstm.config.max_len)
     cond = np.array([(1, 1, 0, 0, 1)], dtype=np.float64)
     lstm_logits = [_forward(m, probe_ids, cond, batch_workspace(m, probe_ids))

@@ -30,8 +30,7 @@ def tiny_vocab(n_tokens: int) -> Vocabulary:
 
 def make_model(n_tokens=2, k=2, m=2, f=1, max_len=8, seed=5) -> CnnModel:
     vocab = tiny_vocab(n_tokens)
-    config = CnnConfig(vocab_size=len(vocab), embed_dim=k, window=m, num_filters=f,
-                       max_len=max_len)
+    config = CnnConfig(embed_dim=k, window=m, num_filters=f, max_len=max_len)
     return CnnModel.init(config, vocab, Rng(seed))
 
 
@@ -171,8 +170,7 @@ def test_loss_rejects_bad_labels() -> None:
 def test_label_corpus_maps_probability_one_half_to_zero() -> None:
     # all-zero weights: every logit is 0, so every probability is exactly 0.5
     vocab = tiny_vocab(3)
-    model = CnnModel(CnnConfig(vocab_size=len(vocab), embed_dim=2, window=2, num_filters=1,
-                               max_len=8), vocab)
+    model = CnnModel(CnnConfig(embed_dim=2, window=2, num_filters=1, max_len=8), vocab)
     docs = [Document("w0 w1", ["w0", "w1"]), Document("w2", ["w2"])]
     assert (classifier_forward([d.tokens for d in docs], model) == 0.5).all()
     for doc in label_corpus(docs, model):
@@ -218,19 +216,19 @@ def test_training_needs_ten_documents() -> None:
     rng = Rng(1)
     docs = random_corpus(9, ["a", "b"], rng)
     with pytest.raises(TraitgenError, match="need at least 10 documents, got 9"):
-        train_classifier(docs, CnnConfig(vocab_size=0, epochs=1), Rng(0))
+        train_classifier(docs, CnnConfig(epochs=1), Rng(0))
 
 
 def test_training_requires_labels() -> None:
     docs = [Document("a b c", ["a", "b", "c"]) for _ in range(12)]
     with pytest.raises(TraitgenError, match="document 0 has no trait labels"):
-        train_classifier(docs, CnnConfig(vocab_size=0, epochs=1), Rng(0))
+        train_classifier(docs, CnnConfig(epochs=1), Rng(0))
 
 
 def test_zero_epochs_returns_initialised_model_near_chance() -> None:
     rng = Rng(2)
     docs = random_corpus(400, [f"w{i}" for i in range(10)], rng)
-    config = CnnConfig(vocab_size=0, embed_dim=4, num_filters=4, max_len=10, epochs=0)
+    config = CnnConfig(embed_dim=4, num_filters=4, max_len=10, epochs=0)
     _, metrics = train_classifier(docs, config, Rng(3))
     assert metrics["best_epoch"] == 0
     assert metrics["per_epoch_accuracy"] == [metrics["best_accuracy"]]
@@ -242,8 +240,7 @@ def test_zero_epochs_returns_initialised_model_near_chance() -> None:
 def test_training_is_deterministic() -> None:
     rng = Rng(4)
     docs = random_corpus(40, ["a", "b", "c"], rng)
-    config = CnnConfig(vocab_size=0, embed_dim=4, num_filters=3, max_len=10,
-                       epochs=2, batch_size=8)
+    config = CnnConfig(embed_dim=4, num_filters=3, max_len=10, epochs=2, batch_size=8)
 
     def run():
         model, metrics = train_classifier(docs, config, Rng(7))
@@ -255,8 +252,7 @@ def test_training_is_deterministic() -> None:
 def test_history_and_best_epoch_recorded() -> None:
     rng = Rng(5)
     docs = random_corpus(30, ["a", "b"], rng)
-    config = CnnConfig(vocab_size=0, embed_dim=4, num_filters=2, max_len=10,
-                       epochs=3, batch_size=8)
+    config = CnnConfig(embed_dim=4, num_filters=2, max_len=10, epochs=3, batch_size=8)
     _, metrics = train_classifier(docs, config, Rng(8))
     assert set(metrics) == {"best_epoch", "best_accuracy", "per_epoch_accuracy"}
     assert len(metrics["per_epoch_accuracy"]) == 3
@@ -294,7 +290,7 @@ def test_checkpoint_roundtrip_is_bit_exact(tmp_path) -> None:
     model = make_model(n_tokens=6, k=3, m=2, f=4, seed=29)
     path = tmp_path / "cnn.json"
     model.save(path)
-    loaded = load_model(path, "cnn")
+    loaded = load_model(path, CnnModel)
     for p, q in zip(model.params, loaded.params):
         assert p.value.ravel().tolist() == q.value.ravel().tolist()
     tokens = ["w0", "w3", "w5"]

@@ -24,6 +24,7 @@ import traitgen
 import traitgen.classifier
 import traitgen.generator
 from traitgen.checkpoint import FORMAT_VERSION, load_model
+from traitgen.classifier import CnnModel
 from traitgen.cli import COMMANDS, _resolve, build_parser, main
 from traitgen.generator import LstmConfig, LstmModel
 from traitgen.harness import MAX_DOC_TOKENS, SynthSpec, default_synth_spec
@@ -253,7 +254,11 @@ def _infinite_parameter(trainer):
      _infinite_parameter(traitgen.classifier), "non-finite value in parameter"),
     ("train-generator", ["--hidden-dim", "4", "--batch-size", "64"],
      _infinite_parameter(traitgen.generator), "non-finite value in parameter"),
-], ids=["generator-nan-loss", "classifier-infinite-parameter", "generator-infinite-parameter"])
+    # a real step size: the first update makes the next batch's forward overflow
+    ("train-generator", ["--hidden-dim", "4", "--learning-rate", "1e300"],
+     lambda monkeypatch: None, "training diverged in epoch 1: overflow encountered in matmul"),
+], ids=["generator-nan-loss", "classifier-infinite-parameter", "generator-infinite-parameter",
+        "generator-overflow"])
 def test_divergence_exits_2_without_checkpoint(tmp_path, pipeline, capsys, monkeypatch, command,
                                                flags, inject, message) -> None:
     inject(monkeypatch)
@@ -299,7 +304,7 @@ def _overflowing_scores(pipeline, tmp_path) -> list[str]:
 
 def _huge_classifier(pipeline, tmp_path) -> list[str]:
     """A finite classifier whose convolution overflows: embedding and conv_w all 1e300."""
-    model = load_model(pipeline["classifier"], "cnn")
+    model = load_model(pipeline["classifier"], CnnModel)
     model.embedding.value[...] = 1e300
     model.conv_w.value[...] = 1e300
     model.save(tmp_path / "huge.json")
@@ -370,7 +375,7 @@ def test_label_idempotent_and_order_preserving(tmp_path, pipeline) -> None:
 
 def test_label_warns_once_when_some_corpus_tokens_are_unknown(tmp_path, pipeline,
                                                              capsys) -> None:
-    known = list(load_model(pipeline["classifier"], "cnn").vocab)[:7]
+    known = list(load_model(pipeline["classifier"], CnnModel).vocab)[:7]
     corpus, out = tmp_path / "part.jsonl", tmp_path / "labeled.jsonl"
     corpus.write_text(json.dumps({"text": " ".join(known + ["zzz", "qqq", "xxx"])}) + "\n",
                       encoding="utf-8")
@@ -554,7 +559,7 @@ def test_generate_malformed_checkpoint_exits_2(tmp_path, pipeline, capsys, check
 def _tiny_generator() -> str:
     """A valid unconditional checkpoint: V = 8 (four specials, a-d), k = H = 2."""
     vocab = Vocabulary.build([["a", "b", "c", "d"]] * 2)
-    config = LstmConfig(vocab_size=len(vocab), embed_dim=2, hidden_dim=2, cond_dim=0, max_len=6)
+    config = LstmConfig(embed_dim=2, hidden_dim=2, cond_dim=0, max_len=6)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generator.json"
         LstmModel.init(config, vocab, Rng(5)).save(path)
@@ -575,7 +580,8 @@ _DATA_EDITS = st.one_of(
     st.tuples(st.just("swap"), _ODD_SCALARS | st.just(float("nan"))),
 )
 _CHECKPOINT_EDITS = st.one_of(
-    st.tuples(st.sampled_from([f.name for f in dataclasses.fields(LstmConfig)])
+    # the checkpoint's config keys: the config's fields after the stored vocab_size
+    st.tuples(st.sampled_from(["vocab_size", *(f.name for f in dataclasses.fields(LstmConfig))])
               .map(lambda key: ("config", key)), _ODD_SCALARS),
     st.tuples(st.integers(0, 7).map(lambda i: ("vocab", i)),
               _ODD_SCALARS | st.sampled_from(["<pad>", "a", " a", "\ud800"])),
@@ -914,17 +920,50 @@ def test_single_file_out_that_is_a_directory_exits_2(tmp_path, pipeline, capsys,
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]  # no temp file left
 
 
-def test_label_overflow_prints_one_error_line(tmp_path, pipeline) -> None:
-    """numpy's overflow warning once came before the error; a subprocess shows
-    it, since pytest captures warnings raised in-process."""
+@pytest.mark.parametrize("command", ["score", "calibrate"])
+@pytest.mark.parametrize("out", [".", "/", "./", "sub/.."])
+def test_single_file_out_with_no_file_name_exits_2(tmp_path, pipeline, capsys, monkeypatch,
+                                                   command, out) -> None:
+    monkeypatch.chdir(tmp_path)
+    assert run(command, "--lexicon", str(pipeline["lexicon"]), "--in", str(pipeline["corpus"]),
+               "--out", out) == 2
+    assert capsys.readouterr().err == (f"traitgen: error: output path {str(Path(out))!r} "
+                                       "has no file name\n")
+    assert not any(tmp_path.iterdir())
+
+
+def _traitgen(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a subprocess, which shows numpy's warnings on its stderr:
+    pytest captures the warnings raised in-process."""
     src = str(Path(traitgen.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "traitgen", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_label_overflow_prints_one_error_line(tmp_path, pipeline) -> None:
+    """numpy's overflow warning once came before the error."""
     out = tmp_path / "new" / "sub" / "labeled.jsonl"
-    done = subprocess.run([sys.executable, "-m", "traitgen", *_huge_classifier(pipeline, tmp_path),
-                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    done = _traitgen(*_huge_classifier(pipeline, tmp_path), "--out", str(out))
     assert done.returncode == 2
     assert done.stderr == "traitgen: error: activation input contains non-finite entries\n"
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("n", [3, 400])  # one chunk, and three: the helper thread decodes too
+def test_generate_overflow_prints_one_error_line(tmp_path, pipeline, n) -> None:
+    """A finite generator whose embedding and gate weights are all 1e300 once
+    printed numpy's warnings and wrote its texts."""
+    model = load_model(pipeline["baseline"], LstmModel)
+    model.embedding.value[...] = 1e300
+    model.gates_w.value[...] = 1e300
+    model.save(tmp_path / "huge.json")
+    out = tmp_path / "new" / "texts.jsonl"
+    done = _traitgen("generate", "--model", str(tmp_path / "huge.json"), "--n", str(n),
+                     "--seed-pool", str(pipeline["pool"]), "--out", str(out))
+    assert done.returncode == 2
+    assert done.stderr == "traitgen: error: decoding failed: overflow encountered in matmul\n"
     assert not (tmp_path / "new").exists()
 
 

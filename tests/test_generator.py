@@ -52,8 +52,7 @@ def tiny_vocab(n_tokens: int) -> Vocabulary:
 
 def make_model(n_tokens=4, k=3, h=3, cond=5, max_len=10, seed=2) -> LstmModel:
     vocab = tiny_vocab(n_tokens)
-    config = LstmConfig(vocab_size=len(vocab), embed_dim=k, hidden_dim=h,
-                        cond_dim=cond, max_len=max_len)
+    config = LstmConfig(embed_dim=k, hidden_dim=h, cond_dim=cond, max_len=max_len)
     return LstmModel.init(config, vocab, Rng(seed))
 
 
@@ -209,7 +208,7 @@ def test_forward_matches_hand_unrolled_steps() -> None:
     ids, _ = encode([["w0", "w2"]], model.vocab, 4)  # BOS w0 w2 EOS
     cond = (1, 0, 1, 0, 1)
     logits = forward(model, ids, cond_row(cond))
-    assert logits.shape == (3, model.config.vocab_size)
+    assert logits.shape == (3, len(model.vocab))
 
     bits = list(map(float, cond))
     w_o, b_o = model.out_w.value, model.out_b.value[0]
@@ -218,7 +217,7 @@ def test_forward_matches_hand_unrolled_steps() -> None:
         emb = model.embedding.value[ids[0, t]].tolist()
         h, c = scalar_cell(model, emb + bits + h, c)
         expected = [b_o[v] + sum(h[j] * w_o[j, v] for j in range(3))
-                    for v in range(model.config.vocab_size)]
+                    for v in range(len(model.vocab))]
         assert np.abs(logits[t] - expected).max() < 1e-12
 
 
@@ -246,8 +245,8 @@ def test_untrained_model_loss_is_near_log_vocab() -> None:
         total += next_token_loss(forward(model, ids, None), ids, lengths)
         count += 1
     mean = total / count
-    assert abs(mean - math.log(model.config.vocab_size)) / math.log(
-        model.config.vocab_size
+    assert abs(mean - math.log(len(model.vocab))) / math.log(
+        len(model.vocab)
     ) < 0.02
 
 
@@ -257,7 +256,7 @@ def test_untrained_model_loss_is_near_log_vocab() -> None:
 def test_loss_zero_for_deterministic_correct_logits() -> None:
     model = make_model(n_tokens=3, max_len=5)
     ids, lengths = encode([["w0", "w1"]], model.vocab, 5)  # BOS w0 w1 EOS PAD
-    logits = np.zeros((4, model.config.vocab_size))
+    logits = np.zeros((4, len(model.vocab)))
     for t in range(1, lengths[0]):
         logits[t - 1, ids[0, t]] = 60.0
     assert next_token_loss(logits, ids, lengths) == pytest.approx(0.0, abs=1e-11)
@@ -266,9 +265,9 @@ def test_loss_zero_for_deterministic_correct_logits() -> None:
 def test_loss_uniform_logits_equals_log_vocab() -> None:
     model = make_model(n_tokens=3, max_len=5)
     ids, lengths = encode([["w0", "w1"]], model.vocab, 5)
-    logits = np.zeros((4, model.config.vocab_size))
+    logits = np.zeros((4, len(model.vocab)))
     assert next_token_loss(logits, ids, lengths) == pytest.approx(
-        math.log(model.config.vocab_size), abs=1e-12
+        math.log(len(model.vocab)), abs=1e-12
     )
 
 
@@ -340,7 +339,7 @@ def test_reused_workspace_matches_a_fresh_one_batch_by_batch(data, cond_dim) -> 
     before writing shows up in the first batch already."""
     batch_size, max_t = 5, 9
     model = make_model(n_tokens=9, k=3, h=4, cond=cond_dim, max_len=max_t, seed=71)
-    ws = _Workspace(model.config, (max_t - 1) * batch_size)
+    ws = _Workspace(model, (max_t - 1) * batch_size)
     for buf in (ws.xh, ws.h, ws.gates, ws.c, ws.tanh_c, ws.logits):
         buf.fill(np.nan)
     short_t = data.draw(st.integers(2, max_t - 1))
@@ -364,14 +363,13 @@ def test_reused_workspace_matches_a_fresh_one_batch_by_batch(data, cond_dim) -> 
 def test_training_smoke_and_loss_finite(tmp_path) -> None:
     rng = Rng(61)
     docs = random_labeled_docs(10, ["a", "b", "c"], rng, length=4)
-    config = LstmConfig(vocab_size=0, embed_dim=4, hidden_dim=5, cond_dim=5,
-                        max_len=8, epochs=1, batch_size=4)
+    config = LstmConfig(embed_dim=4, hidden_dim=5, cond_dim=5, max_len=8, epochs=1, batch_size=4)
     model, losses = train_generator(docs, config, Rng(62))
     assert len(losses) == 1
     assert math.isfinite(losses[0])
     path = tmp_path / "lstm.json"
     model.save(path)
-    loaded = load_model(path, "lstm")
+    loaded = load_model(path, LstmModel)
     ids, _ = encode([["a", "b"]], model.vocab, 8)
     cond = cond_row(all_high())
     assert (forward(model, ids, cond) == forward(loaded, ids, cond)).all()
@@ -380,8 +378,7 @@ def test_training_smoke_and_loss_finite(tmp_path) -> None:
 def test_training_is_deterministic(tmp_path) -> None:
     rng = Rng(63)
     docs = random_labeled_docs(12, ["a", "b"], rng, length=4)
-    config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=4, cond_dim=5,
-                        max_len=8, epochs=2, batch_size=4)
+    config = LstmConfig(embed_dim=3, hidden_dim=4, cond_dim=5, max_len=8, epochs=2, batch_size=4)
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     train_generator(docs, config, Rng(64))[0].save(p1)
     train_generator(docs, config, Rng(64))[0].save(p2)
@@ -390,22 +387,21 @@ def test_training_is_deterministic(tmp_path) -> None:
 
 def test_conditional_training_requires_labels() -> None:
     docs = [Document("a b", ["a", "b"]) for _ in range(5)]
-    config = LstmConfig(vocab_size=0, cond_dim=5, epochs=1)
+    config = LstmConfig(cond_dim=5, epochs=1)
     with pytest.raises(TraitgenError, match="document 0 has no trait labels"):
         train_generator(docs, config, Rng(0))
 
 
 def test_unconditional_training_ignores_labels() -> None:
     docs = [Document("a b", ["a", "b"]) for _ in range(6)]
-    config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=3, cond_dim=0,
-                        max_len=6, epochs=1, batch_size=3)
+    config = LstmConfig(embed_dim=3, hidden_dim=3, cond_dim=0, max_len=6, epochs=1, batch_size=3)
     model, losses = train_generator(docs, config, Rng(1))
     assert model.config.cond_dim == 0 and len(losses) == 1
 
 
 def test_empty_corpus_rejected() -> None:
     with pytest.raises(TraitgenError, match="cannot train a generator on an empty corpus"):
-        train_generator([], LstmConfig(vocab_size=0), Rng(0))
+        train_generator([], LstmConfig(), Rng(0))
 
 
 # ------------------------------------------------------------------- decoding
@@ -509,7 +505,7 @@ def reference_decode(model: LstmModel, condition: tuple[int, ...] | None, seed_p
     """
     cfg = model.config
     emb = model.embedding.value
-    allowed = np.array([i for i in range(cfg.vocab_size) if i not in (PAD_ID, UNK_ID, BOS_ID)])
+    allowed = np.array([i for i in range(len(model.vocab)) if i not in (PAD_ID, UNK_ID, BOS_ID)])
     seed_id = model.vocab.id_of(seed_pool[rng.randint(len(seed_pool))])
     h = np.zeros((1, cfg.hidden_dim))
     c = np.zeros_like(h)
@@ -604,8 +600,7 @@ def test_texts_do_not_depend_on_the_chunk_size(monkeypatch) -> None:
     GEMM, yet the texts of 330 rows at temperature 0.7 are the same in
     chunks of 64 rows, of the default cap and of all rows at once."""
     vocab = tiny_vocab(400)
-    config = LstmConfig(vocab_size=len(vocab), embed_dim=32, hidden_dim=128, cond_dim=5,
-                        max_len=40)
+    config = LstmConfig(embed_dim=32, hidden_dim=128, cond_dim=5, max_len=40)
     model = LstmModel.init(config, vocab, Rng(227))
     model.out_w.value *= 3.0  # sharper than at init: rows stop at many steps, so the
     # live-row count of the output GEMM keeps changing
@@ -763,7 +758,7 @@ def test_greedy_decoding_agrees_with_teacher_forcing() -> None:
     checked = 0
     for model_seed in (101, 102, 103, 104, 105):
         model = make_model(n_tokens=12, k=4, h=8, cond=5, max_len=16, seed=model_seed)
-        sampleable = np.array([i for i in range(model.config.vocab_size)
+        sampleable = np.array([i for i in range(len(model.vocab))
                                if i not in (PAD_ID, UNK_ID, BOS_ID)])
         cond = bits_of(model_seed)
         for seed_word in ("w0", "w5", "w11"):

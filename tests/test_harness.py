@@ -410,11 +410,11 @@ def eval_fixture():
     markers = [tok for t in TRAITS for k in ("high", "low") for tok in spec.markers[t][k]]
     vocab = Vocabulary.build([spec.neutral_tokens + markers] * 2)
     cond = LstmModel.init(
-        LstmConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, cond_dim=5, max_len=10),
+        LstmConfig(embed_dim=4, hidden_dim=5, cond_dim=5, max_len=10),
         vocab, Rng(23),
     )
     uncond = LstmModel.init(
-        LstmConfig(vocab_size=len(vocab), embed_dim=4, hidden_dim=5, cond_dim=0, max_len=10),
+        LstmConfig(embed_dim=4, hidden_dim=5, cond_dim=0, max_len=10),
         vocab, Rng(29),
     )
     thresholds = calibrate_thresholds(scores_by_trait((d.tokens for d in docs), lex))

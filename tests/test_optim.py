@@ -62,8 +62,8 @@ def test_a_store_past_the_weight_limit_is_refused_before_allocation(monkeypatch)
     with pytest.raises(TraitgenError, match="^model has 11 weights, more than 10$"):
         Parameters({"a": (2, 4), "b": (1, 3)})
     # the default models of the CLI at the largest vocabulary stay far below it
-    for shapes in (LstmModel.shapes(LstmConfig(vocab_size=MAX_VOCAB)),
-                   CnnModel.shapes(CnnConfig(vocab_size=MAX_VOCAB))):
+    for shapes in (LstmModel.shapes(LstmConfig(), MAX_VOCAB),
+                   CnnModel.shapes(CnnConfig(), MAX_VOCAB)):
         assert 10 * sum(rows * cols for rows, cols in shapes.values()) < MAX_WEIGHTS
 
 
@@ -221,16 +221,14 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
         tokens = [words[rng.randint(len(words))] for _ in range(5)]
         docs.append(Document(" ".join(tokens), tokens, labels={t: rng.coin() for t in TRAITS}))
     vocab = Vocabulary.build([d.tokens for d in docs] * 2)
-    cnn = CnnModel.init(CnnConfig(vocab_size=len(vocab), embed_dim=3, window=2, num_filters=2,
-                                  max_len=8), vocab, Rng(1))
-    lstm = LstmModel.init(LstmConfig(vocab_size=len(vocab), embed_dim=3, hidden_dim=4,
-                                     max_len=8), vocab, Rng(2))
+    cnn = CnnModel.init(CnnConfig(embed_dim=3, window=2, num_filters=2, max_len=8), vocab, Rng(1))
+    lstm = LstmModel.init(LstmConfig(embed_dim=3, hidden_dim=4, max_len=8), vocab, Rng(2))
     for model in (cnn, lstm):
         check(model)
         path = tmp_path / f"{model.kind}.json"
         model.save(path)
         check(model)
-        check(load_model(path, model.kind))
+        check(load_model(path, type(model)))
 
     ids, lengths = encode([d.tokens for d in docs[:4]], vocab, 8)
     labels = np.array([[d.labels[t] for t in TRAITS] for d in docs[:4]], dtype=np.float64)
@@ -245,11 +243,9 @@ def test_parameter_arrays_are_owned_and_written_in_place(tmp_path, monkeypatch) 
         adam_step(model, lr=1e-2)
         check(model)
 
-    config = CnnConfig(vocab_size=0, embed_dim=3, window=2, num_filters=2, max_len=8,
-                       epochs=2, batch_size=4)
+    config = CnnConfig(embed_dim=3, window=2, num_filters=2, max_len=8, epochs=2, batch_size=4)
     check(train_classifier(docs, config, Rng(3))[0])
-    config = LstmConfig(vocab_size=0, embed_dim=3, hidden_dim=4, max_len=8, epochs=2,
-                        batch_size=4)
+    config = LstmConfig(embed_dim=3, hidden_dim=4, max_len=8, epochs=2, batch_size=4)
     check(train_generator(docs, config, Rng(4))[0])
 
 
